@@ -1,7 +1,9 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Deliberately not a general autodiff framework: only the vectorized ops the
-graph encoder, cost head, and edit-distance computations need. Values are
+graph encoder, cost head, and edit-distance computations need. The encoder
+and the distance table work on stacks of same-size graphs, so `matmul`,
+`take`, `transpose` and the reductions accept leading batch axes. Values are
 float64 throughout; gradients are accumulated on leaf Vars created with
 ``requires_grad=True``.
 """
@@ -11,7 +13,7 @@ import numpy as np
 
 __all__ = [
     "Var", "constant", "leaf", "backward", "backward_from",
-    "matmul", "concat", "gather_rows", "reshape", "vsum", "vmean",
+    "matmul", "concat", "take", "reshape", "transpose", "vsum", "vmean",
     "exp", "log", "sqrt", "square", "tanh", "leaky_relu", "softplus",
     "l2norm_last", "pairwise_l2", "reduce_min", "where_select",
 ]
@@ -120,9 +122,10 @@ def _div(a: Var, b: Var) -> Var:
 
 
 def matmul(a: Var, b: Var) -> Var:
+    """Matrix product of (..., n, k) and (..., k, p) with broadcast batch axes."""
     def bk(g):
-        ga = g @ b.value.T if a.requires_grad else None
-        gb = a.value.T @ g if b.requires_grad else None
+        ga = _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
     return _node(a.value @ b.value, (a, b), bk)
 
@@ -143,14 +146,23 @@ def concat(vs: list[Var], axis: int) -> Var:
     return _node(np.concatenate([v.value for v in vs], axis=axis), tuple(vs), bk)
 
 
-def gather_rows(a: Var, idx) -> Var:
+def transpose(a: Var, axes) -> Var:
+    inverse = np.argsort(axes)
+
+    def bk(g):
+        return (g.transpose(inverse),)
+    return _node(a.value.transpose(axes), (a,), bk)
+
+
+def take(a: Var, idx, axis: int = 0) -> Var:
+    """Index along one axis. The backward scatters through a one-hot matmul,
+    so gradients of repeated indices add up."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def bk(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
-    return _node(a.value[idx], (a,), bk)
+        onehot = (idx[:, None] == np.arange(a.shape[axis])).astype(np.float64)
+        return (np.moveaxis(np.moveaxis(g, axis, -1) @ onehot, -1, axis),)
+    return _node(np.take(a.value, idx, axis=axis), (a,), bk)
 
 
 def vsum(a: Var, axis=None, keepdims=False) -> Var:
@@ -247,18 +259,21 @@ def l2norm_last(a: Var) -> Var:
 
 
 def pairwise_l2(u: Var, v: Var) -> Var:
-    """All-pairs Euclidean distances, (m, d) x (p, d) -> (m, p).
+    """All-pairs Euclidean distances, (..., m, d) x (p, d) -> (..., m, p).
 
     Exact forward via explicit differences; the backward uses the closed
     form dU = diag(W 1) u - W v with W = g / dist (0 where dist is 0).
     """
-    diff = u.value[:, None, :] - v.value[None, :, :]
-    val = np.sqrt(np.square(diff).sum(axis=-1))
+    diff = u.value[..., :, None, :] - v.value
+    val = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
     def bk(g):
         w = np.where(val == 0.0, 0.0, g / np.where(val == 0.0, 1.0, val))
-        gu = w.sum(axis=1)[:, None] * u.value - w @ v.value if u.requires_grad else None
-        gv = w.sum(axis=0)[:, None] * v.value - w.T @ u.value if v.requires_grad else None
+        gu = w.sum(axis=-1)[..., None] * u.value - w @ v.value if u.requires_grad else None
+        gv = None
+        if v.requires_grad:
+            w2 = w.reshape(-1, w.shape[-1])
+            gv = w2.sum(axis=0)[:, None] * v.value - w2.T @ u.value.reshape(-1, v.shape[-1])
         return gu, gv
     return _node(val, (u, v), bk)
 

@@ -56,7 +56,6 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report, _ = training.train(train_ds, cfg, test_dataset=test_ds,
-                               workers=args.workers,
                                checkpoint_path=out / "checkpoint.txt",
                                log=lambda msg: print(msg, file=sys.stderr))
     _write_text(out / "report.csv", report.losses_csv())
@@ -70,7 +69,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = training.TrainedModel.load(args.checkpoint)
     ds = synth.load(args.data)
-    acc = training.evaluate(model, ds, workers=args.workers)
+    acc = training.evaluate(model, ds)
     print(f"accuracy {acc:.6f}")
     return 0
 
@@ -80,7 +79,7 @@ def cmd_explain(args) -> int:
     ds = synth.load(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    srgs = training.encode_dataset(model, ds, workers=args.workers)
+    srgs = training.encode_dataset(model, ds)
     for i, srg in enumerate(srgs):
         sub = ex.top_k_explanation(srg, args.top_k).as_graph()
         _write_text(out / f"instance_{i:04d}.dot", export_dot(sub, weights_as_labels=True))
@@ -95,8 +94,7 @@ def cmd_sweep_noise(args) -> int:
     run = load_config(args.config)
     models = [NoiseModel(name) for name in args.models.split(",") if name.strip()]
     rows = training.sweep_noise(run.train, run.synth, _float_list(args.eta_list),
-                                models, workers=args.workers,
-                                log=lambda msg: print(msg, file=sys.stderr))
+                                models, log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.noise_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -105,7 +103,6 @@ def cmd_sweep_noise(args) -> int:
 def cmd_sweep_depth(args) -> int:
     run = load_config(args.config)
     rows = training.sweep_depth(run.train, run.synth, _int_list(args.depth_list),
-                                workers=args.workers,
                                 log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.depth_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -119,7 +116,7 @@ def cmd_metrics(args) -> int:
     ds = synth.load(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    srgs = training.encode_dataset(model, ds, workers=args.workers)
+    srgs = training.encode_dataset(model, ds)
     ks = _int_list(args.top_k_list)
     curve = ex.fidelity_sparsity_curve(srgs, model.proxies, model.cost_head, ks)
     _write_text(out / "fidelity_sparsity.csv", ex.curve_csv(curve))
@@ -172,18 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="View-graph relational classification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=True, seed=True):
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="cap on per-batch fan-out (default 1)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+    def seed_option(p):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p = sub.add_parser("generate", help="write a synthetic dataset file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    common(p, workers=False)
+    seed_option(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("train", help="train and write checkpoint + loss report")
@@ -191,13 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--test-data", default=None)
     p.add_argument("--out", required=True)
-    common(p)
+    seed_option(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    common(p, seed=False)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("explain", help="write DOT explanation graphs")
@@ -205,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--top-k", type=int, default=6)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("sweep-noise", help="accuracy vs noise rate and model")
@@ -213,14 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-list", required=True)
     p.add_argument("--models", default=",".join(m.value for m in NoiseModel))
     p.add_argument("--out", required=True)
-    common(p, seed=False)
     p.set_defaults(fn=cmd_sweep_noise)
 
     p = sub.add_parser("sweep-depth", help="accuracy and distinguishability vs depth")
     p.add_argument("--config", required=True)
     p.add_argument("--depth-list", required=True)
     p.add_argument("--out", required=True)
-    common(p, seed=False)
     p.set_defaults(fn=cmd_sweep_depth)
 
     p = sub.add_parser("metrics", help="fidelity/sparsity curve and clique similarity")
@@ -230,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macs", action="store_true",
                    help="also compare against random explanations")
     p.add_argument("--out", required=True)
-    common(p)
+    seed_option(p)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("calc", help="closed-form robustness calculators")

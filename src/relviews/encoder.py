@@ -2,11 +2,22 @@
 
 Multi-head attention over the complete graph with an edge channel in the
 logits, graph-level normalization between layers, and a learned edge update
-so the output graph carries both node and edge embeddings. Forward returns a
-tape; backward produces exact reverse-mode gradients for every parameter.
+so the output graph carries both node and edge embeddings.
 
 Hidden layers concatenate heads; the final layer averages full-width heads
 and is left unnormalized so its output scale is free to contract.
+
+`forward` takes a list of graphs with the same node count N and runs each
+layer once for the whole batch of B graphs, all heads fused: the heads'
+W, a and P are stored stacked on a leading head axis, so one broadcasting
+matmul computes every graph's and head's W h, and the attention is one
+(B, H, N, N) softmax. Every graph of the batch gets exactly the values a
+batch of one would give it. The returned tape holds the batch's output
+node and edge Vars, (B, N, hidden) and (B, N(N-1)/2, hidden), one leaf Var
+per stored tensor, and the attention coefficients as one (B, H, N, N) array
+per layer: graph b's coefficients are `[layer][b]`, indexed `[head]`.
+After a backward pass from the outputs, `EncoderTape.accumulate` adds the
+leaf gradients into the parameters' per-head gradient buffers.
 """
 from __future__ import annotations
 
@@ -44,9 +55,9 @@ class EncoderConfig:
 
 @dataclass
 class LayerParams:
-    W: list[np.ndarray]                  # per head: (in_dim, head_dim)
-    a: list[np.ndarray]                  # per head: (3*head_dim,)
-    P: list[np.ndarray]                  # per head: (edge_in, head_dim)
+    W: np.ndarray                        # (heads, in_dim, head_dim)
+    a: np.ndarray                        # (heads, 3*head_dim): source, target, edge parts
+    P: np.ndarray                        # (heads, edge_in, head_dim)
     norm_mean_scale: np.ndarray | None = None   # (hidden_dim,)
     norm_scale: np.ndarray | None = None
     norm_shift: np.ndarray | None = None
@@ -61,20 +72,10 @@ class GatParams:
     grads: dict[str, np.ndarray] = field(default_factory=dict)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map."""
-        out = []
-        for li, layer in enumerate(self.layers):
-            for hi in range(len(layer.W)):
-                out.append((f"layer{li}.head{hi}.W", layer.W[hi]))
-                out.append((f"layer{li}.head{hi}.a", layer.a[hi]))
-                out.append((f"layer{li}.head{hi}.P", layer.P[hi]))
-            if layer.norm_scale is not None:
-                out.append((f"layer{li}.norm.mean_scale", layer.norm_mean_scale))
-                out.append((f"layer{li}.norm.scale", layer.norm_scale))
-                out.append((f"layer{li}.norm.shift", layer.norm_shift))
-            if layer.edge_U is not None:
-                out.append((f"layer{li}.edge_update", layer.edge_U))
-        return out
+        """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map.
+
+        Per-head entries are views into the stacked arrays."""
+        return _named([vars(layer) for layer in self.layers])
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
         for tname, arr in self.named_tensors():
@@ -93,6 +94,22 @@ class GatParams:
         for name, arr in self.named_tensors():
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite parameter tensor {name}")
+
+
+def _named(layers: list[dict]) -> list[tuple[str, np.ndarray]]:
+    """Names of the per-layer tensors (LayerParams fields, or arrays shaped alike)."""
+    out = []
+    for li, layer in enumerate(layers):
+        for hi in range(len(layer["W"])):
+            for key in ("W", "a", "P"):
+                out.append((f"layer{li}.head{hi}.{key}", layer[key][hi]))
+        if layer["norm_scale"] is not None:
+            out.append((f"layer{li}.norm.mean_scale", layer["norm_mean_scale"]))
+            out.append((f"layer{li}.norm.scale", layer["norm_scale"]))
+            out.append((f"layer{li}.norm.shift", layer["norm_shift"]))
+        if layer["edge_U"] is not None:
+            out.append((f"layer{li}.edge_update", layer["edge_U"]))
+    return out
 
 
 def _layer_dims(cfg: EncoderConfig, in_dim: int):
@@ -120,9 +137,9 @@ def init_params(cfg: EncoderConfig, in_dim: int, seed: int = 0) -> GatParams:
     layers = []
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, in_dim)):
         final = li == cfg.num_layers - 1
-        W = [u((node_in, head_dim), node_in) for _ in range(cfg.heads_per_layer)]
-        a = [u((3 * head_dim,), 3 * head_dim) for _ in range(cfg.heads_per_layer)]
-        P = [u((edge_in, head_dim), edge_in) for _ in range(cfg.heads_per_layer)]
+        W = np.stack([u((node_in, head_dim), node_in) for _ in range(cfg.heads_per_layer)])
+        a = np.stack([u((3 * head_dim,), 3 * head_dim) for _ in range(cfg.heads_per_layer)])
+        P = np.stack([u((edge_in, head_dim), edge_in) for _ in range(cfg.heads_per_layer)])
         layer = LayerParams(W=W, a=a, P=P)
         if not final:
             layer.norm_mean_scale = np.ones(cfg.hidden_dim)
@@ -165,100 +182,115 @@ class _GraphConsts:
 class EncoderTape:
     """Handles for backward plus recorded attention coefficients."""
     params: GatParams
-    param_vars: dict[str, Var]
-    node_out: Var
-    edge_out: Var
-    attention: list[list[np.ndarray]]    # [layer][head] -> (N, N)
-    graph: ViewGraph
+    param_vars: list[dict[str, Var]]     # per layer: LayerParams field -> leaf Var
+    node_out: Var                        # (B, N, hidden)
+    edge_out: Var                        # (B, N(N-1)/2, hidden)
+    attention: list[np.ndarray]          # per layer: (B, H, N, N)
+
+    def accumulate(self) -> dict[str, np.ndarray]:
+        """Add the leaf gradients of a finished backward pass to params.grads;
+        returns them by tensor name."""
+        grads = [{key: (None if v is None else
+                        v.grad if v.grad is not None else np.zeros_like(v.value))
+                  for key, v in layer.items()} for layer in self.param_vars]
+        named = _named(grads)
+        for name, g in named:
+            self.params.grads[name] += g
+        return dict(named)
 
 
 def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> Var:
-    mu = ad.vmean(h, axis=0, keepdims=True)
+    """Per-graph normalization over the node axis of a (B, N, hidden) stack."""
+    mu = ad.vmean(h, axis=1, keepdims=True)
     shifted = h - mu * mean_scale
-    var = ad.vmean(ad.square(shifted), axis=0, keepdims=True)
+    var = ad.vmean(ad.square(shifted), axis=1, keepdims=True)
     return shifted / ad.sqrt(var + eps) * scale + shift
 
 
-def forward(params: GatParams, g: ViewGraph, want_grad: bool = True
-            ) -> tuple[ViewGraph, EncoderTape]:
-    """Propagate the graph through all attention layers.
+def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
+            ) -> tuple[list[ViewGraph], EncoderTape]:
+    """Propagate a batch of same-size graphs through all attention layers.
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
     LeakyReLU, softmax over the other nodes, weighted aggregation; heads are
     concatenated (hidden) or averaged (final). Edge features are refreshed by
     the layer's update map when enabled, and always after the final layer,
-    through a softplus so their norms stay non-negative.
+    through a softplus so their norms stay non-negative. Returns one output
+    graph per input graph, in order, and the batch's tape.
     """
     cfg = params.config
-    if g.feature_dim != params.in_dim:
-        raise ConfigError(f"graph feature dim {g.feature_dim} != params in_dim {params.in_dim}")
-    if not (np.isfinite(g.node_features).all() and np.isfinite(g.edge_features).all()):
+    n = graphs[0].num_views
+    for g in graphs:
+        if g.feature_dim != params.in_dim:
+            raise ConfigError(f"graph feature dim {g.feature_dim} != params in_dim {params.in_dim}")
+        if g.num_views != n:
+            raise ValueError(f"graphs in one batch must share a node count: {g.num_views} != {n}")
+    nodes = np.stack([g.node_features for g in graphs])
+    edges = np.stack([g.edge_features for g in graphs])
+    if not (np.isfinite(nodes).all() and np.isfinite(edges).all()):
         raise NumericError("non-finite values in input graph (layer 0)")
 
-    n = g.num_views
+    b, heads = len(graphs), cfg.heads_per_layer
     consts = _GraphConsts.get(n)
-    pvars = {name: Var(arr, requires_grad=want_grad) for name, arr in params.named_tensors()}
+    pvars = [{key: None if arr is None else Var(arr, requires_grad=want_grad)
+              for key, arr in vars(layer).items()} for layer in params.layers]
 
-    h: Var = ad.constant(g.node_features)
-    e: Var = ad.constant(g.edge_features)
-    attention: list[list[np.ndarray]] = []
+    h: Var = ad.constant(nodes)                                      # (B, N, d)
+    e: Var = ad.constant(edges)                                      # (B, M, d_e)
+    attention: list[np.ndarray] = []
 
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
-        head_outs = []
-        layer_att = []
-        for hi in range(cfg.heads_per_layer):
-            W = pvars[f"layer{li}.head{hi}.W"]
-            a = pvars[f"layer{li}.head{hi}.a"]
-            P = pvars[f"layer{li}.head{hi}.P"]
-            Wh = ad.matmul(h, W)                                     # (N, hd)
-            a_src = ad.reshape(ad.gather_rows(a, np.arange(head_dim)), (head_dim, 1))
-            a_dst = ad.reshape(ad.gather_rows(a, np.arange(head_dim, 2 * head_dim)), (head_dim, 1))
-            a_edge = ad.reshape(ad.gather_rows(a, np.arange(2 * head_dim, 3 * head_dim)), (head_dim, 1))
-            s = ad.matmul(Wh, a_src)                                 # (N, 1)
-            t = ad.reshape(ad.matmul(Wh, a_dst), (1, n))             # (1, N)
-            u_pair = ad.reshape(ad.matmul(ad.matmul(e, P), a_edge), (num_pairs(n),))
-            u_mat = ad.reshape(ad.gather_rows(u_pair, consts.pair_gather), (n, n)) * consts.offdiag
-            logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
-            rowmax = logits.value.max(axis=1, keepdims=True)         # detached shift
-            ex = ad.exp(logits - rowmax) * consts.offdiag
-            alpha = ex / ad.vsum(ex, axis=1, keepdims=True)
-            layer_att.append(alpha.value.copy())
-            head_outs.append(ad.matmul(alpha, Wh))
-        attention.append(layer_att)
+        pv = pvars[li]
+        Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])  # (B, H, N, hd)
+        a_src, a_dst, a_edge = (
+            ad.reshape(ad.take(pv["a"], np.arange(part * head_dim, (part + 1) * head_dim), axis=1),
+                       (heads, head_dim, 1)) for part in range(3))
+        s = ad.matmul(Wh, a_src)                                     # (B, H, N, 1)
+        t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))       # (B, H, 1, N)
+        eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
+        u_pair = ad.matmul(eP, a_edge)                               # (B, H, M, 1)
+        u_mat = ad.reshape(ad.take(u_pair, consts.pair_gather, axis=2),
+                           (b, heads, n, n)) * consts.offdiag
+        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
+        rowmax = logits.value.max(axis=-1, keepdims=True)            # detached shift
+        ex = ad.exp(logits - rowmax) * consts.offdiag
+        alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)             # (B, H, N, N)
+        attention.append(alpha.value)
+        head_out = ad.matmul(alpha, Wh)                              # (B, H, N, hd)
 
         if final:
-            mix = head_outs[0]
-            for extra in head_outs[1:]:
-                mix = mix + extra
-            h = mix * (1.0 / cfg.heads_per_layer)
+            h = ad.vsum(head_out, axis=1) * (1.0 / heads)
         else:
-            h = ad.concat(head_outs, axis=1)
-            h = _graphnorm(h, pvars[f"layer{li}.norm.mean_scale"],
-                           pvars[f"layer{li}.norm.scale"],
-                           pvars[f"layer{li}.norm.shift"], cfg.norm_eps)
+            h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
+            h = _graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
+                           pv["norm_shift"], cfg.norm_eps)
         if not np.isfinite(h.value).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
         if updates:
-            U = pvars[f"layer{li}.edge_update"]
-            zi = ad.gather_rows(h, consts.idx_i)
-            zj = ad.gather_rows(h, consts.idx_j)
+            zi = ad.take(h, consts.idx_i, axis=1)
+            zj = ad.take(h, consts.idx_j, axis=1)
             # averaged over both endpoint orders so the update is well defined
             # on unordered pairs (keeps permutation equivariance)
-            fwd_ord = ad.matmul(ad.concat([zi, zj, e], axis=1), U)
-            rev_ord = ad.matmul(ad.concat([zj, zi, e], axis=1), U)
+            fwd_ord = ad.matmul(ad.concat([zi, zj, e], axis=2), pv["edge_U"])
+            rev_ord = ad.matmul(ad.concat([zj, zi, e], axis=2), pv["edge_U"])
             e = ad.softplus((fwd_ord + rev_ord) * 0.5)
             if not np.isfinite(e.value).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 
-    out = ViewGraph(h.value.copy(), e.value.copy(), global_index=g.global_index, label=g.label)
-    return out, EncoderTape(params, pvars, h, e, attention, g)
+    outs = [ViewGraph(h.value[i], e.value[i], global_index=g.global_index, label=g.label)
+            for i, g in enumerate(graphs)]
+    return outs, EncoderTape(params, pvars, h, e, attention)
 
 
 def backward(tape: EncoderTape, node_grads: np.ndarray,
              edge_grads: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Accumulate exact gradients into the tape's parameter buffers."""
+    """Accumulate exact gradients into the tape's parameter buffers.
+
+    The upstream gradients are shaped like the batch outputs, (B, N, hidden)
+    and (B, N(N-1)/2, hidden). Returns this call's gradient per tensor name.
+    """
     node_grads = np.asarray(node_grads, dtype=np.float64)
     if node_grads.shape != tape.node_out.shape:
         raise ValueError(f"node gradient shape {node_grads.shape} != {tape.node_out.shape}")
@@ -269,15 +301,7 @@ def backward(tape: EncoderTape, node_grads: np.ndarray,
             raise ValueError(f"edge gradient shape {edge_grads.shape} != {tape.edge_out.shape}")
         seeds.append((tape.edge_out, edge_grads))
     ad.backward_from(seeds)
-    out = {}
-    for name, _ in tape.params.named_tensors():
-        v = tape.param_vars[name]
-        if v.grad is not None:
-            tape.params.grads[name] += v.grad
-            out[name] = v.grad
-        else:
-            out[name] = np.zeros_like(v.value)
-    return out
+    return tape.accumulate()
 
 
 def distinguishability(embeddings) -> float:

@@ -77,9 +77,10 @@ class _BoundMlpHead:
                       for name, arr in head.named_tensors()}
 
     def costs(self, x: Var) -> Var:
+        """One cost per row of x, shaped like x without its last axis."""
         h = ad.tanh(ad.matmul(x, self.pvars["cost.W1"]) + self.pvars["cost.b1"])
         out = ad.softplus(ad.matmul(h, self.pvars["cost.w2"]) + self.pvars["cost.b2"])
-        return ad.reshape(out, (x.shape[0],))
+        return ad.reshape(out, x.shape[:-1])
 
     def accumulate(self) -> None:
         for name, _ in self.head.named_tensors():
@@ -97,7 +98,7 @@ class ConstantCostHead:
         self.value = float(value)
 
     def bind(self, want_grad: bool = False) -> "_BoundSimpleHead":
-        return _BoundSimpleHead(lambda x: ad.constant(np.full(x.shape[0], self.value)))
+        return _BoundSimpleHead(lambda x: ad.constant(np.full(x.shape[:-1], self.value)))
 
     def costs(self, x: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(x).shape[0], self.value)
@@ -111,7 +112,7 @@ class LinearCostHead:
 
     def bind(self, want_grad: bool = False) -> "_BoundSimpleHead":
         def costs(x: Var) -> Var:
-            raw = ad.reshape(ad.matmul(x, ad.constant(self.w.reshape(-1, 1))), (x.shape[0],))
+            raw = ad.reshape(ad.matmul(x, ad.constant(self.w.reshape(-1, 1))), x.shape[:-1])
             return ad.where_select(raw.value >= 0, raw, -raw)
         return _BoundSimpleHead(costs)
 
@@ -165,24 +166,26 @@ def hed_terms(u_var: Var, v_var: Var, bound_head):
 
 
 def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head) -> Var:
-    """Distances of one node set to several same-size targets in one chain.
+    """Distances of a batch of node sets to several same-size targets in one chain.
 
-    `stacked_targets` is (C * slots, d); returns a (C,) Var of HED values.
-    Used by the trainer to score an instance against every class proxy.
+    `u_var` is (B, m, d) and `stacked_targets` (C * slots, d); returns the
+    (B, C) Var of HED values. The targets' insertion costs are computed once
+    for the whole batch. Used by the trainer and `evaluate` to score
+    instances against every class proxy.
     """
-    m = u_var.shape[0]
+    b, m = u_var.shape[0], u_var.shape[1]
     count = stacked_targets.shape[0] // slots
-    dist = ad.pairwise_l2(u_var, stacked_targets)                 # (m, C*slots)
-    by_class = ad.reshape(dist, (m, count, slots))
-    sub_u = ad.reduce_min(by_class, axis=2) * 0.5                 # (m, C)
-    sub_v = ad.reduce_min(by_class, axis=0) * 0.5                 # (C, slots)
-    del_u = ad.reshape(bound_head.costs(u_var), (m, 1))
+    dist = ad.pairwise_l2(u_var, stacked_targets)                 # (B, m, C*slots)
+    by_class = ad.reshape(dist, (b, m, count, slots))
+    sub_u = ad.reduce_min(by_class, axis=3) * 0.5                 # (B, m, C)
+    sub_v = ad.reduce_min(by_class, axis=1) * 0.5                 # (B, C, slots)
+    del_u = ad.reshape(bound_head.costs(u_var), (b, m, 1))
     ins_v = ad.reshape(bound_head.costs(stacked_targets), (count, slots))
-    take_del = del_u.value < sub_u.value                          # (m, C)
-    take_ins = ins_v.value < sub_v.value
-    cost_u = ad.where_select(take_del, del_u, sub_u)              # (m, C)
-    cost_v = ad.where_select(take_ins, ins_v, sub_v)              # (C, slots)
-    return (ad.vsum(cost_u, axis=0) + ad.vsum(cost_v, axis=1)) * (1.0 / (2.0 * m))
+    take_del = del_u.value < sub_u.value                          # (B, m, C)
+    take_ins = ins_v.value < sub_v.value                          # (B, C, slots)
+    cost_u = ad.where_select(take_del, del_u, sub_u)
+    cost_v = ad.where_select(take_ins, ins_v, sub_v)
+    return (ad.vsum(cost_u, axis=1) + ad.vsum(cost_v, axis=2)) * (1.0 / (2.0 * m))
 
 
 def hed(gs, gp, head) -> HedResult:

@@ -1,16 +1,18 @@
 """End-to-end training: encoder -> edit distance to proxies -> anchor loss.
 
-Each batch forwards its instances through the encoder, scores them against
-every initialized class proxy, backpropagates the anchor loss through the
-distance, cost head, and encoder, applies an Adam step with a stepped
-learning-rate schedule, and then refreshes the touched proxies by online
-clustering. Three ablation switches cover the input-graph edge rule (CG),
-graph-valued proxies (PD), and graph-space matching (TR).
+Each mini-batch goes through the encoder in one batched forward pass, is
+scored against every initialized class proxy in one (B, C) distance table,
+backpropagates the anchor loss through the table, cost head and encoder in
+one backward pass, takes an Adam step with a stepped learning-rate
+schedule, and then refreshes the touched proxies by online clustering.
+`encode_dataset` and `evaluate` run the same batched encoder and table over
+chunks of `batch_size` instances, so a prediction never depends on the
+chunk an instance falls in. Three ablation switches cover the input-graph
+edge rule (CG), graph-valued proxies (PD), and graph-space matching (TR).
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +28,10 @@ from .graphs import ViewGraph
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
                       proxy_anchor_loss, update_proxies)
-from .synth import SynthDataset
+from .synth import SynthDataset, generate, split_dataset
+
+# Share of each generated dataset the sweeps hold out for testing.
+SWEEP_TEST_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -89,28 +94,23 @@ class TrainedModel:
     proxy_vectors: dict[int, np.ndarray] = field(default_factory=dict)
 
     # -- inference ---------------------------------------------------------
-    def encode(self, graph: ViewGraph) -> ViewGraph:
-        out, _ = enc.forward(self.params, graph, want_grad=False)
-        return out
-
     def class_ids(self) -> list[int]:
         src = self.proxies if self.config.ablations.proxy_as_graph else self.proxy_vectors
         return sorted(src)
 
+    def distance_table(self, nodes: Var, bound_head) -> Var:
+        """(B, C) distances of encoded node sets (B, N, d) to every class, id order."""
+        ab = self.config.ablations
+        targets = ad.constant(_proxy_targets(self, self.class_ids()))
+        if ab.proxy_as_graph and ab.transitivity_recovery:
+            return hed_values_multi(nodes, targets, nodes.shape[1], bound_head)
+        return ad.pairwise_l2(ad.vmean(nodes, axis=1), targets)
+
     def distances(self, srg: ViewGraph) -> np.ndarray:
         """Distance of one encoded instance to every known class, id order."""
-        ids = self.class_ids()
-        row = _distance_row(self, ad.constant(srg.node_features),
-                            ad.constant(_proxy_targets(self, ids)),
-                            srg.num_views, self.cost_head.bind(False))
-        return row.value.copy()
-
-    def classify_graph(self, graph: ViewGraph) -> int:
-        ids = self.class_ids()
-        if not ids:
-            raise ValueError("model has no proxies")
-        d = self.distances(self.encode(graph))
-        return ids[int(np.argmin(d))]
+        table = self.distance_table(ad.constant(srg.node_features[None]),
+                                    self.cost_head.bind(False))
+        return table.value[0]
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
@@ -262,16 +262,6 @@ def _proxy_targets(model: TrainedModel, class_ids: list[int]) -> np.ndarray:
     return np.vstack([model.proxies[cid].node_centroids for cid in class_ids])
 
 
-def _distance_row(model: TrainedModel, nodes: Var, targets: Var, slots: int,
-                  bound_head) -> Var:
-    """Distances of one encoded instance to every class, as a (C,) Var."""
-    ab = model.config.ablations
-    if ab.proxy_as_graph and ab.transitivity_recovery:
-        return hed_values_multi(nodes, targets, slots, bound_head)
-    pooled = ad.reshape(ad.vmean(nodes, axis=0), (1, nodes.shape[1]))
-    return ad.reshape(ad.pairwise_l2(pooled, targets), (targets.shape[0],))
-
-
 def _init_proxies_for(model: TrainedModel, labels_in_batch, srgs_by_class,
                       cfg: TrainConfig) -> None:
     """First-batch cluster means for classes not seen before."""
@@ -302,17 +292,8 @@ def _refresh_proxies(model: TrainedModel, srgs_by_class, cfg: TrainConfig) -> No
                                         + (1.0 - cfg.proxy_momentum) * np.mean(means, axis=0))
 
 
-def _forward_many(params: GatParams, graphs: list[ViewGraph], want_grad: bool,
-                  workers: int):
-    if workers <= 1 or len(graphs) <= 1:
-        return [enc.forward(params, g, want_grad=want_grad) for g in graphs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(enc.forward, params, g, want_grad) for g in graphs]
-        return [f.result() for f in futures]   # merged in submission order
-
-
 def train(dataset: SynthDataset, cfg: TrainConfig,
-          test_dataset: SynthDataset | None = None, workers: int = 1,
+          test_dataset: SynthDataset | None = None,
           checkpoint_path=None, log=None) -> tuple[TrainReport, TrainedModel]:
     """Deterministic per config+seed; raises NumericError if the loss diverges."""
     if len(dataset.class_ids) < 2:
@@ -339,12 +320,9 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
         batch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch_graphs = [graphs[i] for i in idx]
             batch_labels = [labels[i] for i in idx]
 
-            results = _forward_many(params, batch_graphs, True, workers)
-            tapes = [t for _, t in results]
-            srgs = [g for g, _ in results]
+            srgs, tape = enc.forward(params, [graphs[i] for i in idx], True)
             srgs_by_class: dict[int, list[ViewGraph]] = {}
             for g, lbl in zip(srgs, batch_labels):
                 srgs_by_class.setdefault(int(lbl), []).append(g)
@@ -353,11 +331,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             class_ids = model.class_ids()
 
             bound = head.bind(True)
-            targets = ad.constant(_proxy_targets(model, class_ids))
-            slots = batch_graphs[0].num_views
-            rows = [_distance_row(model, tape.node_out, targets, slots, bound)
-                    for tape in tapes]
-            table = ad.concat([ad.reshape(r, (1, len(class_ids))) for r in rows], axis=0)
+            table = model.distance_table(tape.node_out, bound)
             loss_var = _anchor_loss_var(table, batch_labels, class_ids, cfg.anchor)
             if not np.isfinite(loss_var.value):
                 raise NumericError(f"loss diverged at epoch {epoch}")
@@ -366,11 +340,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             params.zero_grads()
             head.zero_grads()
             ad.backward(loss_var, np.asarray(1.0))
-            for tape in tapes:
-                for name, _ in params.named_tensors():
-                    v = tape.param_vars[name]
-                    if v.grad is not None:
-                        params.grads[name] += v.grad
+            tape.accumulate()
             bound.accumulate()
             opt.step({**params.grads, **head.grads}, lr)
             params.check_finite()
@@ -380,8 +350,8 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
         if log is not None and (epoch % 20 == 0 or epoch == cfg.epochs - 1):
             log(f"epoch {epoch}: loss {epoch_losses[-1]:.6f} lr {lr:.6g}")
 
-    train_acc = evaluate(model, dataset, workers=workers)
-    test_acc = evaluate(model, test_dataset, workers=workers) if test_dataset else None
+    train_acc = evaluate(model, dataset)
+    test_acc = evaluate(model, test_dataset) if test_dataset else None
     report = TrainReport(epoch_losses, train_acc, test_acc,
                          time.perf_counter() - started)
     if checkpoint_path is not None:
@@ -390,53 +360,54 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     return report, model
 
 
-def encode_dataset(model: TrainedModel, dataset: SynthDataset,
-                   workers: int = 1) -> list[ViewGraph]:
-    """Relevance graphs for every instance, in dataset order."""
+def _encoded_chunks(model: TrainedModel, dataset: SynthDataset):
+    """(relevance graphs, tape) per chunk of batch_size instances, in dataset order."""
     graphs = build_dataset(dataset, model.config.comp,
                            uniform=not model.config.ablations.use_complementarity_graph)
-    return [g for g, _ in _forward_many(model.params, graphs, False, workers)]
+    step = model.config.batch_size
+    for start in range(0, len(graphs), step):
+        yield enc.forward(model.params, graphs[start:start + step], False)
 
 
-def evaluate(model: TrainedModel, dataset: SynthDataset, workers: int = 1) -> float:
+def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:
+    """Relevance graphs for every instance, in dataset order."""
+    return [srg for srgs, _ in _encoded_chunks(model, dataset) for srg in srgs]
+
+
+def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     """Fraction of instances whose nearest proxy matches their label."""
-    srgs = encode_dataset(model, dataset, workers=workers)
-    ids = model.class_ids()
-    hits = 0
-    for srg, inst in zip(srgs, dataset.instances):
-        pred = ids[int(np.argmin(model.distances(srg)))]
-        hits += int(pred == inst.label)
-    return hits / len(dataset.instances)
+    ids = np.asarray(model.class_ids())
+    bound = model.cost_head.bind(False)
+    preds = [ids[model.distance_table(tape.node_out, bound).value.argmin(axis=1)]
+             for _, tape in _encoded_chunks(model, dataset)]
+    labels = [inst.label for inst in dataset.instances]
+    return int((np.concatenate(preds) == labels).sum()) / len(dataset.instances)
 
 
 def sweep_noise(base_cfg: TrainConfig, synth_cfg, eta_list, models,
-                workers: int = 1, log=None) -> list[dict]:
-    """Train the full model and the matching-ablation baseline per (model, eta)."""
-    from .synth import SynthConfig, generate  # local to avoid cycle at import
+                log=None) -> list[dict]:
+    """Train the full model and the matching-ablation baseline per (model, eta).
 
+    Each point trains on one generated dataset and tests on its stratified
+    hold-out, which shares the training data's class concepts."""
     rows = []
     for model_name in models:
+        name = getattr(model_name, "value", str(model_name))
         for eta in eta_list:
             scfg = replace(synth_cfg, noise_rate=float(eta), noise_model=model_name)
-            train_ds = generate(scfg)
-            test_ds = generate(replace(scfg, seed=scfg.seed + 1))
-            _, full = train(train_ds, base_cfg, workers=workers)
-            acc = evaluate(full, test_ds, workers=workers)
+            train_ds, test_ds = split_dataset(generate(scfg), SWEEP_TEST_FRACTION)
+            _, full = train(train_ds, base_cfg)
+            acc = evaluate(full, test_ds)
             ab_cfg = replace(base_cfg,
                              ablations=replace(base_cfg.ablations,
                                                transitivity_recovery=False))
-            _, ablated = train(train_ds, ab_cfg, workers=workers)
-            acc_off = evaluate(ablated, test_ds, workers=workers)
-            rows.append({"model": NoiseModelName(model_name), "eta": float(eta),
+            _, ablated = train(train_ds, ab_cfg)
+            acc_off = evaluate(ablated, test_ds)
+            rows.append({"model": name, "eta": float(eta),
                          "accuracy": acc, "accuracy_tr_off": acc_off})
             if log is not None:
-                log(f"{NoiseModelName(model_name)} eta={eta}: "
-                    f"full {acc:.4f} vs matching-off {acc_off:.4f}")
+                log(f"{name} eta={eta}: full {acc:.4f} vs matching-off {acc_off:.4f}")
     return rows
-
-
-def NoiseModelName(model) -> str:
-    return model.value if hasattr(model, "value") else str(model)
 
 
 def noise_csv(rows: list[dict]) -> str:
@@ -446,19 +417,16 @@ def noise_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_depth(base_cfg: TrainConfig, synth_cfg, depth_list,
-                workers: int = 1, log=None) -> list[dict]:
-    """Accuracy and output-node distinguishability per encoder depth."""
-    from .synth import generate
-
-    train_ds = generate(synth_cfg)
-    test_ds = generate(replace(synth_cfg, seed=synth_cfg.seed + 1))
+def sweep_depth(base_cfg: TrainConfig, synth_cfg, depth_list, log=None) -> list[dict]:
+    """Accuracy and output-node distinguishability per encoder depth, on the
+    stratified hold-out of one generated dataset."""
+    train_ds, test_ds = split_dataset(generate(synth_cfg), SWEEP_TEST_FRACTION)
     rows = []
     for depth in depth_list:
         cfg = replace(base_cfg, encoder=replace(base_cfg.encoder, num_layers=int(depth)))
-        _, model = train(train_ds, cfg, workers=workers)
-        acc = evaluate(model, test_ds, workers=workers)
-        srgs = encode_dataset(model, test_ds, workers=workers)
+        _, model = train(train_ds, cfg)
+        acc = evaluate(model, test_ds)
+        srgs = encode_dataset(model, test_ds)
         dist = float(np.mean([enc.distinguishability(g.node_features) for g in srgs]))
         rows.append({"depth": int(depth), "accuracy": acc, "distinguishability": dist})
         if log is not None:

@@ -44,7 +44,7 @@ def test_matmul():
 def test_reshape_concat_gather():
     def build(vs):
         c = ad.concat([vs[0], vs[1]], axis=1)
-        g = ad.gather_rows(c, np.array([2, 0, 1, 2]))
+        g = ad.take(c, np.array([2, 0, 1, 2]))
         return ad.vsum(ad.reshape(g, (4 * 5,)))
     check_grad(build, [(3, 2), (3, 3)])
 

@@ -38,8 +38,8 @@ def test_zero_attention_gives_uniform_coefficients():
     params = init_params(cfg, 8, seed=0)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(5, 8, seed=1)
-    _, tape = enc.forward(params, g)
-    alpha = tape.attention[0][0]
+    _, tape = enc.forward(params, [g])
+    alpha = tape.attention[0][0][0]
     off = ~np.eye(5, dtype=bool)
     assert np.all(alpha[off] == 0.25)          # exactly 1/k with k = 4
     assert np.all(alpha[~off] == 0.0)
@@ -49,9 +49,9 @@ def test_attention_rows_sum_to_one():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=4, hidden_dim=8)
     params = init_params(cfg, 8, seed=2)
     g = random_graph(5, 8, seed=3)   # n=8, k=4
-    _, tape = enc.forward(params, g)
+    _, tape = enc.forward(params, [g])
     for layer_att in tape.attention:
-        for alpha in layer_att:
+        for alpha in layer_att[0]:
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -60,8 +60,8 @@ def test_permutation_equivariance():
     params = init_params(cfg, 6, seed=4)
     g = random_graph(5, 6, seed=5)
     perm = [0, 2, 1, 4, 3]           # swap locals 1<->2 and 3<->4
-    out, _ = enc.forward(params, g)
-    out_p, _ = enc.forward(params, permute_graph(g, perm))
+    (out,), _ = enc.forward(params, [g])
+    (out_p,), _ = enc.forward(params, [permute_graph(g, perm)])
     np.testing.assert_allclose(out_p.node_features, out.node_features[perm], atol=1e-9)
     n = g.num_views
     for r, (i, j) in enumerate(pair_list(n)):
@@ -74,7 +74,7 @@ def test_output_graph_shapes_and_positivity():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=4, hidden_dim=16)
     params = init_params(cfg, 8, seed=6)
     g = random_graph(6, 8, seed=7)
-    out, _ = enc.forward(params, g)
+    (out,), _ = enc.forward(params, [g])
     assert out.node_features.shape == (6, 16)
     assert out.edge_features.shape == (num_pairs(6), 16)
     assert (out.edge_features > 0).all()       # softplus keeps edges positive
@@ -84,9 +84,9 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=2, hidden_dim=8)
     params = init_params(cfg, 6, seed=8)
     g = random_graph(4, 6, seed=9)
-    out, tape = enc.forward(params, g)
-    grads = enc.backward(tape, np.zeros_like(out.node_features),
-                         np.zeros_like(out.edge_features))
+    _, tape = enc.forward(params, [g])
+    grads = enc.backward(tape, np.zeros(tape.node_out.shape),
+                         np.zeros(tape.edge_out.shape))
     assert all(np.all(v == 0.0) for v in grads.values())
 
 
@@ -97,9 +97,9 @@ def test_single_linear_layer_hand_gradient():
     params = init_params(cfg, 3, seed=10)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(4, 3, seed=11)
-    out, tape = enc.forward(params, g)
+    _, tape = enc.forward(params, [g])
     params.zero_grads()
-    enc.backward(tape, np.ones_like(out.node_features))
+    enc.backward(tape, np.ones(tape.node_out.shape))
     x = g.node_features
     acc = np.zeros((3, 3))
     for i in range(4):
@@ -113,17 +113,17 @@ def test_gradients_match_finite_differences():
     params = init_params(cfg, 6, seed=12)
     g = random_graph(4, 6, seed=13)
     rng = np.random.default_rng(14)
-    out, _ = enc.forward(params, g)
+    (out,), _ = enc.forward(params, [g])
     rn = rng.standard_normal(out.node_features.shape)
     re = rng.standard_normal(out.edge_features.shape)
 
     def loss_value():
-        o, _ = enc.forward(params, g)
+        (o,), _ = enc.forward(params, [g])
         return float((o.node_features * rn).sum() + (o.edge_features * re).sum())
 
     params.zero_grads()
-    _, tape = enc.forward(params, g)
-    enc.backward(tape, rn, re)
+    _, tape = enc.forward(params, [g])
+    enc.backward(tape, rn[None], re[None])
 
     checked = 0
     for name, arr in params.named_tensors():
@@ -148,14 +148,14 @@ def test_nan_input_raises_with_layer():
     nodes = bad.node_features.copy()
     nodes[0, 0] = np.nan
     with pytest.raises(NumericError, match="layer 0"):
-        enc.forward(params, ViewGraph(nodes, bad.edge_features))
+        enc.forward(params, [ViewGraph(nodes, bad.edge_features)])
 
 
 def test_dim_mismatch_raises():
     cfg = EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4)
     params = init_params(cfg, 4, seed=17)
     with pytest.raises(ConfigError):
-        enc.forward(params, random_graph(3, 6, seed=18))
+        enc.forward(params, [random_graph(3, 6, seed=18)])
 
 
 def test_distinguishability_basics():
@@ -191,7 +191,7 @@ def test_forward_deterministic():
     cfg = EncoderConfig()
     params = init_params(cfg, 16, seed=20)
     g = random_graph(9, 16, seed=21)
-    a, _ = enc.forward(params, g)
-    b, _ = enc.forward(params, g)
+    (a,), _ = enc.forward(params, [g])
+    (b,), _ = enc.forward(params, [g])
     assert np.array_equal(a.node_features, b.node_features)
     assert np.array_equal(a.edge_features, b.edge_features)
