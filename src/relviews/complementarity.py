@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import ViewGraph, num_pairs, pair_list
+from .graphs import ViewGraph, num_pairs, upper_pairs
 from .synth import SynthDataset
 
 
@@ -48,12 +48,12 @@ def build(embeddings, global_index: int, cfg: ComplementarityConfig,
     n_nodes, dim = emb.shape
     edges = np.ones((num_pairs(n_nodes), dim))
     if not uniform:
-        for r, (i, j) in enumerate(pair_list(n_nodes)):
-            if i == 0 or j == 0:
-                continue  # global edges stay all-ones
-            dot = abs(float(emb[i] @ emb[j]))
-            w = cfg.weight_cap if dot == 0 else min(1.0 / dot, cfg.weight_cap)
-            edges[r] = w
+        i, j = upper_pairs(n_nodes)
+        local = i != 0  # global edges stay all-ones
+        # (1, d) @ (d, 1) per pair takes the same dot product as emb[i] @ emb[j]
+        dot = np.abs(np.matmul(emb[i[local], None, :], emb[j[local], :, None])[:, 0, 0])
+        inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
+        edges[local] = np.minimum(inv, cfg.weight_cap)[:, None]
     return ViewGraph(emb, edges, global_index=0, label=label)
 
 

@@ -8,6 +8,7 @@ which enforces undirectedness structurally and keeps exports byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -27,8 +28,23 @@ def pair_index(i: int, j: int, n: int) -> int:
         i, j = j, i
     if i < 0 or j >= n:
         raise IndexError(f"pair ({i}, {j}) out of range for {n} nodes")
+    return pair_rows(i, j, n)
+
+
+def pair_rows(i, j, n: int):
+    """Canonical rows of pairs with i < j; integers or integer arrays."""
     # pairs (0,1)..(0,n-1), (1,2)..(1,n-1), ...
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+@lru_cache(maxsize=128)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, read-only: both ends of every pair in
+    canonical order. Cached, since it costs more than its uses."""
+    ends = np.triu_indices(n, k=1)
+    for arr in ends:
+        arr.flags.writeable = False
+    return ends
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -81,10 +97,8 @@ class ViewGraph:
         """Symmetric (N, N) matrix of edge weights with zero diagonal."""
         n = self.num_views
         w = np.zeros((n, n))
-        flat = self.edge_weights()
-        for r, (i, j) in enumerate(pair_list(n)):
-            w[i, j] = flat[r]
-            w[j, i] = flat[r]
+        i, j = upper_pairs(n)
+        w[i, j] = w[j, i] = self.edge_weights()
         return w
 
 
@@ -104,20 +118,18 @@ def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
     The global view must be part of the subset; it keeps index 0 in the
     result because node 0 sorts first.
     """
-    subset = sorted(set(int(v) for v in nodes))
-    if not subset:
+    subset = np.array(sorted(set(int(v) for v in nodes)), dtype=np.intp)
+    if not subset.size:
         raise ValueError("node subset must be non-empty")
     if subset[0] < 0 or subset[-1] >= g.num_views:
         raise IndexError("node subset out of range")
-    if g.global_index not in subset:
+    position = np.searchsorted(subset, g.global_index)
+    if position == subset.size or subset[position] != g.global_index:
         raise ValueError("node subset must contain the global view")
-    node_feats = g.node_features[subset].copy()
-    m = len(subset)
-    edge_feats = np.empty((num_pairs(m), g.feature_dim))
-    for r, (a, b) in enumerate(pair_list(m)):
-        edge_feats[r] = g.edge_feature(subset[a], subset[b])
-    return ViewGraph(node_feats, edge_feats,
-                     global_index=subset.index(g.global_index), label=g.label)
+    a, b = upper_pairs(subset.size)   # pair order within the subset
+    edge_feats = g.edge_features[pair_rows(subset[a], subset[b], g.num_views)]
+    return ViewGraph(g.node_features[subset], edge_feats,
+                     global_index=int(position), label=g.label)
 
 
 def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import ViewGraph, edge_weight
+from .graphs import ViewGraph, edge_weight, pair_rows
 
 _MAX_CLIQUE_NODES = 64
 
@@ -35,6 +35,14 @@ class TransitivityConfig:
             return float(self.gamma)
         return float(np.quantile(np.asarray(scores, dtype=np.float64),
                                  self.gamma_quantile))
+
+    def resolve_rows(self, scores) -> np.ndarray:
+        """`resolve` of each row of a (B, P) array, bit-identical to B calls:
+        the quantile along an axis interpolates each row the same way."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if self.gamma is not None:
+            return np.full(scores.shape[0], float(self.gamma))
+        return np.quantile(scores, self.gamma_quantile, axis=1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,20 @@ def emergence_score(g: ViewGraph, i: int) -> float:
     if i == g.global_index:
         raise ValueError("emergence is defined for local views only")
     return edge_weight(g, i, g.global_index)
+
+
+def emergence_scores(g: ViewGraph) -> np.ndarray:
+    """emergence_score of every local view, in `local_indices` order.
+
+    Bit-identical to the scalar form: the norm there is the square root of
+    a dot product, and a stacked matmul of (1, d) by (d, 1) rows takes the
+    same dot product per row.
+    """
+    locals_ = np.array(g.local_indices, dtype=np.intp)
+    gi = g.global_index
+    feats = g.edge_features[pair_rows(np.minimum(locals_, gi), np.maximum(locals_, gi),
+                                      g.num_views)]
+    return np.sqrt(np.matmul(feats[:, None, :], feats[:, :, None])[:, 0, 0])
 
 
 def pairwise_emergence(g: ViewGraph, i: int, j: int) -> float:
@@ -194,15 +216,21 @@ def count_k_cliques_with_global(g: ViewGraph, k: int, gamma: float) -> int:
     n = g.num_views
     if n > _MAX_CLIQUE_NODES:
         raise ValueError(f"clique counting refused above {_MAX_CLIQUE_NODES} nodes")
-    w = g.weight_matrix()
-    above = w > gamma
-    others = [v for v in range(n) if v != g.global_index]
+    above = g.weight_matrix() > gamma
     gi = g.global_index
+    neighbours = np.flatnonzero(above[gi])
+    return _count_cliques(above, neighbours[neighbours != gi], k - 1)
+
+
+def _count_cliques(above: np.ndarray, candidates: np.ndarray, size: int) -> int:
+    """Cliques of `size` nodes among ascending `candidates`, each counted
+    once through its lowest-numbered member."""
+    if size == 1:
+        return len(candidates)
     count = 0
-    for group in combinations(others, k - 1):
-        nodes = (gi,) + group
-        if all(above[a, b] for a, b in combinations(nodes, 2)):
-            count += 1
+    for pos in range(len(candidates) - size + 1):
+        rest = candidates[pos + 1:]
+        count += _count_cliques(above, rest[above[candidates[pos], rest]], size - 1)
     return count
 
 

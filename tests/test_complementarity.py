@@ -91,3 +91,42 @@ def test_dataset_build_deterministic():
     for a, b in zip(g1, g2):
         assert np.array_equal(a.node_features, b.node_features)
         assert np.array_equal(a.edge_features, b.edge_features)
+
+
+def loop_build(embeddings, global_index, cfg, uniform=False):
+    """Per-pair reference for `build`: one Python dot product per local pair."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if global_index != 0:
+        order = [global_index] + [i for i in range(emb.shape[0]) if i != global_index]
+        emb = emb[order]
+    if cfg.normalize_embeddings:
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        emb = emb / np.where(norms == 0, 1.0, norms)
+    edges = np.ones((len(pair_list(emb.shape[0])), emb.shape[1]))
+    if not uniform:
+        for r, (i, j) in enumerate(pair_list(emb.shape[0])):
+            if i == 0 or j == 0:
+                continue
+            dot = abs(float(emb[i] @ emb[j]))
+            edges[r] = cfg.weight_cap if dot == 0 else min(1.0 / dot, cfg.weight_cap)
+    return emb, edges
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_build_equals_per_pair_loop(normalize):
+    rng = np.random.default_rng(20)
+    cfg = ComplementarityConfig(weight_cap=50.0, normalize_embeddings=normalize)
+    cases = []
+    for _ in range(200):
+        n, dim = int(rng.integers(2, 18)), int(rng.integers(1, 40))
+        cases.append((rng.standard_normal((n, dim)), int(rng.integers(0, n))))
+    eye = np.eye(5)
+    cases.append((np.stack([np.ones(5), eye[0], eye[1], eye[2]]), 0))   # orthogonal: cap
+    cases.append((np.stack([eye[3], eye[0], np.zeros(5), eye[1]]), 3))  # zero vector
+    cases.append((np.stack([np.ones(5), eye[0], 1e-3 * eye[0] + eye[1]]), 0))  # 1/dot past cap
+    for emb, gi in cases:
+        for uniform in (False, True):
+            g = build(emb, gi, cfg, uniform=uniform)
+            nodes, edges = loop_build(emb, gi, cfg, uniform=uniform)
+            assert np.array_equal(g.node_features, nodes)
+            assert np.array_equal(g.edge_features, edges)

@@ -5,9 +5,10 @@ from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
                               curve_csv, macs_at_k, macs_csv, random_explanation,
                               sparsity, top_k_explanation)
 from relviews.graphs import ExplanationSubgraph, ViewGraph, num_pairs, pair_list
-from relviews.hed import ConstantCostHead, hed
+from relviews.hed import ConstantCostHead, CostHead, hed
 from relviews.proxies import ProxyGraph
-from relviews.transitivity import TransitivityConfig
+from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
+                                   emergence_score)
 
 
 def weight_graph(w: np.ndarray, label=0) -> ViewGraph:
@@ -177,3 +178,70 @@ def test_random_explanation_contains_global(rng):
     ex = random_explanation(g, 3, rng)
     assert 0 in ex.node_subset
     assert ex.size == 4
+
+
+def mixed_explanations(rng, n_graphs=12, n=9, dim=4, labels=3):
+    """Explanations over several classes and kept sizes, the full size included."""
+    graphs = [random_labeled_graph(n, dim, rng, label=i % labels) for i in range(n_graphs)]
+    proxies = {c: ProxyGraph(c, rng.standard_normal((5, dim)),
+                             rng.standard_normal((num_pairs(5), dim)))
+               for c in range(labels)}
+    entries = tuple(random_explanation(g, int(rng.integers(0, n)), rng) for g in graphs)
+    return ExplanationSet(entries, proxies)
+
+
+def test_batched_fidelity_matches_per_explanation_hed(rng):
+    for head in (CostHead(4, hidden=6, seed=3), ConstantCostHead(0.8)):
+        expls = mixed_explanations(rng)
+        assert len({(ex.parent.label, ex.size) for ex in expls.entries}) > 3
+        oracle = []
+        for ex in expls.entries:
+            p = expls.proxies[ex.parent.label].as_view_graph()
+            oracle.append(hed(ex.as_graph(), p, head).value - hed(ex.parent, p, head).value)
+        assert fidelity(expls, head) == pytest.approx(np.mean(oracle), abs=1e-12)
+
+
+def test_curve_equals_fidelity_of_each_top_k_set(rng):
+    graphs = [random_labeled_graph(7, 3, rng, label=i % 3) for i in range(7)]
+    proxies = {c: proxy_from_graph(random_labeled_graph(4, 3, rng, label=c)) for c in range(3)}
+    head = CostHead(3, hidden=5, seed=1)
+    ks = [1, 3, 6]
+    rows = fidelity_sparsity_curve(graphs, proxies, head, ks)
+    for (k, sp, fid) in rows:
+        expls = ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs), proxies)
+        assert fid == fidelity(expls, head) and sp == sparsity(expls)
+    assert rows[-1][2] == 0.0   # k = all locals: the full graphs' own distances
+
+
+def test_top_k_equals_sorted_emergence(rng):
+    # rounded weights tie often; the global view is not always node 0
+    for trial in range(60):
+        n = int(rng.integers(2, 12))
+        gi = int(rng.integers(0, n))
+        edges = np.round(rng.random((num_pairs(n), 1)), 1)
+        g = ViewGraph(np.zeros((n, 1)), edges, global_index=gi, label=0)
+        ranked = sorted(g.local_indices, key=lambda v: (-emergence_score(g, v), v))
+        for k in range(n + 1):
+            assert top_k_explanation(g, k).node_subset == frozenset(ranked[:k]) | {gi}
+
+
+def test_macs_equals_per_explanation_thresholds(rng):
+    cfg = TransitivityConfig()
+    for k in (2, 3, 4):
+        graphs = [random_labeled_graph(9, 2, rng, label=i % 3) for i in range(9)]
+        proxies = {c: dummy_proxy(c, dim=2) for c in range(3)}
+        a = ExplanationSet(tuple(top_k_explanation(g, 5) for g in graphs), proxies)
+        b = ExplanationSet(tuple(random_explanation(g, int(rng.integers(2, 8)), rng)
+                                 for g in graphs), proxies)
+
+        def class_counts(expls):
+            per_class = {}
+            for ex in expls.entries:
+                sub = ex.as_graph()
+                per_class.setdefault(ex.parent.label, []).append(
+                    count_k_cliques_with_global(sub, k, cfg.resolve(sub.edge_weights())))
+            return {c: np.mean(v) for c, v in per_class.items()}
+        ca, cb = class_counts(a), class_counts(b)
+        diffs = [0.0 if max(ca[c], cb[c]) == 0 else abs(ca[c] - cb[c]) / max(ca[c], cb[c])
+                 for c in sorted(ca)]
+        assert macs_at_k(a, b, k, cfg) == 1.0 - float(np.mean(diffs))

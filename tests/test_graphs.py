@@ -142,3 +142,37 @@ def test_explanation_subgraph_contracts():
         ExplanationSubgraph(g, frozenset({1, 2}))   # missing global
     with pytest.raises(ValueError):
         ExplanationSubgraph(g, frozenset())
+
+
+def loop_induced(g: ViewGraph, subset: list[int]):
+    """Per-pair reference for `induced_subgraph`: one edge row at a time."""
+    edges = np.array([g.edge_feature(subset[a], subset[b])
+                      for a, b in pair_list(len(subset))]).reshape(-1, g.feature_dim)
+    return g.node_features[subset], edges, subset.index(g.global_index)
+
+
+def test_induced_subgraph_equals_per_pair_loop(rng):
+    for trial in range(200):
+        n = int(rng.integers(1, 20))
+        gi = int(rng.integers(0, n))
+        g = ViewGraph(rng.standard_normal((n, 3)), rng.standard_normal((num_pairs(n), 3)),
+                      global_index=gi, label=trial)
+        others = [v for v in range(n) if v != gi]
+        keep = rng.permutation(others)[:int(rng.integers(0, n))]
+        subset = sorted({gi, *(int(v) for v in keep)})
+        sub = induced_subgraph(g, reversed(subset))
+        nodes, edges, sub_gi = loop_induced(g, subset)
+        assert np.array_equal(sub.node_features, nodes)
+        assert np.array_equal(sub.edge_features, edges)
+        assert sub.global_index == sub_gi and sub.label == trial
+
+
+def test_weight_matrix_equals_per_pair_edge_weights(rng):
+    for n in (1, 2, 5, 17):
+        g = make_graph(n, dim=6, seed=n)
+        w = g.weight_matrix()
+        expect = np.zeros((n, n))
+        flat = g.edge_weights()
+        for r, (i, j) in enumerate(pair_list(n)):
+            expect[i, j] = expect[j, i] = flat[r]
+        assert np.array_equal(w, expect)

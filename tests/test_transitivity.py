@@ -7,7 +7,7 @@ import pytest
 from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
 from relviews.transitivity import (ContinentReport, TransitivityConfig,
                                    count_k_cliques_with_global, cut_edge_mass,
-                                   emergence_score, find_continents,
+                                   emergence_score, emergence_scores, find_continents,
                                    is_transitive_triple, mean_intra_edge_weight,
                                    pairwise_emergence, sample_complexity_noisy,
                                    sample_complexity_transitive, topology_count,
@@ -188,6 +188,41 @@ def test_clique_count_matches_brute_force(rng):
                 if all(w[a, b] > gamma for a, b in combinations(sub, 2)):
                     expect += 1
             assert count_k_cliques_with_global(g, k, gamma) == expect, (trial, k)
+
+
+def test_clique_count_matches_brute_force_with_ties_at_gamma(rng):
+    # weights drawn from {0.5, 1, 1.5}: many edges sit exactly at gamma = 1,
+    # which is not above it; the global view is not always node 0
+    for trial in range(80):
+        n = int(rng.integers(1, 10))
+        w = np.triu(rng.choice([0.5, 1.0, 1.5], size=(n, n)), k=1)
+        w = w + w.T
+        edges = np.array([[w[i, j]] for i, j in pair_list(n)]).reshape(-1, 1)
+        gi = int(rng.integers(0, n))
+        g = ViewGraph(np.zeros((n, 1)), edges, global_index=gi)
+        others = [v for v in range(n) if v != gi]
+        for k in range(1, 6):
+            expect = sum(all(w[a, b] > 1.0 for a, b in combinations((gi,) + group, 2))
+                         for group in combinations(others, k - 1))
+            assert count_k_cliques_with_global(g, k, 1.0) == expect, (trial, k)
+
+
+def test_emergence_scores_equal_scalar_scores(rng):
+    # the scalar score is a norm; a sum of squares would differ in the last bit
+    for trial in range(50):
+        n = int(rng.integers(2, 18))
+        gi = int(rng.integers(0, n))
+        g = ViewGraph(rng.standard_normal((n, 32)),
+                      rng.standard_normal((num_pairs(n), 32)), global_index=gi)
+        assert np.array_equal(emergence_scores(g),
+                              [emergence_score(g, v) for v in g.local_indices])
+
+
+def test_resolve_rows_equals_resolve_per_row(rng):
+    scores = np.round(rng.random((9, 36)), 2)   # rounded: ties in every row
+    for cfg in (TransitivityConfig(), TransitivityConfig(gamma_quantile=0.3),
+                TransitivityConfig(gamma=0.4)):
+        assert np.array_equal(cfg.resolve_rows(scores), [cfg.resolve(r) for r in scores])
 
 
 def test_clique_count_monotone_in_gamma(rng):
