@@ -4,7 +4,7 @@ from .complementarity import ComplementarityConfig
 from .encoder import EncoderConfig, GatParams
 from .graphs import ExplanationSubgraph, ViewGraph, edge_weight, export_dot, induced_subgraph
 from .hed import ConstantCostHead, CostHead, HedResult, LinearCostHead, exact_ged, hed
-from .proxies import ProxyAnchorConfig, ProxyGraph, SinkhornConfig, classify, sinkhorn
+from .proxies import ProxyAnchorConfig, ProxyGraph, SinkhornConfig, sinkhorn
 from .synth import NoiseModel, SynthConfig, SynthDataset, SynthInstance, generate
 from .training import AblationConfig, TrainConfig, TrainedModel, TrainReport, evaluate, train
 from .transitivity import TransitivityConfig
@@ -15,6 +15,6 @@ __all__ = [
     "LinearCostHead", "NoiseModel", "ProxyAnchorConfig", "ProxyGraph",
     "SinkhornConfig", "SynthConfig", "SynthDataset", "SynthInstance",
     "TrainConfig", "TrainReport", "TrainedModel", "TransitivityConfig",
-    "ViewGraph", "classify", "edge_weight", "evaluate", "exact_ged",
+    "ViewGraph", "edge_weight", "evaluate", "exact_ged",
     "export_dot", "generate", "hed", "induced_subgraph", "sinkhorn", "train",
 ]

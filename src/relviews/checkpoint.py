@@ -4,8 +4,14 @@ Layout: a version line, one `config` line per key=value pair, then per
 tensor a `tensor <name> <dim0,dim1,...>` line followed by one line of
 space-separated values at 17 significant digits (bit-comparable float64
 round trips). Tensor order is fixed by the writer and preserved on read.
+Every malformed line raises a ConfigError that names the file and, for a
+tensor, the tensor. The config keys and their value parsers are defined
+once, in `training.CONFIG_KEYS`; `TrainedModel.save`/`load` write and
+check them.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -43,18 +49,24 @@ def read_checkpoint(path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]
             config[key] = value
             i += 1
         elif line.startswith("tensor "):
-            _, name, dims = line.split(" ", 2)
-            shape = tuple(int(d) for d in dims.split(",")) if dims != "0" else ()
+            name, _, dims = line[len("tensor "):].partition(" ")
             if i + 1 >= len(lines):
-                raise ConfigError(f"truncated tensor {name}")
-            values = np.array([float(t) for t in lines[i + 1].split()])
+                raise ConfigError(f"{path}: truncated tensor {name}")
+            if not re.fullmatch(r"\d+(,\d+)*", dims):
+                raise ConfigError(f"{path}: tensor {name}: bad dims {dims!r}")
+            shape = tuple(int(d) for d in dims.split(",")) if dims != "0" else ()
+            try:
+                values = np.array([float(t) for t in lines[i + 1].split()])
+            except ValueError as err:
+                raise ConfigError(f"{path}: tensor {name}: {err}") from None
             expect = int(np.prod(shape)) if shape else 1
             if values.size != expect:
-                raise ConfigError(f"tensor {name}: expected {expect} values, got {values.size}")
+                raise ConfigError(f"{path}: tensor {name}: expected {expect} values, "
+                                  f"got {values.size}")
             tensors.append((name, values.reshape(shape)))
             i += 2
         elif not line.strip():
             i += 1
         else:
-            raise ConfigError(f"unrecognized checkpoint line: {line!r}")
+            raise ConfigError(f"{path}: unrecognized checkpoint line: {line!r}")
     return config, tensors

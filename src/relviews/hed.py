@@ -198,35 +198,6 @@ def hed(gs, gp, head) -> HedResult:
     return HedResult(float(value.value), fwd, bwd)
 
 
-def hed_backward(result: HedResult, gs, gp, head, upstream: float = 1.0
-                 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Subgradients of the distance w.r.t. both node sets and the cost head.
-
-    Recomputes the forward pass and refuses to run if the recorded argmin
-    assignments no longer match (stale result for changed inputs).
-    """
-    u = _nodes(gs)
-    v = _nodes(gp)
-    u_var = Var(u, requires_grad=True)
-    v_var = Var(v, requires_grad=True)
-    bound = head.bind(True)
-    value, fwd, bwd = hed_terms(u_var, v_var, bound)
-    if (not np.array_equal(fwd, result.forward_assignment)
-            or not np.array_equal(bwd, result.backward_assignment)
-            or abs(float(value.value) - result.value) > 1e-12):
-        raise ValueError("stale assignments: inputs changed since the hed call")
-    ad.backward(value, np.asarray(float(upstream)))
-    bound.accumulate()
-    head_grads = {}
-    if isinstance(head, CostHead):
-        head_grads = {name: bound.pvars[name].grad if bound.pvars[name].grad is not None
-                      else np.zeros_like(arr)
-                      for name, arr in head.named_tensors()}
-    du = u_var.grad if u_var.grad is not None else np.zeros_like(u)
-    dv = v_var.grad if v_var.grad is not None else np.zeros_like(v)
-    return du, dv, head_grads
-
-
 _PERMS: dict[int, np.ndarray] = {}
 
 

@@ -3,8 +3,8 @@
 Each class owns a graph of node centroids (slot 0 reserved for the global
 concept) and edge centroids keyed by slot pairs. Centroids follow batches of
 encoded instance graphs through entropic optimal-transport assignment with
-an EMA blend; instances are classified by nearest proxy under the learnable
-Hausdorff edit distance.
+an EMA blend. `training.TrainedModel.distance_table` classifies instances by
+nearest proxy under the learnable Hausdorff edit distance.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .graphs import ViewGraph, num_pairs, pair_list
-from .hed import hed
 
 
 @dataclass(frozen=True)
@@ -252,15 +251,3 @@ def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,
         grad[rows, c] += -s * w / n_proxies
 
     return float(loss), grad
-
-
-def classify(graph: ViewGraph, proxies: dict[int, ProxyGraph], head) -> int:
-    """Nearest proxy under the edit distance; ties go to the lowest class id."""
-    if not proxies:
-        raise ValueError("need at least one proxy")
-    best_id, best_val = None, np.inf
-    for cid in sorted(proxies):
-        val = hed(graph, proxies[cid].as_view_graph(), head).value
-        if val < best_val:
-            best_id, best_val = cid, val
-    return int(best_id)

@@ -1,100 +1,18 @@
 """Flat key=value run configuration files.
 
 Keys carry dotted prefixes mirroring the component configs (synth.eta,
-encoder.layers, ...). Unknown keys are rejected and every value is
-validated before any work starts.
+encoder.layers, ...). Every key, its config field and its value parser are
+defined once, in `training.CONFIG_KEYS`; this module only reads lines.
+Unknown and duplicate keys are rejected and every value is validated
+before any work starts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complementarity import ComplementarityConfig
-from .encoder import EncoderConfig
 from .errors import ConfigError
-from .proxies import ProxyAnchorConfig, SinkhornConfig
-from .synth import NoiseModel, SynthConfig
-from .training import AblationConfig, TrainConfig
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_model(key: str, raw: str) -> NoiseModel:
-    try:
-        return NoiseModel(raw)
-    except ValueError:
-        names = ", ".join(m.value for m in NoiseModel)
-        raise ConfigError(f"{key}: unknown noise model {raw!r} (one of: {names})") from None
-
-
-_PARSERS = {
-    "synth.classes": _parse_int,
-    "synth.instances_per_class": _parse_int,
-    "synth.views": _parse_int,
-    "synth.dim": _parse_int,
-    "synth.eta": _parse_float,
-    "synth.noise_model": _parse_model,
-    "synth.concepts_per_class": _parse_int,
-    "synth.sigma": _parse_float,
-    "synth.seed": _parse_int,
-    "comp.weight_cap": _parse_float,
-    "comp.normalize": _parse_bool,
-    "encoder.layers": _parse_int,
-    "encoder.heads": _parse_int,
-    "encoder.hidden_dim": _parse_int,
-    "encoder.leaky_slope": _parse_float,
-    "encoder.edge_update": _parse_bool,
-    "encoder.norm_eps": _parse_float,
-    "sinkhorn.epsilon": _parse_float,
-    "sinkhorn.max_iters": _parse_int,
-    "sinkhorn.tol": _parse_float,
-    "anchor.margin": _parse_float,
-    "anchor.scale": _parse_float,
-    "train.epochs": _parse_int,
-    "train.lr": _parse_float,
-    "train.lr_decay": _parse_float,
-    "train.lr_decay_every": _parse_int,
-    "train.weight_decay": _parse_float,
-    "train.batch_size": _parse_int,
-    "train.proxy_momentum": _parse_float,
-    "train.cost_hidden": _parse_int,
-    "train.seed": _parse_int,
-    "ablate.cg": _parse_bool,
-    "ablate.pd": _parse_bool,
-    "ablate.tr": _parse_bool,
-}
-
-_SYNTH_FIELDS = {
-    "synth.classes": "num_classes",
-    "synth.instances_per_class": "instances_per_class",
-    "synth.views": "views_per_instance",
-    "synth.dim": "feature_dim",
-    "synth.eta": "noise_rate",
-    "synth.noise_model": "noise_model",
-    "synth.concepts_per_class": "concept_count_per_class",
-    "synth.sigma": "noise_scale",
-    "synth.seed": "seed",
-}
+from .synth import SynthConfig
+from .training import TrainConfig, build_configs, parse_value
 
 
 @dataclass(frozen=True)
@@ -113,40 +31,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw_line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        values[key] = _PARSERS[key](key, raw)
-
-    def pick(prefix: str, fields: dict[str, str]) -> dict:
-        return {attr: values[key] for key, attr in fields.items() if key in values}
-
+        try:
+            values[key] = parse_value(key, raw)
+        except ConfigError as err:
+            raise ConfigError(f"{source}:{lineno}: {err}") from None
     try:
-        synth = SynthConfig(**pick("synth", _SYNTH_FIELDS))
-        encoder = EncoderConfig(**pick("encoder", {
-            "encoder.layers": "num_layers", "encoder.heads": "heads_per_layer",
-            "encoder.hidden_dim": "hidden_dim", "encoder.leaky_slope": "leaky_slope",
-            "encoder.edge_update": "edge_update", "encoder.norm_eps": "norm_eps"}))
-        sinkhorn = SinkhornConfig(**pick("sinkhorn", {
-            "sinkhorn.epsilon": "entropic_regularizer",
-            "sinkhorn.max_iters": "max_iters", "sinkhorn.tol": "marginal_tol"}))
-        anchor = ProxyAnchorConfig(**pick("anchor", {
-            "anchor.margin": "margin", "anchor.scale": "scale"}))
-        comp = ComplementarityConfig(**pick("comp", {
-            "comp.weight_cap": "weight_cap", "comp.normalize": "normalize_embeddings"}))
-        ablations = AblationConfig(**pick("ablate", {
-            "ablate.cg": "use_complementarity_graph", "ablate.pd": "proxy_as_graph",
-            "ablate.tr": "transitivity_recovery"}))
-        train = TrainConfig(
-            encoder=encoder, sinkhorn=sinkhorn, anchor=anchor, comp=comp,
-            ablations=ablations,
-            **pick("train", {
-                "train.epochs": "epochs", "train.lr": "learning_rate",
-                "train.lr_decay": "lr_decay", "train.lr_decay_every": "lr_decay_every",
-                "train.weight_decay": "weight_decay", "train.batch_size": "batch_size",
-                "train.proxy_momentum": "proxy_momentum",
-                "train.cost_hidden": "cost_head_hidden", "train.seed": "seed"}))
+        synth, train = build_configs(values)
     except ConfigError as err:
         raise ConfigError(f"{source}: {err}") from None
     return RunConfig(synth=synth, train=train)

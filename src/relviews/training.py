@@ -13,6 +13,7 @@ edge rule (CG), graph-valued proxies (PD), and graph-space matching (TR).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .graphs import ViewGraph
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
                       proxy_anchor_loss, update_proxies)
-from .synth import SynthDataset, generate, split_dataset
+from .synth import NoiseModel, SynthConfig, SynthDataset, generate, split_dataset
 
 # Share of each generated dataset the sweeps hold out for testing.
 SWEEP_TEST_FRACTION = 0.2
@@ -68,6 +69,116 @@ class TrainConfig:
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {raw!r}") from None
+
+
+def _parse_float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {raw!r}") from None
+
+
+def _parse_model(raw: str) -> NoiseModel:
+    try:
+        return NoiseModel(raw)
+    except ValueError:
+        names = ", ".join(m.value for m in NoiseModel)
+        raise ConfigError(f"unknown noise model {raw!r} (one of: {names})") from None
+
+
+# The one schema of run-config and checkpoint keys: key -> (component,
+# dataclass field, parser). "train" names TrainConfig's own scalars; every
+# other component but "synth" is the TrainConfig field of that name.
+CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
+    "synth.classes": ("synth", "num_classes", _parse_int),
+    "synth.instances_per_class": ("synth", "instances_per_class", _parse_int),
+    "synth.views": ("synth", "views_per_instance", _parse_int),
+    "synth.dim": ("synth", "feature_dim", _parse_int),
+    "synth.eta": ("synth", "noise_rate", _parse_float),
+    "synth.noise_model": ("synth", "noise_model", _parse_model),
+    "synth.concepts_per_class": ("synth", "concept_count_per_class", _parse_int),
+    "synth.sigma": ("synth", "noise_scale", _parse_float),
+    "synth.seed": ("synth", "seed", _parse_int),
+    "encoder.layers": ("encoder", "num_layers", _parse_int),
+    "encoder.heads": ("encoder", "heads_per_layer", _parse_int),
+    "encoder.hidden_dim": ("encoder", "hidden_dim", _parse_int),
+    "encoder.leaky_slope": ("encoder", "leaky_slope", _parse_float),
+    "encoder.edge_update": ("encoder", "edge_update", _parse_bool),
+    "encoder.norm_eps": ("encoder", "norm_eps", _parse_float),
+    "sinkhorn.epsilon": ("sinkhorn", "entropic_regularizer", _parse_float),
+    "sinkhorn.max_iters": ("sinkhorn", "max_iters", _parse_int),
+    "sinkhorn.tol": ("sinkhorn", "marginal_tol", _parse_float),
+    "anchor.margin": ("anchor", "margin", _parse_float),
+    "anchor.scale": ("anchor", "scale", _parse_float),
+    "comp.weight_cap": ("comp", "weight_cap", _parse_float),
+    "comp.normalize": ("comp", "normalize_embeddings", _parse_bool),
+    "train.epochs": ("train", "epochs", _parse_int),
+    "train.lr": ("train", "learning_rate", _parse_float),
+    "train.lr_decay": ("train", "lr_decay", _parse_float),
+    "train.lr_decay_every": ("train", "lr_decay_every", _parse_int),
+    "train.weight_decay": ("train", "weight_decay", _parse_float),
+    "train.batch_size": ("train", "batch_size", _parse_int),
+    "train.proxy_momentum": ("train", "proxy_momentum", _parse_float),
+    "train.cost_hidden": ("train", "cost_head_hidden", _parse_int),
+    "train.seed": ("train", "seed", _parse_int),
+    "ablate.cg": ("ablations", "use_complementarity_graph", _parse_bool),
+    "ablate.pd": ("ablations", "proxy_as_graph", _parse_bool),
+    "ablate.tr": ("ablations", "transitivity_recovery", _parse_bool),
+}
+
+# Checkpoints write and require every key but the synth ones, in table order.
+_CHECKPOINT_KEYS = [key for key, (part, _, _) in CONFIG_KEYS.items() if part != "synth"]
+
+_COMPONENTS = {"synth": SynthConfig, "encoder": EncoderConfig, "sinkhorn": SinkhornConfig,
+               "anchor": ProxyAnchorConfig, "comp": ComplementarityConfig,
+               "ablations": AblationConfig}
+
+
+def parse_value(key: str, raw: str) -> object:
+    """The value of one config key; the ConfigError names the key."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return CONFIG_KEYS[key][2](raw)
+    except ConfigError as err:
+        raise ConfigError(f"{key}: {err}") from None
+
+
+def build_configs(values: dict[str, object]) -> tuple[SynthConfig, TrainConfig]:
+    """Component configs from parsed key values; absent keys keep their defaults."""
+    kwargs: dict[str, dict[str, object]] = {part: {} for part in (*_COMPONENTS, "train")}
+    for key, value in values.items():
+        part, attr, _ = CONFIG_KEYS[key]
+        kwargs[part][attr] = value
+    parts = {part: cls(**kwargs[part]) for part, cls in _COMPONENTS.items()}
+    synth = parts.pop("synth")
+    return synth, TrainConfig(**parts, **kwargs["train"])
+
+
+def format_config(cfg: TrainConfig) -> dict[str, str]:
+    """Checkpoint text of every non-synth key: booleans as true/false, else repr."""
+    out = {}
+    for key in _CHECKPOINT_KEYS:
+        part, attr, _ = CONFIG_KEYS[key]
+        value = getattr(cfg if part == "train" else getattr(cfg, part), attr)
+        out[key] = str(value).lower() if isinstance(value, bool) else repr(value)
+    return out
 
 
 @dataclass
@@ -114,104 +225,67 @@ class TrainedModel:
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
-        cfg = self.config
-        config = {
-            "in_dim": str(self.in_dim),
-            "encoder.layers": str(cfg.encoder.num_layers),
-            "encoder.heads": str(cfg.encoder.heads_per_layer),
-            "encoder.hidden_dim": str(cfg.encoder.hidden_dim),
-            "encoder.leaky_slope": repr(cfg.encoder.leaky_slope),
-            "encoder.edge_update": str(cfg.encoder.edge_update).lower(),
-            "encoder.norm_eps": repr(cfg.encoder.norm_eps),
-            "sinkhorn.epsilon": repr(cfg.sinkhorn.entropic_regularizer),
-            "sinkhorn.max_iters": str(cfg.sinkhorn.max_iters),
-            "sinkhorn.tol": repr(cfg.sinkhorn.marginal_tol),
-            "anchor.margin": repr(cfg.anchor.margin),
-            "anchor.scale": repr(cfg.anchor.scale),
-            "comp.weight_cap": repr(cfg.comp.weight_cap),
-            "comp.normalize": str(cfg.comp.normalize_embeddings).lower(),
-            "train.epochs": str(cfg.epochs),
-            "train.lr": repr(cfg.learning_rate),
-            "train.lr_decay": repr(cfg.lr_decay),
-            "train.lr_decay_every": str(cfg.lr_decay_every),
-            "train.weight_decay": repr(cfg.weight_decay),
-            "train.batch_size": str(cfg.batch_size),
-            "train.proxy_momentum": repr(cfg.proxy_momentum),
-            "train.cost_hidden": str(cfg.cost_head_hidden),
-            "train.seed": str(cfg.seed),
-            "ablate.cg": str(cfg.ablations.use_complementarity_graph).lower(),
-            "ablate.pd": str(cfg.ablations.proxy_as_graph).lower(),
-            "ablate.tr": str(cfg.ablations.transitivity_recovery).lower(),
-        }
         tensors = list(self.params.named_tensors()) + list(self.cost_head.named_tensors())
         for cid in sorted(self.proxies):
             tensors.append((f"proxy{cid}.nodes", self.proxies[cid].node_centroids))
             tensors.append((f"proxy{cid}.edges", self.proxies[cid].edge_centroids))
         for cid in sorted(self.proxy_vectors):
             tensors.append((f"proxy{cid}.vector", self.proxy_vectors[cid]))
-        write_checkpoint(path, config, tensors)
+        write_checkpoint(path, {"in_dim": str(self.in_dim), **format_config(self.config)},
+                         tensors)
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
         config, tensors = read_checkpoint(path)
+        try:
+            return cls._from_checkpoint(config, tensors)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
 
-        def flag(key):
-            return config[key] == "true"
-
-        cfg = TrainConfig(
-            encoder=EncoderConfig(
-                num_layers=int(config["encoder.layers"]),
-                heads_per_layer=int(config["encoder.heads"]),
-                hidden_dim=int(config["encoder.hidden_dim"]),
-                leaky_slope=float(config["encoder.leaky_slope"]),
-                edge_update=flag("encoder.edge_update"),
-                norm_eps=float(config["encoder.norm_eps"])),
-            sinkhorn=SinkhornConfig(
-                entropic_regularizer=float(config["sinkhorn.epsilon"]),
-                max_iters=int(config["sinkhorn.max_iters"]),
-                marginal_tol=float(config["sinkhorn.tol"])),
-            anchor=ProxyAnchorConfig(
-                margin=float(config["anchor.margin"]),
-                scale=float(config["anchor.scale"])),
-            comp=ComplementarityConfig(
-                weight_cap=float(config["comp.weight_cap"]),
-                normalize_embeddings=flag("comp.normalize")),
-            ablations=AblationConfig(
-                use_complementarity_graph=flag("ablate.cg"),
-                proxy_as_graph=flag("ablate.pd"),
-                transitivity_recovery=flag("ablate.tr")),
-            epochs=int(config["train.epochs"]),
-            learning_rate=float(config["train.lr"]),
-            lr_decay=float(config["train.lr_decay"]),
-            lr_decay_every=int(config["train.lr_decay_every"]),
-            weight_decay=float(config["train.weight_decay"]),
-            batch_size=int(config["train.batch_size"]),
-            proxy_momentum=float(config["train.proxy_momentum"]),
-            cost_head_hidden=int(config["train.cost_hidden"]),
-            seed=int(config["train.seed"]),
-        )
-        in_dim = int(config["in_dim"])
+    @classmethod
+    def _from_checkpoint(cls, config: dict[str, str], tensors) -> "TrainedModel":
+        for key in config:
+            if key != "in_dim" and key not in _CHECKPOINT_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+        for key in ("in_dim", *_CHECKPOINT_KEYS):
+            if key not in config:
+                raise ConfigError(f"missing config key {key!r}")
+        try:
+            in_dim = _parse_int(config.pop("in_dim"))
+        except ConfigError as err:
+            raise ConfigError(f"in_dim: {err}") from None
+        _, cfg = build_configs({key: parse_value(key, raw) for key, raw in config.items()})
         params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
         head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
         model = cls(cfg, in_dim, params, head)
-        node_stash: dict[int, np.ndarray] = {}
-        edge_stash: dict[int, np.ndarray] = {}
+        width = cfg.encoder.hidden_dim
+        stash: dict[str, dict[int, np.ndarray]] = {
+            "nodes": {}, "edges": {}, "vector": model.proxy_vectors}
         for name, arr in tensors:
             if name.startswith("proxy"):
-                slot, kind = name.split(".", 1)
-                cid = int(slot[len("proxy"):])
-                if kind == "nodes":
-                    node_stash[cid] = arr
-                elif kind == "edges":
-                    edge_stash[cid] = arr
-                else:
-                    model.proxy_vectors[cid] = arr
+                slot, _, kind = name.partition(".")
+                cid = slot[len("proxy"):]
+                if not cid.lstrip("-").isdigit() or kind not in stash:
+                    raise ConfigError(f"unknown tensor {name}")
+                if arr.shape[-1:] != (width,) or arr.ndim != (1 if kind == "vector" else 2):
+                    raise ConfigError(f"tensor {name}: shape {arr.shape} does not fit "
+                                      f"hidden_dim {width}")
+                stash[kind][int(cid)] = arr
             elif name.startswith("cost."):
                 head.set_tensor(name, arr)
             else:
                 params.set_tensor(name, arr)
-        for cid in sorted(node_stash):
-            model.proxies[cid] = ProxyGraph(cid, node_stash[cid], edge_stash[cid])
+        loaded = {name for name, _ in tensors}
+        for name, _ in list(params.named_tensors()) + list(head.named_tensors()):
+            if name not in loaded:
+                raise ConfigError(f"missing tensor {name}")
+        for cid, nodes in sorted(stash["nodes"].items()):
+            if cid not in stash["edges"]:
+                raise ConfigError(f"missing tensor proxy{cid}.edges")
+            try:
+                model.proxies[cid] = ProxyGraph(cid, nodes, stash["edges"][cid])
+            except ValueError as err:
+                raise ConfigError(f"proxy{cid}: {err}") from None
         return model
 
 

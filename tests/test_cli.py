@@ -91,3 +91,58 @@ def test_non_finite_feature_exits_three(tiny):
     bad.write_text("\n".join([header, " ".join(toks), *rest]) + "\n")
     assert main(["train", "--config", str(config), "--data", str(bad),
                  "--out", str(tmp_path / "run")]) == 3
+
+
+def _splice(prefix, new, offset=0, count=1):
+    """Edit putting `new` in place of `count` lines, starting `offset` lines after
+    the first line that starts with `prefix`."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + offset
+        return lines[:i] + new + lines[i + count:]
+    return edit
+
+
+@pytest.fixture
+def trained(tiny, capsys):
+    tmp_path, config, data = tiny
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    return tmp_path / "run" / "checkpoint.txt", data
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_splice("tensor cost.W1 ", ["0.5 x1"], offset=1),
+     "tensor cost.W1: could not convert string to float: 'x1'"),
+    (_splice("tensor cost.W1 ", ["tensor cost.W1 4,x"]), "tensor cost.W1: bad dims '4,x'"),
+    (_splice("tensor proxy1.edges ", [], count=2), "missing tensor proxy1.edges"),
+    (_splice("tensor cost.b2 ", [], count=2), "missing tensor cost.b2"),
+    (_splice("tensor proxy1.edges ", ["tensor proxy1.edges 1,8", " ".join("0" * 8)], count=2),
+     "proxy1: edge centroid count must be |V|(|V|-1)/2"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy1.nodes 1,2", "0 0"], count=2),
+     "tensor proxy1.nodes: shape (1, 2) does not fit hidden_dim 8"),
+    (_splice("config encoder.heads=", []), "missing config key 'encoder.heads'"),
+    (_splice("config encoder.layers=", ["config encoder.layers=two"]),
+     "encoder.layers: expected an integer, got 'two'"),
+    (_splice("config train.seed=", ["config train.no_such_key=1"], count=0),
+     "unknown config key 'train.no_such_key'"),
+], ids=["value_token", "dims", "proxy_edges", "cost_tensor", "proxy_shape", "proxy_width",
+        "missing_key", "bad_int", "unknown_key"])
+def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
+    ckpt, data = trained
+    bad = ckpt.with_name("bad.txt")
+    bad.write_text("\n".join(edit(ckpt.read_text().splitlines())) + "\n")
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: {message}\n"
+
+
+def test_checkpoint_booleans_parse_like_run_configs(trained, capsys):
+    ckpt, data = trained
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    expect = capsys.readouterr().out
+    yes = ckpt.with_name("yes.txt")
+    yes.write_text(ckpt.read_text().replace("config ablate.cg=true\n", "config ablate.cg=yes\n"))
+    assert training.TrainedModel.load(yes).config.ablations.use_complementarity_graph is True
+    assert main(["eval", "--checkpoint", str(yes), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == expect

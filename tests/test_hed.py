@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from relviews import autodiff as ad
 from relviews.errors import ConfigError
-from relviews.hed import (ConstantCostHead, CostHead, LinearCostHead, exact_ged,
-                          hed, hed_backward)
-from tests.conftest import rel_error
+from relviews.hed import (ConstantCostHead, CostHead, LinearCostHead, exact_ged, hed,
+                          hed_values_multi)
+from tests.conftest import central_diff, rel_error
 
 
 def test_identical_graphs_zero_distance():
@@ -136,59 +137,97 @@ def test_dim_mismatch_and_empty_errors():
         hed(np.zeros((0, 3)), np.zeros((2, 3)), ConstantCostHead(1.0))
 
 
+def multi_grads(u, targets, slots, head, seed):
+    """hed_values_multi table and the gradients of sum(seed * table) w.r.t. the
+    instances, the stacked targets and, for a CostHead, its tensors."""
+    u_var, t_var = ad.leaf(u.copy()), ad.leaf(targets.copy())
+    bound = head.bind(True)
+    table = hed_values_multi(u_var, t_var, slots, bound)
+    ad.backward(table, seed)
+    head_grads = {}
+    if isinstance(head, CostHead):
+        head.zero_grads()
+        bound.accumulate()
+        head_grads = head.grads
+    return table.value, u_var.grad, t_var.grad, head_grads
+
+
+def multi_value(u, targets, slots, head, seed):
+    table = hed_values_multi(ad.constant(u), ad.constant(targets), slots, head.bind(False))
+    return float((seed * table.value).sum())
+
+
 def test_backward_zero_for_identical_graphs():
+    # each instance repeats the nodes of its own class's proxy (m = 5, slots = 3)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 5))
+    slots = 3
+    targets = rng.standard_normal((2 * slots, 5))
+    u = np.stack([targets[c * slots + np.array([0, 1, 2, 0, 1])] for c in range(2)])
     head = CostHead(5, seed=12)
-    res = hed(x, x.copy(), head)
-    du, dv, hg = hed_backward(res, x, x.copy(), head)
-    assert np.all(du == 0.0) and np.all(dv == 0.0)
+    table, du, dt, hg = multi_grads(u, targets, slots, head, np.eye(2))
+    assert table[0, 0] == 0.0 and table[1, 1] == 0.0
+    assert np.all(du == 0.0) and np.all(dt == 0.0)
     assert all(np.all(g == 0.0) for g in hg.values())
 
 
 def test_backward_single_substitution_hand_derivative():
-    u = np.array([[1.0, 0.0]])
-    v = np.array([[0.0, 2.0]])
-    head = ConstantCostHead(1e6)
-    res = hed(u, v, head)
-    du, dv, _ = hed_backward(res, u, v, head)
-    # value = 2 * (||u-v||/2) * (1/2) = ||u-v||/2, so d/du = (u-v)/(2||u-v||)
-    direction = (u - v) / (2.0 * np.linalg.norm(u - v))
-    np.testing.assert_allclose(du, direction, atol=1e-12)
-    np.testing.assert_allclose(dv, -direction, atol=1e-12)
+    # one node per instance, two slots per class, substitution everywhere:
+    # table[b, c] = (min_j ||u_b - v_cj|| / 2 + sum_j ||u_b - v_cj|| / 2) / 2
+    u = np.array([[[1.0, 0.0]], [[-1.0, 3.0]]])
+    targets = np.array([[0.0, 2.0], [3.0, 1.0], [-2.0, -1.0], [0.5, 0.5]])
+    table, du, dt, _ = multi_grads(u, targets, 2, ConstantCostHead(1e6), np.ones((2, 2)))
+    expect_u = np.zeros_like(u)
+    expect_t = np.zeros_like(targets)
+    for b in range(2):
+        for c in range(2):
+            v = targets[2 * c:2 * c + 2]
+            dist = np.linalg.norm(u[b, 0] - v, axis=1)
+            assert table[b, c] == pytest.approx((dist.min() + dist.sum()) / 4.0, abs=1e-12)
+            for j in range(2):
+                weight = 0.25 * (1 + (j == dist.argmin()))
+                direction = (u[b, 0] - v[j]) / dist[j]
+                expect_u[b, 0] += weight * direction
+                expect_t[2 * c + j] -= weight * direction
+    np.testing.assert_allclose(du, expect_u, atol=1e-12)
+    np.testing.assert_allclose(dt, expect_t, atol=1e-12)
 
 
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(13)
-    u = rng.standard_normal((4, 5))
-    v = rng.standard_normal((3, 5))
+    slots = 3
+    u = 0.5 * rng.standard_normal((2, 4, 5))
+    targets = 0.5 * rng.standard_normal((2 * slots, 5))
     head = CostHead(5, seed=14)
-    res = hed(u, v, head)
-    head.zero_grads()
-    du, dv, hg = hed_backward(res, u, v, head)
+    seed = rng.standard_normal((2, 2))
+    table, du, dt, hg = multi_grads(u, targets, slots, head, seed)
+    # both branches occur, so the cost head gets a gradient
+    dist = np.linalg.norm(u[:, :, None] - targets[None, None], axis=-1).reshape(2, 4, 2, slots)
+    take_del = head.costs(u.reshape(-1, 5)).reshape(2, 4, 1) < 0.5 * dist.min(axis=3)
+    assert take_del.any() and not take_del.all()
 
     checked = 0
     step = 1e-5
-    for arr, grad in ((u, du), (v, dv)):
+    for which, grad in enumerate((du, dt)):
+        arr = (u, targets)[which]
+
+        def fn(x, which=which):
+            args = [u, targets]
+            args[which] = x
+            return multi_value(*args, slots, head, seed)
+
         for _ in range(15):
             idx = np.unravel_index(rng.integers(0, arr.size), arr.shape)
-            keep = arr[idx]
-            arr[idx] = keep + step
-            up = hed(u, v, head).value
-            arr[idx] = keep - step
-            down = hed(u, v, head).value
-            arr[idx] = keep
-            fd = (up - down) / (2 * step)
-            assert rel_error(fd, grad[idx]) < 1e-4, (idx, fd, grad[idx])
+            fd = central_diff(fn, arr, idx, step)
+            assert rel_error(fd, grad[idx]) < 1e-4, (which, idx, fd, grad[idx])
             checked += 1
     for name, arr in head.named_tensors():
         for _ in range(5):
             idx = np.unravel_index(rng.integers(0, arr.size), arr.shape)
             keep = arr[idx]
             arr[idx] = keep + step
-            up = hed(u, v, head).value
+            up = multi_value(u, targets, slots, head, seed)
             arr[idx] = keep - step
-            down = hed(u, v, head).value
+            down = multi_value(u, targets, slots, head, seed)
             arr[idx] = keep
             fd = (up - down) / (2 * step)
             assert rel_error(fd, hg[name][idx]) < 1e-4, (name, idx)
@@ -196,24 +235,13 @@ def test_backward_matches_finite_differences():
     assert checked >= 50
 
 
-def test_backward_stale_assignments_rejected():
-    rng = np.random.default_rng(15)
-    u = rng.standard_normal((3, 4))
-    v = rng.standard_normal((3, 4))
-    head = ConstantCostHead(100.0)   # substitutions win everywhere
-    res = hed(u, v, head)
-    moved = v.copy()
-    moved[int(res.forward_assignment[0])] += 50.0   # breaks node 0's argmin
-    with pytest.raises(ValueError, match="stale"):
-        hed_backward(res, u, moved, head)
-
-
 def test_upstream_scales_gradients():
     rng = np.random.default_rng(16)
-    u = rng.standard_normal((3, 4))
-    v = rng.standard_normal((3, 4))
+    u = rng.standard_normal((2, 3, 4))
+    targets = rng.standard_normal((4, 4))
     head = ConstantCostHead(0.7)
-    res = hed(u, v, head)
-    du1, _, _ = hed_backward(res, u, v, head, upstream=1.0)
-    du3, _, _ = hed_backward(res, u, v, head, upstream=3.0)
+    seed = rng.standard_normal((2, 2))
+    _, du1, dt1, _ = multi_grads(u, targets, 2, head, seed)
+    _, du3, dt3, _ = multi_grads(u, targets, 2, head, 3.0 * seed)
     np.testing.assert_allclose(du3, 3.0 * du1, atol=1e-12)
+    np.testing.assert_allclose(dt3, 3.0 * dt1, atol=1e-12)

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from relviews import synth, training
+from relviews.encoder import EncoderConfig, init_params
 from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
 from relviews.hed import ConstantCostHead
-from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig,
-                              classify, init_proxy, proxy_anchor_loss, sinkhorn,
-                              update_proxies)
+from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
+                              proxy_anchor_loss, sinkhorn, update_proxies)
+from relviews.training import TrainConfig, TrainedModel
 from tests.conftest import rel_error
 
 
@@ -241,7 +245,13 @@ def test_anchor_domain_errors():
         proxy_anchor_loss(np.zeros((2, 3)), [0, 1], [0, 1], ProxyAnchorConfig())
 
 
-# ------------------------------------------------------------------ classify
+# ------------------------------------------- nearest-proxy classification
+
+def proxy_model(proxies, head, hidden_dim=6, in_dim=8):
+    cfg = TrainConfig(encoder=EncoderConfig(heads_per_layer=1, hidden_dim=hidden_dim))
+    return TrainedModel(cfg, in_dim, init_params(cfg.encoder, in_dim, seed=0), head,
+                        proxies=proxies)
+
 
 def test_classify_exact_match_wins(rng):
     dim, slots = 6, 4
@@ -250,29 +260,26 @@ def test_classify_exact_match_wins(rng):
         nodes = rng.standard_normal((slots, dim)) * (cid + 1)
         edges = rng.standard_normal((num_pairs(slots), dim))
         protos[cid] = ProxyGraph(cid, nodes, edges)
-    g = protos[1].as_view_graph()
-    assert classify(g, protos, ConstantCostHead(10.0)) == 1
+    dist = proxy_model(protos, ConstantCostHead(10.0)).distances(protos[1].as_view_graph())
+    assert dist[1] == 0.0 and int(np.argmin(dist)) == 1
 
 
-def test_classify_tие_breaks_to_lowest_id():
-    nodes = np.zeros((2, 3))
-    edges = np.zeros((1, 3))
-    protos = {2: ProxyGraph(2, nodes, edges), 5: ProxyGraph(5, nodes, edges)}
-    g = ViewGraph(nodes.copy(), edges.copy())
-    assert classify(g, protos, ConstantCostHead(1.0)) == 2
+def test_classify_ties_break_to_lowest_id():
+    # instances have 4 local views + the global one; identical proxies for 2 and 5
+    nodes = np.zeros((5, 4))
+    edges = np.zeros((num_pairs(5), 4))
+    model = proxy_model({5: ProxyGraph(5, nodes, edges), 2: ProxyGraph(2, nodes, edges)},
+                        ConstantCostHead(1.0), hidden_dim=4)
+    ds = synth.generate(synth.SynthConfig(num_classes=2, instances_per_class=3,
+                                          views_per_instance=4, feature_dim=8,
+                                          concept_count_per_class=2))
+    srg = training.encode_dataset(model, ds)[0]
+    assert model.distances(srg)[0] == model.distances(srg)[1]
 
-
-def test_classify_argmin_invariance(rng):
-    # applying a strictly increasing transform to distances keeps the argmin
-    table = rng.random((10, 4))
-    assert np.array_equal(np.argmin(table, axis=1),
-                          np.argmin(np.exp(3 * table) + 1, axis=1))
-
-
-def test_classify_requires_proxies():
-    g = ViewGraph(np.zeros((2, 3)), np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        classify(g, {}, ConstantCostHead(1.0))
+    def relabel(label):
+        return replace(ds, instances=[replace(inst, label=label) for inst in ds.instances])
+    assert training.evaluate(model, relabel(2)) == 1.0
+    assert training.evaluate(model, relabel(5)) == 0.0
 
 
 def test_init_proxy_copies_graph(rng):

@@ -1,10 +1,16 @@
-"""Rejection paths of the run-configuration reader."""
+"""Rejection paths of the run-configuration reader and the one key table."""
 import re
+from dataclasses import fields
 
 import pytest
 
+from relviews.complementarity import ComplementarityConfig
+from relviews.encoder import EncoderConfig
 from relviews.errors import ConfigError
+from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.runconfig import load_config, parse_config_text
+from relviews.synth import SynthConfig
+from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig
 
 
 @pytest.mark.parametrize("text, message", [
@@ -14,7 +20,7 @@ from relviews.runconfig import load_config, parse_config_text
     ("synth.noise_model = gaussian\n", "synth.noise_model: unknown noise model 'gaussian'"),
 ])
 def test_bad_values_name_the_key(text, message):
-    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+    with pytest.raises(ConfigError, match="^" + re.escape("run.cfg:1: " + message)):
         parse_config_text(text, source="run.cfg")
 
 
@@ -43,3 +49,17 @@ def test_valid_values_reach_the_configs():
     assert run.train.comp.normalize_embeddings is False
     assert run.train.epochs == 7
     assert run.synth.noise_model.value == "outside_global_fraction"
+
+
+@pytest.mark.parametrize("part, cls", [
+    ("synth", SynthConfig), ("encoder", EncoderConfig), ("sinkhorn", SinkhornConfig),
+    ("anchor", ProxyAnchorConfig), ("comp", ComplementarityConfig),
+    ("ablations", AblationConfig), ("train", TrainConfig),
+])
+def test_every_config_field_has_exactly_one_key(part, cls):
+    components = ("encoder", "sinkhorn", "anchor", "comp", "ablations")
+    names = [f.name for f in fields(cls) if cls is not TrainConfig or f.name not in components]
+    keyed = [attr for owner, attr, _ in CONFIG_KEYS.values() if owner == part]
+    assert sorted(keyed) == sorted(names)
+    assert len(set(keyed)) == len(keyed)
+

@@ -6,9 +6,12 @@ import pytest
 
 from relviews import encoder as enc
 from relviews import synth, training
+from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
 from relviews.graphs import ViewGraph, num_pairs
-from relviews.training import AblationConfig, TrainConfig, TrainedModel
+from relviews.hed import CostHead
+from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
+from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
 
 TINY_SYNTH = synth.SynthConfig(num_classes=3, instances_per_class=20, views_per_instance=4,
                                feature_dim=8, concept_count_per_class=2, seed=0)
@@ -118,3 +121,100 @@ def test_sweeps_test_on_held_out_instances_of_the_same_classes():
     assert rows[0]["accuracy"] >= 0.9
     (depth_row,) = training.sweep_depth(TINY_TRAIN, TINY_SYNTH, [2])
     assert depth_row["accuracy"] >= 0.9
+
+
+def test_save_load_round_trips_every_checkpoint_key(tmp_path):
+    cfg = TrainConfig(
+        encoder=EncoderConfig(num_layers=1, heads_per_layer=2, hidden_dim=4, leaky_slope=0.3,
+                              edge_update=False, norm_eps=1e-4),
+        sinkhorn=SinkhornConfig(entropic_regularizer=0.1, max_iters=50, marginal_tol=1e-5),
+        anchor=ProxyAnchorConfig(margin=0.2, scale=16.0),
+        comp=ComplementarityConfig(weight_cap=100.0, normalize_embeddings=False),
+        ablations=AblationConfig(use_complementarity_graph=False, proxy_as_graph=False,
+                                 transitivity_recovery=False),
+        epochs=3, learning_rate=0.01, lr_decay=0.5, lr_decay_every=7, weight_decay=1e-3,
+        batch_size=5, proxy_momentum=0.8, cost_head_hidden=3, seed=9)
+    written, default = format_config(cfg), format_config(TrainConfig())
+    assert written.keys() == default.keys() and len(written) == 25
+    assert all(written[key] != default[key] for key in written)
+    model = TrainedModel(cfg, 6, init_params(cfg.encoder, 6, seed=1), CostHead(4, 3, seed=2),
+                         proxy_vectors={0: np.arange(4.0), 3: -np.arange(4.0)})
+    model.save(tmp_path / "a.ckpt")
+    loaded = TrainedModel.load(tmp_path / "a.ckpt")
+    assert loaded.config == cfg and loaded.in_dim == 6
+    loaded.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+# Written by the first checkpoint writer, `relviews-checkpoint 1`.
+V1_CHECKPOINT = """\
+relviews-checkpoint 1
+config in_dim=2
+config encoder.layers=1
+config encoder.heads=1
+config encoder.hidden_dim=2
+config encoder.leaky_slope=0.2
+config encoder.edge_update=true
+config encoder.norm_eps=1e-05
+config sinkhorn.epsilon=0.05
+config sinkhorn.max_iters=1000
+config sinkhorn.tol=1e-06
+config anchor.margin=0.1
+config anchor.scale=32.0
+config comp.weight_cap=10000.0
+config comp.normalize=true
+config train.epochs=3
+config train.lr=0.005
+config train.lr_decay=0.1
+config train.lr_decay_every=100
+config train.weight_decay=0.0005
+config train.batch_size=8
+config train.proxy_momentum=0.9
+config train.cost_hidden=1
+config train.seed=7
+config ablate.cg=true
+config ablate.pd=true
+config ablate.tr=true
+tensor layer0.head0.W 2,2
+0.17999999999999999 0.56000000000000005 0.39000000000000001 -0.39000000000000001
+tensor layer0.head0.a 6
+-0.16 0.31 -0.40000000000000002 0.26000000000000001 0.23999999999999999 -0.029999999999999999
+tensor layer0.head0.P 2,2
+-0.28000000000000003 -0.31 -0.34999999999999998 -0.080000000000000002
+tensor layer0.edge_update 6,2
+0 0.040000000000000001 0.40000000000000002 0.23999999999999999 0.10000000000000001 \
+0.40000000000000002 -0.23000000000000001 -0.28000000000000003 0.089999999999999997 -0.37 -0.38 0.01
+tensor cost.W1 2,1
+-0.23999999999999999 0.68999999999999995
+tensor cost.b1 1
+0
+tensor cost.w2 1,1
+-0.35999999999999999
+tensor cost.b2 1
+0
+tensor proxy0.nodes 3,2
+0.5 -0.25 1 0 0 1.5
+tensor proxy0.edges 3,2
+0.10000000000000001 0.20000000000000001 0.29999999999999999 0.40000000000000002 0.5 \
+0.59999999999999998
+tensor proxy1.nodes 3,2
+-0.5 0.25 2 1 1 -1.5
+tensor proxy1.edges 3,2
+0 0 1 1 2 2
+"""
+
+
+def test_v1_checkpoint_text_still_loads_and_writes_back_unchanged(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_CHECKPOINT)
+    model = TrainedModel.load(path)
+    assert model.in_dim == 2
+    assert model.config == TrainConfig(
+        encoder=EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=2),
+        cost_head_hidden=1, epochs=3, seed=7)
+    assert np.array_equal(model.proxies[1].node_centroids, [[-0.5, 0.25], [2, 1], [1, -1.5]])
+    assert model.cost_head.W1[1, 0] == 0.69
+    distances = model.distances(model.proxies[0].as_view_graph())
+    assert distances[0] == 0.0 < distances[1]
+    model.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_text() == V1_CHECKPOINT
