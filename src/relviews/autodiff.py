@@ -233,18 +233,17 @@ def leaky_relu(a: Var, slope: float) -> Var:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    p = x >= 0
-    out[p] = 1.0 / (1.0 + np.exp(-x[p]))
-    ex = np.exp(x[~p])
-    out[~p] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) <= 1, so neither branch overflows
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softplus(a: Var) -> Var:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
     def bk(g):
         return (g * _sigmoid(a.value),)
-    return _node(np.logaddexp(0.0, a.value), (a,), bk)
+    x = a.value
+    return _node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), (a,), bk)
 
 
 def l2norm_last(a: Var) -> Var:

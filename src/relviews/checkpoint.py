@@ -4,10 +4,10 @@ Layout: a version line, one `config` line per key=value pair, then per
 tensor a `tensor <name> <dim0,dim1,...>` line followed by one line of
 space-separated values at 17 significant digits (bit-comparable float64
 round trips). Tensor order is fixed by the writer and preserved on read.
-Every malformed line raises a ConfigError that names the file and, for a
-tensor, the tensor. The config keys and their value parsers are defined
-once, in `training.CONFIG_KEYS`; `TrainedModel.save`/`load` write and
-check them.
+Every malformed or repeated line raises a ConfigError that names the file
+and, for a config key or a tensor, the key or the tensor. The config keys
+and their value parsers are defined once, in `training.CONFIG_KEYS`;
+`TrainedModel.save`/`load` write and check them.
 """
 from __future__ import annotations
 
@@ -41,15 +41,21 @@ def read_checkpoint(path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]
         raise ConfigError(f"not a checkpoint file: {path}")
     config: dict[str, str] = {}
     tensors: list[tuple[str, np.ndarray]] = []
+    names: set[str] = set()
     i = 1
     while i < len(lines):
         line = lines[i]
         if line.startswith("config "):
             key, _, value = line[len("config "):].partition("=")
+            if key in config:
+                raise ConfigError(f"{path}: duplicate config key {key!r}")
             config[key] = value
             i += 1
         elif line.startswith("tensor "):
             name, _, dims = line[len("tensor "):].partition(" ")
+            if name in names:
+                raise ConfigError(f"{path}: duplicate tensor {name}")
+            names.add(name)
             if i + 1 >= len(lines):
                 raise ConfigError(f"{path}: truncated tensor {name}")
             if not re.fullmatch(r"\d+(,\d+)*", dims):

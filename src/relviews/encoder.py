@@ -18,6 +18,14 @@ per stored tensor, and the attention coefficients as one (B, H, N, N) array
 per layer: graph b's coefficients are `[layer][b]`, indexed `[head]`.
 After a backward pass from the outputs, `EncoderTape.accumulate` adds the
 leaf gradients into the parameters' per-head gradient buffers.
+
+The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
+it is computed in factored form. A head's edge logit (e P) a_edge is taken
+as e (P a_edge): P a_edge is one small product per layer, and each edge
+needs one dot product. The edge update, [z_i || z_j || e] U averaged over
+both endpoint orders, is S_i + S_j + e U_edge with U's row blocks U_src,
+U_dst, U_edge and S = h (U_src + U_dst) / 2, a node-level product gathered
+at both endpoints. Both agree with the unfactored forms up to rounding.
 """
 from __future__ import annotations
 
@@ -61,7 +69,9 @@ class LayerParams:
     norm_mean_scale: np.ndarray | None = None   # (hidden_dim,)
     norm_scale: np.ndarray | None = None
     norm_shift: np.ndarray | None = None
-    edge_U: np.ndarray | None = None     # (2*hidden_dim + edge_in, hidden_dim)
+    # (2*hidden_dim + edge_in, hidden_dim); row blocks U_src, U_dst, U_edge
+    # weigh the source node, the target node and the edge
+    edge_U: np.ndarray | None = None
 
 
 @dataclass
@@ -248,8 +258,8 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
                        (heads, head_dim, 1)) for part in range(3))
         s = ad.matmul(Wh, a_src)                                     # (B, H, N, 1)
         t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))       # (B, H, 1, N)
-        eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
-        u_pair = ad.matmul(eP, a_edge)                               # (B, H, M, 1)
+        pa = ad.matmul(pv["P"], a_edge)                              # (H, d_e, 1)
+        u_pair = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pa)  # (B, H, M, 1)
         u_mat = ad.reshape(ad.take(u_pair, consts.pair_gather, axis=2),
                            (b, heads, n, n)) * consts.offdiag
         logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
@@ -269,13 +279,17 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
             raise NumericError(f"non-finite node features after layer {li}")
 
         if updates:
-            zi = ad.take(h, consts.idx_i, axis=1)
-            zj = ad.take(h, consts.idx_j, axis=1)
-            # averaged over both endpoint orders so the update is well defined
-            # on unordered pairs (keeps permutation equivariance)
-            fwd_ord = ad.matmul(ad.concat([zi, zj, e], axis=2), pv["edge_U"])
-            rev_ord = ad.matmul(ad.concat([zj, zi, e], axis=2), pv["edge_U"])
-            e = ad.softplus((fwd_ord + rev_ord) * 0.5)
+            # [z_i || z_j || e] U averaged over both endpoint orders, so the
+            # update is well defined on unordered pairs (keeps permutation
+            # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
+            # Each row of U is taken once, so its gradient is exact.
+            hd = cfg.hidden_dim
+            u_src, u_dst, u_edge = (
+                ad.take(pv["edge_U"], np.arange(lo, hi), axis=0)
+                for lo, hi in ((0, hd), (hd, 2 * hd), (2 * hd, 2 * hd + edge_in)))
+            S = ad.matmul(h, (u_src + u_dst) * 0.5)                  # (B, N, hidden)
+            e = ad.softplus(ad.take(S, consts.idx_i, axis=1) + ad.take(S, consts.idx_j, axis=1)
+                            + ad.matmul(e, u_edge))
             if not np.isfinite(e.value).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 

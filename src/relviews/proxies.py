@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import ViewGraph, num_pairs, pair_list
+from .graphs import ViewGraph, num_pairs, pair_rows, upper_pairs
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,20 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
     nodes = np.vstack([g.node_features for g in batch])          # (B*n, d)
     m = nodes.shape[0]
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
-    global_rows = np.array([bi * n + g.global_index for bi, g in enumerate(batch)])
-    local_rows = np.setdiff1d(np.arange(m), global_rows)
+    local = np.ones(m, dtype=bool)
+    local[[bi * n + g.global_index for bi, g in enumerate(batch)]] = False
     # the global rows are forced onto the global slot (cost 0 there, forbidden
     # elsewhere); their mass saturates that slot's marginal exactly, so the
     # equivalent reduced problem transports only the locals onto slots 1..
     plan = np.zeros((m, slots))
-    plan[global_rows, 0] = 1.0 / m
+    plan[~local, 0] = 1.0 / m
     with warnings.catch_warnings():
         # an EMA update only needs the achieved plan; leftover marginal
         # residual at the default tolerance is immaterial here
         warnings.simplefilter("ignore", RuntimeWarning)
-        reduced = sinkhorn(cost[np.ix_(local_rows, np.arange(1, slots))],
-                           np.full(local_rows.size, 1.0 / m),
+        reduced = sinkhorn(cost[local, 1:], np.full(m - len(batch), 1.0 / m),
                            np.full(slots - 1, 1.0 / slots), cfg).plan
-    plan[np.ix_(local_rows, np.arange(1, slots))] = reduced
+    plan[local, 1:] = reduced
 
     mass = plan.sum(axis=0)
     new_nodes = proxy.node_centroids.copy()
@@ -177,20 +176,18 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
     node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
 
-    # edge step: keys induced by the node plan's argmax slots
-    slot_of = plan.argmax(axis=1)
-    pairs = np.array(pair_list(n), dtype=np.intp)
+    # edge step: keys induced by the node plan's argmax slots. The batch's
+    # edge rows are stacked in graph order, so each key sums its rows in the
+    # order a per-graph loop would.
+    ends = plan.argmax(axis=1).reshape(len(batch), n)[:, upper_pairs(n)]   # (B, 2, M)
+    si, sj = ends[:, 0].ravel(), ends[:, 1].ravel()
+    valid = si != sj
+    lo = np.minimum(si, sj)[valid]
+    hi = np.maximum(si, sj)[valid]
+    keys = pair_rows(lo, hi, slots)
     sums = np.zeros_like(proxy.edge_centroids)
-    counts = np.zeros(num_pairs(slots))
-    for bi, g in enumerate(batch):
-        si = slot_of[bi * n + pairs[:, 0]]
-        sj = slot_of[bi * n + pairs[:, 1]]
-        valid = si != sj
-        lo = np.minimum(si, sj)[valid]
-        hi = np.maximum(si, sj)[valid]
-        keys = lo * (2 * slots - lo - 1) // 2 + (hi - lo - 1)
-        np.add.at(sums, keys, g.edge_features[valid])
-        np.add.at(counts, keys, 1.0)
+    np.add.at(sums, keys, np.vstack([g.edge_features for g in batch])[valid])
+    counts = np.bincount(keys, minlength=num_pairs(slots))
     new_edges = proxy.edge_centroids.copy()
     hit = counts > 0
     new_edges[hit] = sums[hit] / counts[hit, None]

@@ -1,4 +1,6 @@
 """Finite-difference checks for every tape primitive."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,34 @@ def test_elementwise_nonlinearities():
                [(7,)])
     check_grad(lambda vs: ad.vsum(ad.log(ad.square(vs[0]) + 1.5) + ad.sqrt(ad.square(vs[0]) + 1.0)),
                [(6,)])
+
+
+EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 800.0, -800.0])
+
+
+def test_softplus_matches_logaddexp_at_extremes():
+    x = np.concatenate([EXTREMES, np.random.default_rng(1).normal(scale=20.0, size=200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ad.softplus(ad.constant(x)).value
+    np.testing.assert_array_max_ulp(y, np.logaddexp(0.0, x), maxulp=2)
+
+
+def mask_sigmoid(x):
+    """Reference logistic function, each sign branch on its own elements."""
+    out = np.empty_like(x)
+    p = x >= 0
+    out[p] = 1.0 / (1.0 + np.exp(-x[p]))
+    ex = np.exp(x[~p])
+    out[~p] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_mask_form():
+    x = np.concatenate([EXTREMES, np.random.default_rng(2).normal(scale=20.0, size=200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ad._sigmoid(x), mask_sigmoid(x))
 
 
 def test_leaky_relu_slope():

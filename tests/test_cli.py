@@ -126,8 +126,12 @@ def trained(tiny, capsys):
      "encoder.layers: expected an integer, got 'two'"),
     (_splice("config train.seed=", ["config train.no_such_key=1"], count=0),
      "unknown config key 'train.no_such_key'"),
+    (_splice("config train.seed=", ["config train.seed=6"], offset=1, count=0),
+     "duplicate config key 'train.seed'"),
+    (_splice("tensor cost.b2 ", ["tensor cost.b2 1", "0"], offset=2, count=0),
+     "duplicate tensor cost.b2"),
 ], ids=["value_token", "dims", "proxy_edges", "cost_tensor", "proxy_shape", "proxy_width",
-        "missing_key", "bad_int", "unknown_key"])
+        "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")
@@ -146,3 +150,10 @@ def test_checkpoint_booleans_parse_like_run_configs(trained, capsys):
     assert training.TrainedModel.load(yes).config.ablations.use_complementarity_graph is True
     assert main(["eval", "--checkpoint", str(yes), "--data", str(data)]) == 0
     assert capsys.readouterr().out == expect
+
+
+def test_unreadable_checkpoint_exits_two(trained, capsys):
+    ckpt, data = trained
+    assert main(["eval", "--checkpoint", str(ckpt.parent), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt.parent) in err

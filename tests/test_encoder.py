@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relviews import autodiff as ad
 from relviews import checkpoint as ckpt
 from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
@@ -195,3 +196,78 @@ def test_forward_deterministic():
     (b,), _ = enc.forward(params, [g])
     assert np.array_equal(a.node_features, b.node_features)
     assert np.array_equal(a.edge_features, b.edge_features)
+
+
+def concat_forward(params, graphs):
+    """Reference encoder with the unfactored edge channel: edge logits from
+    (e P) a_edge and the edge update from both concatenated endpoint orders."""
+    cfg = params.config
+    n, b, heads = graphs[0].num_views, len(graphs), cfg.heads_per_layer
+    consts = enc._GraphConsts.get(n)
+    pvars = [{key: None if arr is None else ad.leaf(arr) for key, arr in vars(layer).items()}
+             for layer in params.layers]
+    h = ad.constant(np.stack([g.node_features for g in graphs]))
+    e = ad.constant(np.stack([g.edge_features for g in graphs]))
+    attention = []
+    for li, (node_in, head_dim, edge_in, updates) in enumerate(
+            enc._layer_dims(cfg, params.in_dim)):
+        pv = pvars[li]
+        Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])
+        a_src, a_dst, a_edge = (
+            ad.reshape(ad.take(pv["a"], np.arange(k * head_dim, (k + 1) * head_dim), axis=1),
+                       (heads, head_dim, 1)) for k in range(3))
+        s = ad.matmul(Wh, a_src)
+        t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))
+        eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
+        u_pair = ad.matmul(eP, a_edge)
+        u_mat = ad.reshape(ad.take(u_pair, consts.pair_gather, axis=2),
+                           (b, heads, n, n)) * consts.offdiag
+        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
+        ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * consts.offdiag
+        alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)
+        attention.append(alpha.value)
+        head_out = ad.matmul(alpha, Wh)
+        if li == cfg.num_layers - 1:
+            h = ad.vsum(head_out, axis=1) * (1.0 / heads)
+        else:
+            h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
+            h = enc._graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
+                               pv["norm_shift"], cfg.norm_eps)
+        if updates:
+            zi = ad.take(h, consts.idx_i, axis=1)
+            zj = ad.take(h, consts.idx_j, axis=1)
+            fwd_ord = ad.matmul(ad.concat([zi, zj, e], axis=2), pv["edge_U"])
+            rev_ord = ad.matmul(ad.concat([zj, zi, e], axis=2), pv["edge_U"])
+            e = ad.softplus((fwd_ord + rev_ord) * 0.5)
+    return enc.EncoderTape(params, pvars, h, e, attention)
+
+
+def assert_close_rel(actual, expect, rtol):
+    np.testing.assert_allclose(actual, expect, rtol=rtol, atol=rtol * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("cfg, in_dim", [
+    (EncoderConfig(), 32),
+    (EncoderConfig(num_layers=3), 32),
+    (EncoderConfig(edge_update=False), 32),
+    (EncoderConfig(num_layers=3, edge_update=False), 12),
+    (EncoderConfig(), 12),
+], ids=["default", "three_layers", "no_edge_update", "no_edge_update_narrow", "narrow_input"])
+def test_forward_and_gradients_match_concat_form(cfg, in_dim):
+    params = init_params(cfg, in_dim, seed=22)
+    graphs = [random_graph(6, in_dim, seed=23 + k) for k in range(3)]
+    rng = np.random.default_rng(24)
+    _, tape = enc.forward(params, graphs)
+    ref = concat_forward(params, graphs)
+    assert_close_rel(tape.node_out.value, ref.node_out.value, 1e-12)
+    assert_close_rel(tape.edge_out.value, ref.edge_out.value, 1e-12)
+    for alpha, alpha_ref in zip(tape.attention, ref.attention, strict=True):
+        assert_close_rel(alpha, alpha_ref, 1e-12)
+
+    node_g = rng.standard_normal(tape.node_out.shape)
+    edge_g = rng.standard_normal(tape.edge_out.shape)
+    grads = enc.backward(tape, node_g, edge_g)
+    ref_grads = enc.backward(ref, node_g, edge_g)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert_close_rel(g, ref_grads[name], 1e-10)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,66 @@ def test_update_contract_errors():
     with pytest.raises(ValueError):
         update_proxies(proxy, [graph_like(proxy, label=0), graph_like(proxy, label=1)],
                        scfg())
+
+
+def loop_update_proxies(proxy, batch, cfg, momentum):
+    """Reference update: the node step on index lists, the edge step one graph
+    at a time."""
+    slots, d, n = proxy.num_slots, proxy.node_centroids.shape[1], batch[0].num_views
+    nodes = np.vstack([g.node_features for g in batch])
+    m = nodes.shape[0]
+    cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
+    global_rows = np.array([bi * n + g.global_index for bi, g in enumerate(batch)])
+    local_rows = np.setdiff1d(np.arange(m), global_rows)
+    plan = np.zeros((m, slots))
+    plan[global_rows, 0] = 1.0 / m
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reduced = sinkhorn(cost[np.ix_(local_rows, np.arange(1, slots))],
+                           np.full(local_rows.size, 1.0 / m),
+                           np.full(slots - 1, 1.0 / slots), cfg).plan
+    plan[np.ix_(local_rows, np.arange(1, slots))] = reduced
+    mass = plan.sum(axis=0)
+    new_nodes = proxy.node_centroids.copy()
+    occupied = mass > 0
+    new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
+    node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
+
+    slot_of = plan.argmax(axis=1)
+    pairs = np.array(pair_list(n), dtype=np.intp)
+    sums = np.zeros_like(proxy.edge_centroids)
+    counts = np.zeros(num_pairs(slots))
+    for bi, g in enumerate(batch):
+        si = slot_of[bi * n + pairs[:, 0]]
+        sj = slot_of[bi * n + pairs[:, 1]]
+        valid = si != sj
+        lo = np.minimum(si, sj)[valid]
+        hi = np.maximum(si, sj)[valid]
+        keys = lo * (2 * slots - lo - 1) // 2 + (hi - lo - 1)
+        np.add.at(sums, keys, g.edge_features[valid])
+        np.add.at(counts, keys, 1.0)
+    new_edges = proxy.edge_centroids.copy()
+    hit = counts > 0
+    new_edges[hit] = sums[hit] / counts[hit, None]
+    edge_out = momentum * proxy.edge_centroids + (1.0 - momentum) * new_edges
+    return ProxyGraph(proxy.class_id, node_out, edge_out)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_update_equals_per_graph_loop(rng, momentum):
+    slots, dim = 5, 6
+    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)),
+                       rng.standard_normal((num_pairs(slots), dim)))
+    for trial in range(6):
+        batch = [ViewGraph(proxy.node_centroids + rng.standard_normal((slots, dim)),
+                           rng.standard_normal((num_pairs(slots), dim)),
+                           global_index=(trial + k) % slots, label=0)
+                 for k in range(4)]
+        out = update_proxies(proxy, batch, SinkhornConfig(), momentum=momentum)
+        ref = loop_update_proxies(proxy, batch, SinkhornConfig(), momentum)
+        assert np.array_equal(out.node_centroids, ref.node_centroids)
+        assert np.array_equal(out.edge_centroids, ref.edge_centroids)
+        proxy = out
 
 
 # --------------------------------------------------------------- anchor loss
