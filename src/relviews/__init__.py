@@ -3,18 +3,17 @@
 from .complementarity import ComplementarityConfig
 from .encoder import EncoderConfig, GatParams
 from .graphs import ExplanationSubgraph, ViewGraph, edge_weight, export_dot, induced_subgraph
-from .hed import ConstantCostHead, CostHead, HedResult, LinearCostHead, exact_ged, hed
+from .hed import CostHead, HedResult, hed
 from .proxies import ProxyAnchorConfig, ProxyGraph, SinkhornConfig, sinkhorn
 from .synth import NoiseModel, SynthConfig, SynthDataset, SynthInstance, generate
 from .training import AblationConfig, TrainConfig, TrainedModel, TrainReport, evaluate, train
 from .transitivity import TransitivityConfig
 
 __all__ = [
-    "AblationConfig", "ComplementarityConfig", "ConstantCostHead", "CostHead",
-    "EncoderConfig", "ExplanationSubgraph", "GatParams", "HedResult",
-    "LinearCostHead", "NoiseModel", "ProxyAnchorConfig", "ProxyGraph",
-    "SinkhornConfig", "SynthConfig", "SynthDataset", "SynthInstance",
-    "TrainConfig", "TrainReport", "TrainedModel", "TransitivityConfig",
-    "ViewGraph", "edge_weight", "evaluate", "exact_ged",
+    "AblationConfig", "ComplementarityConfig", "CostHead", "EncoderConfig",
+    "ExplanationSubgraph", "GatParams", "HedResult", "NoiseModel",
+    "ProxyAnchorConfig", "ProxyGraph", "SinkhornConfig", "SynthConfig",
+    "SynthDataset", "SynthInstance", "TrainConfig", "TrainReport", "TrainedModel",
+    "TransitivityConfig", "ViewGraph", "edge_weight", "evaluate",
     "export_dot", "generate", "hed", "induced_subgraph", "sinkhorn", "train",
 ]

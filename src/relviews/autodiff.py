@@ -257,14 +257,27 @@ def l2norm_last(a: Var) -> Var:
     return _node(val, (a,), bk)
 
 
-def pairwise_l2(u: Var, v: Var) -> Var:
+def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
     """All-pairs Euclidean distances, (..., m, d) x (p, d) -> (..., m, p).
 
     Exact forward via explicit differences; the backward uses the closed
     form dU = diag(W 1) u - W v with W = g / dist (0 where dist is 0).
+    With a boolean `where` shaped like the result, only the entries where
+    it is true are computed, gathered flat with the same arithmetic per
+    entry, and every other entry is +inf. Each computed entry is then
+    bit-identical to the full table's, and W = g / inf = 0 at the rest.
     """
-    diff = u.value[..., :, None, :] - v.value
-    val = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+    if where is None:
+        diff = u.value[..., :, None, :] - v.value
+        val = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+    else:
+        p, d = v.shape
+        flat = np.flatnonzero(where)
+        row, col = np.divmod(flat, p)
+        diff = np.take(u.value.reshape(-1, d), row, axis=0)
+        diff -= np.take(v.value, col, axis=0)
+        val = np.full(where.shape, np.inf)
+        np.put(val, flat, np.sqrt(np.square(diff, out=diff).sum(axis=-1)))
 
     def bk(g):
         w = np.where(val == 0.0, 0.0, g / np.where(val == 0.0, 1.0, val))

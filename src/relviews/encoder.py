@@ -298,26 +298,6 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
     return outs, EncoderTape(params, pvars, h, e, attention)
 
 
-def backward(tape: EncoderTape, node_grads: np.ndarray,
-             edge_grads: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Accumulate exact gradients into the tape's parameter buffers.
-
-    The upstream gradients are shaped like the batch outputs, (B, N, hidden)
-    and (B, N(N-1)/2, hidden). Returns this call's gradient per tensor name.
-    """
-    node_grads = np.asarray(node_grads, dtype=np.float64)
-    if node_grads.shape != tape.node_out.shape:
-        raise ValueError(f"node gradient shape {node_grads.shape} != {tape.node_out.shape}")
-    seeds = [(tape.node_out, node_grads)]
-    if edge_grads is not None:
-        edge_grads = np.asarray(edge_grads, dtype=np.float64)
-        if edge_grads.shape != tape.edge_out.shape:
-            raise ValueError(f"edge gradient shape {edge_grads.shape} != {tape.edge_out.shape}")
-        seeds.append((tape.edge_out, edge_grads))
-    ad.backward_from(seeds)
-    return tape.accumulate()
-
-
 def distinguishability(embeddings) -> float:
     """Mean L2 distance over all unordered pairs of node embeddings."""
     x = np.asarray(embeddings, dtype=np.float64)

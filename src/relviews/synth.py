@@ -199,6 +199,8 @@ def load(path) -> SynthDataset:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith(_HEADER):
         raise ConfigError(f"not a dataset file: {path}")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: dataset file has no records")
     fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
     cfg = SynthConfig(
         num_classes=int(fields["classes"]),

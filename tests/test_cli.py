@@ -157,3 +157,11 @@ def test_unreadable_checkpoint_exits_two(trained, capsys):
     assert main(["eval", "--checkpoint", str(ckpt.parent), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt.parent) in err
+
+
+def test_data_file_without_records_exits_two(trained, capsys):
+    ckpt, data = trained
+    empty = data.with_name("empty.txt")
+    empty.write_text(data.read_text().splitlines()[0] + "\n")
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: dataset file has no records\n"

@@ -5,10 +5,11 @@ from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
                               curve_csv, macs_at_k, macs_csv, random_explanation,
                               sparsity, top_k_explanation)
 from relviews.graphs import ExplanationSubgraph, ViewGraph, num_pairs, pair_list
-from relviews.hed import ConstantCostHead, CostHead, hed
+from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyGraph
 from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
                                    emergence_score)
+from tests.helpers import ConstantCostHead
 
 
 def weight_graph(w: np.ndarray, label=0) -> ViewGraph:

@@ -1,11 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from relviews import autodiff as ad
 from relviews.errors import ConfigError
-from relviews.hed import (ConstantCostHead, CostHead, LinearCostHead, exact_ged, hed,
-                          hed_values_multi)
+from relviews.hed import CostHead, hed, hed_values_multi
 from tests.conftest import central_diff, rel_error
+from tests.helpers import ConstantCostHead, LinearCostHead, exact_ged
+
+# the module, not the `relviews.hed` function the package exports
+hed_module = importlib.import_module("relviews.hed")
 
 
 def test_identical_graphs_zero_distance():
@@ -29,9 +34,7 @@ def test_single_pair_hand_computation():
 def test_single_node_against_empty_hand_computation():
     u = np.array([[3.0, 4.0]])
     head = ConstantCostHead(2.0)
-    # exact: delete u for cost 2, normalized by 1/(2*1)
-    assert exact_ged(u, np.zeros((0, 2)) if False else u * 0 + u, head) >= 0  # sanity
-    # one node vs one identical node: both zero
+    # one node vs one identical node: zero
     assert exact_ged(u, u.copy(), head) == 0.0
 
 
@@ -245,3 +248,125 @@ def test_upstream_scales_gradients():
     _, du3, dt3, _ = multi_grads(u, targets, 2, head, 3.0 * seed)
     np.testing.assert_allclose(du3, 3.0 * du1, atol=1e-12)
     np.testing.assert_allclose(dt3, 3.0 * dt1, atol=1e-12)
+
+
+# ------------------------------------------------------ screened distance table
+
+def assert_paths_equal(monkeypatch, u, targets, slots, head, seed):
+    """`multi_grads` agrees bit for bit with every table screened and with
+    every table full; returns the table."""
+    screened, full = [], []
+    for limit, out in ((0, screened), (np.inf, full)):
+        monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
+        out.extend(multi_grads(u, targets, slots, head, seed))
+    for a, b in zip(screened[:3], full[:3]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert screened[3].keys() == full[3].keys()
+    for name in full[3]:
+        assert np.array_equal(screened[3][name], full[3][name], equal_nan=True), name
+    return full[0]
+
+
+def screen_inputs():
+    """(name, instances (B, m, d), stacked targets (C*slots, d)) with ties and
+    near-ties that a loose screen would drop."""
+    rng = np.random.default_rng(20)
+    slots, d = 5, 6
+    base = rng.standard_normal((3 * slots, d))
+    # first-batch seeding: instances repeat slots exactly, distance 0
+    seeded = np.stack([base[rng.integers(0, 3 * slots, 4)] for _ in range(6)])
+    # a collapsed proxy: slots of each class 1e-15 apart around one point
+    collapsed = (np.repeat(base[::slots], slots, axis=0)
+                 + 1e-15 * rng.standard_normal((3 * slots, d)))
+    near = collapsed[rng.integers(0, 3 * slots, (6, 4))] + 1e-15 * rng.standard_normal((6, 4, d))
+    # slots one ulp from instance nodes, and ties between slots
+    ulp = np.nextafter(seeded, np.inf)
+    tied = base.copy()
+    tied[1] = tied[0]
+    tied[slots + 2] = np.nextafter(tied[slots], -np.inf)
+    # a common offset much larger than the spread: the Gram form cancels
+    offset = 1e6 + 1e-3 * rng.standard_normal((6, 4, d))
+    return [
+        ("seeded", seeded, base),
+        ("collapsed", near, collapsed),
+        ("one_ulp", seeded, np.nextafter(base, np.inf)),
+        ("one_ulp_instances", ulp, base),
+        ("tied_slots", tied[rng.integers(0, 3 * slots, (6, 4))], tied),
+        ("offset", offset, 1e6 + 1e-3 * rng.standard_normal((3 * slots, d))),
+        ("random", rng.standard_normal((6, 4, d)), base),
+    ]
+
+
+@pytest.mark.parametrize("u, targets", [pytest.param(u, t, id=name)
+                                         for name, u, t in screen_inputs()])
+def test_screened_table_and_gradients_equal_the_full_table(monkeypatch, u, targets):
+    head = CostHead(u.shape[-1], hidden=4, seed=21)
+    seed = np.random.default_rng(22).standard_normal((u.shape[0], 3))
+    assert_paths_equal(monkeypatch, u, targets, 5, head, seed)
+    # a head whose deletion never wins sends every gradient through the minima
+    table = assert_paths_equal(monkeypatch, u, targets, 5, ConstantCostHead(1e9), seed)
+    assert np.isfinite(table).all()
+
+
+def test_screen_keeps_every_minimum():
+    rng = np.random.default_rng(26)
+    # common offsets from none to far past the spread: the Gram error grows
+    # from nothing to many times the distances it screens
+    offsets = [(f"offset_{k}", 10.0 ** k + 1e-3 * rng.standard_normal((6, 4, 6)),
+                10.0 ** k + 1e-3 * rng.standard_normal((15, 6))) for k in range(9)]
+    for name, u, targets in screen_inputs() + offsets:
+        b, m, _ = u.shape
+        keep = hed_module._candidates(u, targets, 5)
+        dist = np.sqrt(np.square(u[:, :, None] - targets).sum(axis=-1)).reshape(b, m, 3, 5)
+        keep = keep.reshape(b, m, 3, 5)
+        at_row_min = dist == dist.min(axis=3, keepdims=True)
+        at_col_min = dist == dist.min(axis=1, keepdims=True)
+        assert keep[at_row_min | at_col_min].all(), name
+        if name == "random":
+            assert keep.mean() < 0.5    # the screen does drop entries
+
+
+def test_screen_keeps_nan_and_propagates_it(monkeypatch):
+    rng = np.random.default_rng(23)
+    u = rng.standard_normal((3, 4, 6))
+    targets = rng.standard_normal((10, 6))
+    u[1, 2, 3] = np.nan
+    assert hed_module._candidates(u, targets, 5).all()
+    seed = rng.standard_normal((3, 2))
+    table = assert_paths_equal(monkeypatch, u, targets, 5, ConstantCostHead(1e9), seed)
+    assert np.isnan(table[1]).all() and np.isfinite(table[[0, 2]]).all()
+    targets[7, 0] = np.nan
+    u[1, 2, 3] = 0.0
+    table = assert_paths_equal(monkeypatch, u, targets, 5, ConstantCostHead(1e9), seed)
+    assert np.isnan(table[:, 1]).all() and np.isfinite(table[:, 0]).all()
+
+
+@pytest.mark.parametrize("batch, expect_screen", [(1, False), (60, True)])
+def test_dispatch_on_table_size(monkeypatch, batch, expect_screen):
+    rng = np.random.default_rng(24)
+    slots = 8
+    u = rng.standard_normal((batch, slots, 5))
+    targets = rng.standard_normal((4 * slots, 5))
+    entries = batch * slots * 4 * slots
+    assert (entries >= hed_module.SCREEN_MIN_ENTRIES) == expect_screen
+    calls = []
+    screen = hed_module._candidates
+    monkeypatch.setattr(hed_module, "_candidates", lambda *a: calls.append(1) or screen(*a))
+    table = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
+                             CostHead(5, seed=25).bind(False))
+    assert len(calls) == expect_screen
+    monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", np.inf)
+    full = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
+                            CostHead(5, seed=25).bind(False))
+    assert np.array_equal(table.value, full.value)
+
+
+def test_multi_refuses_bad_targets():
+    head = ConstantCostHead(1.0).bind(False)
+    u = ad.constant(np.zeros((2, 3, 4)))
+    with pytest.raises(ConfigError, match="node dims differ"):
+        hed_values_multi(u, ad.constant(np.zeros((6, 5))), 3, head)
+    with pytest.raises(ValueError, match="slots"):
+        hed_values_multi(u, ad.constant(np.zeros((7, 4))), 3, head)
+    with pytest.raises(ValueError):
+        hed_values_multi(u, ad.constant(np.zeros((0, 4))), 3, head)

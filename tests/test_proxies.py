@@ -7,11 +7,11 @@ import pytest
 from relviews import synth, training
 from relviews.encoder import EncoderConfig, init_params
 from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
-from relviews.hed import ConstantCostHead
 from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
                               proxy_anchor_loss, sinkhorn, update_proxies)
 from relviews.training import TrainConfig, TrainedModel
 from tests.conftest import rel_error
+from tests.helpers import ConstantCostHead
 
 
 def scfg(**kw):

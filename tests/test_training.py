@@ -1,4 +1,5 @@
 """Batched encoder and trainer: equivalence, determinism and persistence."""
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
+from tests.helpers import encoder_backward
 
 TINY_SYNTH = synth.SynthConfig(num_classes=3, instances_per_class=20, views_per_instance=4,
                                feature_dim=8, concept_count_per_class=2, seed=0)
@@ -52,11 +54,11 @@ def test_batched_gradients_equal_sum_of_single_graph_gradients():
     rn = rng.standard_normal(tape.node_out.shape)
     re = rng.standard_normal(tape.edge_out.shape)
     params.zero_grads()
-    batched = enc.backward(tape, rn, re)
+    batched = encoder_backward(tape, rn, re)
     summed = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     for b, g in enumerate(graphs):
         _, one = enc.forward(params, [g])
-        for name, grad in enc.backward(one, rn[b:b + 1], re[b:b + 1]).items():
+        for name, grad in encoder_backward(one, rn[b:b + 1], re[b:b + 1]).items():
             summed[name] += grad
     for name, grad in batched.items():
         scale = np.abs(summed[name]).max()
@@ -111,6 +113,27 @@ def test_save_load_gives_identical_distances(tmp_path, ablations):
     for g, lg in zip(srgs, loaded_srgs):
         assert np.array_equal(g.node_features, lg.node_features)
         assert np.array_equal(model.distances(g), loaded.distances(lg))
+
+
+def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
+    # the screen must not change a loss, a parameter or a table entry; with the
+    # threshold at 0 every table is screened, at infinity every table is full
+    hed_module = importlib.import_module("relviews.hed")
+    train_ds, test_ds = tiny_split(noise_rate=0.5)
+    runs = []
+    for limit in (0, np.inf):
+        monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
+        report, model = training.train(train_ds, TINY_TRAIN, test_dataset=test_ds)
+        bound = model.cost_head.bind(False)
+        tables = [model.distance_table(tape.node_out, bound).value
+                  for _, tape in training._encoded_chunks(model, test_ds)]
+        runs.append((report, model, np.concatenate(tables)))
+    (rep_s, model_s, table_s), (rep_f, model_f, table_f) = runs
+    assert rep_s.epoch_losses == rep_f.epoch_losses
+    for (name, a), (_, b) in zip(model_s.params.named_tensors(), model_f.params.named_tensors()):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(table_s, table_f)
+    assert rep_s.final_test_accuracy == rep_f.final_test_accuracy
 
 
 def test_sweeps_test_on_held_out_instances_of_the_same_classes():
