@@ -3,9 +3,15 @@
 Deliberately not a general autodiff framework: only the vectorized ops the
 graph encoder, cost head, and edit-distance computations need. The encoder
 and the distance table work on stacks of same-size graphs, so `matmul`,
-`take`, `transpose` and the reductions accept leading batch axes. Values are
-float64 throughout; gradients are accumulated on leaf Vars created with
-``requires_grad=True``.
+`take`, `pair_matrix`, `transpose` and the reductions accept leading batch
+axes. Values are float64 throughout; gradients are accumulated on leaf Vars
+created with ``requires_grad=True``.
+
+A node's gradient is the first array handed to it, then the sum `grad + g`
+per further contribution, in tape order. No gradient is ever updated in
+place, so a backward fn may hand one array to several parents, or return a
+view of its upstream gradient, without a copy. `flat_views` packs parameter
+tensors into one buffer so optimizers and checks run once per buffer.
 """
 from __future__ import annotations
 
@@ -13,10 +19,23 @@ import numpy as np
 
 __all__ = [
     "Var", "constant", "leaf", "backward", "backward_from",
-    "matmul", "concat", "take", "reshape", "transpose", "vsum", "vmean",
+    "matmul", "concat", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
     "exp", "log", "sqrt", "square", "tanh", "leaky_relu", "softplus",
-    "l2norm_last", "pairwise_l2", "reduce_min", "where_select",
+    "l2norm_last", "pairwise_l2", "reduce_min", "where_select", "flat_views",
 ]
+
+
+def flat_views(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One contiguous float64 buffer holding `arrays` back to back, and one
+    view of it per array, shaped like that array."""
+    buf = np.empty(sum(arr.size for arr in arrays))
+    views, start = [], 0
+    for arr in arrays:
+        view = buf[start:start + arr.size].reshape(arr.shape)
+        view[...] = arr
+        views.append(view)
+        start += arr.size
+    return buf, views
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -155,14 +174,41 @@ def transpose(a: Var, axes) -> Var:
 
 
 def take(a: Var, idx, axis: int = 0) -> Var:
-    """Index along one axis. The backward scatters through a one-hot matmul,
-    so gradients of repeated indices add up."""
+    """Index along one axis with indices in [0, n).
+
+    The backward checks the indices: unique ones get `g` assigned into
+    zeros, which is exact; repeated ones scatter through a one-hot matmul,
+    so their gradients add up."""
     idx = np.asarray(idx, dtype=np.intp)
+    axis %= a.value.ndim
 
     def bk(g):
-        onehot = (idx[:, None] == np.arange(a.shape[axis])).astype(np.float64)
+        size = a.shape[axis]
+        if np.bincount(idx, minlength=size).max(initial=0) <= 1:
+            out = np.zeros(a.shape)
+            out[(slice(None),) * axis + (idx,)] = g
+            return (out,)
+        onehot = (idx[:, None] == np.arange(size)).astype(np.float64)
         return (np.moveaxis(np.moveaxis(g, axis, -1) @ onehot, -1, axis),)
     return _node(np.take(a.value, idx, axis=axis), (a,), bk)
+
+
+def pair_matrix(a: Var, idx_i: np.ndarray, idx_j: np.ndarray, n: int) -> Var:
+    """Symmetric (..., n, n) matrices with a zero diagonal from pair values.
+
+    `a` is (..., M, 1): one value per unordered pair (idx_i[r], idx_j[r]),
+    and the pairs list each of the M = n(n-1)/2 pairs of n nodes once. Entry
+    [i, j] and [j, i] both hold the pair's value; the backward is
+    g[i, j] + g[j, i]."""
+    assert a.shape[-2:] == (len(idx_i), 1), a.shape
+    vals = a.value[..., 0]
+    out = np.zeros(vals.shape[:-1] + (n, n))
+    out[..., idx_i, idx_j] = vals
+    out[..., idx_j, idx_i] = vals
+
+    def bk(g):
+        return ((g[..., idx_i, idx_j] + g[..., idx_j, idx_i])[..., None],)
+    return _node(out, (a,), bk)
 
 
 def vsum(a: Var, axis=None, keepdims=False) -> Var:
@@ -232,18 +278,20 @@ def leaky_relu(a: Var, slope: float) -> Var:
     return _node(np.where(pos, a.value, slope * a.value), (a,), bk)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) <= 1, so neither branch overflows
-    z = np.exp(-np.abs(x))
+def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Logistic function of x from z = exp(-|x|) <= 1, so neither branch overflows."""
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def softplus(a: Var) -> Var:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
-    def bk(g):
-        return (g * _sigmoid(a.value),)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow;
+    the backward's sigmoid reuses exp(-|x|)."""
     x = a.value
-    return _node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), (a,), bk)
+    z = np.exp(-np.abs(x))
+
+    def bk(g):
+        return (g * _sigmoid(x, z),)
+    return _node(np.maximum(x, 0.0) + np.log1p(z), (a,), bk)
 
 
 def l2norm_last(a: Var) -> Var:
@@ -348,11 +396,8 @@ def backward_from(seeds: list[tuple[Var, np.ndarray]]) -> None:
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
-            if p.grad is None:
-                # copy: a backward fn may hand the same array to two parents
-                p.grad = np.array(g)
-            else:
-                p.grad += g
+            # never in place: a backward fn may hand the same array to two parents
+            p.grad = g if p.grad is None else p.grad + g
 
 
 def backward(root: Var, seed=None) -> None:

@@ -30,12 +30,13 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _list_option(raw: str, option: str, parse) -> list:
+    """Comma-separated values of one option; a bad token is a ConfigError
+    that names the option."""
+    try:
+        return [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
+    except ValueError as err:
+        raise ConfigError(f"{option}: {err}") from None
 
 
 def cmd_generate(args) -> int:
@@ -92,9 +93,10 @@ def cmd_explain(args) -> int:
 
 def cmd_sweep_noise(args) -> int:
     run = load_config(args.config)
-    models = [NoiseModel(name) for name in args.models.split(",") if name.strip()]
-    rows = training.sweep_noise(run.train, run.synth, _float_list(args.eta_list),
-                                models, log=lambda msg: print(msg, file=sys.stderr))
+    models = _list_option(args.models, "--models", synth.parse_noise_model)
+    etas = _list_option(args.eta_list, "--eta-list", float)
+    rows = training.sweep_noise(run.train, run.synth, etas, models,
+                                log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.noise_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -102,7 +104,8 @@ def cmd_sweep_noise(args) -> int:
 
 def cmd_sweep_depth(args) -> int:
     run = load_config(args.config)
-    rows = training.sweep_depth(run.train, run.synth, _int_list(args.depth_list),
+    rows = training.sweep_depth(run.train, run.synth,
+                                _list_option(args.depth_list, "--depth-list", int),
                                 log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.depth_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -110,6 +113,7 @@ def cmd_sweep_depth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    ks = _list_option(args.top_k_list, "--top-k-list", int)
     model = training.TrainedModel.load(args.checkpoint)
     if not model.proxies:
         raise ConfigError("metrics need a checkpoint with graph proxies")
@@ -117,7 +121,6 @@ def cmd_metrics(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)
-    ks = _int_list(args.top_k_list)
     curve = ex.fidelity_sparsity_curve(srgs, model.proxies, model.cost_head, ks)
     _write_text(out / "fidelity_sparsity.csv", ex.curve_csv(curve))
     if args.macs:

@@ -12,17 +12,22 @@ layer once for the whole batch of B graphs, all heads fused: the heads'
 W, a and P are stored stacked on a leading head axis, so one broadcasting
 matmul computes every graph's and head's W h, and the attention is one
 (B, H, N, N) softmax. Every graph of the batch gets exactly the values a
-batch of one would give it. The returned tape holds the batch's output
-node and edge Vars, (B, N, hidden) and (B, N(N-1)/2, hidden), one leaf Var
-per stored tensor, and the attention coefficients as one (B, H, N, N) array
-per layer: graph b's coefficients are `[layer][b]`, indexed `[head]`.
-After a backward pass from the outputs, `EncoderTape.accumulate` adds the
-leaf gradients into the parameters' per-head gradient buffers.
+batch of one would give it. Every stored tensor is a view into the one
+flat `GatParams.buffer`, and its gradient a view into `grad_buffer`.
+
+The returned tape holds the batch's output node and edge Vars, (B, N,
+hidden) and (B, N(N-1)/2, hidden); per layer, one leaf Var per stored
+(head-stacked) tensor, keyed like the LayerParams fields; and the
+attention coefficients as one (B, H, N, N) array per layer: graph b's
+coefficients are `[layer][b]`, indexed `[head]`. After a backward pass
+from the outputs, `EncoderTape.accumulate` adds each leaf's gradient to
+its view of `grad_buffer`, one addition per stacked tensor.
 
 The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
 as e (P a_edge): P a_edge is one small product per layer, and each edge
-needs one dot product. The edge update, [z_i || z_j || e] U averaged over
+needs one dot product; `ad.pair_matrix` spreads the M edge logits into the
+symmetric (B, H, N, N) logit term. The edge update, [z_i || z_j || e] U averaged over
 both endpoint orders, is S_i + S_j + e U_edge with U's row blocks U_src,
 U_dst, U_edge and S = h (U_src + U_dst) / 2, a node-level product gathered
 at both endpoints. Both agree with the unfactored forms up to rounding.
@@ -76,10 +81,29 @@ class LayerParams:
 
 @dataclass
 class GatParams:
+    """Encoder tensors, all views into one contiguous float64 `buffer`.
+
+    `grad_buffer` has the same layout; `layer_grads` mirrors `layers` with
+    views into it (None where a layer has no such tensor), and `grads` names
+    the same memory per tensor, as `named_tensors` names the parameters."""
     config: EncoderConfig
     in_dim: int
     layers: list[LayerParams]
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
+    buffer: np.ndarray = field(init=False, repr=False)
+    grad_buffer: np.ndarray = field(init=False, repr=False)
+    layer_grads: list[dict[str, np.ndarray | None]] = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        slots = [(li, key) for li, layer in enumerate(self.layers)
+                 for key, arr in vars(layer).items() if arr is not None]
+        self.buffer, views = ad.flat_views([getattr(self.layers[li], key) for li, key in slots])
+        self.grad_buffer, grad_views = ad.flat_views([np.zeros(v.shape) for v in views])
+        self.layer_grads = [dict.fromkeys(vars(layer)) for layer in self.layers]
+        for (li, key), view, grad in zip(slots, views, grad_views):
+            setattr(self.layers[li], key, view)
+            self.layer_grads[li][key] = grad
+        self.grads = dict(_named(self.layer_grads))
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map.
@@ -97,10 +121,11 @@ class GatParams:
         raise ConfigError(f"unknown tensor {name}")
 
     def zero_grads(self) -> None:
-        for name, arr in self.named_tensors():
-            self.grads[name] = np.zeros_like(arr)
+        self.grad_buffer.fill(0.0)
 
     def check_finite(self) -> None:
+        if np.isfinite(self.buffer).all():
+            return
         for name, arr in self.named_tensors():
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite parameter tensor {name}")
@@ -159,9 +184,7 @@ def init_params(cfg: EncoderConfig, in_dim: int, seed: int = 0) -> GatParams:
             layer.edge_U = u((2 * cfg.hidden_dim + edge_in, cfg.hidden_dim),
                              2 * cfg.hidden_dim + edge_in)
         layers.append(layer)
-    params = GatParams(cfg, in_dim, layers)
-    params.zero_grads()
-    return params
+    return GatParams(cfg, in_dim, layers)
 
 
 class _GraphConsts:
@@ -173,11 +196,6 @@ class _GraphConsts:
         pairs = pair_list(n)
         self.idx_i = np.array([i for i, _ in pairs], dtype=np.intp)
         self.idx_j = np.array([j for _, j in pairs], dtype=np.intp)
-        gather = np.zeros((n, n), dtype=np.intp)
-        for r, (i, j) in enumerate(pairs):
-            gather[i, j] = r
-            gather[j, i] = r
-        self.pair_gather = gather.ravel()
         self.offdiag = 1.0 - np.eye(n)
         self.diag_neg = np.where(np.eye(n) > 0, _NEG, 0.0)
 
@@ -197,16 +215,13 @@ class EncoderTape:
     edge_out: Var                        # (B, N(N-1)/2, hidden)
     attention: list[np.ndarray]          # per layer: (B, H, N, N)
 
-    def accumulate(self) -> dict[str, np.ndarray]:
-        """Add the leaf gradients of a finished backward pass to params.grads;
-        returns them by tensor name."""
-        grads = [{key: (None if v is None else
-                        v.grad if v.grad is not None else np.zeros_like(v.value))
-                  for key, v in layer.items()} for layer in self.param_vars]
-        named = _named(grads)
-        for name, g in named:
-            self.params.grads[name] += g
-        return dict(named)
+    def accumulate(self) -> None:
+        """Add the leaf gradients of a finished backward pass to the
+        parameters' gradient buffer, one addition per stacked tensor."""
+        for pv, grads in zip(self.param_vars, self.params.layer_grads):
+            for key, v in pv.items():
+                if v is not None and v.grad is not None:
+                    grads[key] += v.grad
 
 
 def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> Var:
@@ -260,8 +275,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
         t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))       # (B, H, 1, N)
         pa = ad.matmul(pv["P"], a_edge)                              # (H, d_e, 1)
         u_pair = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pa)  # (B, H, M, 1)
-        u_mat = ad.reshape(ad.take(u_pair, consts.pair_gather, axis=2),
-                           (b, heads, n, n)) * consts.offdiag
+        u_mat = ad.pair_matrix(u_pair, consts.idx_i, consts.idx_j, n)  # (B, H, N, N)
         logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
         rowmax = logits.value.max(axis=-1, keepdims=True)            # detached shift
         ex = ad.exp(logits - rowmax) * consts.offdiag

@@ -51,7 +51,10 @@ _TINY = np.finfo(np.float64).tiny
 # ---------------------------------------------------------------- cost heads
 
 class CostHead:
-    """One-hidden-layer MLP to a scalar, softplus output so costs are >= 0."""
+    """One-hidden-layer MLP to a scalar, softplus output so costs are >= 0.
+
+    W1, b1, w2 and b2 are views into one float64 `buffer`; `grads` holds
+    views of the same layout into `grad_buffer`."""
 
     def __init__(self, in_dim: int, hidden: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -61,12 +64,10 @@ class CostHead:
 
         self.in_dim = in_dim
         self.hidden = hidden
-        self.W1 = u((in_dim, hidden), in_dim)
-        self.b1 = np.zeros(hidden)
-        self.w2 = u((hidden, 1), hidden)
-        self.b2 = np.zeros(1)
-        self.grads: dict[str, np.ndarray] = {}
-        self.zero_grads()
+        init = [u((in_dim, hidden), in_dim), np.zeros(hidden), u((hidden, 1), hidden), np.zeros(1)]
+        self.buffer, (self.W1, self.b1, self.w2, self.b2) = ad.flat_views(init)
+        self.grad_buffer, grads = ad.flat_views([np.zeros(t.shape) for t in init])
+        self.grads = {name: g for (name, _), g in zip(self.named_tensors(), grads)}
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [("cost.W1", self.W1), ("cost.b1", self.b1),
@@ -82,8 +83,7 @@ class CostHead:
         raise ConfigError(f"unknown tensor {name}")
 
     def zero_grads(self) -> None:
-        for name, arr in self.named_tensors():
-            self.grads[name] = np.zeros_like(arr)
+        self.grad_buffer.fill(0.0)
 
     def bind(self, want_grad: bool = False) -> "_BoundMlpHead":
         return _BoundMlpHead(self, want_grad)

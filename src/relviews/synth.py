@@ -25,6 +25,14 @@ class NoiseModel(str, enum.Enum):
     CAUSAL_INTERVENTION = "causal_intervention"
 
 
+def parse_noise_model(raw: str) -> NoiseModel:
+    try:
+        return NoiseModel(raw)
+    except ValueError:
+        names = ", ".join(m.value for m in NoiseModel)
+        raise ConfigError(f"unknown noise model {raw!r} (one of: {names})") from None
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     num_classes: int = 4
@@ -175,16 +183,23 @@ def split_dataset(ds: SynthDataset, test_fraction: float
 
 _HEADER = "relviews-synth 1"
 
+# Header key -> (SynthConfig field, parser, formatter), in the order `save`
+# writes them.
+_HEADER_KEYS = {
+    "classes": ("num_classes", int, str), "per_class": ("instances_per_class", int, str),
+    "views": ("views_per_instance", int, str), "dim": ("feature_dim", int, str),
+    "eta": ("noise_rate", float, "{:.9g}".format),
+    "model": ("noise_model", parse_noise_model, lambda model: model.value),
+    "concepts": ("concept_count_per_class", int, str),
+    "sigma": ("noise_scale", float, "{:.9g}".format), "seed": ("seed", int, str),
+}
+
 
 def save(ds: SynthDataset, path) -> None:
     """Line-oriented text format, 9 significant digits, LF endings."""
     cfg = ds.config
-    lines = [
-        f"{_HEADER} classes={cfg.num_classes} per_class={cfg.instances_per_class} "
-        f"views={cfg.views_per_instance} dim={cfg.feature_dim} eta={cfg.noise_rate:.9g} "
-        f"model={cfg.noise_model.value} concepts={cfg.concept_count_per_class} "
-        f"sigma={cfg.noise_scale:.9g} seed={cfg.seed}"
-    ]
+    lines = [" ".join([_HEADER] + [f"{key}={fmt(getattr(cfg, attr))}"
+                                   for key, (attr, _, fmt) in _HEADER_KEYS.items()])]
     for inst in ds.instances:
         bits = "".join("1" if b else "0" for b in inst.clean_mask)
         src = " ".join(str(int(s)) for s in inst.source_class_per_view)
@@ -194,37 +209,50 @@ def save(ds: SynthDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_header(line: str) -> SynthConfig:
+    fields = {}
+    for tok in line.split()[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ConfigError(f"header token {tok!r} is not key=value")
+        fields[key] = value
+    for key in _HEADER_KEYS:
+        if key not in fields:
+            raise ConfigError(f"missing header key {key!r}")
+    return SynthConfig(**{attr: parse(fields[key])
+                          for key, (attr, parse, _) in _HEADER_KEYS.items()})
+
+
+def _parse_record(line: str, k: int, n: int) -> SynthInstance:
+    toks = line.split()
+    expect = 2 + k + (k + 1) * n
+    if len(toks) != expect:
+        raise ConfigError(f"malformed record: expected {expect} tokens, got {len(toks)}")
+    label = int(toks[0])
+    mask = np.array([ch == "1" for ch in toks[1]], dtype=bool)
+    if mask.shape[0] != k:
+        raise ConfigError("clean mask length does not match view count")
+    src = np.array([int(t) for t in toks[2:2 + k]], dtype=int)
+    emb = np.array([float(t) for t in toks[2 + k:]]).reshape(k + 1, n)
+    return SynthInstance(label, emb[0], emb[1:], mask, src)
+
+
 def load(path) -> SynthDataset:
+    """Read a `save` file; every malformed line raises a ConfigError that
+    names the file and the line."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(_HEADER):
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith(_HEADER):
         raise ConfigError(f"not a dataset file: {path}")
     if len(lines) == 1:
         raise ConfigError(f"{path}: dataset file has no records")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    cfg = SynthConfig(
-        num_classes=int(fields["classes"]),
-        instances_per_class=int(fields["per_class"]),
-        views_per_instance=int(fields["views"]),
-        feature_dim=int(fields["dim"]),
-        noise_rate=float(fields["eta"]),
-        noise_model=NoiseModel(fields["model"]),
-        concept_count_per_class=int(fields["concepts"]),
-        noise_scale=float(fields["sigma"]),
-        seed=int(fields["seed"]),
-    )
-    k, n = cfg.views_per_instance, cfg.feature_dim
-    instances = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        expect = 2 + k + (k + 1) * n
-        if len(toks) != expect:
-            raise ConfigError(f"malformed record: expected {expect} tokens, got {len(toks)}")
-        label = int(toks[0])
-        mask = np.array([ch == "1" for ch in toks[1]], dtype=bool)
-        if mask.shape[0] != k:
-            raise ConfigError("clean mask length does not match view count")
-        src = np.array([int(t) for t in toks[2:2 + k]], dtype=int)
-        emb = np.array([float(t) for t in toks[2 + k:]]).reshape(k + 1, n)
-        instances.append(SynthInstance(label, emb[0], emb[1:], mask, src))
+    no, line = lines[0]
+    try:
+        cfg = _parse_header(line)
+        k, n = cfg.views_per_instance, cfg.feature_dim
+        instances = []
+        for no, line in lines[1:]:
+            instances.append(_parse_record(line, k, n))
+    except ValueError as err:
+        raise ConfigError(f"{path}: line {no}: {err}") from None
     return SynthDataset(cfg, instances)

@@ -29,7 +29,7 @@ from .graphs import ViewGraph
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
                       proxy_anchor_loss, update_proxies)
-from .synth import NoiseModel, SynthConfig, SynthDataset, generate, split_dataset
+from .synth import SynthConfig, SynthDataset, generate, parse_noise_model, split_dataset
 
 # Share of each generated dataset the sweeps hold out for testing.
 SWEEP_TEST_FRACTION = 0.2
@@ -94,14 +94,6 @@ def _parse_float(raw: str) -> float:
         raise ConfigError(f"expected a number, got {raw!r}") from None
 
 
-def _parse_model(raw: str) -> NoiseModel:
-    try:
-        return NoiseModel(raw)
-    except ValueError:
-        names = ", ".join(m.value for m in NoiseModel)
-        raise ConfigError(f"unknown noise model {raw!r} (one of: {names})") from None
-
-
 # The one schema of run-config and checkpoint keys: key -> (component,
 # dataclass field, parser). "train" names TrainConfig's own scalars; every
 # other component but "synth" is the TrainConfig field of that name.
@@ -111,7 +103,7 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "synth.views": ("synth", "views_per_instance", _parse_int),
     "synth.dim": ("synth", "feature_dim", _parse_int),
     "synth.eta": ("synth", "noise_rate", _parse_float),
-    "synth.noise_model": ("synth", "noise_model", _parse_model),
+    "synth.noise_model": ("synth", "noise_model", parse_noise_model),
     "synth.concepts_per_class": ("synth", "concept_count_per_class", _parse_int),
     "synth.sigma": ("synth", "noise_scale", _parse_float),
     "synth.seed": ("synth", "seed", _parse_int),
@@ -290,29 +282,33 @@ class TrainedModel:
 
 
 class Adam:
-    """Adam with L2 weight decay folded into the gradient (betas 0.9/0.999)."""
+    """Adam with L2 weight decay folded into the gradient (betas 0.9/0.999).
 
-    def __init__(self, named_arrays: list[tuple[str, np.ndarray]],
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.arrays = named_arrays
+    Works on flat parameter buffers, such as `GatParams.buffer` and
+    `CostHead.buffer`, and updates each buffer in place with one
+    elementwise pass per `step`; the gradients come as buffers of the same
+    layout, in the same order."""
+
+    def __init__(self, buffers: list[np.ndarray], weight_decay: float = 0.0,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.buffers = buffers
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {name: np.zeros_like(arr) for name, arr in named_arrays}
-        self.v = {name: np.zeros_like(arr) for name, arr in named_arrays}
+        self.m = [np.zeros_like(buf) for buf in buffers]
+        self.v = [np.zeros_like(buf) for buf in buffers]
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, arr in self.arrays:
-            g = grads[name] + self.weight_decay * arr
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            arr -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        for i, (buf, grad) in enumerate(zip(self.buffers, grads, strict=True)):
+            g = grad + self.weight_decay * buf
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            mhat = self.m[i] / b1c
+            vhat = self.v[i] / b2c
+            buf -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def _anchor_loss_var(table: Var, labels, class_ids, cfg: ProxyAnchorConfig) -> Var:
@@ -384,8 +380,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
     model = TrainedModel(cfg, in_dim, params, head)
 
-    opt = Adam(list(params.named_tensors()) + list(head.named_tensors()),
-               weight_decay=cfg.weight_decay)
+    opt = Adam([params.buffer, head.buffer], weight_decay=cfg.weight_decay)
 
     epoch_losses = []
     for epoch in range(cfg.epochs):
@@ -416,7 +411,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             ad.backward(loss_var, np.asarray(1.0))
             tape.accumulate()
             bound.accumulate()
-            opt.step({**params.grads, **head.grads}, lr)
+            opt.step([params.grad_buffer, head.grad_buffer], lr)
             params.check_finite()
 
             _refresh_proxies(model, srgs_by_class, cfg)

@@ -1,11 +1,14 @@
-"""Test-only cost heads, the exact edit distance oracle and an encoder backward."""
+"""Test-only cost heads, the exact edit distance oracle, an encoder backward,
+and the one-hot and per-tensor forms that the tape and Adam replaced."""
 import itertools
 
 import numpy as np
 
 from relviews import autodiff as ad
+from relviews import encoder as enc
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
+from relviews.graphs import pair_list
 
 
 class ConstantCostHead:
@@ -110,4 +113,54 @@ def encoder_backward(tape, node_grads: np.ndarray,
             raise ValueError(f"edge gradient shape {edge_grads.shape} != {tape.edge_out.shape}")
         seeds.append((tape.edge_out, edge_grads))
     ad.backward_from(seeds)
-    return tape.accumulate()
+    tape.accumulate()
+    grads = [{key: (None if v is None else
+                    v.grad if v.grad is not None else np.zeros_like(v.value))
+              for key, v in layer.items()} for layer in tape.param_vars]
+    return dict(enc._named(grads))
+
+
+def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:
+    """The `take` backward as a one-hot matmul, for any indices."""
+    onehot = (np.asarray(idx)[:, None] == np.arange(shape[axis])).astype(np.float64)
+    return np.moveaxis(np.moveaxis(g, axis, -1) @ onehot, -1, axis)
+
+
+def pair_gather(n: int) -> np.ndarray:
+    """Flat (N*N,) row of each ordered pair (i, j) in pair_list(n); the
+    diagonal points at row 0."""
+    gather = np.zeros((n, n), dtype=np.intp)
+    for r, (i, j) in enumerate(pair_list(n)):
+        gather[i, j] = gather[j, i] = r
+    return gather.ravel()
+
+
+def gathered_pair_matrix(u_pair: Var, n: int) -> Var:
+    """`ad.pair_matrix` of (..., M, 1) pair values as a gather, a reshape and
+    a product with the off-diagonal mask."""
+    gathered = ad.take(u_pair, pair_gather(n), axis=u_pair.value.ndim - 2)
+    return ad.reshape(gathered, u_pair.shape[:-2] + (n, n)) * (1.0 - np.eye(n))
+
+
+class PerTensorAdam:
+    """Adam with L2 weight decay, stepping each named tensor on its own."""
+
+    def __init__(self, named_arrays, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.arrays = named_arrays
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {name: np.zeros_like(arr) for name, arr in named_arrays}
+        self.v = {name: np.zeros_like(arr) for name, arr in named_arrays}
+        self.t = 0
+
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for name, arr in self.arrays:
+            g = grads[name] + self.weight_decay * arr
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            mhat = self.m[name] / b1c
+            vhat = self.v[name] / b2c
+            arr -= lr * mhat / (np.sqrt(vhat) + self.eps)

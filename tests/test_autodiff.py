@@ -6,6 +6,7 @@ import pytest
 
 from relviews import autodiff as ad
 from tests.conftest import central_diff, rel_error
+from tests.helpers import gathered_pair_matrix, onehot_take_grad
 
 
 def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
@@ -88,7 +89,17 @@ def test_sigmoid_equals_mask_form():
     x = np.concatenate([EXTREMES, np.random.default_rng(2).normal(scale=20.0, size=200)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(ad._sigmoid(x), mask_sigmoid(x))
+        assert np.array_equal(ad._sigmoid(x, np.exp(-np.abs(x))), mask_sigmoid(x))
+
+
+def test_softplus_backward_is_the_mask_form_sigmoid():
+    # with g = 1 the gradient is the sigmoid itself, from the forward's exp(-|x|)
+    x = np.concatenate([EXTREMES, np.random.default_rng(2).normal(scale=20.0, size=200)])
+    leaf = ad.leaf(x.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ad.backward(ad.softplus(leaf), np.ones_like(x))
+    assert np.array_equal(leaf.grad, mask_sigmoid(x))
 
 
 def test_leaky_relu_slope():
@@ -159,3 +170,52 @@ def test_zero_upstream_gives_zero_grads():
     y = ad.vsum(ad.exp(x))
     ad.backward(y, np.asarray(0.0))
     assert np.all(x.grad == 0.0)
+
+
+@pytest.mark.parametrize("shape, axis", [((4, 4, 4), 0), ((4, 4, 4), 1), ((4, 4, 4), 2),
+                                         ((3, 5, 4), -1), ((4, 5, 3), -3)],
+                         ids=["cube0", "cube1", "cube2", "last", "first"])
+@pytest.mark.parametrize("idx", [[3, 0, 2], [0, 1, 2, 3], [2, 0, 2, 1, 2, 2]],
+                         ids=["unique", "all", "repeated"])
+def test_take_backward_equals_one_hot_form(shape, axis, idx):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape)
+    leaf = ad.leaf(x.copy())
+    y = ad.take(leaf, idx, axis=axis)
+    assert np.array_equal(y.value, np.take(x, idx, axis=axis))
+    g = rng.standard_normal(y.shape)
+    ad.backward(y, g)
+    assert np.array_equal(leaf.grad, onehot_take_grad(x.shape, idx, axis, g))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_pair_matrix_equals_gathered_form(n):
+    rng = np.random.default_rng(n)
+    m = n * (n - 1) // 2
+    vals = rng.standard_normal((2, 3, m, 1))
+    vals[0, 0, 0, 0] = -abs(vals[0, 0, 0, 0])          # a negative value at row 0
+    idx_i, idx_j = np.triu_indices(n, k=1)
+    a, b = ad.leaf(vals.copy()), ad.leaf(vals.copy())
+    got = ad.pair_matrix(a, idx_i, idx_j, n)
+    ref = gathered_pair_matrix(b, n)
+    assert np.array_equal(got.value, ref.value)
+    assert np.array_equal(got.value, np.swapaxes(got.value, -1, -2))
+    assert np.all(np.diagonal(got.value, axis1=-2, axis2=-1) == 0.0)
+    g = rng.standard_normal(got.shape)
+    ad.backward(got, g)
+    ad.backward(ref, g)
+    assert np.array_equal(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("build, grad_a, grad_b", [
+    # y's backward hands one array to a and b, whose grads then grow again
+    (lambda a, b: (a + b) * a + (a + b) * b, [3.5, 2.0], [3.5, 2.0]),
+    # z's backward hands one array to y and a as their first grads
+    (lambda a, b: (a + b) + a, [2.0, 2.0], [1.0, 1.0]),
+], ids=["shared_then_summed", "shared_first_grad"])
+def test_shared_gradient_arrays_accumulate_exactly(build, grad_a, grad_b):
+    a = ad.leaf(np.array([1.5, -2.0]))
+    b = ad.leaf(np.array([0.25, 3.0]))
+    ad.backward(build(a, b))
+    assert np.array_equal(a.grad, grad_a)
+    assert np.array_equal(b.grad, grad_b)

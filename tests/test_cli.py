@@ -165,3 +165,59 @@ def test_data_file_without_records_exits_two(trained, capsys):
     empty.write_text(data.read_text().splitlines()[0] + "\n")
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
     assert capsys.readouterr().err == f"error: {empty}: dataset file has no records\n"
+
+
+def _edit_header(old, new):
+    def edit(lines):
+        assert old in lines[0]
+        return [lines[0].replace(old, new), *lines[1:]]
+    return edit
+
+
+def _last_token_abc(lines):
+    return [lines[0], lines[1].rsplit(" ", 1)[0] + " abc", *lines[2:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_last_token_abc, "line 2: could not convert string to float: 'abc'"),
+    (_edit_header(" classes=", " junk classes="), "line 1: header token 'junk' is not key=value"),
+    (_edit_header("model=outside_global_fraction", "model=nosuch"),
+     "line 1: unknown noise model 'nosuch' (one of: uniform_whole_image, "
+     "outside_global_fraction, causal_intervention)"),
+    (_edit_header(" sigma=", " no_sigma="), "line 1: missing header key 'sigma'"),
+], ids=["record_token", "header_token", "model", "missing_key"])
+def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
+    tmp_path, config, data = tiny
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(bad),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-noise", "--eta-list", "0.1,abc"],
+     "--eta-list: could not convert string to float: 'abc'"),
+    (["sweep-noise", "--eta-list", "0.1", "--models", "nosuch"],
+     "--models: unknown noise model 'nosuch' (one of: uniform_whole_image, "
+     "outside_global_fraction, causal_intervention)"),
+    (["sweep-depth", "--depth-list", "2,x"],
+     "--depth-list: invalid literal for int() with base 10: 'x'"),
+], ids=["eta_list", "models", "depth_list"])
+def test_bad_sweep_list_exits_two(tiny, capsys, argv, message):
+    tmp_path, config, _ = tiny
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config), "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_bad_top_k_list_exits_two(trained, capsys):
+    ckpt, data = trained
+    out = ckpt.parent / "metrics"
+    assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--top-k-list", "2,x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --top-k-list: invalid literal for int() with base 10: 'x'\n"
+    assert not out.exists()

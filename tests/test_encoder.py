@@ -8,7 +8,7 @@ from relviews.encoder import EncoderConfig, distinguishability, init_params
 from relviews.errors import ConfigError, NumericError
 from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
 from tests.conftest import central_diff, rel_error
-from tests.helpers import encoder_backward
+from tests.helpers import encoder_backward, gathered_pair_matrix
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
@@ -221,8 +221,7 @@ def concat_forward(params, graphs):
         t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))
         eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
         u_pair = ad.matmul(eP, a_edge)
-        u_mat = ad.reshape(ad.take(u_pair, consts.pair_gather, axis=2),
-                           (b, heads, n, n)) * consts.offdiag
+        u_mat = gathered_pair_matrix(u_pair, n)
         logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
         ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * consts.offdiag
         alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)
@@ -272,3 +271,34 @@ def test_forward_and_gradients_match_concat_form(cfg, in_dim):
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert_close_rel(g, ref_grads[name], 1e-10)
+
+
+def test_tensors_and_grads_are_views_of_the_flat_buffers():
+    params = init_params(EncoderConfig(num_layers=3, heads_per_layer=2, hidden_dim=8), 6, seed=30)
+    tensors = params.named_tensors()
+    assert sum(arr.size for _, arr in tensors) == params.buffer.size
+    assert params.grads.keys() == dict(tensors).keys()
+    for name, arr in tensors:
+        assert np.shares_memory(arr, params.buffer), name
+        assert np.shares_memory(params.grads[name], params.grad_buffer), name
+        assert params.grads[name].shape == arr.shape, name
+    params.grad_buffer[:] = 1.0
+    params.zero_grads()
+    assert all(np.all(g == 0.0) for g in params.grads.values())
+
+
+def test_set_tensor_writes_through_to_the_buffer():
+    params = init_params(EncoderConfig(heads_per_layer=2, hidden_dim=8), 6, seed=31)
+    value = np.full(params.layers[1].P[1].shape, 0.25)
+    params.set_tensor("layer1.head1.P", value)
+    assert np.array_equal(params.layers[1].P[1], value)
+    view = dict(params.named_tensors())["layer1.head1.P"]
+    assert np.shares_memory(view, params.buffer) and np.array_equal(view, value)
+
+
+def test_check_finite_names_the_tensor():
+    params = init_params(EncoderConfig(), 6, seed=32)
+    params.check_finite()
+    params.layers[1].P[2][0, 0] = np.nan
+    with pytest.raises(NumericError, match=r"^non-finite parameter tensor layer1\.head2\.P$"):
+        params.check_finite()

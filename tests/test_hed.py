@@ -151,7 +151,7 @@ def multi_grads(u, targets, slots, head, seed):
     if isinstance(head, CostHead):
         head.zero_grads()
         bound.accumulate()
-        head_grads = head.grads
+        head_grads = {name: g.copy() for name, g in head.grads.items()}
     return table.value, u_var.grad, t_var.grad, head_grads
 
 

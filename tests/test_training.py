@@ -13,7 +13,7 @@ from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
-from tests.helpers import encoder_backward
+from tests.helpers import PerTensorAdam, encoder_backward
 
 TINY_SYNTH = synth.SynthConfig(num_classes=3, instances_per_class=20, views_per_instance=4,
                                feature_dim=8, concept_count_per_class=2, seed=0)
@@ -241,3 +241,38 @@ def test_v1_checkpoint_text_still_loads_and_writes_back_unchanged(tmp_path):
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_text() == V1_CHECKPOINT
+
+
+def test_adam_over_buffers_equals_per_tensor_adam():
+    cfg = EncoderConfig(heads_per_layer=2, hidden_dim=8)
+    params, ref_params = init_params(cfg, 6, seed=3), init_params(cfg, 6, seed=3)
+    head, ref_head = CostHead(8, 4, seed=4), CostHead(8, 4, seed=4)
+    opt = training.Adam([params.buffer, head.buffer], weight_decay=5e-4)
+    ref = PerTensorAdam(ref_params.named_tensors() + ref_head.named_tensors(),
+                        weight_decay=5e-4)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        grads = {name: rng.standard_normal(arr.shape)
+                 for name, arr in params.named_tensors() + head.named_tensors()}
+        for name, g in grads.items():
+            (head if name.startswith("cost.") else params).grads[name][...] = g
+        opt.step([params.grad_buffer, head.grad_buffer], 0.005)
+        ref.step(grads, 0.005)
+    for (name, arr), (_, want) in zip(params.named_tensors() + head.named_tensors(),
+                                      ref_params.named_tensors() + ref_head.named_tensors(),
+                                      strict=True):
+        assert np.array_equal(arr, want), name
+    assert not np.array_equal(params.buffer, init_params(cfg, 6, seed=3).buffer)
+
+
+def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_CHECKPOINT)
+    model = TrainedModel.load(path)
+    for owner in (model.params, model.cost_head):
+        tensors = owner.named_tensors()
+        assert sum(arr.size for _, arr in tensors) == owner.buffer.size
+        assert all(np.shares_memory(arr, owner.buffer) for _, arr in tensors)
+        assert all(np.shares_memory(owner.grads[name], owner.grad_buffer) for name, _ in tensors)
+    assert np.array_equal(model.params.buffer[:4], [0.18, 0.56, 0.39, -0.39])
+    assert np.array_equal(model.cost_head.buffer, [-0.24, 0.69, 0.0, -0.36, 0.0])
