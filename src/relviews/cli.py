@@ -39,6 +39,12 @@ def _list_option(raw: str, option: str, parse) -> list:
         raise ConfigError(f"{option}: {err}") from None
 
 
+def _size(k: int, option: str) -> int:
+    if k < 0:
+        raise ConfigError(f"{option}: explanation size must be non-negative, got {k}")
+    return k
+
+
 def cmd_generate(args) -> int:
     run = load_config(args.config)
     cfg = run.synth if args.seed is None else replace(run.synth, seed=args.seed)
@@ -76,13 +82,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    top_k = _size(args.top_k, "--top-k")
     model = training.TrainedModel.load(args.checkpoint)
     ds = synth.load(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)
     for i, srg in enumerate(srgs):
-        sub = ex.top_k_explanation(srg, args.top_k).as_graph()
+        sub = ex.top_k_explanation(srg, top_k).as_graph()
         _write_text(out / f"instance_{i:04d}.dot", export_dot(sub, weights_as_labels=True))
     for cid in sorted(model.proxies):
         g = model.proxies[cid].as_view_graph()
@@ -113,11 +120,15 @@ def cmd_sweep_depth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ks = _list_option(args.top_k_list, "--top-k-list", int)
+    ks = [_size(k, "--top-k-list") for k in _list_option(args.top_k_list, "--top-k-list", int)]
     model = training.TrainedModel.load(args.checkpoint)
     if not model.proxies:
         raise ConfigError("metrics need a checkpoint with graph proxies")
     ds = synth.load(args.data)
+    missing = sorted({inst.label for inst in ds.instances} - set(model.proxies))
+    if missing:
+        raise ConfigError(f"{args.checkpoint} has no proxy for class "
+                          + ", ".join(str(c) for c in missing))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)

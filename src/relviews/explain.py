@@ -6,9 +6,15 @@ instance away from its proxy). Sparsity is the kept fraction's complement.
 mACS compares two explainers by how many k-cliques containing the global
 view their explanation graphs produce per class.
 
-Kept subgraphs are scored in tables: the node sets of one class and one
-size share a single `hed_values_multi` call against that class's proxy,
-which gives each row the value a single `hed` call would.
+A kept subgraph is scored as a node mask over its parent: the parents of
+one class and one node count share a single masked `hed_values_multi`
+table against that class's proxy, with one row per kept set. `fidelity`
+scores each kept set and the full graph in the same table, and the
+fidelity-sparsity curve scores every requested size of a graph's nested
+top-k sets there. A row equals the `hed` of the induced subgraph within
+rounding: numpy sums the zero terms of dropped nodes along with the kept
+ones, and BLAS may round the cost head's products for a stack of graphs
+differently than for one.
 """
 from __future__ import annotations
 
@@ -23,6 +29,14 @@ from .proxies import ProxyGraph
 from .transitivity import TransitivityConfig, count_k_cliques_with_global, emergence_scores
 
 
+def _check_labels(parents, proxies: dict[int, ProxyGraph]) -> None:
+    for g in parents:
+        if g.label is None:
+            raise ValueError("explanation parents must carry class labels")
+        if g.label not in proxies:
+            raise ValueError(f"no proxy for class {g.label}")
+
+
 @dataclass(frozen=True)
 class ExplanationSet:
     """One explanation per instance plus the proxies they are scored against."""
@@ -31,28 +45,34 @@ class ExplanationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        for ex in self.entries:
-            if ex.parent.label is None:
-                raise ValueError("explanation parents must carry class labels")
-            if ex.parent.label not in self.proxies:
-                raise ValueError(f"no proxy for class {ex.parent.label}")
+        _check_labels((ex.parent for ex in self.entries), self.proxies)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
+def _check_size(size: int) -> None:
+    if size < 0:
+        raise ValueError(f"explanation size must be non-negative, got {size}")
+
+
+def _ranked_locals(graph: ViewGraph) -> np.ndarray:
+    """Local views by descending emergence; ties by node index."""
+    locals_ = np.array(graph.local_indices, dtype=np.intp)
+    return locals_[np.lexsort((locals_, -emergence_scores(graph)))]
+
+
 def top_k_explanation(graph: ViewGraph, top_k: int) -> ExplanationSubgraph:
     """The global view plus the top_k locals by emergence; ties by node index."""
-    locals_ = np.array(graph.local_indices, dtype=np.intp)
-    ranked = locals_[np.lexsort((locals_, -emergence_scores(graph)))]
-    keep = ranked[:min(top_k, len(ranked))]
+    _check_size(top_k)
+    keep = _ranked_locals(graph)[:top_k]
     return ExplanationSubgraph(graph, frozenset(keep.tolist()) | {graph.global_index})
 
 
 def random_explanation(graph: ViewGraph, size: int, rng: np.random.Generator
                        ) -> ExplanationSubgraph:
-    locals_ = graph.local_indices
-    keep = rng.permutation(locals_)[:min(size, len(locals_))]
+    _check_size(size)
+    keep = rng.permutation(graph.local_indices)[:size]
     return ExplanationSubgraph(graph, frozenset(int(v) for v in keep) | {graph.global_index})
 
 
@@ -64,36 +84,34 @@ def _rows_by(keys) -> dict:
     return rows
 
 
-def _proxy_distances(node_sets: list[np.ndarray], labels: list[int],
-                     proxies: dict[int, ProxyGraph], head) -> np.ndarray:
-    """HED of each node set to its class proxy, one table per (class, size)."""
-    groups = _rows_by((label, nodes.shape[0]) for nodes, label in zip(node_sets, labels))
-    bound = head.bind(False)
-    out = np.empty(len(node_sets))
-    for (label, _), rows in groups.items():
-        target = proxies[label].node_centroids
-        table = hed_values_multi(ad.constant(np.stack([node_sets[i] for i in rows])),
-                                 ad.constant(target), target.shape[0], bound)
-        out[rows] = table.value[:, 0]
-    return out
-
-
-def _kept_distances(expls: ExplanationSet, head) -> np.ndarray:
-    """h(kept subgraph, proxy) per entry."""
-    if len(expls) == 0:
+def _subset_distances(graphs: list[ViewGraph], masks: list[np.ndarray],
+                      proxies: dict[int, ProxyGraph], head) -> np.ndarray:
+    """(G, S) HED of each graph's S kept node subsets, masks[i] (S, n_i), to
+    its class proxy; one masked table per (class, node count)."""
+    if not graphs:
         raise ValueError("explanation set is empty")
-    # kept nodes in the ascending order `as_graph` gives them
-    return _proxy_distances([ex.parent.node_features[sorted(ex.node_subset)]
-                             for ex in expls.entries],
-                            [ex.parent.label for ex in expls.entries], expls.proxies, head)
+    bound = head.bind(False)
+    out = np.empty((len(graphs), masks[0].shape[0]))
+    for (label, _), rows in _rows_by((g.label, g.num_views) for g in graphs).items():
+        target = proxies[label].node_centroids
+        table = hed_values_multi(ad.constant(np.stack([graphs[i].node_features for i in rows])),
+                                 ad.constant(target), target.shape[0], bound,
+                                 keep=np.stack([masks[i] for i in rows]))
+        out[rows] = table.value[:, :, 0]
+    return out
 
 
 def fidelity(expls: ExplanationSet, head) -> float:
     """Mean of h(kept subgraph, proxy) - h(full graph, proxy)."""
-    kept = _kept_distances(expls, head)
-    full = _proxy_distances([ex.parent.node_features for ex in expls.entries],
-                            [ex.parent.label for ex in expls.entries], expls.proxies, head)
-    return float(np.mean(kept - full))
+    parents = [ex.parent for ex in expls.entries]
+    masks = []
+    for ex in expls.entries:
+        mask = np.zeros((2, ex.parent.num_views), dtype=bool)
+        mask[0, list(ex.node_subset)] = True    # the kept set
+        mask[1] = True                          # the full graph
+        masks.append(mask)
+    dist = _subset_distances(parents, masks, expls.proxies, head)
+    return float(np.mean(dist[:, 0] - dist[:, 1]))
 
 
 def sparsity(expls: ExplanationSet) -> float:
@@ -105,15 +123,29 @@ def sparsity(expls: ExplanationSet) -> float:
 
 def fidelity_sparsity_curve(graphs: list[ViewGraph], proxies: dict[int, ProxyGraph],
                             head, top_k_list) -> list[tuple[int, float, float]]:
-    """(top_k, sparsity, fidelity) per requested explanation size; each full
-    graph's distance is computed once, by `hed`, for all sizes."""
-    sets = [(int(k), ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs),
-                                    proxies))
-            for k in top_k_list]
-    # equal to a table row; perfbench reads its HED pair metrics off `explain.hed`
+    """(top_k, sparsity, fidelity) per requested explanation size, for the
+    sets `top_k_explanation` gives. Each graph is ranked once; its top-k sets
+    are nested prefixes of that ranking, scored in one masked table row each,
+    and its full-graph distance is computed once, by `hed`, for all sizes."""
+    ks = [int(k) for k in top_k_list]
+    for k in ks:
+        _check_size(k)
+    _check_labels(graphs, proxies)
+    masks = []
+    for g in graphs:
+        mask = np.zeros((len(ks), g.num_views), dtype=bool)
+        mask[:, g.global_index] = True
+        ranked = _ranked_locals(g)
+        for row, k in zip(mask, ks):
+            row[ranked[:k]] = True
+        masks.append(mask)
+    kept = _subset_distances(graphs, masks, proxies, head)
+    # one `hed` call per graph: perfbench reads its HED pair metrics off `explain.hed`
     full = np.array([hed(g, proxies[g.label].node_centroids, head).value for g in graphs])
-    return [(k, sparsity(expls), float(np.mean(_kept_distances(expls, head) - full)))
-            for k, expls in sets]
+    return [(k, float(np.mean([1.0 - mask[j].sum() / g.num_views
+                               for g, mask in zip(graphs, masks)])),
+             float(np.mean(kept[:, j] - full)))
+            for j, k in enumerate(ks)]
 
 
 def curve_csv(rows: list[tuple[int, float, float]]) -> str:

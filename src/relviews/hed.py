@@ -24,9 +24,17 @@ error, the explicit form's own error and two values that round to the
 same square root, so every entry that ties the exact minimum is a
 candidate: the minima, their argmins and the gradients equal the full
 table's bit for bit. NaN compares as a candidate, and an input
-whose squared norms overflow keeps every entry. Smaller tables, such as
-the explanation metrics' per-class tables, lose more to the screen's fixed
-cost than they save and compute the full table.
+whose squared norms overflow keeps every entry. Smaller tables lose more
+to the screen's fixed cost than they save and compute the full table.
+
+The same table scores node subsets. A kept node's term reads only its own
+row minimum over a class's slots, and a slot's term reads only its column
+minimum over the kept nodes, so with a boolean `keep` mask (B, S, m)
+`hed_values_multi` returns the (B, S, C) distances of S subsets of each
+instance from one (B, m, C*slots) table. Masked tables are never
+screened: the screen keeps only entries that can be a row minimum or a
+column minimum over all nodes, and a subset's column minimum can fall on
+an entry it drops once the node holding the all-node minimum is dropped.
 """
 from __future__ import annotations
 
@@ -162,13 +170,19 @@ def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
     return ~far.reshape(b, m, -1)                                 # NaN is never far
 
 
-def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head) -> Var:
+def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head,
+                     keep: np.ndarray | None = None) -> Var:
     """Distances of a batch of node sets to several same-size targets in one chain.
 
     `u_var` is (B, m, d) and `stacked_targets` (C * slots, d); returns the
     (B, C) Var of HED values. The targets' insertion costs are computed once
     for the whole batch. Used by the trainer and `evaluate` to score
-    instances against every class proxy, and by the explanation metrics.
+    instances against every class proxy.
+
+    With a boolean `keep` (B, S, m), row s of instance b scores the node
+    subset keep[b, s] instead, and the result is (B, S, C): the HED of the
+    kept nodes alone, up to the order of summation. The explanation metrics
+    score every subset of an instance this way from one table.
     """
     b, m, d = u_var.shape
     rows = stacked_targets.shape[0]
@@ -178,20 +192,40 @@ def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head) -
         raise ValueError("graph must contain at least one node")
     if slots < 1 or rows % slots:
         raise ValueError(f"{rows} target rows do not split into targets of {slots} slots")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if (keep.ndim != 3 or keep.shape[0] != b or keep.shape[2] != m
+                or not keep.any(axis=2).all()):
+            raise ValueError(f"keep must be ({b}, S, {m}) with a kept node in every row")
     count = rows // slots
     where = (_candidates(u_var.value, stacked_targets.value, slots)
-             if b * m * rows >= SCREEN_MIN_ENTRIES else None)
+             if keep is None and b * m * rows >= SCREEN_MIN_ENTRIES else None)
     dist = ad.pairwise_l2(u_var, stacked_targets, where)          # (B, m, C*slots)
     by_class = ad.reshape(dist, (b, m, count, slots))
     sub_u = ad.reduce_min(by_class, axis=3) * 0.5                 # (B, m, C)
-    sub_v = ad.reduce_min(by_class, axis=1) * 0.5                 # (B, C, slots)
     del_u = ad.reshape(bound_head.costs(u_var), (b, m, 1))
     ins_v = ad.reshape(bound_head.costs(stacked_targets), (count, slots))
     take_del = del_u.value < sub_u.value                          # (B, m, C)
-    take_ins = ins_v.value < sub_v.value                          # (B, C, slots)
     cost_u = ad.where_select(take_del, del_u, sub_u)
+    if keep is None:
+        sub_v = ad.reduce_min(by_class, axis=1) * 0.5             # (B, C, slots)
+        sum_u = ad.vsum(cost_u, axis=1)                           # (B, C)
+        scale = 1.0 / (2.0 * m)
+    else:
+        # a node's term does not depend on the subset; the kept ones are
+        # summed along a contiguous last axis, as `hed` sums them
+        by_node = ad.reshape(ad.transpose(cost_u, (0, 2, 1)), (b, 1, count, m))
+        sum_u = ad.vsum(ad.where_select(keep[:, :, None, :], by_node, ad.constant(0.0)),
+                        axis=3)                                   # (B, S, C)
+        # a slot's term reads its minimum over the kept nodes only
+        kept = ad.where_select(keep[:, :, :, None, None],
+                               ad.reshape(by_class, (b, 1, m, count, slots)),
+                               ad.constant(np.inf))               # (B, S, m, C, slots)
+        sub_v = ad.reduce_min(kept, axis=2) * 0.5                 # (B, S, C, slots)
+        scale = (1.0 / (2.0 * keep.sum(axis=2)))[:, :, None]
+    take_ins = ins_v.value < sub_v.value                          # (B, [S,] C, slots)
     cost_v = ad.where_select(take_ins, ins_v, sub_v)
-    return (ad.vsum(cost_u, axis=1) + ad.vsum(cost_v, axis=2)) * (1.0 / (2.0 * m))
+    return (sum_u + ad.vsum(cost_v, axis=-1)) * scale
 
 
 def hed(gs, gp, head) -> HedResult:

@@ -204,9 +204,10 @@ class TrainedModel:
     def distance_table(self, nodes: Var, bound_head) -> Var:
         """(B, C) distances of encoded node sets (B, N, d) to every class, id order."""
         ab = self.config.ablations
-        targets = ad.constant(_proxy_targets(self, self.class_ids()))
+        ids = self.class_ids()
+        targets = ad.constant(_proxy_targets(self, ids))
         if ab.proxy_as_graph and ab.transitivity_recovery:
-            return hed_values_multi(nodes, targets, nodes.shape[1], bound_head)
+            return hed_values_multi(nodes, targets, self.proxies[ids[0]].num_slots, bound_head)
         return ad.pairwise_l2(ad.vmean(nodes, axis=1), targets)
 
     def distances(self, srg: ViewGraph) -> np.ndarray:

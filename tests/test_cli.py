@@ -221,3 +221,47 @@ def test_bad_top_k_list_exits_two(trained, capsys):
     assert capsys.readouterr().err == \
         "error: --top-k-list: invalid literal for int() with base 10: 'x'\n"
     assert not out.exists()
+
+
+def _data_with(tmp_path, name, key, value):
+    """Generate a data file from the tiny config with one key's value replaced."""
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in TINY_CONFIG.splitlines()]
+    config = tmp_path / f"{name}.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    data = tmp_path / f"{name}.txt"
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    return data
+
+
+@pytest.mark.parametrize("views", [2, 6])
+def test_eval_on_other_view_counts_exits_zero(trained, capsys, views):
+    ckpt, _ = trained
+    data = _data_with(ckpt.parent.parent, f"views{views}", "synth.views", views)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    assert capsys.readouterr().out.startswith("accuracy ")
+
+
+def test_metrics_on_a_class_without_proxy_exits_two(trained, capsys):
+    ckpt, _ = trained
+    data = _data_with(ckpt.parent.parent, "four", "synth.classes", 4)
+    capsys.readouterr()
+    out = ckpt.parent / "metrics"
+    assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ckpt} has no proxy for class 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["explain", "--top-k", "-2"], "--top-k: explanation size must be non-negative, got -2"),
+    (["metrics", "--top-k-list", "2,-1"],
+     "--top-k-list: explanation size must be non-negative, got -1"),
+], ids=["top_k", "top_k_list"])
+def test_negative_explanation_size_exits_two(trained, capsys, argv, message):
+    ckpt, data = trained
+    out = ckpt.parent / "out"
+    assert main([*argv, "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -203,15 +203,18 @@ def test_batched_fidelity_matches_per_explanation_hed(rng):
 
 
 def test_curve_equals_fidelity_of_each_top_k_set(rng):
-    graphs = [random_labeled_graph(7, 3, rng, label=i % 3) for i in range(7)]
-    proxies = {c: proxy_from_graph(random_labeled_graph(4, 3, rng, label=c)) for c in range(3)}
-    head = CostHead(3, hidden=5, seed=1)
-    ks = [1, 3, 6]
-    rows = fidelity_sparsity_curve(graphs, proxies, head, ks)
-    for (k, sp, fid) in rows:
-        expls = ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs), proxies)
-        assert fid == fidelity(expls, head) and sp == sparsity(expls)
-    assert rows[-1][2] == 0.0   # k = all locals: the full graphs' own distances
+    # 16 nodes: numpy sums 8 or more terms pairwise, not in order
+    for n in (7, 16):
+        graphs = [random_labeled_graph(n, 3, rng, label=i % 3) for i in range(7)]
+        proxies = {c: proxy_from_graph(random_labeled_graph(4, 3, rng, label=c))
+                   for c in range(3)}
+        head = CostHead(3, hidden=5, seed=1)
+        ks = [1, 3, n - 1]
+        rows = fidelity_sparsity_curve(graphs, proxies, head, ks)
+        for (k, sp, fid) in rows:
+            expls = ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs), proxies)
+            assert fid == fidelity(expls, head) and sp == sparsity(expls)
+        assert rows[-1][2] == 0.0   # k = all locals: the full graphs' own distances
 
 
 def test_top_k_equals_sorted_emergence(rng):
@@ -246,3 +249,38 @@ def test_macs_equals_per_explanation_thresholds(rng):
         diffs = [0.0 if max(ca[c], cb[c]) == 0 else abs(ca[c] - cb[c]) / max(ca[c], cb[c])
                  for c in sorted(ca)]
         assert macs_at_k(a, b, k, cfg) == 1.0 - float(np.mean(diffs))
+
+
+def test_fidelity_over_node_and_slot_counts_matches_per_instance_hed(rng):
+    head = CostHead(4, hidden=6, seed=7)
+    graphs = [random_labeled_graph(n, 4, rng, label=c)
+              for n in (6, 11) for c in (0, 1) for _ in range(3)]
+    proxies = {c: ProxyGraph(c, rng.standard_normal((slots, 4)),
+                             rng.standard_normal((num_pairs(slots), 4)))
+               for c, slots in ((0, 3), (1, 9))}
+    expls = ExplanationSet(tuple(random_explanation(g, int(rng.integers(0, g.num_views)), rng)
+                                 for g in graphs), proxies)
+    oracle = []
+    for ex in expls.entries:
+        p = proxies[ex.parent.label].as_view_graph()
+        oracle.append(hed(ex.as_graph(), p, head).value - hed(ex.parent, p, head).value)
+    assert fidelity(expls, head) == pytest.approx(np.mean(oracle), abs=1e-12)
+
+
+def test_empty_sets_are_refused(rng):
+    proxies = {0: dummy_proxy(0)}
+    with pytest.raises(ValueError, match="empty"):
+        fidelity(ExplanationSet((), proxies), ConstantCostHead(1.0))
+    with pytest.raises(ValueError, match="empty"):
+        fidelity_sparsity_curve([], proxies, ConstantCostHead(1.0), [2])
+
+
+def test_negative_explanation_sizes_are_refused(rng):
+    g = random_labeled_graph(8, 2, rng, label=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        top_k_explanation(g, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        random_explanation(g, -2, rng)
+    with pytest.raises(ValueError, match="non-negative"):
+        fidelity_sparsity_curve([g], {0: dummy_proxy(0, dim=2)}, ConstantCostHead(1.0), [2, -1])
+    assert top_k_explanation(g, 0).node_subset == {g.global_index}

@@ -370,3 +370,83 @@ def test_multi_refuses_bad_targets():
         hed_values_multi(u, ad.constant(np.zeros((7, 4))), 3, head)
     with pytest.raises(ValueError):
         hed_values_multi(u, ad.constant(np.zeros((0, 4))), 3, head)
+
+
+# ------------------------------------------------------------ masked subsets
+
+def kept_rows_table(u, targets, slots, head, keep):
+    """Reference for a masked table: one unmasked table per kept node set."""
+    return np.stack([[hed_values_multi(ad.constant(u[b, row][None]), ad.constant(targets),
+                                       slots, head.bind(False)).value[0]
+                      for row in keep[b]] for b in range(u.shape[0])])
+
+
+@pytest.mark.parametrize("m", [5, 12])
+def test_masked_rows_equal_tables_of_kept_rows(m):
+    """Within 1e-12. With a constant cost head the rows are == below 8 nodes
+    and for single-node masks: shorter sums run in order, so the zero terms
+    of dropped nodes change nothing, while from 8 terms numpy sums pairwise
+    and the zeros regroup the kept terms. The MLP head's costs can differ in
+    the last bit, because BLAS rounds a row's product by the batch shape."""
+    rng = np.random.default_rng(30)
+    u = rng.standard_normal((3, m, 4))
+    targets = rng.standard_normal((3 * 5, 4))
+    keep = np.zeros((3, 4, m), dtype=bool)
+    keep[:, 0, 0] = True                             # the global view alone
+    keep[:, 1:3] = rng.random((3, 2, m)) < 0.5       # mixed subsets
+    keep[:, 1:3, 0] = True
+    keep[:, 3] = True                                # every node
+    for head in (CostHead(4, hidden=5, seed=31), ConstantCostHead(0.3)):
+        table = hed_values_multi(ad.constant(u), ad.constant(targets), 5,
+                                 head.bind(False), keep).value
+        expect = kept_rows_table(u, targets, 5, head, keep)
+        assert table.shape == (3, 4, 3)
+        np.testing.assert_allclose(table, expect, rtol=0, atol=1e-12)
+    assert np.array_equal(table[:, 0], expect[:, 0])
+    if m < 8:
+        assert np.array_equal(table, expect)
+
+
+def test_masked_all_node_row_equals_hed():
+    rng = np.random.default_rng(32)
+    for m in (3, 8, 16, 17):
+        u = rng.standard_normal((2, m, 4))
+        targets = rng.standard_normal((6, 4))
+        keep = np.ones((2, 1, m), dtype=bool)
+        for head in (ConstantCostHead(0.3), CostHead(4, hidden=5, seed=33)):
+            table = hed_values_multi(ad.constant(u), ad.constant(targets), 6,
+                                     head.bind(False), keep).value[:, 0, 0]
+            expect = [hed(x, targets, head).value for x in u]
+            if isinstance(head, ConstantCostHead):   # the same sums, in the same order
+                assert table.tolist() == expect
+            np.testing.assert_allclose(table, expect, rtol=0, atol=1e-12)
+
+
+def test_masked_table_is_never_screened():
+    """A subset's slot minimum can fall on an entry that is neither a row
+    minimum nor an all-node column minimum, which `_candidates` drops."""
+    rng = np.random.default_rng(34)
+    b, m, count, slots, d = 4, 8, 6, 8, 5
+    targets = rng.standard_normal((count * slots, d))
+    u = 10.0 * rng.standard_normal((b, m, d))
+    u[:, 1] = targets[0] + 1e-6 * rng.standard_normal((b, d))   # slot 0's minimum
+    u[:, 2] = targets[1] + 1e-6 * rng.standard_normal((b, d))   # next to slot 1
+    assert b * m * count * slots >= hed_module.SCREEN_MIN_ENTRIES
+    assert not hed_module._candidates(u, targets, slots)[:, 2, 0].any()
+    keep = np.zeros((b, 1, m), dtype=bool)
+    keep[:, 0, [0, 2]] = True                        # node 1 dropped
+    for head in (ConstantCostHead(1e3), CostHead(d, hidden=4, seed=35)):
+        table = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
+                                 head.bind(False), keep).value
+        expect = kept_rows_table(u, targets, slots, head, keep)
+        np.testing.assert_allclose(table, expect, rtol=0, atol=1e-12)
+
+
+def test_masked_table_refuses_bad_masks():
+    head = ConstantCostHead(1.0).bind(False)
+    u = ad.constant(np.zeros((2, 3, 4)))
+    targets = ad.constant(np.zeros((6, 4)))
+    for keep in (np.ones((2, 3), dtype=bool), np.ones((2, 1, 4), dtype=bool),
+                 np.ones((1, 1, 3), dtype=bool), np.zeros((2, 1, 3), dtype=bool)):
+        with pytest.raises(ValueError, match="keep"):
+            hed_values_multi(u, targets, 3, head, keep)

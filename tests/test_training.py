@@ -10,7 +10,7 @@ from relviews import synth, training
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
 from relviews.graphs import ViewGraph, num_pairs
-from relviews.hed import CostHead
+from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
 from tests.helpers import PerTensorAdam, encoder_backward
@@ -82,6 +82,18 @@ def test_evaluate_matches_argmin_of_distances():
     labels = [inst.label for inst in test_ds.instances]
     expect = float(np.mean([p == y for p, y in zip(preds, labels)]))
     assert training.evaluate(model, test_ds) == expect
+
+
+def test_distances_of_fewer_nodes_than_slots_equal_per_class_hed():
+    train_ds, _ = tiny_split()
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
+    small = synth.generate(replace(TINY_SYNTH, views_per_instance=2, instances_per_class=2))
+    ids = model.class_ids()
+    assert {model.proxies[c].num_slots for c in ids} == {5}
+    for g in training.encode_dataset(model, small):
+        assert g.num_views == 3
+        expect = [hed(g, model.proxies[c].node_centroids, model.cost_head).value for c in ids]
+        np.testing.assert_allclose(model.distances(g), expect, rtol=0, atol=1e-12)
 
 
 def test_train_is_deterministic_for_a_seed():
