@@ -339,7 +339,15 @@ def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
 
 
 def reduce_min(a: Var, axis: int) -> Var:
-    """Min along an axis; gradient flows only to the recorded argmin slots."""
+    """Min along an axis; gradient flows only to the recorded argmin slots.
+
+    An input that needs no gradient records no argmin: its minimum is
+    `min(axis)`, equal to the value at the argmin, NaN included, except that
+    a row holding both zeros may give -0.0 where the argmin gives +0.0, or
+    the reverse. No caller feeds -0.0: every one passes distances, square
+    roots of sums of squares."""
+    if not a.requires_grad:
+        return Var(a.value.min(axis=axis))
     arg = a.value.argmin(axis=axis)
     val = np.take_along_axis(a.value, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
 

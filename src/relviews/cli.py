@@ -125,10 +125,7 @@ def cmd_metrics(args) -> int:
     if not model.proxies:
         raise ConfigError("metrics need a checkpoint with graph proxies")
     ds = synth.load(args.data)
-    missing = sorted({inst.label for inst in ds.instances} - set(model.proxies))
-    if missing:
-        raise ConfigError(f"{args.checkpoint} has no proxy for class "
-                          + ", ".join(str(c) for c in missing))
+    training.check_classes(model.proxies, ds, str(args.checkpoint))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)

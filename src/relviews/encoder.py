@@ -16,12 +16,13 @@ batch of one would give it. Every stored tensor is a view into the one
 flat `GatParams.buffer`, and its gradient a view into `grad_buffer`.
 
 The returned tape holds the batch's output node and edge Vars, (B, N,
-hidden) and (B, N(N-1)/2, hidden); per layer, one leaf Var per stored
-(head-stacked) tensor, keyed like the LayerParams fields; and the
-attention coefficients as one (B, H, N, N) array per layer: graph b's
-coefficients are `[layer][b]`, indexed `[head]`. After a backward pass
-from the outputs, `EncoderTape.accumulate` adds each leaf's gradient to
-its view of `grad_buffer`, one addition per stacked tensor.
+hidden) and (B, N(N-1)/2, hidden), the latter None after a node-only pass
+(see `forward`); per layer, one leaf Var per stored (head-stacked) tensor,
+keyed like the LayerParams fields; and the attention coefficients as one
+(B, H, N, N) array per layer: graph b's coefficients are `[layer][b]`,
+indexed `[head]`. After a backward pass from the outputs,
+`EncoderTape.accumulate` adds each leaf's gradient to its view of
+`grad_buffer`, one addition per stacked tensor.
 
 The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
@@ -212,7 +213,7 @@ class EncoderTape:
     params: GatParams
     param_vars: list[dict[str, Var]]     # per layer: LayerParams field -> leaf Var
     node_out: Var                        # (B, N, hidden)
-    edge_out: Var                        # (B, N(N-1)/2, hidden)
+    edge_out: Var | None                 # (B, N(N-1)/2, hidden); None if node-only
     attention: list[np.ndarray]          # per layer: (B, H, N, N)
 
     def accumulate(self) -> None:
@@ -232,8 +233,8 @@ def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> V
     return shifted / ad.sqrt(var + eps) * scale + shift
 
 
-def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
-            ) -> tuple[list[ViewGraph], EncoderTape]:
+def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
+            node_only: bool = False) -> tuple[list[ViewGraph] | None, EncoderTape]:
     """Propagate a batch of same-size graphs through all attention layers.
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
@@ -242,6 +243,12 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
     the layer's update map when enabled, and always after the final layer,
     through a softplus so their norms stay non-negative. Returns one output
     graph per input graph, in order, and the batch's tape.
+
+    The final layer's edges feed only the proxies' edge centroids and the
+    explanations; the distance to a proxy reads node embeddings alone. So
+    `node_only=True` skips the final edge update and the output graphs and
+    returns (None, tape) with `tape.edge_out` None; `tape.node_out` holds
+    exactly the values of the full pass.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -292,7 +299,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
         if not np.isfinite(h.value).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
-        if updates:
+        if updates and not (final and node_only):
             # [z_i || z_j || e] U averaged over both endpoint orders, so the
             # update is well defined on unordered pairs (keeps permutation
             # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
@@ -307,6 +314,8 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True
             if not np.isfinite(e.value).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 
+    if node_only:
+        return None, EncoderTape(params, pvars, h, None, attention)
     outs = [ViewGraph(h.value[i], e.value[i], global_index=g.global_index, label=g.label)
             for i, g in enumerate(graphs)]
     return outs, EncoderTape(params, pvars, h, e, attention)

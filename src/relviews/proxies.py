@@ -100,25 +100,25 @@ def sinkhorn(cost: np.ndarray, row_marginals, col_marginals,
     u = np.where(rows_on, 1.0, 0.0)
     v = np.where(cols_on, 1.0, 0.0)
 
-    def residual(u, v):
+    def plan_residual(u, v):
         plan = u[:, None] * k * v[None, :]
-        return max(np.abs(plan.sum(axis=1) - a).max(),
-                   np.abs(plan.sum(axis=0) - b).max())
+        return plan, max(np.abs(plan.sum(axis=1) - a).max(),
+                         np.abs(plan.sum(axis=0) - b).max())
 
     it = 0
-    res = residual(u, v)
+    plan, res = plan_residual(u, v)
     while res > cfg.marginal_tol and it < cfg.max_iters:
         kv = k @ v
         u = np.where(rows_on, a / np.where(kv > 0, kv, 1.0), 0.0)
         ku = k.T @ u
         v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
         it += 1
-        res = residual(u, v)
+        plan, res = plan_residual(u, v)
     converged = res <= cfg.marginal_tol
     if not converged:
         warnings.warn(f"sinkhorn did not converge: residual {res:.3e} "
                       f"after {it} iterations", RuntimeWarning)
-    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), converged)
+    return SinkhornResult(plan, it, float(res), converged)
 
 
 def init_proxy(class_id: int, graph: ViewGraph) -> ProxyGraph:
@@ -177,16 +177,17 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
     node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
 
     # edge step: keys induced by the node plan's argmax slots. The batch's
-    # edge rows are stacked in graph order, so each key sums its rows in the
-    # order a per-graph loop would.
+    # edge rows are stacked in graph order, and one flat bincount adds each
+    # key's components from 0.0 in row order, as a per-graph loop would.
     ends = plan.argmax(axis=1).reshape(len(batch), n)[:, upper_pairs(n)]   # (B, 2, M)
     si, sj = ends[:, 0].ravel(), ends[:, 1].ravel()
     valid = si != sj
     lo = np.minimum(si, sj)[valid]
     hi = np.maximum(si, sj)[valid]
     keys = pair_rows(lo, hi, slots)
-    sums = np.zeros_like(proxy.edge_centroids)
-    np.add.at(sums, keys, np.vstack([g.edge_features for g in batch])[valid])
+    rows = np.vstack([g.edge_features for g in batch])[valid]
+    sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(), weights=rows.ravel(),
+                       minlength=num_pairs(slots) * d).reshape(-1, d)
     counts = np.bincount(keys, minlength=num_pairs(slots))
     new_edges = proxy.edge_centroids.copy()
     hit = counts > 0

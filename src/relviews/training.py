@@ -7,7 +7,8 @@ one backward pass, takes an Adam step with a stepped learning-rate
 schedule, and then refreshes the touched proxies by online clustering.
 `encode_dataset` and `evaluate` run the same batched encoder and table over
 chunks of `batch_size` instances, so a prediction never depends on the
-chunk an instance falls in. Three ablation switches cover the input-graph
+chunk an instance falls in; `evaluate` computes only the node embeddings a
+prediction reads. Three ablation switches cover the input-graph
 edge rule (CG), graph-valued proxies (PD), and graph-space matching (TR).
 """
 from __future__ import annotations
@@ -374,7 +375,10 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     in_dim = dataset.config.feature_dim
     ab = cfg.ablations
 
-    graphs = build_dataset(dataset, cfg.comp, uniform=not ab.use_complementarity_graph)
+    if test_dataset is not None:
+        check_classes(dataset.class_ids, test_dataset, "the model being trained")
+    graphs = build_dataset(dataset, cfg.comp, uniform=not ab.use_complementarity_graph,
+                           chunk_size=cfg.batch_size)
     labels = [inst.label for inst in dataset.instances]
 
     params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
@@ -430,13 +434,27 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     return report, model
 
 
-def _encoded_chunks(model: TrainedModel, dataset: SynthDataset):
-    """(relevance graphs, tape) per chunk of batch_size instances, in dataset order."""
-    graphs = build_dataset(dataset, model.config.comp,
-                           uniform=not model.config.ablations.use_complementarity_graph)
+def check_classes(class_ids, dataset: SynthDataset, owner: str) -> None:
+    """Refuse a dataset with a class outside `class_ids`: no instance of it
+    could be predicted right. The ConfigError names every such class."""
+    missing = sorted(set(dataset.class_ids) - set(class_ids))
+    if missing:
+        raise ConfigError(f"{owner} has no proxy for class "
+                          + ", ".join(str(c) for c in missing))
+
+
+def _encoded_chunks(model: TrainedModel, dataset: SynthDataset, node_only: bool = False):
+    """(relevance graphs, tape) per chunk of batch_size instances, in dataset order.
+
+    Input graphs are built `batch_size` instances per stacked pass. With
+    `node_only`, each chunk is (None, tape) from the encoder's node-only
+    pass: `tape.node_out` as in the full pass, no final-layer edges."""
     step = model.config.batch_size
+    graphs = build_dataset(dataset, model.config.comp,
+                           uniform=not model.config.ablations.use_complementarity_graph,
+                           chunk_size=step)
     for start in range(0, len(graphs), step):
-        yield enc.forward(model.params, graphs[start:start + step], False)
+        yield enc.forward(model.params, graphs[start:start + step], False, node_only=node_only)
 
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:
@@ -445,11 +463,16 @@ def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph
 
 
 def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
-    """Fraction of instances whose nearest proxy matches their label."""
+    """Fraction of instances whose nearest proxy matches their label.
+
+    A ConfigError refuses a dataset with a class the model has no proxy for.
+    The encoder runs node-only: a prediction reads node embeddings alone, so
+    the final layer's edges are neither computed nor checked for finiteness."""
     ids = np.asarray(model.class_ids())
+    check_classes(ids, dataset, "the model")
     bound = model.cost_head.bind(False)
     preds = [ids[model.distance_table(tape.node_out, bound).value.argmin(axis=1)]
-             for _, tape in _encoded_chunks(model, dataset)]
+             for _, tape in _encoded_chunks(model, dataset, node_only=True)]
     labels = [inst.label for inst in dataset.instances]
     return int((np.concatenate(preds) == labels).sum()) / len(dataset.instances)
 

@@ -1,6 +1,8 @@
 """Test-only cost heads, the exact edit distance oracle, an encoder backward,
-and the one-hot and per-tensor forms that the tape and Adam replaced."""
+and the earlier forms that the tape, Adam, the input-graph build, the
+no-grad minimum and Sinkhorn replaced."""
 import itertools
+import warnings
 
 import numpy as np
 
@@ -8,7 +10,8 @@ from relviews import autodiff as ad
 from relviews import encoder as enc
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
-from relviews.graphs import pair_list
+from relviews.graphs import ViewGraph, num_pairs, pair_list, upper_pairs
+from relviews.proxies import SinkhornResult
 
 
 class ConstantCostHead:
@@ -164,3 +167,64 @@ class PerTensorAdam:
             mhat = self.m[name] / b1c
             vhat = self.v[name] / b2c
             arr -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def instance_build(embeddings, global_index: int, cfg, label=None, uniform=False) -> ViewGraph:
+    """`complementarity.build` one instance at a time: a 2-D norm and one
+    (1, d) @ (d, 1) product per local pair."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if global_index != 0:
+        order = [global_index] + [i for i in range(emb.shape[0]) if i != global_index]
+        emb = emb[order]
+    if cfg.normalize_embeddings:
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        emb = emb / np.where(norms == 0, 1.0, norms)
+    n_nodes, dim = emb.shape
+    edges = np.ones((num_pairs(n_nodes), dim))
+    if not uniform:
+        i, j = upper_pairs(n_nodes)
+        local = i != 0
+        dot = np.abs(np.matmul(emb[i[local], None, :], emb[j[local], :, None])[:, 0, 0])
+        inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
+        edges[local] = np.minimum(inv, cfg.weight_cap)[:, None]
+    return ViewGraph(emb, edges, global_index=0, label=label)
+
+
+def argmin_min(value: np.ndarray, axis: int) -> np.ndarray:
+    """`reduce_min`'s value read at the recorded argmin."""
+    arg = value.argmin(axis=axis)
+    return np.take_along_axis(value, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
+
+
+def loop_sinkhorn(cost, row_marginals, col_marginals, cfg) -> SinkhornResult:
+    """`proxies.sinkhorn` building the plan once for each residual and once
+    more for the result."""
+    cost = np.asarray(cost, dtype=np.float64)
+    a = np.asarray(row_marginals, dtype=np.float64)
+    b = np.asarray(col_marginals, dtype=np.float64)
+    eps = cfg.entropic_regularizer
+    k = np.exp(-(cost - cost.min(axis=1, keepdims=True)) / eps)
+    rows_on = a > 0
+    cols_on = b > 0
+    u = np.where(rows_on, 1.0, 0.0)
+    v = np.where(cols_on, 1.0, 0.0)
+
+    def residual(u, v):
+        plan = u[:, None] * k * v[None, :]
+        return max(np.abs(plan.sum(axis=1) - a).max(),
+                   np.abs(plan.sum(axis=0) - b).max())
+
+    it = 0
+    res = residual(u, v)
+    while res > cfg.marginal_tol and it < cfg.max_iters:
+        kv = k @ v
+        u = np.where(rows_on, a / np.where(kv > 0, kv, 1.0), 0.0)
+        ku = k.T @ u
+        v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
+        it += 1
+        res = residual(u, v)
+    converged = res <= cfg.marginal_tol
+    if not converged:
+        warnings.warn(f"sinkhorn did not converge: residual {res:.3e} "
+                      f"after {it} iterations", RuntimeWarning)
+    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), converged)

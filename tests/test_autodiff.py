@@ -6,7 +6,7 @@ import pytest
 
 from relviews import autodiff as ad
 from tests.conftest import central_diff, rel_error
-from tests.helpers import gathered_pair_matrix, onehot_take_grad
+from tests.helpers import argmin_min, gathered_pair_matrix, onehot_take_grad
 
 
 def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
@@ -129,6 +129,28 @@ def test_reduce_min_routes_to_argmin():
     expect[0, 1] = 1.0
     expect[1, 0] = 1.0  # tie resolved to the lowest index
     assert np.array_equal(x.grad, expect)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_no_grad_reduce_min_equals_argmin_form(axis):
+    rng = np.random.default_rng(31)
+    inf, nan = np.inf, np.nan
+    cases = {
+        "random": rng.standard_normal((6, 7)),
+        "tied": np.array([[2.0, 1.0, 1.0, 3.0], [0.0, 0.0, 5.0, 0.0],
+                          [4.0, 4.0, 4.0, 4.0], [1.5, 0.0, 0.0, 1.5]]),
+        "inf": np.array([[inf, inf, inf], [inf, 2.0, inf], [3.0, inf, 1.0], [inf, inf, 0.0]]),
+        "nan": np.array([[nan, 1.0, 0.5], [1.0, nan, inf], [inf, 2.0, nan],
+                         [nan, nan, nan], [0.0, 3.0, 1.0]]),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, value in cases.items():
+            out = ad.reduce_min(ad.constant(value), axis)
+            expect = argmin_min(value, axis)
+            assert not out.requires_grad, name
+            np.testing.assert_array_equal(out.value, expect, err_msg=name)
+            assert np.array_equal(np.signbit(out.value), np.signbit(expect)), name
 
 
 def test_where_select_routes_by_mask():

@@ -265,3 +265,26 @@ def test_negative_explanation_size_exits_two(trained, capsys, argv, message):
     assert main([*argv, "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_eval_on_a_class_without_proxy_exits_two(trained, capsys):
+    ckpt, _ = trained
+    data = _data_with(ckpt.parent.parent, "four", "synth.classes", 4)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the model has no proxy for class 3\n"
+
+
+def test_train_with_test_data_of_an_unseen_class_exits_two(tiny, capsys):
+    tmp_path, config, data = tiny
+    test_data = _data_with(tmp_path, "four", "synth.classes", 4)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--test-data", str(test_data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the model being trained has no proxy for class 3\n"
+    assert not (out / "checkpoint.txt").exists()

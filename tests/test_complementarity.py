@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relviews.complementarity import ComplementarityConfig, build, build_dataset
 from relviews.graphs import pair_list
-from relviews.synth import SynthConfig, generate
+from relviews.synth import SynthConfig, SynthDataset, generate
+from tests.helpers import instance_build
 
 
 def test_identical_unit_vectors_give_unit_edge():
@@ -130,3 +133,53 @@ def test_build_equals_per_pair_loop(normalize):
             nodes, edges = loop_build(emb, gi, cfg, uniform=uniform)
             assert np.array_equal(g.node_features, nodes)
             assert np.array_equal(g.edge_features, edges)
+
+
+def planted_dataset(count: int) -> SynthDataset:
+    """Random instances plus planted ones: an orthogonal local pair (capped
+    weight), a pair whose 1/|dot| lands exactly on the cap, a zero local view
+    and a large scale."""
+    ds = generate(SynthConfig(num_classes=3, instances_per_class=5, views_per_instance=4,
+                              feature_dim=5, seed=7))
+    eye = np.eye(5)
+    planted = [np.stack([eye[0], eye[1], eye[2], eye[3]]),
+               np.stack([np.ones(5), eye[0], 0.5 * eye[0] + eye[1], eye[2]]),
+               np.stack([np.ones(5), eye[0], np.zeros(5), eye[1]]),
+               1e150 * np.stack([np.ones(5), eye[0], eye[0] + eye[1], eye[2]])]
+    instances = list(ds.instances)
+    for slot, locals_ in zip((1, 6, 7, 11), planted):
+        instances[slot] = replace(instances[slot], local_embeddings=locals_)
+    return SynthDataset(ds.config, instances[:count])
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("count, chunk", [(15, 4), (13, 8), (15, 1), (3, 16)])
+def test_batched_build_equals_per_instance_build(normalize, uniform, count, chunk):
+    # weight cap 2 = 1/|0.5|: the planted 0.5 dot product lands exactly on the cap
+    cfg = ComplementarityConfig(weight_cap=2.0, normalize_embeddings=normalize)
+    ds = planted_dataset(count)
+    graphs = build_dataset(ds, cfg, uniform=uniform, chunk_size=chunk)
+    assert len(graphs) == count
+    for g, inst in zip(graphs, ds.instances):
+        ref = instance_build(inst.embeddings(), 0, cfg, label=inst.label, uniform=uniform)
+        assert g.label == ref.label and g.global_index == 0
+        assert np.array_equal(g.node_features, ref.node_features)
+        assert np.array_equal(g.edge_features, ref.edge_features)
+    pair = pair_list(5).index((1, 2))
+    assert (graphs[1].edge_features[pair] == (1.0 if uniform else 2.0)).all()  # orthogonal
+    if count > 6 and not (normalize or uniform):
+        at_cap = graphs[6].edge_features[pair_list(5).index((2, 3))]
+        assert (at_cap == 2.0).all()                           # 1/0.5, at the cap
+
+
+def test_single_build_equals_per_instance_build():
+    rng = np.random.default_rng(21)
+    cfg = ComplementarityConfig(weight_cap=50.0)
+    for _ in range(50):
+        n, dim = int(rng.integers(2, 18)), int(rng.integers(1, 40))
+        emb, gi = rng.standard_normal((n, dim)), int(rng.integers(0, n))
+        g = build(emb, gi, cfg, label=3)
+        ref = instance_build(emb, gi, cfg, label=3)
+        assert np.array_equal(g.node_features, ref.node_features)
+        assert np.array_equal(g.edge_features, ref.edge_features)

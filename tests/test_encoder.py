@@ -302,3 +302,36 @@ def test_check_finite_names_the_tensor():
     params.layers[1].P[2][0, 0] = np.nan
     with pytest.raises(NumericError, match=r"^non-finite parameter tensor layer1\.head2\.P$"):
         params.check_finite()
+
+
+@pytest.mark.parametrize("batch", [1, 5, 8])
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("edge_update", [True, False])
+def test_node_only_forward_equals_full_forward(batch, num_layers, edge_update):
+    cfg = EncoderConfig(num_layers=num_layers, heads_per_layer=2, hidden_dim=8,
+                        edge_update=edge_update)
+    params = init_params(cfg, 8, seed=40 + num_layers)
+    graphs = [random_graph(6, 8, seed=50 + b) for b in range(batch)]
+    full, tape = enc.forward(params, graphs, want_grad=False)
+    outs, node_tape = enc.forward(params, graphs, want_grad=False, node_only=True)
+    assert outs is None and node_tape.edge_out is None
+    assert np.array_equal(node_tape.node_out.value, tape.node_out.value)
+    for b, g in enumerate(full):
+        assert np.array_equal(node_tape.node_out.value[b], g.node_features)
+    for layer, layer_full in zip(node_tape.attention, tape.attention, strict=True):
+        assert np.array_equal(layer, layer_full)
+
+
+def test_node_only_forward_skips_the_final_edge_check():
+    # final-layer edge logits that overflow the softplus: the full pass
+    # refuses them, the node-only pass never computes them
+    cfg = EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4)
+    params = init_params(cfg, 4, seed=19)
+    params.layers[0].edge_U[-4:] = 1e308
+    g = random_graph(3, 4, seed=20)
+    g = ViewGraph(g.node_features, np.full_like(g.edge_features, 2.0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="edge features after layer 0"):
+        enc.forward(params, [g], want_grad=False)
+    _, tape = enc.forward(params, [g], want_grad=False, node_only=True)
+    assert np.isfinite(tape.node_out.value).all()

@@ -11,7 +11,7 @@ from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, ini
                               proxy_anchor_loss, sinkhorn, update_proxies)
 from relviews.training import TrainConfig, TrainedModel
 from tests.conftest import rel_error
-from tests.helpers import ConstantCostHead
+from tests.helpers import ConstantCostHead, loop_sinkhorn
 
 
 def scfg(**kw):
@@ -233,6 +233,42 @@ def test_update_equals_per_graph_loop(rng, momentum):
         assert np.array_equal(out.node_centroids, ref.node_centroids)
         assert np.array_equal(out.edge_centroids, ref.edge_centroids)
         proxy = out
+
+
+def test_edge_sums_equal_add_at_with_repeated_keys(rng):
+    # edge rows spanning 16 orders of magnitude, so a change in the order of
+    # a key's additions changes its sum; the 18 global-view edges alone land
+    # on 3 keys, so keys repeat
+    slots, dim = 4, 5
+    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)),
+                       rng.standard_normal((num_pairs(slots), dim)))
+    batch = [ViewGraph(proxy.node_centroids + 0.1 * rng.standard_normal((slots, dim)),
+                       rng.standard_normal((num_pairs(slots), dim))
+                       * 10.0 ** rng.integers(-8, 8, size=(num_pairs(slots), 1)),
+                       label=0)
+             for _ in range(6)]
+    out = update_proxies(proxy, batch, SinkhornConfig(), momentum=0.0)
+    ref = loop_update_proxies(proxy, batch, SinkhornConfig(), 0.0)
+    assert np.array_equal(out.edge_centroids, ref.edge_centroids)
+
+
+@pytest.mark.parametrize("max_iters, tol", [(1000, 1e-9), (3, 1e-12), (1, 1e-6)])
+def test_sinkhorn_equals_the_plan_per_residual_loop(rng, max_iters, tol):
+    cfg = SinkhornConfig(entropic_regularizer=0.05, max_iters=max_iters, marginal_tol=tol)
+    for rows, cols in ((5, 4), (12, 3), (1, 6)):
+        cost = rng.random((rows, cols))
+        a = np.full(rows, 1.0 / rows)
+        if rows > 1:
+            a[0] = 0.0                                    # a row excluded from scaling
+            a /= a.sum()
+        b = np.full(cols, 1.0 / cols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = sinkhorn(cost, a, b, cfg)
+            ref = loop_sinkhorn(cost, a, b, cfg)
+        assert np.array_equal(out.plan, ref.plan)
+        assert (out.iterations, out.residual, out.converged) == (
+            ref.iterations, ref.residual, ref.converged)
 
 
 # --------------------------------------------------------------- anchor loss

@@ -9,6 +9,7 @@ from relviews import encoder as enc
 from relviews import synth, training
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
+from relviews.errors import ConfigError
 from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
@@ -82,6 +83,42 @@ def test_evaluate_matches_argmin_of_distances():
     labels = [inst.label for inst in test_ds.instances]
     expect = float(np.mean([p == y for p, y in zip(preds, labels)]))
     assert training.evaluate(model, test_ds) == expect
+
+
+def test_evaluate_over_two_chunks_and_a_remainder_matches_argmin_of_distances():
+    train_ds, _ = tiny_split(noise_rate=0.5)
+    cfg = replace(TINY_TRAIN, epochs=1, batch_size=4)
+    _, model = training.train(train_ds, cfg)
+    held = synth.generate(replace(TINY_SYNTH, noise_rate=0.5, seed=9))
+    ds = synth.SynthDataset(held.config, held.instances[::5][:2 * cfg.batch_size + 3])
+    assert len(ds) == 11 and set(ds.class_ids) == set(model.class_ids())
+    ids = model.class_ids()
+    preds = [ids[int(np.argmin(model.distances(g)))]
+             for g in training.encode_dataset(model, ds)]
+    expect = float(np.mean([p == inst.label for p, inst in zip(preds, ds.instances)]))
+    assert 0.0 < expect < 1.0
+    assert training.evaluate(model, ds) == expect
+
+
+def test_evaluate_refuses_a_class_without_proxy():
+    train_ds, _ = tiny_split()
+    two = synth.SynthDataset(train_ds.config,
+                             [inst for inst in train_ds.instances if inst.label < 2])
+    _, model = training.train(two, replace(TINY_TRAIN, epochs=1))
+    with pytest.raises(ConfigError, match=r"^the model has no proxy for class 2$"):
+        training.evaluate(model, train_ds)
+
+
+def test_train_refuses_test_data_with_an_unseen_class_before_training(monkeypatch):
+    train_ds, test_ds = tiny_split()
+    two = synth.SynthDataset(train_ds.config,
+                             [inst for inst in train_ds.instances if inst.label != 1])
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(enc, "forward", no_forward)
+    with pytest.raises(ConfigError, match=r"^the model being trained has no proxy for class 1$"):
+        training.train(two, TINY_TRAIN, test_dataset=test_ds)
 
 
 def test_distances_of_fewer_nodes_than_slots_equal_per_class_hed():
