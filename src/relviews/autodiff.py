@@ -10,18 +10,22 @@ created with ``requires_grad=True``.
 A node's gradient is the first array handed to it, then the sum `grad + g`
 per further contribution, in tape order. No gradient is ever updated in
 place, so a backward fn may hand one array to several parents, or return a
-view of its upstream gradient, without a copy. `flat_views` packs parameter
-tensors into one buffer so optimizers and checks run once per buffer.
+view of its upstream gradient, without a copy. `FlatParams` packs a
+model part's parameter tensors into one buffer, so optimizers and checks
+run once per buffer, and binds them to leaf Vars for a pass.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "Var", "constant", "leaf", "backward", "backward_from",
     "matmul", "concat", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
     "exp", "log", "sqrt", "square", "tanh", "leaky_relu", "softplus",
     "l2norm_last", "pairwise_l2", "reduce_min", "where_select", "flat_views",
+    "FlatParams", "fan_in_uniform",
 ]
 
 
@@ -36,6 +40,59 @@ def flat_views(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         views.append(view)
         start += arr.size
     return buf, views
+
+
+def fan_in_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Uniform draws in [-1, 1) scaled by 1/sqrt(fan_in), fan_in = shape[0]."""
+    return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+
+
+class FlatParams:
+    """Parameter tensors stored back to back in one float64 `buffer`.
+
+    `tensors` holds one view of `buffer` per stored tensor, `tensor_grads`
+    one of `grad_buffer`. A subclass's `_named` names such a list, and may
+    split a stored tensor into several named views; `grads` maps each name
+    to its gradient view."""
+
+    def __init__(self, tensors: list[np.ndarray]):
+        self.buffer, self.tensors = flat_views(tensors)
+        self.grad_buffer, self.tensor_grads = flat_views([np.zeros(t.shape) for t in tensors])
+        self.grads = dict(self._named(self.tensor_grads))
+
+    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
+        raise NotImplementedError
+
+    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
+        return self._named(self.tensors)
+
+    def set_tensor(self, name: str, value: np.ndarray) -> None:
+        arr = dict(self.named_tensors()).get(name)
+        if arr is None:
+            raise ConfigError(f"unknown tensor {name}")
+        if arr.shape != value.shape:
+            raise ConfigError(f"shape mismatch for {name}: {arr.shape} vs {value.shape}")
+        arr[...] = value
+
+    def zero_grads(self) -> None:
+        self.grad_buffer.fill(0.0)
+
+    def check_finite(self) -> None:
+        if np.isfinite(self.buffer).all():
+            return
+        for name, arr in self.named_tensors():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"non-finite parameter tensor {name}")
+
+    def leaves(self, want_grad: bool) -> list[Var]:
+        """One leaf Var per stored tensor, over its view of `buffer`."""
+        return [Var(t, requires_grad=want_grad) for t in self.tensors]
+
+    def accumulate(self, leaves: list[Var]) -> None:
+        """Add the gradients of `leaves`' finished backward pass to `grad_buffer`."""
+        for grad, v in zip(self.tensor_grads, leaves, strict=True):
+            if v.grad is not None:
+                grad += v.grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

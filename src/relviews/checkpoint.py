@@ -4,10 +4,11 @@ Layout: a version line, one `config` line per key=value pair, then per
 tensor a `tensor <name> <dim0,dim1,...>` line followed by one line of
 space-separated values at 17 significant digits (bit-comparable float64
 round trips). Tensor order is fixed by the writer and preserved on read.
-Every malformed or repeated line raises a ConfigError that names the file
-and, for a config key or a tensor, the key or the tensor. The config keys
-and their value parsers are defined once, in `training.CONFIG_KEYS`;
-`TrainedModel.save`/`load` write and check them.
+Every malformed or repeated line, and every NaN or infinite tensor value,
+raises a ConfigError that names the file and, for a config key or a
+tensor, the key or the tensor. The config keys and their value parsers
+are defined once, in `training.CONFIG_KEYS`; `TrainedModel.save`/`load`
+write and check them.
 """
 from __future__ import annotations
 
@@ -69,6 +70,8 @@ def read_checkpoint(path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]
             if values.size != expect:
                 raise ConfigError(f"{path}: tensor {name}: expected {expect} values, "
                                   f"got {values.size}")
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{path}: tensor {name}: non-finite value")
             tensors.append((name, values.reshape(shape)))
             i += 2
         elif not line.strip():

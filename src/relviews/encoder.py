@@ -12,8 +12,8 @@ layer once for the whole batch of B graphs, all heads fused: the heads'
 W, a and P are stored stacked on a leading head axis, so one broadcasting
 matmul computes every graph's and head's W h, and the attention is one
 (B, H, N, N) softmax. Every graph of the batch gets exactly the values a
-batch of one would give it. Every stored tensor is a view into the one
-flat `GatParams.buffer`, and its gradient a view into `grad_buffer`.
+batch of one would give it. `GatParams` is a flat parameter store
+(`autodiff.FlatParams`): each head-stacked tensor is one stored tensor.
 
 The returned tape holds the batch's output node and edge Vars, (B, N,
 hidden) and (B, N(N-1)/2, hidden), the latter None after a node-only pass
@@ -21,8 +21,7 @@ hidden) and (B, N(N-1)/2, hidden), the latter None after a node-only pass
 keyed like the LayerParams fields; and the attention coefficients as one
 (B, H, N, N) array per layer: graph b's coefficients are `[layer][b]`,
 indexed `[head]`. After a backward pass from the outputs,
-`EncoderTape.accumulate` adds each leaf's gradient to its view of
-`grad_buffer`, one addition per stacked tensor.
+`EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
 
 The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
@@ -35,7 +34,7 @@ at both endpoints. Both agree with the unfactored forms up to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,71 +80,44 @@ class LayerParams:
 
 
 @dataclass
-class GatParams:
-    """Encoder tensors, all views into one contiguous float64 `buffer`.
+class GatParams(ad.FlatParams):
+    """Encoder tensors in one flat parameter store.
 
-    `grad_buffer` has the same layout; `layer_grads` mirrors `layers` with
-    views into it (None where a layer has no such tensor), and `grads` names
-    the same memory per tensor, as `named_tensors` names the parameters."""
+    Each LayerParams field that is not None is one stored tensor, in layer
+    and field order, and the layers' fields are its views of `buffer`.
+    `named_tensors` and `grads` name one view per head of the head-stacked
+    W, a and P."""
     config: EncoderConfig
     in_dim: int
     layers: list[LayerParams]
-    buffer: np.ndarray = field(init=False, repr=False)
-    grad_buffer: np.ndarray = field(init=False, repr=False)
-    layer_grads: list[dict[str, np.ndarray | None]] = field(init=False, repr=False)
-    grads: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        slots = [(li, key) for li, layer in enumerate(self.layers)
-                 for key, arr in vars(layer).items() if arr is not None]
-        self.buffer, views = ad.flat_views([getattr(self.layers[li], key) for li, key in slots])
-        self.grad_buffer, grad_views = ad.flat_views([np.zeros(v.shape) for v in views])
-        self.layer_grads = [dict.fromkeys(vars(layer)) for layer in self.layers]
-        for (li, key), view, grad in zip(slots, views, grad_views):
-            setattr(self.layers[li], key, view)
-            self.layer_grads[li][key] = grad
-        self.grads = dict(_named(self.layer_grads))
+        super().__init__([arr for layer in self.layers
+                          for arr in vars(layer).values() if arr is not None])
+        for layer, views in zip(self.layers, self.by_layer(self.tensors)):
+            vars(layer).update(views)
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map.
+    def by_layer(self, flat: list) -> list[dict]:
+        """`flat`, one entry per stored tensor, as one dict per layer keyed
+        like the LayerParams fields, None where a layer has no such tensor."""
+        items = iter(flat)
+        return [{key: None if arr is None else next(items) for key, arr in vars(layer).items()}
+                for layer in self.layers]
 
-        Per-head entries are views into the stacked arrays."""
-        return _named([vars(layer) for layer in self.layers])
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        for tname, arr in self.named_tensors():
-            if tname == name:
-                if arr.shape != value.shape:
-                    raise ConfigError(f"shape mismatch for {name}: {arr.shape} vs {value.shape}")
-                arr[...] = value
-                return
-        raise ConfigError(f"unknown tensor {name}")
-
-    def zero_grads(self) -> None:
-        self.grad_buffer.fill(0.0)
-
-    def check_finite(self) -> None:
-        if np.isfinite(self.buffer).all():
-            return
-        for name, arr in self.named_tensors():
-            if not np.isfinite(arr).all():
-                raise NumericError(f"non-finite parameter tensor {name}")
-
-
-def _named(layers: list[dict]) -> list[tuple[str, np.ndarray]]:
-    """Names of the per-layer tensors (LayerParams fields, or arrays shaped alike)."""
-    out = []
-    for li, layer in enumerate(layers):
-        for hi in range(len(layer["W"])):
-            for key in ("W", "a", "P"):
-                out.append((f"layer{li}.head{hi}.{key}", layer[key][hi]))
-        if layer["norm_scale"] is not None:
-            out.append((f"layer{li}.norm.mean_scale", layer["norm_mean_scale"]))
-            out.append((f"layer{li}.norm.scale", layer["norm_scale"]))
-            out.append((f"layer{li}.norm.shift", layer["norm_shift"]))
-        if layer["edge_U"] is not None:
-            out.append((f"layer{li}.edge_update", layer["edge_U"]))
-    return out
+    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
+        """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map."""
+        out = []
+        for li, layer in enumerate(self.by_layer(arrays)):
+            for hi in range(len(layer["W"])):
+                for key in ("W", "a", "P"):
+                    out.append((f"layer{li}.head{hi}.{key}", layer[key][hi]))
+            if layer["norm_scale"] is not None:
+                out.append((f"layer{li}.norm.mean_scale", layer["norm_mean_scale"]))
+                out.append((f"layer{li}.norm.scale", layer["norm_scale"]))
+                out.append((f"layer{li}.norm.shift", layer["norm_shift"]))
+            if layer["edge_U"] is not None:
+                out.append((f"layer{li}.edge_update", layer["edge_U"]))
+        return out
 
 
 def _layer_dims(cfg: EncoderConfig, in_dim: int):
@@ -166,24 +138,18 @@ def _layer_dims(cfg: EncoderConfig, in_dim: int):
 def init_params(cfg: EncoderConfig, in_dim: int, seed: int = 0) -> GatParams:
     """Uniform init scaled by 1/sqrt(fan_in); norm scales start at identity."""
     rng = np.random.default_rng(seed)
-
-    def u(shape, fan_in):
-        return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
-
     layers = []
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, in_dim)):
         final = li == cfg.num_layers - 1
-        W = np.stack([u((node_in, head_dim), node_in) for _ in range(cfg.heads_per_layer)])
-        a = np.stack([u((3 * head_dim,), 3 * head_dim) for _ in range(cfg.heads_per_layer)])
-        P = np.stack([u((edge_in, head_dim), edge_in) for _ in range(cfg.heads_per_layer)])
+        W, a, P = (np.stack([ad.fan_in_uniform(rng, shape) for _ in range(cfg.heads_per_layer)])
+                   for shape in ((node_in, head_dim), (3 * head_dim,), (edge_in, head_dim)))
         layer = LayerParams(W=W, a=a, P=P)
         if not final:
             layer.norm_mean_scale = np.ones(cfg.hidden_dim)
             layer.norm_scale = np.ones(cfg.hidden_dim)
             layer.norm_shift = np.zeros(cfg.hidden_dim)
         if updates:
-            layer.edge_U = u((2 * cfg.hidden_dim + edge_in, cfg.hidden_dim),
-                             2 * cfg.hidden_dim + edge_in)
+            layer.edge_U = ad.fan_in_uniform(rng, (2 * cfg.hidden_dim + edge_in, cfg.hidden_dim))
         layers.append(layer)
     return GatParams(cfg, in_dim, layers)
 
@@ -217,12 +183,8 @@ class EncoderTape:
     attention: list[np.ndarray]          # per layer: (B, H, N, N)
 
     def accumulate(self) -> None:
-        """Add the leaf gradients of a finished backward pass to the
-        parameters' gradient buffer, one addition per stacked tensor."""
-        for pv, grads in zip(self.param_vars, self.params.layer_grads):
-            for key, v in pv.items():
-                if v is not None and v.grad is not None:
-                    grads[key] += v.grad
+        """Hand the leaves' gradients of a finished backward pass to `params`."""
+        self.params.accumulate([v for pv in self.param_vars for v in pv.values() if v is not None])
 
 
 def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> Var:
@@ -264,8 +226,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
 
     b, heads = len(graphs), cfg.heads_per_layer
     consts = _GraphConsts.get(n)
-    pvars = [{key: None if arr is None else Var(arr, requires_grad=want_grad)
-              for key, arr in vars(layer).items()} for layer in params.layers]
+    pvars = params.by_layer(params.leaves(want_grad))
 
     h: Var = ad.constant(nodes)                                      # (B, N, d)
     e: Var = ad.constant(edges)                                      # (B, M, d_e)

@@ -58,40 +58,19 @@ _TINY = np.finfo(np.float64).tiny
 
 # ---------------------------------------------------------------- cost heads
 
-class CostHead:
+class CostHead(ad.FlatParams):
     """One-hidden-layer MLP to a scalar, softplus output so costs are >= 0.
 
-    W1, b1, w2 and b2 are views into one float64 `buffer`; `grads` holds
-    views of the same layout into `grad_buffer`."""
+    A flat parameter store (`autodiff.FlatParams`) of W1, b1, w2 and b2."""
 
     def __init__(self, in_dim: int, hidden: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
+        super().__init__([ad.fan_in_uniform(rng, (in_dim, hidden)), np.zeros(hidden),
+                          ad.fan_in_uniform(rng, (hidden, 1)), np.zeros(1)])
+        self.W1, self.b1, self.w2, self.b2 = self.tensors
 
-        def u(shape, fan_in):
-            return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
-
-        self.in_dim = in_dim
-        self.hidden = hidden
-        init = [u((in_dim, hidden), in_dim), np.zeros(hidden), u((hidden, 1), hidden), np.zeros(1)]
-        self.buffer, (self.W1, self.b1, self.w2, self.b2) = ad.flat_views(init)
-        self.grad_buffer, grads = ad.flat_views([np.zeros(t.shape) for t in init])
-        self.grads = {name: g for (name, _), g in zip(self.named_tensors(), grads)}
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("cost.W1", self.W1), ("cost.b1", self.b1),
-                ("cost.w2", self.w2), ("cost.b2", self.b2)]
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        for tname, arr in self.named_tensors():
-            if tname == name:
-                if arr.shape != value.shape:
-                    raise ConfigError(f"shape mismatch for {name}")
-                arr[...] = value
-                return
-        raise ConfigError(f"unknown tensor {name}")
-
-    def zero_grads(self) -> None:
-        self.grad_buffer.fill(0.0)
+    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
+        return list(zip(("cost.W1", "cost.b1", "cost.w2", "cost.b2"), arrays, strict=True))
 
     def bind(self, want_grad: bool = False) -> "_BoundMlpHead":
         return _BoundMlpHead(self, want_grad)
@@ -103,20 +82,17 @@ class CostHead:
 class _BoundMlpHead:
     def __init__(self, head: CostHead, want_grad: bool):
         self.head = head
-        self.pvars = {name: Var(arr, requires_grad=want_grad)
-                      for name, arr in head.named_tensors()}
+        self.leaves = head.leaves(want_grad)
 
     def costs(self, x: Var) -> Var:
         """One cost per row of x, shaped like x without its last axis."""
-        h = ad.tanh(ad.matmul(x, self.pvars["cost.W1"]) + self.pvars["cost.b1"])
-        out = ad.softplus(ad.matmul(h, self.pvars["cost.w2"]) + self.pvars["cost.b2"])
+        W1, b1, w2, b2 = self.leaves
+        h = ad.tanh(ad.matmul(x, W1) + b1)
+        out = ad.softplus(ad.matmul(h, w2) + b2)
         return ad.reshape(out, x.shape[:-1])
 
     def accumulate(self) -> None:
-        for name, _ in self.head.named_tensors():
-            v = self.pvars[name]
-            if v.grad is not None:
-                self.head.grads[name] += v.grad
+        self.head.accumulate(self.leaves)
 
 
 # ----------------------------------------------------------------- distance

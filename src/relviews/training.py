@@ -253,31 +253,33 @@ class TrainedModel:
         head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
         model = cls(cfg, in_dim, params, head)
         width = cfg.encoder.hidden_dim
+        pd = cfg.ablations.proxy_as_graph
+        unread = {name: store for store in (params, head) for name, _ in store.named_tensors()}
         stash: dict[str, dict[int, np.ndarray]] = {
             "nodes": {}, "edges": {}, "vector": model.proxy_vectors}
         for name, arr in tensors:
-            if name.startswith("proxy"):
-                slot, _, kind = name.partition(".")
-                cid = slot[len("proxy"):]
-                if not cid.lstrip("-").isdigit() or kind not in stash:
-                    raise ConfigError(f"unknown tensor {name}")
-                if arr.shape[-1:] != (width,) or arr.ndim != (1 if kind == "vector" else 2):
-                    raise ConfigError(f"tensor {name}: shape {arr.shape} does not fit "
-                                      f"hidden_dim {width}")
-                stash[kind][int(cid)] = arr
-            elif name.startswith("cost."):
-                head.set_tensor(name, arr)
-            else:
-                params.set_tensor(name, arr)
-        loaded = {name for name, _ in tensors}
-        for name, _ in list(params.named_tensors()) + list(head.named_tensors()):
-            if name not in loaded:
-                raise ConfigError(f"missing tensor {name}")
-        for cid, nodes in sorted(stash["nodes"].items()):
-            if cid not in stash["edges"]:
-                raise ConfigError(f"missing tensor proxy{cid}.edges")
+            if name in unread:
+                unread.pop(name).set_tensor(name, arr)
+                continue
+            slot, _, kind = name.partition(".")
+            cid = slot[len("proxy"):]
+            if not (slot.startswith("proxy") and cid.lstrip("-").isdigit() and kind in stash):
+                raise ConfigError(f"unknown tensor {name}")
+            if (kind == "vector") == pd:
+                raise ConfigError(f"tensor {name} does not belong to a checkpoint with "
+                                  f"ablate.pd={str(pd).lower()}")
+            if arr.shape[-1:] != (width,) or arr.ndim != (1 if kind == "vector" else 2):
+                raise ConfigError(f"tensor {name}: shape {arr.shape} does not fit "
+                                  f"hidden_dim {width}")
+            stash[kind][int(cid)] = arr
+        if unread:
+            raise ConfigError(f"missing tensor {next(iter(unread))}")
+        for cid in sorted(stash["nodes"].keys() | stash["edges"].keys()):
+            for kind in ("nodes", "edges"):
+                if cid not in stash[kind]:
+                    raise ConfigError(f"missing tensor proxy{cid}.{kind}")
             try:
-                model.proxies[cid] = ProxyGraph(cid, nodes, stash["edges"][cid])
+                model.proxies[cid] = ProxyGraph(cid, stash["nodes"][cid], stash["edges"][cid])
             except ValueError as err:
                 raise ConfigError(f"proxy{cid}: {err}") from None
         return model
@@ -373,12 +375,10 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     in_dim = dataset.config.feature_dim
-    ab = cfg.ablations
 
     if test_dataset is not None:
         check_classes(dataset.class_ids, test_dataset, "the model being trained")
-    graphs = build_dataset(dataset, cfg.comp, uniform=not ab.use_complementarity_graph,
-                           chunk_size=cfg.batch_size)
+    graphs = _input_graphs(cfg, dataset)
     labels = [inst.label for inst in dataset.instances]
 
     params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
@@ -418,13 +418,14 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             bound.accumulate()
             opt.step([params.grad_buffer, head.grad_buffer], lr)
             params.check_finite()
+            head.check_finite()
 
             _refresh_proxies(model, srgs_by_class, cfg)
         epoch_losses.append(float(np.mean(batch_losses)))
         if log is not None and (epoch % 20 == 0 or epoch == cfg.epochs - 1):
             log(f"epoch {epoch}: loss {epoch_losses[-1]:.6f} lr {lr:.6g}")
 
-    train_acc = evaluate(model, dataset)
+    train_acc = _accuracy(model, graphs, labels)
     test_acc = evaluate(model, test_dataset) if test_dataset else None
     report = TrainReport(epoch_losses, train_acc, test_acc,
                          time.perf_counter() - started)
@@ -443,38 +444,49 @@ def check_classes(class_ids, dataset: SynthDataset, owner: str) -> None:
                           + ", ".join(str(c) for c in missing))
 
 
-def _encoded_chunks(model: TrainedModel, dataset: SynthDataset, node_only: bool = False):
-    """(relevance graphs, tape) per chunk of batch_size instances, in dataset order.
+def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
+    """Input graphs of every instance, built `batch_size` instances per stacked pass."""
+    return build_dataset(dataset, cfg.comp, uniform=not cfg.ablations.use_complementarity_graph,
+                         chunk_size=cfg.batch_size)
 
-    Input graphs are built `batch_size` instances per stacked pass. With
-    `node_only`, each chunk is (None, tape) from the encoder's node-only
-    pass: `tape.node_out` as in the full pass, no final-layer edges."""
+
+def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph], node_only: bool):
+    """(relevance graphs, tape) per chunk of batch_size input graphs, in order.
+
+    With `node_only`, each chunk is (None, tape) from the encoder's
+    node-only pass: `tape.node_out` as in the full pass, no final-layer edges."""
     step = model.config.batch_size
-    graphs = build_dataset(dataset, model.config.comp,
-                           uniform=not model.config.ablations.use_complementarity_graph,
-                           chunk_size=step)
     for start in range(0, len(graphs), step):
         yield enc.forward(model.params, graphs[start:start + step], False, node_only=node_only)
 
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:
     """Relevance graphs for every instance, in dataset order."""
-    return [srg for srgs, _ in _encoded_chunks(model, dataset) for srg in srgs]
+    graphs = _input_graphs(model.config, dataset)
+    return [srg for srgs, _ in _encoded_chunks(model, graphs, False) for srg in srgs]
+
+
+def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:
+    """Fraction of input graphs whose nearest proxy matches their label. The
+    encoder runs node-only: a prediction reads node embeddings alone, so the
+    final layer's edges are neither computed nor checked for finiteness."""
+    ids = np.asarray(model.class_ids())
+    bound = model.cost_head.bind(False)
+    preds = [ids[model.distance_table(tape.node_out, bound).value.argmin(axis=1)]
+             for _, tape in _encoded_chunks(model, graphs, True)]
+    return int((np.concatenate(preds) == labels).sum()) / len(labels)
 
 
 def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     """Fraction of instances whose nearest proxy matches their label.
 
-    A ConfigError refuses a dataset with a class the model has no proxy for.
-    The encoder runs node-only: a prediction reads node embeddings alone, so
-    the final layer's edges are neither computed nor checked for finiteness."""
-    ids = np.asarray(model.class_ids())
-    check_classes(ids, dataset, "the model")
-    bound = model.cost_head.bind(False)
-    preds = [ids[model.distance_table(tape.node_out, bound).value.argmin(axis=1)]
-             for _, tape in _encoded_chunks(model, dataset, node_only=True)]
-    labels = [inst.label for inst in dataset.instances]
-    return int((np.concatenate(preds) == labels).sum()) / len(dataset.instances)
+    A ConfigError refuses a dataset with no instances, or with a class the
+    model has no proxy for."""
+    if not dataset.instances:
+        raise ConfigError("cannot evaluate a dataset with no instances")
+    check_classes(model.class_ids(), dataset, "the model")
+    return _accuracy(model, _input_graphs(model.config, dataset),
+                     [inst.label for inst in dataset.instances])
 
 
 def sweep_noise(base_cfg: TrainConfig, synth_cfg, eta_list, models,

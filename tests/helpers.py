@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 
 from relviews import autodiff as ad
-from relviews import encoder as enc
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
 from relviews.graphs import ViewGraph, num_pairs, pair_list, upper_pairs
@@ -117,10 +116,9 @@ def encoder_backward(tape, node_grads: np.ndarray,
         seeds.append((tape.edge_out, edge_grads))
     ad.backward_from(seeds)
     tape.accumulate()
-    grads = [{key: (None if v is None else
-                    v.grad if v.grad is not None else np.zeros_like(v.value))
-              for key, v in layer.items()} for layer in tape.param_vars]
-    return dict(enc._named(grads))
+    leaves = [v for layer in tape.param_vars for v in layer.values() if v is not None]
+    return dict(tape.params._named([np.zeros_like(v.value) if v.grad is None else v.grad
+                                    for v in leaves]))
 
 
 def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:

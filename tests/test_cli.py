@@ -102,6 +102,15 @@ def _splice(prefix, new, offset=0, count=1):
     return edit
 
 
+def _first_value(prefix, token):
+    """Edit putting `token` in place of the first value of the tensor whose
+    header line starts with `prefix`."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + 1
+        return lines[:i] + [" ".join([token, *lines[i].split()[1:]])] + lines[i + 1:]
+    return edit
+
+
 @pytest.fixture
 def trained(tiny, capsys):
     tmp_path, config, data = tiny
@@ -130,8 +139,17 @@ def trained(tiny, capsys):
      "duplicate config key 'train.seed'"),
     (_splice("tensor cost.b2 ", ["tensor cost.b2 1", "0"], offset=2, count=0),
      "duplicate tensor cost.b2"),
+    (_first_value("tensor cost.W1 ", "nan"), "tensor cost.W1: non-finite value"),
+    (_first_value("tensor proxy1.nodes ", "-inf"), "tensor proxy1.nodes: non-finite value"),
+    (_splice("tensor proxy1.nodes ", [], count=2), "missing tensor proxy1.nodes"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy1.vector 8", " ".join("0" * 8)], count=0),
+     "tensor proxy1.vector does not belong to a checkpoint with ablate.pd=true"),
+    (_splice("config ablate.pd=", ["config ablate.pd=false"]),
+     "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
 ], ids=["value_token", "dims", "proxy_edges", "cost_tensor", "proxy_shape", "proxy_width",
-        "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor"])
+        "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
+        "nan_value", "inf_proxy", "proxy_nodes", "vector_in_graph_proxies",
+        "graph_in_vector_proxies"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")

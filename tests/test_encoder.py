@@ -7,6 +7,7 @@ from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
 from relviews.errors import ConfigError, NumericError
 from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
+from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
 from tests.helpers import encoder_backward, gathered_pair_matrix
 
@@ -274,34 +275,46 @@ def test_forward_and_gradients_match_concat_form(cfg, in_dim):
 
 
 def test_tensors_and_grads_are_views_of_the_flat_buffers():
-    params = init_params(EncoderConfig(num_layers=3, heads_per_layer=2, hidden_dim=8), 6, seed=30)
-    tensors = params.named_tensors()
-    assert sum(arr.size for _, arr in tensors) == params.buffer.size
-    assert params.grads.keys() == dict(tensors).keys()
-    for name, arr in tensors:
-        assert np.shares_memory(arr, params.buffer), name
-        assert np.shares_memory(params.grads[name], params.grad_buffer), name
-        assert params.grads[name].shape == arr.shape, name
-    params.grad_buffer[:] = 1.0
-    params.zero_grads()
-    assert all(np.all(g == 0.0) for g in params.grads.values())
+    for params in (init_params(EncoderConfig(num_layers=3, heads_per_layer=2, hidden_dim=8),
+                               6, seed=30),
+                   CostHead(6, hidden=4, seed=30)):
+        tensors = params.named_tensors()
+        assert sum(arr.size for _, arr in tensors) == params.buffer.size
+        assert params.grads.keys() == dict(tensors).keys()
+        for name, arr in tensors:
+            assert np.shares_memory(arr, params.buffer), name
+            assert np.shares_memory(params.grads[name], params.grad_buffer), name
+            assert params.grads[name].shape == arr.shape, name
+        params.grad_buffer[:] = 1.0
+        params.zero_grads()
+        assert all(np.all(g == 0.0) for g in params.grads.values())
 
 
 def test_set_tensor_writes_through_to_the_buffer():
     params = init_params(EncoderConfig(heads_per_layer=2, hidden_dim=8), 6, seed=31)
-    value = np.full(params.layers[1].P[1].shape, 0.25)
-    params.set_tensor("layer1.head1.P", value)
-    assert np.array_equal(params.layers[1].P[1], value)
-    view = dict(params.named_tensors())["layer1.head1.P"]
-    assert np.shares_memory(view, params.buffer) and np.array_equal(view, value)
+    head = CostHead(6, hidden=4, seed=31)
+    for store, name, field in ((params, "layer1.head1.P", lambda: params.layers[1].P[1]),
+                               (head, "cost.W1", lambda: head.W1)):
+        value = np.full(field().shape, 0.25)
+        store.set_tensor(name, value)
+        assert np.array_equal(field(), value)
+        view = dict(store.named_tensors())[name]
+        assert np.shares_memory(view, store.buffer) and np.array_equal(view, value)
+        with pytest.raises(ConfigError, match=f"^shape mismatch for {name}"):
+            store.set_tensor(name, value[:1])
+        with pytest.raises(ConfigError, match=r"^unknown tensor layer9\.head0\.W$"):
+            store.set_tensor("layer9.head0.W", value)
 
 
 def test_check_finite_names_the_tensor():
     params = init_params(EncoderConfig(), 6, seed=32)
-    params.check_finite()
-    params.layers[1].P[2][0, 0] = np.nan
-    with pytest.raises(NumericError, match=r"^non-finite parameter tensor layer1\.head2\.P$"):
-        params.check_finite()
+    head = CostHead(6, hidden=4, seed=32)
+    for store, field, name, bad in ((params, params.layers[1].P[2], r"layer1\.head2\.P", np.nan),
+                                    (head, head.b1, r"cost\.b1", -np.inf)):
+        store.check_finite()
+        field[0] = bad
+        with pytest.raises(NumericError, match=f"^non-finite parameter tensor {name}$"):
+            store.check_finite()
 
 
 @pytest.mark.parametrize("batch", [1, 5, 8])

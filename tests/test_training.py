@@ -9,7 +9,7 @@ from relviews import encoder as enc
 from relviews import synth, training
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
-from relviews.errors import ConfigError
+from relviews.errors import ConfigError, NumericError
 from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
@@ -109,6 +109,47 @@ def test_evaluate_refuses_a_class_without_proxy():
         training.evaluate(model, train_ds)
 
 
+def test_evaluate_refuses_an_empty_dataset():
+    cfg = replace(TINY_TRAIN, encoder=EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4))
+    model = TrainedModel(cfg, 8, init_params(cfg.encoder, 8, seed=1), CostHead(4, 3, seed=2),
+                         proxy_vectors={0: np.zeros(4)})
+    empty = synth.SynthDataset(synth.generate(TINY_SYNTH).config, [])
+    with pytest.raises(ConfigError, match=r"^cannot evaluate a dataset with no instances$"):
+        training.evaluate(model, empty)
+
+
+def test_train_builds_its_input_graphs_once(monkeypatch):
+    train_ds, _ = tiny_split()
+    calls = []
+    build = training.build_dataset
+
+    def counted(ds, *args, **kwargs):
+        calls.append(len(ds))
+        return build(ds, *args, **kwargs)
+    monkeypatch.setattr(training, "build_dataset", counted)
+    report, _ = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
+    assert calls == [len(train_ds)] and report.final_test_accuracy is None
+
+
+@pytest.mark.parametrize("bad_step", ["first", "last"])
+def test_train_refuses_a_non_finite_cost_head(monkeypatch, tmp_path, bad_step):
+    # only the cost head turns non-finite: an encoder-only check misses it
+    # after the last step, and after any other names an encoder tensor next step
+    train_ds, _ = tiny_split()
+    cfg = replace(TINY_TRAIN, epochs=1)
+    steps = -(-len(train_ds) // cfg.batch_size)
+    step = training.Adam.step
+
+    def nan_head_step(self, grads, lr):
+        step(self, grads, lr)
+        if self.t == (1 if bad_step == "first" else steps):
+            self.buffers[1][-1] = np.nan                # cost.b2
+    monkeypatch.setattr(training.Adam, "step", nan_head_step)
+    with pytest.raises(NumericError, match=r"^non-finite parameter tensor cost\.b2$"):
+        training.train(train_ds, cfg, checkpoint_path=tmp_path / "model.ckpt")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_train_refuses_test_data_with_an_unseen_class_before_training(monkeypatch):
     train_ds, test_ds = tiny_split()
     two = synth.SynthDataset(train_ds.config,
@@ -175,7 +216,8 @@ def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
         report, model = training.train(train_ds, TINY_TRAIN, test_dataset=test_ds)
         bound = model.cost_head.bind(False)
         tables = [model.distance_table(tape.node_out, bound).value
-                  for _, tape in training._encoded_chunks(model, test_ds)]
+                  for _, tape in training._encoded_chunks(
+                      model, training._input_graphs(model.config, test_ds), False)]
         runs.append((report, model, np.concatenate(tables)))
     (rep_s, model_s, table_s), (rep_f, model_f, table_f) = runs
     assert rep_s.epoch_losses == rep_f.epoch_losses
@@ -216,6 +258,11 @@ def test_save_load_round_trips_every_checkpoint_key(tmp_path):
     assert loaded.config == cfg and loaded.in_dim == 6
     loaded.save(tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    bad = tmp_path / "nan.ckpt"
+    bad.write_text((tmp_path / "a.ckpt").read_text().replace(
+        "tensor proxy3.vector 4\n-0 -1", "tensor proxy3.vector 4\nnan -1"))
+    with pytest.raises(ConfigError, match=r"nan\.ckpt: tensor proxy3\.vector: non-finite value$"):
+        TrainedModel.load(bad)
 
 
 # Written by the first checkpoint writer, `relviews-checkpoint 1`.
