@@ -22,9 +22,9 @@ from .errors import ConfigError, NumericError
 
 __all__ = [
     "Var", "constant", "leaf", "backward", "backward_from",
-    "matmul", "concat", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
-    "exp", "log", "sqrt", "square", "tanh", "leaky_relu", "softplus",
-    "l2norm_last", "pairwise_l2", "reduce_min", "where_select", "flat_views",
+    "matmul", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
+    "exp", "sqrt", "square", "tanh", "leaky_relu", "softplus",
+    "pairwise_l2", "reduce_min", "where_select", "flat_views",
     "FlatParams", "fan_in_uniform",
 ]
 
@@ -214,14 +214,6 @@ def reshape(a: Var, shape) -> Var:
     return _node(a.value.reshape(shape), (a,), bk)
 
 
-def concat(vs: list[Var], axis: int) -> Var:
-    sizes = [v.value.shape[axis] for v in vs]
-
-    def bk(g):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-    return _node(np.concatenate([v.value for v in vs], axis=axis), tuple(vs), bk)
-
-
 def transpose(a: Var, axes) -> Var:
     inverse = np.argsort(axes)
 
@@ -299,12 +291,6 @@ def exp(a: Var) -> Var:
     return _node(val, (a,), bk)
 
 
-def log(a: Var) -> Var:
-    def bk(g):
-        return (g / a.value,)
-    return _node(np.log(a.value), (a,), bk)
-
-
 def sqrt(a: Var) -> Var:
     val = np.sqrt(a.value)
 
@@ -349,17 +335,6 @@ def softplus(a: Var) -> Var:
     def bk(g):
         return (g * _sigmoid(x, z),)
     return _node(np.maximum(x, 0.0) + np.log1p(z), (a,), bk)
-
-
-def l2norm_last(a: Var) -> Var:
-    """Euclidean norm along the last axis; subgradient 0 at the origin."""
-    val = np.sqrt(np.square(a.value).sum(axis=-1))
-
-    def bk(g):
-        safe = np.where(val == 0.0, 1.0, val)
-        scale = np.where(val == 0.0, 0.0, g / safe)
-        return (scale[..., None] * a.value,)
-    return _node(val, (a,), bk)
 
 
 def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:

@@ -51,13 +51,15 @@ def _build_stack(emb: np.ndarray, cfg: ComplementarityConfig,
         # blocks raised the peak RSS of a training run by about 1 MB
         edges = np.empty((weight.shape[1], dim))
         edges[...] = weight[k]
-        graphs.append(ViewGraph(emb[k].copy(), edges, global_index=0, label=label))
+        graphs.append(ViewGraph(emb[k].copy(), edges, label=label))
     return graphs
 
 
-def build(embeddings, global_index: int, cfg: ComplementarityConfig,
+def build(embeddings, cfg: ComplementarityConfig,
           label: int | None = None, uniform: bool = False) -> ViewGraph:
-    """Complete graph over the views; the global view always lands at node 0.
+    """Complete graph over the views of one instance. Row 0 of `embeddings`
+    is the global view and becomes node 0, as `SynthInstance.embeddings()`
+    stacks it.
 
     `uniform=True` replaces the 1/|dot| rule with all-ones local-local edges
     (the input-graph ablation).
@@ -65,11 +67,6 @@ def build(embeddings, global_index: int, cfg: ComplementarityConfig,
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] < 2:
         raise ValueError("need at least two embeddings of equal dimension")
-    if not 0 <= global_index < emb.shape[0]:
-        raise IndexError("global_index out of range")
-    if global_index != 0:
-        order = [global_index] + [i for i in range(emb.shape[0]) if i != global_index]
-        emb = emb[order]
     return _build_stack(emb[None], cfg, [label], uniform)[0]
 
 

@@ -35,13 +35,14 @@ at both endpoints. Both agree with the unfactored forms up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, NumericError
-from .graphs import ViewGraph, num_pairs, pair_list
+from .graphs import ViewGraph, num_pairs, upper_pairs
 
 _NEG = -1e30
 
@@ -154,23 +155,13 @@ def init_params(cfg: EncoderConfig, in_dim: int, seed: int = 0) -> GatParams:
     return GatParams(cfg, in_dim, layers)
 
 
-class _GraphConsts:
-    """Constant index/mask arrays for a complete graph of N nodes."""
-
-    _cache: dict[int, "_GraphConsts"] = {}
-
-    def __init__(self, n: int):
-        pairs = pair_list(n)
-        self.idx_i = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.idx_j = np.array([j for _, j in pairs], dtype=np.intp)
-        self.offdiag = 1.0 - np.eye(n)
-        self.diag_neg = np.where(np.eye(n) > 0, _NEG, 0.0)
-
-    @classmethod
-    def get(cls, n: int) -> "_GraphConsts":
-        if n not in cls._cache:
-            cls._cache[n] = cls(n)
-        return cls._cache[n]
+@lru_cache(maxsize=128)
+def _diag_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(off-diagonal ones, _NEG on the diagonal) for N nodes, read-only."""
+    masks = (1.0 - np.eye(n), np.where(np.eye(n) > 0, _NEG, 0.0))
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 @dataclass
@@ -225,7 +216,8 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
         raise NumericError("non-finite values in input graph (layer 0)")
 
     b, heads = len(graphs), cfg.heads_per_layer
-    consts = _GraphConsts.get(n)
+    idx_i, idx_j = upper_pairs(n)
+    offdiag, diag_neg = _diag_masks(n)
     pvars = params.by_layer(params.leaves(want_grad))
 
     h: Var = ad.constant(nodes)                                      # (B, N, d)
@@ -243,10 +235,10 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
         t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))       # (B, H, 1, N)
         pa = ad.matmul(pv["P"], a_edge)                              # (H, d_e, 1)
         u_pair = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pa)  # (B, H, M, 1)
-        u_mat = ad.pair_matrix(u_pair, consts.idx_i, consts.idx_j, n)  # (B, H, N, N)
-        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
+        u_mat = ad.pair_matrix(u_pair, idx_i, idx_j, n)              # (B, H, N, N)
+        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
         rowmax = logits.value.max(axis=-1, keepdims=True)            # detached shift
-        ex = ad.exp(logits - rowmax) * consts.offdiag
+        ex = ad.exp(logits - rowmax) * offdiag
         alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)             # (B, H, N, N)
         attention.append(alpha.value)
         head_out = ad.matmul(alpha, Wh)                              # (B, H, N, hd)
@@ -270,15 +262,14 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
                 ad.take(pv["edge_U"], np.arange(lo, hi), axis=0)
                 for lo, hi in ((0, hd), (hd, 2 * hd), (2 * hd, 2 * hd + edge_in)))
             S = ad.matmul(h, (u_src + u_dst) * 0.5)                  # (B, N, hidden)
-            e = ad.softplus(ad.take(S, consts.idx_i, axis=1) + ad.take(S, consts.idx_j, axis=1)
+            e = ad.softplus(ad.take(S, idx_i, axis=1) + ad.take(S, idx_j, axis=1)
                             + ad.matmul(e, u_edge))
             if not np.isfinite(e.value).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 
     if node_only:
         return None, EncoderTape(params, pvars, h, None, attention)
-    outs = [ViewGraph(h.value[i], e.value[i], global_index=g.global_index, label=g.label)
-            for i, g in enumerate(graphs)]
+    outs = [ViewGraph(h.value[i], e.value[i], label=g.label) for i, g in enumerate(graphs)]
     return outs, EncoderTape(params, pvars, h, e, attention)
 
 

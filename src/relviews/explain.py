@@ -58,7 +58,7 @@ def _check_size(size: int) -> None:
 
 def _ranked_locals(graph: ViewGraph) -> np.ndarray:
     """Local views by descending emergence; ties by node index."""
-    locals_ = np.array(graph.local_indices, dtype=np.intp)
+    locals_ = np.arange(1, graph.num_views)
     return locals_[np.lexsort((locals_, -emergence_scores(graph)))]
 
 
@@ -66,14 +66,14 @@ def top_k_explanation(graph: ViewGraph, top_k: int) -> ExplanationSubgraph:
     """The global view plus the top_k locals by emergence; ties by node index."""
     _check_size(top_k)
     keep = _ranked_locals(graph)[:top_k]
-    return ExplanationSubgraph(graph, frozenset(keep.tolist()) | {graph.global_index})
+    return ExplanationSubgraph(graph, frozenset(keep.tolist()) | {0})
 
 
 def random_explanation(graph: ViewGraph, size: int, rng: np.random.Generator
                        ) -> ExplanationSubgraph:
     _check_size(size)
     keep = rng.permutation(graph.local_indices)[:size]
-    return ExplanationSubgraph(graph, frozenset(int(v) for v in keep) | {graph.global_index})
+    return ExplanationSubgraph(graph, frozenset(int(v) for v in keep) | {0})
 
 
 def _rows_by(keys) -> dict:
@@ -134,7 +134,7 @@ def fidelity_sparsity_curve(graphs: list[ViewGraph], proxies: dict[int, ProxyGra
     masks = []
     for g in graphs:
         mask = np.zeros((len(ks), g.num_views), dtype=bool)
-        mask[:, g.global_index] = True
+        mask[:, 0] = True
         ranked = _ranked_locals(g)
         for row, k in zip(mask, ks):
             row[ranked[:k]] = True

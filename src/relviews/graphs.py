@@ -1,34 +1,24 @@
 """Complete undirected graphs over image views.
 
-A view graph holds one global view (always node 0) plus k local views, with
-an n-dimensional feature vector per node and per unordered node pair. Edge
-features are stored once per pair in canonical (i < j) lexicographic order,
-which enforces undirectedness structurally and keeps exports byte-stable.
+Every view graph has one fixed layout, which the whole package relies on:
+- node 0 is the global view, nodes 1..N-1 are the k local views;
+- edge features are stored once per unordered pair, in `upper_pairs`
+  order: (0, 1), ..., (0, N-1), (1, 2), ..., which keeps the graph
+  undirected by construction and exports byte-stable;
+- so the global edges (0, 1)..(0, N-1) are edge rows 0..N-2.
+
+Each node and each pair carries an n-dimensional feature vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
-
-GLOBAL_INDEX = 0
 
 
 def num_pairs(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def pair_index(i: int, j: int, n: int) -> int:
-    """Row of the unordered pair (i, j) in canonical lexicographic order."""
-    if i == j:
-        raise ValueError("no self-edges in a view graph")
-    if i > j:
-        i, j = j, i
-    if i < 0 or j >= n:
-        raise IndexError(f"pair ({i}, {j}) out of range for {n} nodes")
-    return pair_rows(i, j, n)
 
 
 def pair_rows(i, j, n: int):
@@ -47,17 +37,13 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ends
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 @dataclass(frozen=True)
 class ViewGraph:
-    """Complete graph over one global + k local views. Immutable once built."""
+    """Complete graph over the global view (node 0) and k local views,
+    edges in `upper_pairs` order. Immutable once built."""
 
     node_features: np.ndarray   # (N, n)
     edge_features: np.ndarray   # (N*(N-1)/2, n), canonical pair order
-    global_index: int = GLOBAL_INDEX
     label: int | None = None
 
     def __post_init__(self):
@@ -71,8 +57,6 @@ class ViewGraph:
             raise ValueError(
                 f"edge_features must have shape ({num_pairs(nodes.shape[0])}, "
                 f"{nodes.shape[1]}), got {edges.shape}")
-        if not 0 <= self.global_index < nodes.shape[0]:
-            raise ValueError("global_index out of range")
 
     @property
     def num_views(self) -> int:
@@ -84,10 +68,7 @@ class ViewGraph:
 
     @property
     def local_indices(self) -> list[int]:
-        return [i for i in range(self.num_views) if i != self.global_index]
-
-    def edge_feature(self, i: int, j: int) -> np.ndarray:
-        return self.edge_features[pair_index(i, j, self.num_views)]
+        return list(range(1, self.num_views))
 
     def edge_weights(self) -> np.ndarray:
         """L2 norm per canonical pair."""
@@ -109,38 +90,31 @@ def edge_weight(g: ViewGraph, i: int, j: int) -> float:
     n = g.num_views
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"node index out of range for {n} nodes")
-    return float(np.linalg.norm(g.edge_feature(i, j)))
+    return float(np.linalg.norm(g.edge_features[pair_rows(min(i, j), max(i, j), n)]))
 
 
 def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
     """Complete subgraph over `nodes`, reindexed in ascending original order.
 
-    The global view must be part of the subset; it keeps index 0 in the
-    result because node 0 sorts first.
+    The global view must be part of the subset, so it stays node 0.
     """
     subset = np.array(sorted(set(int(v) for v in nodes)), dtype=np.intp)
     if not subset.size:
         raise ValueError("node subset must be non-empty")
     if subset[0] < 0 or subset[-1] >= g.num_views:
         raise IndexError("node subset out of range")
-    position = np.searchsorted(subset, g.global_index)
-    if position == subset.size or subset[position] != g.global_index:
+    if subset[0] != 0:
         raise ValueError("node subset must contain the global view")
     a, b = upper_pairs(subset.size)   # pair order within the subset
     edge_feats = g.edge_features[pair_rows(subset[a], subset[b], g.num_views)]
-    return ViewGraph(g.node_features[subset], edge_feats,
-                     global_index=int(position), label=g.label)
+    return ViewGraph(g.node_features[subset], edge_feats, label=g.label)
 
 
 def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:
     """Render as DOT text; deterministic node order, LF endings."""
-    lines = ["graph view_graph {"]
-    for i in range(g.num_views):
-        if i == g.global_index:
-            lines.append(f'  v{i} [shape=doublecircle, label="g"];')
-        else:
-            lines.append(f'  v{i} [shape=circle, label="{i}"];')
-    for i, j in pair_list(g.num_views):
+    lines = ["graph view_graph {", '  v0 [shape=doublecircle, label="g"];']
+    lines += [f'  v{i} [shape=circle, label="{i}"];' for i in range(1, g.num_views)]
+    for i, j in zip(*(ends.tolist() for ends in upper_pairs(g.num_views))):
         if weights_as_labels:
             lines.append(f'  v{i} -- v{j} [label="{edge_weight(g, i, j):.3f}"];')
         else:
@@ -163,7 +137,7 @@ class ExplanationSubgraph:
             raise ValueError("explanation must contain at least one node")
         if any(v < 0 or v >= self.parent.num_views for v in subset):
             raise IndexError("explanation node out of range")
-        if self.parent.global_index not in subset:
+        if 0 not in subset:
             raise ValueError("explanation must contain the global view")
 
     def as_graph(self) -> ViewGraph:

@@ -64,7 +64,7 @@ class ProxyGraph:
 
     def as_view_graph(self) -> ViewGraph:
         return ViewGraph(self.node_centroids.copy(), self.edge_centroids.copy(),
-                         global_index=0, label=self.class_id)
+                         label=self.class_id)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
     m = nodes.shape[0]
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
     local = np.ones(m, dtype=bool)
-    local[[bi * n + g.global_index for bi, g in enumerate(batch)]] = False
+    local[::n] = False    # each instance's global view, node 0
     # the global rows are forced onto the global slot (cost 0 there, forbidden
     # elsewhere); their mass saturates that slot's marginal exactly, so the
     # equivalent reduced problem transports only the locals onto slots 1..

@@ -67,6 +67,12 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.lr_decay <= 0 or self.lr_decay_every < 1:
             raise ConfigError("invalid learning-rate schedule")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be non-negative")
+        if not 0.0 <= self.proxy_momentum <= 1.0:
+            raise ConfigError("proxy_momentum must lie in [0, 1]")
+        if self.cost_head_hidden < 1:
+            raise ConfigError("cost_head_hidden must be >= 1")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)
@@ -378,6 +384,9 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
 
     if test_dataset is not None:
         check_classes(dataset.class_ids, test_dataset, "the model being trained")
+        if test_dataset.config.feature_dim != in_dim:
+            raise ConfigError(f"test data feature dim {test_dataset.config.feature_dim} "
+                              f"!= training data feature dim {in_dim}")
     graphs = _input_graphs(cfg, dataset)
     labels = [inst.label for inst in dataset.instances]
 

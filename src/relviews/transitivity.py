@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import ViewGraph, edge_weight, pair_rows
+from .graphs import ViewGraph, edge_weight
 
 _MAX_CLIQUE_NODES = 64
 
@@ -65,34 +65,23 @@ class ContinentReport:
     gamma: float
 
 
-def emergence_score(g: ViewGraph, i: int) -> float:
-    """Edge weight of local view i to the global view."""
-    if i == g.global_index:
-        raise ValueError("emergence is defined for local views only")
-    return edge_weight(g, i, g.global_index)
-
-
 def emergence_scores(g: ViewGraph) -> np.ndarray:
-    """emergence_score of every local view, in `local_indices` order.
+    """Edge weight of each local view 1..N-1 to the global view: the norms
+    of the global edge rows 0..N-2.
 
-    Bit-identical to the scalar form: the norm there is the square root of
-    a dot product, and a stacked matmul of (1, d) by (d, 1) rows takes the
-    same dot product per row.
+    Bit-identical to `edge_weight(g, v, 0)`: the norm there is the square
+    root of a dot product, and a stacked matmul of (1, d) by (d, 1) rows
+    takes the same dot product per row.
     """
-    locals_ = np.array(g.local_indices, dtype=np.intp)
-    gi = g.global_index
-    feats = g.edge_features[pair_rows(np.minimum(locals_, gi), np.maximum(locals_, gi),
-                                      g.num_views)]
+    feats = g.edge_features[:g.num_views - 1]
     return np.sqrt(np.matmul(feats[:, None, :], feats[:, :, None])[:, 0, 0])
 
 
 def pairwise_emergence(g: ViewGraph, i: int, j: int) -> float:
     """Weakest link of the (i, j, global) triangle."""
-    if i == g.global_index or j == g.global_index:
+    if i == 0 or j == 0:
         raise ValueError("pairwise emergence is defined for local views only")
-    return min(edge_weight(g, i, g.global_index),
-               edge_weight(g, j, g.global_index),
-               edge_weight(g, i, j))
+    return min(edge_weight(g, i, 0), edge_weight(g, j, 0), edge_weight(g, i, j))
 
 
 def is_transitive_triple(g: ViewGraph, i: int, j: int, k: int,
@@ -217,9 +206,7 @@ def count_k_cliques_with_global(g: ViewGraph, k: int, gamma: float) -> int:
     if n > _MAX_CLIQUE_NODES:
         raise ValueError(f"clique counting refused above {_MAX_CLIQUE_NODES} nodes")
     above = g.weight_matrix() > gamma
-    gi = g.global_index
-    neighbours = np.flatnonzero(above[gi])
-    return _count_cliques(above, neighbours[neighbours != gi], k - 1)
+    return _count_cliques(above, np.flatnonzero(above[0, 1:]) + 1, k - 1)
 
 
 def _count_cliques(above: np.ndarray, candidates: np.ndarray, size: int) -> int:

@@ -1,6 +1,6 @@
 """Test-only cost heads, the exact edit distance oracle, an encoder backward,
-and the earlier forms that the tape, Adam, the input-graph build, the
-no-grad minimum and Sinkhorn replaced."""
+the `concat` op of the concat-form encoder, and the earlier forms that the
+tape, Adam, the input-graph build, the no-grad minimum and Sinkhorn replaced."""
 import itertools
 import warnings
 
@@ -9,7 +9,7 @@ import numpy as np
 from relviews import autodiff as ad
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
-from relviews.graphs import ViewGraph, num_pairs, pair_list, upper_pairs
+from relviews.graphs import ViewGraph, num_pairs, pair_rows, upper_pairs
 from relviews.proxies import SinkhornResult
 
 
@@ -121,6 +121,11 @@ def encoder_backward(tape, node_grads: np.ndarray,
                                     for v in leaves]))
 
 
+def edge_feature(g: ViewGraph, i: int, j: int) -> np.ndarray:
+    """Feature row of the undirected edge (i, j), i != j."""
+    return g.edge_features[pair_rows(min(i, j), max(i, j), g.num_views)]
+
+
 def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:
     """The `take` backward as a one-hot matmul, for any indices."""
     onehot = (np.asarray(idx)[:, None] == np.arange(shape[axis])).astype(np.float64)
@@ -128,10 +133,10 @@ def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:
 
 
 def pair_gather(n: int) -> np.ndarray:
-    """Flat (N*N,) row of each ordered pair (i, j) in pair_list(n); the
-    diagonal points at row 0."""
+    """Flat (N*N,) row of each ordered pair (i, j) in canonical pair order;
+    the diagonal points at row 0."""
     gather = np.zeros((n, n), dtype=np.intp)
-    for r, (i, j) in enumerate(pair_list(n)):
+    for r, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         gather[i, j] = gather[j, i] = r
     return gather.ravel()
 
@@ -141,6 +146,15 @@ def gathered_pair_matrix(u_pair: Var, n: int) -> Var:
     a product with the off-diagonal mask."""
     gathered = ad.take(u_pair, pair_gather(n), axis=u_pair.value.ndim - 2)
     return ad.reshape(gathered, u_pair.shape[:-2] + (n, n)) * (1.0 - np.eye(n))
+
+
+def concat(vs: list[Var], axis: int) -> Var:
+    """Tape node joining Vars along one axis; the concat-form encoder's edge update."""
+    sizes = [v.value.shape[axis] for v in vs]
+
+    def bk(g):
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+    return ad._node(np.concatenate([v.value for v in vs], axis=axis), tuple(vs), bk)
 
 
 class PerTensorAdam:
@@ -167,13 +181,10 @@ class PerTensorAdam:
             arr -= lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def instance_build(embeddings, global_index: int, cfg, label=None, uniform=False) -> ViewGraph:
+def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
     """`complementarity.build` one instance at a time: a 2-D norm and one
     (1, d) @ (d, 1) product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    if global_index != 0:
-        order = [global_index] + [i for i in range(emb.shape[0]) if i != global_index]
-        emb = emb[order]
     if cfg.normalize_embeddings:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = emb / np.where(norms == 0, 1.0, norms)
@@ -185,7 +196,7 @@ def instance_build(embeddings, global_index: int, cfg, label=None, uniform=False
         dot = np.abs(np.matmul(emb[i[local], None, :], emb[j[local], :, None])[:, 0, 0])
         inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
         edges[local] = np.minimum(inv, cfg.weight_cap)[:, None]
-    return ViewGraph(emb, edges, global_index=0, label=label)
+    return ViewGraph(emb, edges, label=label)
 
 
 def argmin_min(value: np.ndarray, axis: int) -> np.ndarray:

@@ -146,10 +146,12 @@ def trained(tiny, capsys):
      "tensor proxy1.vector does not belong to a checkpoint with ablate.pd=true"),
     (_splice("config ablate.pd=", ["config ablate.pd=false"]),
      "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
+    (_splice("config train.proxy_momentum=", ["config train.proxy_momentum=1.5"]),
+     "proxy_momentum must lie in [0, 1]"),
 ], ids=["value_token", "dims", "proxy_edges", "cost_tensor", "proxy_shape", "proxy_width",
         "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
         "nan_value", "inf_proxy", "proxy_nodes", "vector_in_graph_proxies",
-        "graph_in_vector_proxies"])
+        "graph_in_vector_proxies", "proxy_momentum"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")
@@ -305,4 +307,17 @@ def test_train_with_test_data_of_an_unseen_class_exits_two(tiny, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the model being trained has no proxy for class 3\n"
+    assert not (out / "checkpoint.txt").exists()
+
+
+def test_train_with_test_data_of_another_feature_dim_exits_two(tiny, capsys):
+    tmp_path, config, data = tiny
+    test_data = _data_with(tmp_path, "dim6", "synth.dim", 6)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--test-data", str(test_data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: test data feature dim 6 != training data feature dim 8\n"
     assert not (out / "checkpoint.txt").exists()

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from relviews import checkpoint as ckpt
 from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
 from relviews.errors import ConfigError, NumericError
-from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
+from relviews.graphs import ViewGraph, num_pairs, upper_pairs
 from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
-from tests.helpers import encoder_backward, gathered_pair_matrix
+from tests.helpers import concat, edge_feature, encoder_backward, gathered_pair_matrix
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
@@ -23,8 +25,8 @@ def permute_graph(g: ViewGraph, perm: list[int]) -> ViewGraph:
     n = g.num_views
     nodes = g.node_features[perm]
     edges = np.empty_like(g.edge_features)
-    for r, (i, j) in enumerate(pair_list(n)):
-        edges[r] = g.edge_feature(perm[i], perm[j])
+    for r, (i, j) in enumerate(combinations(range(n), 2)):
+        edges[r] = edge_feature(g, perm[i], perm[j])
     return ViewGraph(nodes, edges)
 
 
@@ -67,9 +69,9 @@ def test_permutation_equivariance():
     (out_p,), _ = enc.forward(params, [permute_graph(g, perm)])
     np.testing.assert_allclose(out_p.node_features, out.node_features[perm], atol=1e-9)
     n = g.num_views
-    for r, (i, j) in enumerate(pair_list(n)):
+    for r, (i, j) in enumerate(combinations(range(n), 2)):
         np.testing.assert_allclose(out_p.edge_features[r],
-                                   out.edge_features[pair_index(perm[i], perm[j], n)],
+                                   edge_feature(out, perm[i], perm[j]),
                                    atol=1e-9)
 
 
@@ -205,7 +207,8 @@ def concat_forward(params, graphs):
     (e P) a_edge and the edge update from both concatenated endpoint orders."""
     cfg = params.config
     n, b, heads = graphs[0].num_views, len(graphs), cfg.heads_per_layer
-    consts = enc._GraphConsts.get(n)
+    idx_i, idx_j = upper_pairs(n)
+    offdiag, diag_neg = 1.0 - np.eye(n), np.where(np.eye(n) > 0, enc._NEG, 0.0)
     pvars = [{key: None if arr is None else ad.leaf(arr) for key, arr in vars(layer).items()}
              for layer in params.layers]
     h = ad.constant(np.stack([g.node_features for g in graphs]))
@@ -223,8 +226,8 @@ def concat_forward(params, graphs):
         eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
         u_pair = ad.matmul(eP, a_edge)
         u_mat = gathered_pair_matrix(u_pair, n)
-        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + consts.diag_neg
-        ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * consts.offdiag
+        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
+        ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * offdiag
         alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)
         attention.append(alpha.value)
         head_out = ad.matmul(alpha, Wh)
@@ -235,10 +238,10 @@ def concat_forward(params, graphs):
             h = enc._graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
                                pv["norm_shift"], cfg.norm_eps)
         if updates:
-            zi = ad.take(h, consts.idx_i, axis=1)
-            zj = ad.take(h, consts.idx_j, axis=1)
-            fwd_ord = ad.matmul(ad.concat([zi, zj, e], axis=2), pv["edge_U"])
-            rev_ord = ad.matmul(ad.concat([zj, zi, e], axis=2), pv["edge_U"])
+            zi = ad.take(h, idx_i, axis=1)
+            zj = ad.take(h, idx_j, axis=1)
+            fwd_ord = ad.matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
+            rev_ord = ad.matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
             e = ad.softplus((fwd_ord + rev_ord) * 0.5)
     return enc.EncoderTape(params, pvars, h, e, attention)
 

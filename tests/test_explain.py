@@ -1,21 +1,22 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
                               curve_csv, macs_at_k, macs_csv, random_explanation,
                               sparsity, top_k_explanation)
-from relviews.graphs import ExplanationSubgraph, ViewGraph, num_pairs, pair_list
+from relviews.graphs import ExplanationSubgraph, ViewGraph, edge_weight, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyGraph
-from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
-                                   emergence_score)
+from relviews.transitivity import TransitivityConfig, count_k_cliques_with_global
 from tests.helpers import ConstantCostHead
 
 
 def weight_graph(w: np.ndarray, label=0) -> ViewGraph:
     n = w.shape[0]
     edges = np.zeros((num_pairs(n), 1))
-    for r, (i, j) in enumerate(pair_list(n)):
+    for r, (i, j) in enumerate(combinations(range(n), 2)):
         edges[r, 0] = w[i, j]
     return ViewGraph(np.zeros((n, 1)), edges, label=label)
 
@@ -218,15 +219,14 @@ def test_curve_equals_fidelity_of_each_top_k_set(rng):
 
 
 def test_top_k_equals_sorted_emergence(rng):
-    # rounded weights tie often; the global view is not always node 0
+    # rounded weights tie often
     for trial in range(60):
         n = int(rng.integers(2, 12))
-        gi = int(rng.integers(0, n))
         edges = np.round(rng.random((num_pairs(n), 1)), 1)
-        g = ViewGraph(np.zeros((n, 1)), edges, global_index=gi, label=0)
-        ranked = sorted(g.local_indices, key=lambda v: (-emergence_score(g, v), v))
+        g = ViewGraph(np.zeros((n, 1)), edges, label=0)
+        ranked = sorted(range(1, n), key=lambda v: (-edge_weight(g, v, 0), v))
         for k in range(n + 1):
-            assert top_k_explanation(g, k).node_subset == frozenset(ranked[:k]) | {gi}
+            assert top_k_explanation(g, k).node_subset == frozenset(ranked[:k]) | {0}
 
 
 def test_macs_equals_per_explanation_thresholds(rng):
@@ -283,4 +283,4 @@ def test_negative_explanation_sizes_are_refused(rng):
         random_explanation(g, -2, rng)
     with pytest.raises(ValueError, match="non-negative"):
         fidelity_sparsity_curve([g], {0: dummy_proxy(0, dim=2)}, ConstantCostHead(1.0), [2, -1])
-    assert top_k_explanation(g, 0).node_subset == {g.global_index}
+    assert top_k_explanation(g, 0).node_subset == {0}

@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from relviews.graphs import (ExplanationSubgraph, ViewGraph, edge_weight, export_dot,
-                             induced_subgraph, num_pairs, pair_index, pair_list)
+                             induced_subgraph, num_pairs, pair_rows, upper_pairs)
+from tests.helpers import edge_feature
 
 
 def make_graph(n_nodes=5, dim=4, seed=0, label=None):
@@ -13,11 +15,18 @@ def make_graph(n_nodes=5, dim=4, seed=0, label=None):
                      rng.standard_normal((num_pairs(n_nodes), dim)), label=label)
 
 
-def test_pair_index_matches_enumeration():
-    n = 7
-    for r, (i, j) in enumerate(pair_list(n)):
-        assert pair_index(i, j, n) == r
-        assert pair_index(j, i, n) == r
+def pairs(n: int) -> list[tuple[int, int]]:
+    """Reference pair order: lexicographic (i, j) with i < j."""
+    return list(combinations(range(n), 2))
+
+
+def test_pair_rows_match_enumeration():
+    for n in range(1, 9):
+        for r, (i, j) in enumerate(pairs(n)):
+            assert pair_rows(i, j, n) == r
+        a, b = upper_pairs(n)
+        assert list(zip(a.tolist(), b.tolist())) == pairs(n)
+        assert np.array_equal(pair_rows(a, b, n), np.arange(num_pairs(n)))
 
 
 def test_edge_count_is_choose_two():
@@ -40,7 +49,7 @@ def test_edge_weight_matches_scalar_recomputation(rng):
     # oracle: explicit sqrt of a running sum of squares
     feats = rng.standard_normal((num_pairs(5), 8))
     g = ViewGraph(rng.standard_normal((5, 8)), feats)
-    for r, (i, j) in enumerate(pair_list(5)):
+    for r, (i, j) in enumerate(pairs(5)):
         acc = 0.0
         for x in feats[r]:
             acc += float(x) * float(x)
@@ -49,7 +58,7 @@ def test_edge_weight_matches_scalar_recomputation(rng):
 
 def test_edge_weight_symmetric(rng):
     g = make_graph(6, seed=3)
-    for i, j in pair_list(6):
+    for i, j in pairs(6):
         assert edge_weight(g, i, j) == edge_weight(g, j, i)
 
 
@@ -73,7 +82,7 @@ def test_induced_two_nodes_keeps_edge():
     g = make_graph(5)
     sub = induced_subgraph(g, [0, 3])
     assert sub.num_views == 2
-    assert np.array_equal(sub.edge_features[0], g.edge_feature(0, 3))
+    assert np.array_equal(sub.edge_features[0], edge_feature(g, 0, 3))
 
 
 def test_induced_six_of_seventeen_has_fifteen_edges():
@@ -129,8 +138,6 @@ def test_viewgraph_validation():
         ViewGraph(np.zeros((3, 2)), np.zeros((2, 2)))   # wrong edge count
     with pytest.raises(ValueError):
         ViewGraph(np.zeros((3, 2)), np.zeros((3, 3)))   # wrong edge dim
-    with pytest.raises(ValueError):
-        ViewGraph(np.zeros((3, 2)), np.zeros((3, 2)), global_index=5)
 
 
 def test_explanation_subgraph_contracts():
@@ -146,25 +153,23 @@ def test_explanation_subgraph_contracts():
 
 def loop_induced(g: ViewGraph, subset: list[int]):
     """Per-pair reference for `induced_subgraph`: one edge row at a time."""
-    edges = np.array([g.edge_feature(subset[a], subset[b])
-                      for a, b in pair_list(len(subset))]).reshape(-1, g.feature_dim)
-    return g.node_features[subset], edges, subset.index(g.global_index)
+    edges = np.array([edge_feature(g, subset[a], subset[b])
+                      for a, b in pairs(len(subset))]).reshape(-1, g.feature_dim)
+    return g.node_features[subset], edges
 
 
 def test_induced_subgraph_equals_per_pair_loop(rng):
     for trial in range(200):
         n = int(rng.integers(1, 20))
-        gi = int(rng.integers(0, n))
         g = ViewGraph(rng.standard_normal((n, 3)), rng.standard_normal((num_pairs(n), 3)),
-                      global_index=gi, label=trial)
-        others = [v for v in range(n) if v != gi]
-        keep = rng.permutation(others)[:int(rng.integers(0, n))]
-        subset = sorted({gi, *(int(v) for v in keep)})
+                      label=trial)
+        keep = rng.permutation(np.arange(1, n))[:int(rng.integers(0, n))]
+        subset = sorted({0, *(int(v) for v in keep)})
         sub = induced_subgraph(g, reversed(subset))
-        nodes, edges, sub_gi = loop_induced(g, subset)
+        nodes, edges = loop_induced(g, subset)
         assert np.array_equal(sub.node_features, nodes)
         assert np.array_equal(sub.edge_features, edges)
-        assert sub.global_index == sub_gi and sub.label == trial
+        assert sub.label == trial
 
 
 def test_weight_matrix_equals_per_pair_edge_weights(rng):
@@ -173,6 +178,6 @@ def test_weight_matrix_equals_per_pair_edge_weights(rng):
         w = g.weight_matrix()
         expect = np.zeros((n, n))
         flat = g.edge_weights()
-        for r, (i, j) in enumerate(pair_list(n)):
+        for r, (i, j) in enumerate(pairs(n)):
             expect[i, j] = expect[j, i] = flat[r]
         assert np.array_equal(w, expect)

@@ -1,12 +1,13 @@
 import warnings
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from relviews import synth, training
 from relviews.encoder import EncoderConfig, init_params
-from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
+from relviews.graphs import ViewGraph, num_pairs
 from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
                               proxy_anchor_loss, sinkhorn, update_proxies)
 from relviews.training import TrainConfig, TrainedModel
@@ -182,7 +183,7 @@ def loop_update_proxies(proxy, batch, cfg, momentum):
     nodes = np.vstack([g.node_features for g in batch])
     m = nodes.shape[0]
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
-    global_rows = np.array([bi * n + g.global_index for bi, g in enumerate(batch)])
+    global_rows = np.arange(len(batch)) * n
     local_rows = np.setdiff1d(np.arange(m), global_rows)
     plan = np.zeros((m, slots))
     plan[global_rows, 0] = 1.0 / m
@@ -199,7 +200,7 @@ def loop_update_proxies(proxy, batch, cfg, momentum):
     node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
 
     slot_of = plan.argmax(axis=1)
-    pairs = np.array(pair_list(n), dtype=np.intp)
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp)
     sums = np.zeros_like(proxy.edge_centroids)
     counts = np.zeros(num_pairs(slots))
     for bi, g in enumerate(batch):
@@ -223,10 +224,9 @@ def test_update_equals_per_graph_loop(rng, momentum):
     slots, dim = 5, 6
     proxy = ProxyGraph(0, rng.standard_normal((slots, dim)),
                        rng.standard_normal((num_pairs(slots), dim)))
-    for trial in range(6):
+    for _ in range(6):
         batch = [ViewGraph(proxy.node_centroids + rng.standard_normal((slots, dim)),
-                           rng.standard_normal((num_pairs(slots), dim)),
-                           global_index=(trial + k) % slots, label=0)
+                           rng.standard_normal((num_pairs(slots), dim)), label=0)
                  for k in range(4)]
         out = update_proxies(proxy, batch, SinkhornConfig(), momentum=momentum)
         ref = loop_update_proxies(proxy, batch, SinkhornConfig(), momentum)

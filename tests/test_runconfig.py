@@ -29,6 +29,10 @@ def test_bad_values_name_the_key(text, message):
     ("train.epochs = 3\ntrain.no_such_key = 1\n", "run.cfg:2: unknown key 'train.no_such_key'"),
     ("train.epochs = 3\n\ntrain.epochs = 4\n", "run.cfg:3: duplicate key 'train.epochs'"),
     ("comp.weight_cap = -1\n", "run.cfg: weight_cap must be positive"),
+    ("train.proxy_momentum = 1.5\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
+    ("train.proxy_momentum = -0.1\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
+    ("train.weight_decay = -1\n", "run.cfg: weight_decay must be non-negative"),
+    ("train.cost_hidden = 0\n", "run.cfg: cost_head_hidden must be >= 1"),
 ])
 def test_bad_lines_and_refused_values_name_the_source(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):

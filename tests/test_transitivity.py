@@ -4,10 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews.graphs import ViewGraph, num_pairs, pair_index, pair_list
+from relviews.graphs import ViewGraph, edge_weight, num_pairs
 from relviews.transitivity import (ContinentReport, TransitivityConfig,
                                    count_k_cliques_with_global, cut_edge_mass,
-                                   emergence_score, emergence_scores, find_continents,
+                                   emergence_scores, find_continents,
                                    is_transitive_triple, mean_intra_edge_weight,
                                    pairwise_emergence, sample_complexity_noisy,
                                    sample_complexity_transitive, topology_count,
@@ -18,7 +18,7 @@ def graph_from_weights(w: np.ndarray) -> ViewGraph:
     """Graph whose edge weight (i, j) equals w[i, j] (1-dim edge features)."""
     n = w.shape[0]
     edges = np.zeros((num_pairs(n), 1))
-    for r, (i, j) in enumerate(pair_list(n)):
+    for r, (i, j) in enumerate(combinations(range(n), 2)):
         edges[r, 0] = w[i, j]
     return ViewGraph(np.zeros((n, 1)), edges)
 
@@ -32,15 +32,14 @@ def test_emergence_score_is_global_edge_weight():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 0.7
     g = graph_from_weights(w)
-    assert emergence_score(g, 1) == pytest.approx(0.7)
-    assert emergence_score(g, 2) == 0.0
-    with pytest.raises(ValueError):
-        emergence_score(g, 0)
+    scores = emergence_scores(g)
+    assert scores[0] == pytest.approx(0.7)
+    assert scores.tolist()[1:] == [0.0, 0.0]
 
 
 def test_emergence_sorts_like_global_edges(rng):
     g = random_weight_graph(8, rng)
-    scores = [emergence_score(g, i) for i in range(1, 8)]
+    scores = emergence_scores(g)
     weights = [g.weight_matrix()[0, i] for i in range(1, 8)]
     assert np.argsort(scores).tolist() == np.argsort(weights).tolist()
 
@@ -178,44 +177,39 @@ def test_clique_count_matches_brute_force(rng):
     for trial in range(60):
         n = int(rng.integers(3, 11))
         g = random_weight_graph(n, rng)
-        gamma = float(rng.random())
         w = g.weight_matrix()
-        for k in (2, 3, 4):
-            expect = 0
-            for sub in combinations(range(n), k):
-                if 0 not in sub:
-                    continue
-                if all(w[a, b] > gamma for a, b in combinations(sub, 2)):
-                    expect += 1
-            assert count_k_cliques_with_global(g, k, gamma) == expect, (trial, k)
+        # below 0 the zero diagonal is above gamma too, yet no view is its own neighbour
+        for gamma in (float(rng.random()), -0.5):
+            for k in (2, 3, 4):
+                expect = 0
+                for sub in combinations(range(n), k):
+                    if 0 not in sub:
+                        continue
+                    if all(w[a, b] > gamma for a, b in combinations(sub, 2)):
+                        expect += 1
+                assert count_k_cliques_with_global(g, k, gamma) == expect, (trial, gamma, k)
 
 
 def test_clique_count_matches_brute_force_with_ties_at_gamma(rng):
     # weights drawn from {0.5, 1, 1.5}: many edges sit exactly at gamma = 1,
-    # which is not above it; the global view is not always node 0
+    # which is not above it
     for trial in range(80):
         n = int(rng.integers(1, 10))
         w = np.triu(rng.choice([0.5, 1.0, 1.5], size=(n, n)), k=1)
         w = w + w.T
-        edges = np.array([[w[i, j]] for i, j in pair_list(n)]).reshape(-1, 1)
-        gi = int(rng.integers(0, n))
-        g = ViewGraph(np.zeros((n, 1)), edges, global_index=gi)
-        others = [v for v in range(n) if v != gi]
+        g = graph_from_weights(w)
         for k in range(1, 6):
-            expect = sum(all(w[a, b] > 1.0 for a, b in combinations((gi,) + group, 2))
-                         for group in combinations(others, k - 1))
+            expect = sum(all(w[a, b] > 1.0 for a, b in combinations((0,) + group, 2))
+                         for group in combinations(range(1, n), k - 1))
             assert count_k_cliques_with_global(g, k, 1.0) == expect, (trial, k)
 
 
 def test_emergence_scores_equal_scalar_scores(rng):
-    # the scalar score is a norm; a sum of squares would differ in the last bit
+    # the scalar weight is a norm; a sum of squares would differ in the last bit
     for trial in range(50):
         n = int(rng.integers(2, 18))
-        gi = int(rng.integers(0, n))
-        g = ViewGraph(rng.standard_normal((n, 32)),
-                      rng.standard_normal((num_pairs(n), 32)), global_index=gi)
-        assert np.array_equal(emergence_scores(g),
-                              [emergence_score(g, v) for v in g.local_indices])
+        g = ViewGraph(rng.standard_normal((n, 32)), rng.standard_normal((num_pairs(n), 32)))
+        assert np.array_equal(emergence_scores(g), [edge_weight(g, v, 0) for v in range(1, n)])
 
 
 def test_resolve_rows_equals_resolve_per_row(rng):
