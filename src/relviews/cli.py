@@ -91,10 +91,7 @@ def cmd_explain(args) -> int:
     for i, srg in enumerate(srgs):
         sub = ex.top_k_explanation(srg, top_k).as_graph()
         _write_text(out / f"instance_{i:04d}.dot", export_dot(sub, weights_as_labels=True))
-    for cid in sorted(model.proxies):
-        g = model.proxies[cid].as_view_graph()
-        _write_text(out / f"proxy_class_{cid:03d}.dot", export_dot(g, weights_as_labels=True))
-    print(f"wrote {len(srgs)} instance graphs and {len(model.proxies)} proxy graphs to {out}")
+    print(f"wrote {len(srgs)} instance graphs to {out}")
     return 0
 
 

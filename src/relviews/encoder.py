@@ -61,6 +61,8 @@ class EncoderConfig:
             raise ConfigError("num_layers must be >= 1")
         if self.heads_per_layer < 1:
             raise ConfigError("heads_per_layer must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim must be >= 1")
         if self.hidden_dim % self.heads_per_layer != 0:
             raise ConfigError("hidden_dim must be divisible by heads_per_layer")
         if self.norm_eps <= 0:
@@ -197,11 +199,11 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
     through a softplus so their norms stay non-negative. Returns one output
     graph per input graph, in order, and the batch's tape.
 
-    The final layer's edges feed only the proxies' edge centroids and the
-    explanations; the distance to a proxy reads node embeddings alone. So
-    `node_only=True` skips the final edge update and the output graphs and
-    returns (None, tape) with `tape.edge_out` None; `tape.node_out` holds
-    exactly the values of the full pass.
+    The final layer's edges feed only the explanations; the distance to a
+    proxy and the proxy update read node embeddings alone, so `train` and
+    `evaluate` run node-only. `node_only=True` skips the final edge update
+    and the output graphs and returns (None, tape) with `tape.edge_out`
+    None; `tape.node_out` holds exactly the values of the full pass.
     """
     cfg = params.config
     n = graphs[0].num_views

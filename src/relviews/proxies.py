@@ -1,9 +1,10 @@
 """Class-level concept graphs and the metric-learning objective.
 
-Each class owns a graph of node centroids (slot 0 reserved for the global
-concept) and edge centroids keyed by slot pairs. Centroids follow batches of
-encoded instance graphs through entropic optimal-transport assignment with
-an EMA blend. `training.TrainedModel.distance_table` classifies instances by
+Each class owns a graph of node centroids, one per slot, slot 0 reserved
+for the global concept: the Hausdorff edit distance reads node embeddings
+alone, so a proxy holds nothing else. Centroids follow batches of encoded
+instance graphs through entropic optimal-transport assignment with an EMA
+blend. `training.TrainedModel.distance_table` classifies instances by
 nearest proxy under the learnable Hausdorff edit distance.
 """
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import ViewGraph, num_pairs, pair_rows, upper_pairs
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,21 @@ class ProxyAnchorConfig:
 
 @dataclass(frozen=True)
 class ProxyGraph:
+    """A class's concept graph as the distance reads it: its node centroids."""
     class_id: int
     node_centroids: np.ndarray   # (|V|, d); slot 0 = global concept
-    edge_centroids: np.ndarray   # (|V|(|V|-1)/2, d), canonical pair order
 
     def __post_init__(self):
         nodes = np.asarray(self.node_centroids, dtype=np.float64)
-        edges = np.asarray(self.edge_centroids, dtype=np.float64)
         object.__setattr__(self, "node_centroids", nodes)
-        object.__setattr__(self, "edge_centroids", edges)
-        if edges.shape != (num_pairs(nodes.shape[0]), nodes.shape[1]):
-            raise ValueError("edge centroid count must be |V|(|V|-1)/2")
-        if not (np.isfinite(nodes).all() and np.isfinite(edges).all()):
+        if nodes.ndim != 2 or nodes.size == 0:
+            raise ValueError("proxy centroids must be a non-empty (|V|, d) array")
+        if not np.isfinite(nodes).all():
             raise ValueError("proxy centroids must be finite")
 
     @property
     def num_slots(self) -> int:
         return self.node_centroids.shape[0]
-
-    def as_view_graph(self) -> ViewGraph:
-        return ViewGraph(self.node_centroids.copy(), self.edge_centroids.copy(),
-                         label=self.class_id)
 
 
 @dataclass(frozen=True)
@@ -121,42 +115,31 @@ def sinkhorn(cost: np.ndarray, row_marginals, col_marginals,
     return SinkhornResult(plan, it, float(res), converged)
 
 
-def init_proxy(class_id: int, graph: ViewGraph) -> ProxyGraph:
-    """Seed a proxy from one instance graph (slots mirror its nodes)."""
-    return ProxyGraph(class_id, graph.node_features.copy(), graph.edge_features.copy())
-
-
-def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfig,
+def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,
                    momentum: float = 0.9) -> ProxyGraph:
-    """One online clustering step from a batch of same-class relevance graphs.
+    """One online clustering step from one class's batch of encoded graphs.
 
-    Node step: transport all batch node embeddings onto the node centroids
-    (squared distances normalized by the feature dim; each instance's global
-    view is forced onto the global slot), then blend the plan-weighted means
-    into the centroids. Edge step: each batch edge lands on the edge centroid
-    keyed by its endpoints' argmax slots; per-key means are blended the same
-    way. Deterministic given inputs.
+    `nodes` is the (B, n, d) stack of the batch's node embeddings, n equal to
+    the proxy's slot count. All B*n embeddings are transported onto the node
+    centroids (squared distances normalized by the feature dim; each
+    instance's global view is forced onto the global slot), and the
+    plan-weighted means are blended into the centroids. Deterministic given
+    inputs.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    if any(g.label != batch[0].label for g in batch):
-        raise ValueError("batch must contain a single class")
+    nodes = np.asarray(nodes, dtype=np.float64)
+    if nodes.ndim != 3 or nodes.shape[0] == 0:
+        raise ValueError("batch must be a non-empty (B, n, d) stack")
     if not 0.0 <= momentum <= 1.0:
         raise ConfigError("momentum must lie in [0, 1]")
-    slots = proxy.num_slots
-    d = proxy.node_centroids.shape[1]
-    n = batch[0].num_views
-    if any(g.num_views != n or g.feature_dim != d for g in batch):
-        raise ValueError("batch graphs must share node count and feature dim")
+    if nodes.shape[1:] != proxy.node_centroids.shape:
+        raise ValueError("batch graphs must match the proxy's slot count and feature dim")
+    batch, slots, d = nodes.shape
 
-    if n != slots:
-        raise ValueError("proxy slot count must match the graph node count")
-
-    nodes = np.vstack([g.node_features for g in batch])          # (B*n, d)
+    nodes = nodes.reshape(-1, d)                                 # (B*n, d)
     m = nodes.shape[0]
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
     local = np.ones(m, dtype=bool)
-    local[::n] = False    # each instance's global view, node 0
+    local[::slots] = False    # each instance's global view, node 0
     # the global rows are forced onto the global slot (cost 0 there, forbidden
     # elsewhere); their mass saturates that slot's marginal exactly, so the
     # equivalent reduced problem transports only the locals onto slots 1..
@@ -166,7 +149,7 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
         # an EMA update only needs the achieved plan; leftover marginal
         # residual at the default tolerance is immaterial here
         warnings.simplefilter("ignore", RuntimeWarning)
-        reduced = sinkhorn(cost[local, 1:], np.full(m - len(batch), 1.0 / m),
+        reduced = sinkhorn(cost[local, 1:], np.full(m - batch, 1.0 / m),
                            np.full(slots - 1, 1.0 / slots), cfg).plan
     plan[local, 1:] = reduced
 
@@ -174,26 +157,8 @@ def update_proxies(proxy: ProxyGraph, batch: list[ViewGraph], cfg: SinkhornConfi
     new_nodes = proxy.node_centroids.copy()
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
-    node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
-
-    # edge step: keys induced by the node plan's argmax slots. The batch's
-    # edge rows are stacked in graph order, and one flat bincount adds each
-    # key's components from 0.0 in row order, as a per-graph loop would.
-    ends = plan.argmax(axis=1).reshape(len(batch), n)[:, upper_pairs(n)]   # (B, 2, M)
-    si, sj = ends[:, 0].ravel(), ends[:, 1].ravel()
-    valid = si != sj
-    lo = np.minimum(si, sj)[valid]
-    hi = np.maximum(si, sj)[valid]
-    keys = pair_rows(lo, hi, slots)
-    rows = np.vstack([g.edge_features for g in batch])[valid]
-    sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(), weights=rows.ravel(),
-                       minlength=num_pairs(slots) * d).reshape(-1, d)
-    counts = np.bincount(keys, minlength=num_pairs(slots))
-    new_edges = proxy.edge_centroids.copy()
-    hit = counts > 0
-    new_edges[hit] = sums[hit] / counts[hit, None]
-    edge_out = momentum * proxy.edge_centroids + (1.0 - momentum) * new_edges
-    return ProxyGraph(proxy.class_id, node_out, edge_out)
+    return ProxyGraph(proxy.class_id,
+                      momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes)
 
 
 def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,

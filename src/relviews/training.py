@@ -1,15 +1,16 @@
 """End-to-end training: encoder -> edit distance to proxies -> anchor loss.
 
-Each mini-batch goes through the encoder in one batched forward pass, is
+Each mini-batch goes through the encoder in one batched node-only pass, is
 scored against every initialized class proxy in one (B, C) distance table,
 backpropagates the anchor loss through the table, cost head and encoder in
 one backward pass, takes an Adam step with a stepped learning-rate
-schedule, and then refreshes the touched proxies by online clustering.
-`encode_dataset` and `evaluate` run the same batched encoder and table over
-chunks of `batch_size` instances, so a prediction never depends on the
-chunk an instance falls in; `evaluate` computes only the node embeddings a
-prediction reads. Three ablation switches cover the input-graph
-edge rule (CG), graph-valued proxies (PD), and graph-space matching (TR).
+schedule, and then refreshes the touched proxies by online clustering of
+its node embeddings. `evaluate` runs the same node-only encoder and table
+over chunks of `batch_size` instances, so a prediction never depends on the
+chunk an instance falls in; `encode_dataset` runs the full pass, whose
+final-layer edges feed only the explanations. Three ablation switches cover
+the input-graph edge rule (CG), graph-valued proxies (PD), and graph-space
+matching (TR).
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .encoder import EncoderConfig, GatParams, init_params
 from .errors import ConfigError, NumericError
 from .graphs import ViewGraph
 from .hed import CostHead, hed_values_multi
-from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
-                      proxy_anchor_loss, update_proxies)
+from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
+                      update_proxies)
 from .synth import SynthConfig, SynthDataset, generate, parse_noise_model, split_dataset
 
 # Share of each generated dataset the sweeps hold out for testing.
@@ -228,7 +229,6 @@ class TrainedModel:
         tensors = list(self.params.named_tensors()) + list(self.cost_head.named_tensors())
         for cid in sorted(self.proxies):
             tensors.append((f"proxy{cid}.nodes", self.proxies[cid].node_centroids))
-            tensors.append((f"proxy{cid}.edges", self.proxies[cid].edge_centroids))
         for cid in sorted(self.proxy_vectors):
             tensors.append((f"proxy{cid}.vector", self.proxy_vectors[cid]))
         write_checkpoint(path, {"in_dim": str(self.in_dim), **format_config(self.config)},
@@ -261,6 +261,8 @@ class TrainedModel:
         width = cfg.encoder.hidden_dim
         pd = cfg.ablations.proxy_as_graph
         unread = {name: store for store in (params, head) for name, _ in store.named_tensors()}
+        # `proxyN.edges`, written by earlier versions, pass the checks of the
+        # nodes and are then dropped: no distance reads them
         stash: dict[str, dict[int, np.ndarray]] = {
             "nodes": {}, "edges": {}, "vector": model.proxy_vectors}
         for name, arr in tensors:
@@ -280,12 +282,12 @@ class TrainedModel:
             stash[kind][int(cid)] = arr
         if unread:
             raise ConfigError(f"missing tensor {next(iter(unread))}")
-        for cid in sorted(stash["nodes"].keys() | stash["edges"].keys()):
-            for kind in ("nodes", "edges"):
-                if cid not in stash[kind]:
-                    raise ConfigError(f"missing tensor proxy{cid}.{kind}")
+        orphans = sorted(stash["edges"].keys() - stash["nodes"].keys())
+        if orphans:
+            raise ConfigError(f"missing tensor proxy{orphans[0]}.nodes")
+        for cid in sorted(stash["nodes"]):
             try:
-                model.proxies[cid] = ProxyGraph(cid, stash["nodes"][cid], stash["edges"][cid])
+                model.proxies[cid] = ProxyGraph(cid, stash["nodes"][cid])
             except ValueError as err:
                 raise ConfigError(f"proxy{cid}: {err}") from None
         return model
@@ -342,34 +344,28 @@ def _proxy_targets(model: TrainedModel, class_ids: list[int]) -> np.ndarray:
     return np.vstack([model.proxies[cid].node_centroids for cid in class_ids])
 
 
-def _init_proxies_for(model: TrainedModel, labels_in_batch, srgs_by_class,
+def _init_proxies_for(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
                       cfg: TrainConfig) -> None:
     """First-batch cluster means for classes not seen before."""
-    ab = cfg.ablations
-    for cid in sorted(set(int(l) for l in labels_in_batch)):
-        if ab.proxy_as_graph:
-            if cid in model.proxies:
-                continue
-            seed_proxy = init_proxy(cid, srgs_by_class[cid][0])
-            model.proxies[cid] = update_proxies(seed_proxy, srgs_by_class[cid],
-                                                cfg.sinkhorn, momentum=0.0)
-        else:
-            if cid in model.proxy_vectors:
-                continue
-            means = [g.node_features.mean(axis=0) for g in srgs_by_class[cid]]
-            model.proxy_vectors[cid] = np.mean(means, axis=0)
+    for cid, nodes in nodes_by_class.items():
+        if cfg.ablations.proxy_as_graph:
+            if cid not in model.proxies:
+                model.proxies[cid] = update_proxies(ProxyGraph(cid, nodes[0]), nodes,
+                                                    cfg.sinkhorn, momentum=0.0)
+        elif cid not in model.proxy_vectors:
+            model.proxy_vectors[cid] = nodes.mean(axis=1).mean(axis=0)
 
 
-def _refresh_proxies(model: TrainedModel, srgs_by_class, cfg: TrainConfig) -> None:
-    ab = cfg.ablations
-    for cid in sorted(srgs_by_class):
-        if ab.proxy_as_graph:
-            model.proxies[cid] = update_proxies(model.proxies[cid], srgs_by_class[cid],
-                                                cfg.sinkhorn, momentum=cfg.proxy_momentum)
+def _refresh_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
+                     cfg: TrainConfig) -> None:
+    mom = cfg.proxy_momentum
+    for cid, nodes in nodes_by_class.items():
+        if cfg.ablations.proxy_as_graph:
+            model.proxies[cid] = update_proxies(model.proxies[cid], nodes, cfg.sinkhorn,
+                                                momentum=mom)
         else:
-            means = [g.node_features.mean(axis=0) for g in srgs_by_class[cid]]
-            model.proxy_vectors[cid] = (cfg.proxy_momentum * model.proxy_vectors[cid]
-                                        + (1.0 - cfg.proxy_momentum) * np.mean(means, axis=0))
+            model.proxy_vectors[cid] = (mom * model.proxy_vectors[cid]
+                                        + (1.0 - mom) * nodes.mean(axis=1).mean(axis=0))
 
 
 def train(dataset: SynthDataset, cfg: TrainConfig,
@@ -405,12 +401,13 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             batch_labels = [labels[i] for i in idx]
 
-            srgs, tape = enc.forward(params, [graphs[i] for i in idx], True)
-            srgs_by_class: dict[int, list[ViewGraph]] = {}
-            for g, lbl in zip(srgs, batch_labels):
-                srgs_by_class.setdefault(int(lbl), []).append(g)
+            _, tape = enc.forward(params, [graphs[i] for i in idx], True, node_only=True)
+            # each class's (B_c, N, d) node stack, in batch order, by class id
+            label_arr = np.asarray(batch_labels)
+            nodes_by_class = {int(cid): tape.node_out.value[label_arr == cid]
+                              for cid in np.unique(label_arr)}
 
-            _init_proxies_for(model, batch_labels, srgs_by_class, cfg)
+            _init_proxies_for(model, nodes_by_class, cfg)
             class_ids = model.class_ids()
 
             bound = head.bind(True)
@@ -429,7 +426,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             params.check_finite()
             head.check_finite()
 
-            _refresh_proxies(model, srgs_by_class, cfg)
+            _refresh_proxies(model, nodes_by_class, cfg)
         epoch_losses.append(float(np.mean(batch_losses)))
         if log is not None and (epoch % 20 == 0 or epoch == cfg.epochs - 1):
             log(f"epoch {epoch}: loss {epoch_losses[-1]:.6f} lr {lr:.6g}")

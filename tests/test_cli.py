@@ -124,10 +124,7 @@ def trained(tiny, capsys):
     (_splice("tensor cost.W1 ", ["0.5 x1"], offset=1),
      "tensor cost.W1: could not convert string to float: 'x1'"),
     (_splice("tensor cost.W1 ", ["tensor cost.W1 4,x"]), "tensor cost.W1: bad dims '4,x'"),
-    (_splice("tensor proxy1.edges ", [], count=2), "missing tensor proxy1.edges"),
     (_splice("tensor cost.b2 ", [], count=2), "missing tensor cost.b2"),
-    (_splice("tensor proxy1.edges ", ["tensor proxy1.edges 1,8", " ".join("0" * 8)], count=2),
-     "proxy1: edge centroid count must be |V|(|V|-1)/2"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.nodes 1,2", "0 0"], count=2),
      "tensor proxy1.nodes: shape (1, 2) does not fit hidden_dim 8"),
     (_splice("config encoder.heads=", []), "missing config key 'encoder.heads'"),
@@ -141,16 +138,20 @@ def trained(tiny, capsys):
      "duplicate tensor cost.b2"),
     (_first_value("tensor cost.W1 ", "nan"), "tensor cost.W1: non-finite value"),
     (_first_value("tensor proxy1.nodes ", "-inf"), "tensor proxy1.nodes: non-finite value"),
-    (_splice("tensor proxy1.nodes ", [], count=2), "missing tensor proxy1.nodes"),
+    # earlier versions wrote proxy edge tensors: still checked, needing their nodes
+    (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,8", " ".join("0" * 80)], count=2),
+     "missing tensor proxy1.nodes"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,2", " ".join("0" * 20)], count=0),
+     "tensor proxy1.edges: shape (10, 2) does not fit hidden_dim 8"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.vector 8", " ".join("0" * 8)], count=0),
      "tensor proxy1.vector does not belong to a checkpoint with ablate.pd=true"),
     (_splice("config ablate.pd=", ["config ablate.pd=false"]),
      "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
     (_splice("config train.proxy_momentum=", ["config train.proxy_momentum=1.5"]),
      "proxy_momentum must lie in [0, 1]"),
-], ids=["value_token", "dims", "proxy_edges", "cost_tensor", "proxy_shape", "proxy_width",
+], ids=["value_token", "dims", "cost_tensor", "proxy_width",
         "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
-        "nan_value", "inf_proxy", "proxy_nodes", "vector_in_graph_proxies",
+        "nan_value", "inf_proxy", "proxy_nodes", "legacy_edge_width", "vector_in_graph_proxies",
         "graph_in_vector_proxies", "proxy_momentum"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
@@ -159,6 +160,20 @@ def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}: {message}\n"
+
+
+def test_explain_writes_one_instance_graph_per_instance(trained, capsys):
+    ckpt, data = trained
+    out = ckpt.parent / "explain"
+    assert main(["explain", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--top-k", "3", "--out", str(out)]) == 0
+    count = len(synth.load(data))
+    assert sorted(p.name for p in out.iterdir()) == [f"instance_{i:04d}.dot" for i in range(count)]
+    for path in out.iterdir():
+        lines = path.read_text().splitlines()
+        assert [line.split()[0] for line in lines if "shape=" in line] == ["v0", "v1", "v2", "v3"]
+        assert sum(" -- " in line for line in lines) == 6
+    assert capsys.readouterr().out == f"wrote {count} instance graphs to {out}\n"
 
 
 def test_checkpoint_booleans_parse_like_run_configs(trained, capsys):

@@ -27,11 +27,11 @@ def random_labeled_graph(n, dim, rng, label=0) -> ViewGraph:
 
 
 def dummy_proxy(label, dim=1, slots=2) -> ProxyGraph:
-    return ProxyGraph(label, np.zeros((slots, dim)), np.zeros((num_pairs(slots), dim)))
+    return ProxyGraph(label, np.zeros((slots, dim)))
 
 
 def proxy_from_graph(g: ViewGraph) -> ProxyGraph:
-    return ProxyGraph(g.label, g.node_features.copy(), g.edge_features.copy())
+    return ProxyGraph(g.label, g.node_features.copy())
 
 
 def test_full_graph_explanations_give_zero_fidelity_and_sparsity(rng):
@@ -49,8 +49,8 @@ def test_fidelity_is_difference_of_distances(rng):
     head = ConstantCostHead(0.7)
     sub = ExplanationSubgraph(g, frozenset({0, 1, 2}))
     expls = ExplanationSet((sub,), {0: proxy})
-    h_sub = hed(sub.as_graph(), proxy.as_view_graph(), head).value
-    h_full = hed(g, proxy.as_view_graph(), head).value
+    h_sub = hed(sub.as_graph(), proxy.node_centroids, head).value
+    h_full = hed(g, proxy.node_centroids, head).value
     assert fidelity(expls, head) == pytest.approx(h_sub - h_full, abs=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_fidelity_matches_per_instance_oracle(rng):
     expls = ExplanationSet(tuple(top_k_explanation(g, 2) for g in graphs), proxies)
     per_instance = []
     for ex in expls.entries:
-        p = proxies[ex.parent.label].as_view_graph()
+        p = proxies[ex.parent.label].node_centroids
         per_instance.append(hed(ex.as_graph(), p, head).value - hed(ex.parent, p, head).value)
     assert fidelity(expls, head) == pytest.approx(np.mean(per_instance), abs=1e-12)
 
@@ -185,9 +185,7 @@ def test_random_explanation_contains_global(rng):
 def mixed_explanations(rng, n_graphs=12, n=9, dim=4, labels=3):
     """Explanations over several classes and kept sizes, the full size included."""
     graphs = [random_labeled_graph(n, dim, rng, label=i % labels) for i in range(n_graphs)]
-    proxies = {c: ProxyGraph(c, rng.standard_normal((5, dim)),
-                             rng.standard_normal((num_pairs(5), dim)))
-               for c in range(labels)}
+    proxies = {c: ProxyGraph(c, rng.standard_normal((5, dim))) for c in range(labels)}
     entries = tuple(random_explanation(g, int(rng.integers(0, n)), rng) for g in graphs)
     return ExplanationSet(entries, proxies)
 
@@ -198,7 +196,7 @@ def test_batched_fidelity_matches_per_explanation_hed(rng):
         assert len({(ex.parent.label, ex.size) for ex in expls.entries}) > 3
         oracle = []
         for ex in expls.entries:
-            p = expls.proxies[ex.parent.label].as_view_graph()
+            p = expls.proxies[ex.parent.label].node_centroids
             oracle.append(hed(ex.as_graph(), p, head).value - hed(ex.parent, p, head).value)
         assert fidelity(expls, head) == pytest.approx(np.mean(oracle), abs=1e-12)
 
@@ -255,14 +253,12 @@ def test_fidelity_over_node_and_slot_counts_matches_per_instance_hed(rng):
     head = CostHead(4, hidden=6, seed=7)
     graphs = [random_labeled_graph(n, 4, rng, label=c)
               for n in (6, 11) for c in (0, 1) for _ in range(3)]
-    proxies = {c: ProxyGraph(c, rng.standard_normal((slots, 4)),
-                             rng.standard_normal((num_pairs(slots), 4)))
-               for c, slots in ((0, 3), (1, 9))}
+    proxies = {c: ProxyGraph(c, rng.standard_normal((slots, 4))) for c, slots in ((0, 3), (1, 9))}
     expls = ExplanationSet(tuple(random_explanation(g, int(rng.integers(0, g.num_views)), rng)
                                  for g in graphs), proxies)
     oracle = []
     for ex in expls.entries:
-        p = proxies[ex.parent.label].as_view_graph()
+        p = proxies[ex.parent.label].node_centroids
         oracle.append(hed(ex.as_graph(), p, head).value - hed(ex.parent, p, head).value)
     assert fidelity(expls, head) == pytest.approx(np.mean(oracle), abs=1e-12)
 

@@ -92,6 +92,23 @@ def test_hed_lower_bound_with_learned_head():
         assert hed(u, v, head).value <= exact_ged(u, v, head) + 1e-9
 
 
+def test_added_nodes_raise_the_unnormalized_distance_by_at_most_their_deletion_costs():
+    # S(g) = 2|g| h(g, p). Nodes X added to g keep every term of g's own
+    # nodes, add at most cost(x) each, and can only lower a proxy slot's
+    # term: S(g + X) <= S(g) + sum of cost(X)
+    rng = np.random.default_rng(13)
+    for draw in range(1000):
+        m, p, k = rng.integers(1, 5, size=3)
+        d = int(rng.integers(1, 5))
+        g, proxy, extra = (10.0 ** rng.uniform(-2.0, np.log10(3.0))
+                           * rng.standard_normal((rows, d)) for rows in (m, p, k))
+        head = CostHead(d, hidden=int(rng.integers(1, 8)), seed=draw)
+        before = 2 * m * hed(g, proxy, head).value
+        after = 2 * (m + k) * hed(np.vstack([g, extra]), proxy, head).value
+        bound = before + head.costs(extra).sum()
+        assert after - bound <= 1e-12 * bound, draw
+
+
 def test_exact_ged_identical_zero():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3))

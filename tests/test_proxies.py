@@ -1,6 +1,5 @@
 import warnings
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,8 +7,9 @@ import pytest
 from relviews import synth, training
 from relviews.encoder import EncoderConfig, init_params
 from relviews.graphs import ViewGraph, num_pairs
-from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, init_proxy,
-                              proxy_anchor_loss, sinkhorn, update_proxies)
+from relviews.errors import ConfigError
+from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
+                              sinkhorn, update_proxies)
 from relviews.training import TrainConfig, TrainedModel
 from tests.conftest import rel_error
 from tests.helpers import ConstantCostHead, loop_sinkhorn
@@ -93,29 +93,19 @@ def separated_proxy(slots=4, dim=8, scale=4.0):
     nodes = np.zeros((slots, dim))
     for s in range(slots):
         nodes[s, s] = scale
-    edges = np.zeros((num_pairs(slots), dim))
-    for r in range(num_pairs(slots)):
-        edges[r, -1] = r + 1.0
-    return ProxyGraph(0, nodes, edges)
-
-
-def graph_like(proxy: ProxyGraph, label=0) -> ViewGraph:
-    return ViewGraph(proxy.node_centroids.copy(), proxy.edge_centroids.copy(),
-                     label=label)
+    return ProxyGraph(0, nodes)
 
 
 def test_fixed_point_on_identical_batch():
     proxy = separated_proxy()
-    batch = [graph_like(proxy)]
-    out = update_proxies(proxy, batch, scfg(), momentum=0.0)
+    out = update_proxies(proxy, proxy.node_centroids[None].copy(), scfg(), momentum=0.0)
     np.testing.assert_allclose(out.node_centroids, proxy.node_centroids, atol=1e-9)
-    np.testing.assert_allclose(out.edge_centroids, proxy.edge_centroids, atol=1e-9)
 
 
 def test_idempotent_after_one_step_on_separated_batch(rng):
     proxy = separated_proxy()
     batch_nodes = proxy.node_centroids + 0.05 * rng.standard_normal((4, 8))
-    batch = [ViewGraph(batch_nodes, proxy.edge_centroids.copy(), label=0)]
+    batch = batch_nodes[None]
     once = update_proxies(proxy, batch, scfg(), momentum=0.0)
     twice = update_proxies(once, batch, scfg(), momentum=0.0)
     np.testing.assert_allclose(twice.node_centroids, once.node_centroids, atol=1e-6)
@@ -126,8 +116,7 @@ def test_plan_weighted_means_single_instance(rng):
     # pinned to slot 0, locals transported over the remaining slots)
     proxy = separated_proxy()
     nodes = proxy.node_centroids + 0.1 * rng.standard_normal((4, 8))
-    g = ViewGraph(nodes, proxy.edge_centroids.copy(), label=0)
-    out = update_proxies(proxy, [g], scfg(), momentum=0.0)
+    out = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
 
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / 8
     plan = np.zeros((4, 4))
@@ -142,45 +131,44 @@ def test_global_slot_forced(rng):
     proxy = separated_proxy()
     nodes = rng.standard_normal((4, 8))
     nodes[0] = -proxy.node_centroids[2]   # global far from slot 0, near slot 2
-    g = ViewGraph(nodes, proxy.edge_centroids.copy(), label=0)
-    out = update_proxies(proxy, [g], scfg(), momentum=0.0)
+    out = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
     # slot 0 absorbed the global embedding regardless of distances
     np.testing.assert_allclose(out.node_centroids[0], nodes[0], atol=1e-12)
 
 
 def test_momentum_blends():
     proxy = separated_proxy()
-    shifted = ViewGraph(proxy.node_centroids + 1.0, proxy.edge_centroids.copy(), label=0)
-    hard = update_proxies(proxy, [shifted], scfg(), momentum=0.0)
-    soft = update_proxies(proxy, [shifted], scfg(), momentum=0.9)
+    shifted = (proxy.node_centroids + 1.0)[None]
+    hard = update_proxies(proxy, shifted, scfg(), momentum=0.0)
+    soft = update_proxies(proxy, shifted, scfg(), momentum=0.9)
     np.testing.assert_allclose(
         soft.node_centroids,
         0.9 * proxy.node_centroids + 0.1 * hard.node_centroids, atol=1e-9)
 
 
-def test_edge_keys_follow_node_slots(rng):
-    proxy = separated_proxy()
-    # nodes match slots exactly; edges shifted so per-key means move
-    edges = proxy.edge_centroids + 2.0
-    g = ViewGraph(proxy.node_centroids.copy(), edges, label=0)
-    out = update_proxies(proxy, [g], scfg(), momentum=0.0)
-    np.testing.assert_allclose(out.edge_centroids, edges, atol=1e-9)
-
-
 def test_update_contract_errors():
     proxy = separated_proxy()
     with pytest.raises(ValueError):
-        update_proxies(proxy, [], scfg())
+        update_proxies(proxy, np.zeros((0, 4, 8)), scfg())
     with pytest.raises(ValueError):
-        update_proxies(proxy, [graph_like(proxy, label=0), graph_like(proxy, label=1)],
-                       scfg())
+        update_proxies(proxy, proxy.node_centroids, scfg())      # one graph, not a stack
+    with pytest.raises(ValueError):
+        update_proxies(proxy, np.zeros((2, 3, 8)), scfg())       # 3 nodes for 4 slots
+    with pytest.raises(ConfigError):
+        update_proxies(proxy, proxy.node_centroids[None], scfg(), momentum=1.5)
+
+
+@pytest.mark.parametrize("nodes", [np.zeros(4), np.zeros((0, 3)), np.zeros((3, 0)),
+                                   np.array([[0.0, np.nan]])])
+def test_proxy_refuses_bad_centroids(nodes):
+    with pytest.raises(ValueError):
+        ProxyGraph(0, nodes)
 
 
 def loop_update_proxies(proxy, batch, cfg, momentum):
-    """Reference update: the node step on index lists, the edge step one graph
-    at a time."""
-    slots, d, n = proxy.num_slots, proxy.node_centroids.shape[1], batch[0].num_views
-    nodes = np.vstack([g.node_features for g in batch])
+    """Reference update from a list of per-graph node arrays, on index lists."""
+    slots, d, n = proxy.num_slots, proxy.node_centroids.shape[1], batch[0].shape[0]
+    nodes = np.vstack(batch)
     m = nodes.shape[0]
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
     global_rows = np.arange(len(batch)) * n
@@ -197,59 +185,20 @@ def loop_update_proxies(proxy, batch, cfg, momentum):
     new_nodes = proxy.node_centroids.copy()
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
-    node_out = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
-
-    slot_of = plan.argmax(axis=1)
-    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp)
-    sums = np.zeros_like(proxy.edge_centroids)
-    counts = np.zeros(num_pairs(slots))
-    for bi, g in enumerate(batch):
-        si = slot_of[bi * n + pairs[:, 0]]
-        sj = slot_of[bi * n + pairs[:, 1]]
-        valid = si != sj
-        lo = np.minimum(si, sj)[valid]
-        hi = np.maximum(si, sj)[valid]
-        keys = lo * (2 * slots - lo - 1) // 2 + (hi - lo - 1)
-        np.add.at(sums, keys, g.edge_features[valid])
-        np.add.at(counts, keys, 1.0)
-    new_edges = proxy.edge_centroids.copy()
-    hit = counts > 0
-    new_edges[hit] = sums[hit] / counts[hit, None]
-    edge_out = momentum * proxy.edge_centroids + (1.0 - momentum) * new_edges
-    return ProxyGraph(proxy.class_id, node_out, edge_out)
+    return ProxyGraph(proxy.class_id,
+                      momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_update_equals_per_graph_loop(rng, momentum):
     slots, dim = 5, 6
-    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)),
-                       rng.standard_normal((num_pairs(slots), dim)))
+    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)))
     for _ in range(6):
-        batch = [ViewGraph(proxy.node_centroids + rng.standard_normal((slots, dim)),
-                           rng.standard_normal((num_pairs(slots), dim)), label=0)
-                 for k in range(4)]
-        out = update_proxies(proxy, batch, SinkhornConfig(), momentum=momentum)
+        batch = [proxy.node_centroids + rng.standard_normal((slots, dim)) for k in range(4)]
+        out = update_proxies(proxy, np.stack(batch), SinkhornConfig(), momentum=momentum)
         ref = loop_update_proxies(proxy, batch, SinkhornConfig(), momentum)
         assert np.array_equal(out.node_centroids, ref.node_centroids)
-        assert np.array_equal(out.edge_centroids, ref.edge_centroids)
         proxy = out
-
-
-def test_edge_sums_equal_add_at_with_repeated_keys(rng):
-    # edge rows spanning 16 orders of magnitude, so a change in the order of
-    # a key's additions changes its sum; the 18 global-view edges alone land
-    # on 3 keys, so keys repeat
-    slots, dim = 4, 5
-    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)),
-                       rng.standard_normal((num_pairs(slots), dim)))
-    batch = [ViewGraph(proxy.node_centroids + 0.1 * rng.standard_normal((slots, dim)),
-                       rng.standard_normal((num_pairs(slots), dim))
-                       * 10.0 ** rng.integers(-8, 8, size=(num_pairs(slots), 1)),
-                       label=0)
-             for _ in range(6)]
-    out = update_proxies(proxy, batch, SinkhornConfig(), momentum=0.0)
-    ref = loop_update_proxies(proxy, batch, SinkhornConfig(), 0.0)
-    assert np.array_equal(out.edge_centroids, ref.edge_centroids)
 
 
 @pytest.mark.parametrize("max_iters, tol", [(1000, 1e-9), (3, 1e-12), (1, 1e-6)])
@@ -354,18 +303,16 @@ def test_classify_exact_match_wins(rng):
     dim, slots = 6, 4
     protos = {}
     for cid in range(3):
-        nodes = rng.standard_normal((slots, dim)) * (cid + 1)
-        edges = rng.standard_normal((num_pairs(slots), dim))
-        protos[cid] = ProxyGraph(cid, nodes, edges)
-    dist = proxy_model(protos, ConstantCostHead(10.0)).distances(protos[1].as_view_graph())
+        protos[cid] = ProxyGraph(cid, rng.standard_normal((slots, dim)) * (cid + 1))
+    exact = ViewGraph(protos[1].node_centroids, np.zeros((num_pairs(slots), dim)))
+    dist = proxy_model(protos, ConstantCostHead(10.0)).distances(exact)
     assert dist[1] == 0.0 and int(np.argmin(dist)) == 1
 
 
 def test_classify_ties_break_to_lowest_id():
     # instances have 4 local views + the global one; identical proxies for 2 and 5
     nodes = np.zeros((5, 4))
-    edges = np.zeros((num_pairs(5), 4))
-    model = proxy_model({5: ProxyGraph(5, nodes, edges), 2: ProxyGraph(2, nodes, edges)},
+    model = proxy_model({5: ProxyGraph(5, nodes), 2: ProxyGraph(2, nodes)},
                         ConstantCostHead(1.0), hidden_dim=4)
     ds = synth.generate(synth.SynthConfig(num_classes=2, instances_per_class=3,
                                           views_per_instance=4, feature_dim=8,
@@ -378,11 +325,3 @@ def test_classify_ties_break_to_lowest_id():
     assert training.evaluate(model, relabel(2)) == 1.0
     assert training.evaluate(model, relabel(5)) == 0.0
 
-
-def test_init_proxy_copies_graph(rng):
-    g = ViewGraph(rng.standard_normal((4, 5)),
-                  rng.standard_normal((num_pairs(4), 5)), label=3)
-    proxy = init_proxy(3, g)
-    assert proxy.class_id == 3
-    assert np.array_equal(proxy.node_centroids, g.node_features)
-    assert proxy.as_view_graph().label == 3

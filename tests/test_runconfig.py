@@ -33,6 +33,8 @@ def test_bad_values_name_the_key(text, message):
     ("train.proxy_momentum = -0.1\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
     ("train.weight_decay = -1\n", "run.cfg: weight_decay must be non-negative"),
     ("train.cost_hidden = 0\n", "run.cfg: cost_head_hidden must be >= 1"),
+    ("encoder.hidden_dim = 0\n", "run.cfg: hidden_dim must be >= 1"),
+    ("encoder.hidden_dim = -4\n", "run.cfg: hidden_dim must be >= 1"),
 ])
 def test_bad_lines_and_refused_values_name_the_source(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):

@@ -323,7 +323,9 @@ tensor proxy1.edges 3,2
 """
 
 
-def test_v1_checkpoint_text_still_loads_and_writes_back_unchanged(tmp_path):
+def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
+    # the proxies' edge tensors of V1 text enter no distance: they are
+    # checked on load, dropped, and not written back
     path = tmp_path / "v1.ckpt"
     path.write_text(V1_CHECKPOINT)
     model = TrainedModel.load(path)
@@ -331,12 +333,18 @@ def test_v1_checkpoint_text_still_loads_and_writes_back_unchanged(tmp_path):
     assert model.config == TrainConfig(
         encoder=EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=2),
         cost_head_hidden=1, epochs=3, seed=7)
+    assert sorted(model.proxies) == [0, 1] and not model.proxy_vectors
     assert np.array_equal(model.proxies[1].node_centroids, [[-0.5, 0.25], [2, 1], [1, -1.5]])
     assert model.cost_head.W1[1, 0] == 0.69
-    distances = model.distances(model.proxies[0].as_view_graph())
+    distances = model.distances(ViewGraph(model.proxies[0].node_centroids, np.zeros((3, 2))))
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_text() == V1_CHECKPOINT
+    lines = V1_CHECKPOINT.splitlines()
+    edges = [i for i, line in enumerate(lines) if line.startswith("tensor proxy")
+             and line.split()[1].endswith(".edges")]
+    assert len(edges) == 2
+    kept = [line for i, line in enumerate(lines) if i not in {j + k for j in edges for k in (0, 1)}]
+    assert (tmp_path / "again.ckpt").read_text() == "\n".join(kept) + "\n"
 
 
 def test_adam_over_buffers_equals_per_tensor_adam():
