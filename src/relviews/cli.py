@@ -143,33 +143,38 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+# each formula's command-line arguments, in order
+_CALC_ARGS = {"topology-count": "n", "turan": "n k",
+              "mstar": "n delta epsilon", "meta": "eta delta epsilon"}
+_CALC_USAGE = "; ".join(f"{name} {names}" for name, names in _CALC_ARGS.items())
+# the largest n whose 2^floor(n^2/4) has at most 4300 digits, Python's default
+# limit for int-to-str conversion
+_TOPOLOGY_MAX_N = 239
+
+
 def cmd_calc(args) -> int:
-    name = args.formula
-    vals = args.args
+    name, vals = args.formula, args.args
+    if name not in _CALC_ARGS:
+        raise ConfigError(f"unknown formula {name!r} (one of: {_CALC_USAGE})")
+    if len(vals) != len(_CALC_ARGS[name].split()):
+        raise ConfigError(f"{name} takes {_CALC_ARGS[name]}, got {len(vals)} arguments")
     try:
         if name == "topology-count":
-            _need(vals, 1)
-            print(topology_count(int(vals[0])))
+            n = int(vals[0])
+            if n > _TOPOLOGY_MAX_N:
+                raise ConfigError(f"n must be at most {_TOPOLOGY_MAX_N}; "
+                                  "larger counts exceed Python's default limit of 4300 "
+                                  "digits for printing an integer")
+            print(topology_count(n))
         elif name == "turan":
-            _need(vals, 2)
             print(f"{turan_edge_bound(int(vals[0]), int(vals[1])):.6g}")
         elif name == "mstar":
-            _need(vals, 3)
             print(f"{sample_complexity_transitive(float(vals[0]), float(vals[2]), float(vals[1])):.6g}")
-        elif name == "meta":
-            _need(vals, 3)
-            print(f"{sample_complexity_noisy(float(vals[0]), float(vals[2]), float(vals[1])):.6g}")
         else:
-            raise ConfigError(f"unknown formula {name!r} "
-                              "(one of: topology-count, turan, mstar, meta)")
+            print(f"{sample_complexity_noisy(float(vals[0]), float(vals[2]), float(vals[1])):.6g}")
     except ValueError as err:
         raise ConfigError(str(err)) from None
     return 0
-
-
-def _need(vals, count):
-    if len(vals) != count:
-        raise ConfigError(f"expected {count} arguments, got {len(vals)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("calc", help="closed-form robustness calculators")
-    p.add_argument("formula")
+    p.add_argument("formula", help=f"formula and its arguments, in order: {_CALC_USAGE}")
     p.add_argument("args", nargs="*")
     p.set_defaults(fn=cmd_calc)
     return parser

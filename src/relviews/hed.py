@@ -111,24 +111,6 @@ def _nodes(g) -> np.ndarray:
     return x
 
 
-def hed_terms(u_var: Var, v_var: Var, bound_head):
-    """Engine-level HED: value Var plus the recorded assignments."""
-    m = u_var.shape[0]
-    dist = ad.pairwise_l2(u_var, v_var)               # (m, p)
-    sub_u = ad.reduce_min(dist, axis=1) * 0.5
-    sub_v = ad.reduce_min(dist, axis=0) * 0.5
-    del_u = bound_head.costs(u_var)
-    ins_v = bound_head.costs(v_var)
-    take_del = del_u.value < sub_u.value              # ties keep substitution
-    take_ins = ins_v.value < sub_v.value
-    cost_u = ad.where_select(take_del, del_u, sub_u)
-    cost_v = ad.where_select(take_ins, ins_v, sub_v)
-    value = (ad.vsum(cost_u) + ad.vsum(cost_v)) * (1.0 / (2.0 * m))
-    fwd = np.where(take_del, -1, dist.value.argmin(axis=1))
-    bwd = np.where(take_ins, -1, dist.value.argmin(axis=0))
-    return value, fwd, bwd
-
-
 def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
     """(B, m, C*slots) mask of the L2 table entries that can be a row minimum
     over a class's slots or a column minimum over nodes; see the module notes."""
@@ -210,5 +192,18 @@ def hed(gs, gp, head) -> HedResult:
     v = _nodes(gp)
     if u.shape[1] != v.shape[1]:
         raise ConfigError(f"node dims differ: {u.shape[1]} vs {v.shape[1]}")
-    value, fwd, bwd = hed_terms(ad.constant(u), ad.constant(v), head.bind(False))
-    return HedResult(float(value.value), fwd, bwd)
+    head = head.bind(False)
+    u_var, v_var = ad.constant(u), ad.constant(v)
+    dist = ad.pairwise_l2(u_var, v_var)               # (m, p)
+    sub_u = ad.reduce_min(dist, axis=1) * 0.5
+    sub_v = ad.reduce_min(dist, axis=0) * 0.5
+    del_u = head.costs(u_var)
+    ins_v = head.costs(v_var)
+    take_del = del_u.value < sub_u.value              # ties keep substitution
+    take_ins = ins_v.value < sub_v.value
+    cost_u = ad.where_select(take_del, del_u, sub_u)
+    cost_v = ad.where_select(take_ins, ins_v, sub_v)
+    value = (ad.vsum(cost_u) + ad.vsum(cost_v)) * (1.0 / (2.0 * u.shape[0]))
+    return HedResult(float(value.value),
+                     np.where(take_del, -1, dist.value.argmin(axis=1)),
+                     np.where(take_ins, -1, dist.value.argmin(axis=0)))

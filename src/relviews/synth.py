@@ -229,6 +229,8 @@ def _parse_record(line: str, k: int, n: int) -> SynthInstance:
     if len(toks) != expect:
         raise ConfigError(f"malformed record: expected {expect} tokens, got {len(toks)}")
     label = int(toks[0])
+    if set(toks[1]) - {"0", "1"}:
+        raise ConfigError(f"clean mask {toks[1]!r} holds a character other than 0 or 1")
     mask = np.array([ch == "1" for ch in toks[1]], dtype=bool)
     if mask.shape[0] != k:
         raise ConfigError("clean mask length does not match view count")

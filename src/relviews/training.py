@@ -14,6 +14,7 @@ matching (TR).
 """
 from __future__ import annotations
 
+import re
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -271,7 +272,7 @@ class TrainedModel:
                 continue
             slot, _, kind = name.partition(".")
             cid = slot[len("proxy"):]
-            if not (slot.startswith("proxy") and cid.lstrip("-").isdigit() and kind in stash):
+            if not (slot.startswith("proxy") and re.fullmatch("-?[0-9]+", cid) and kind in stash):
                 raise ConfigError(f"unknown tensor {name}")
             if (kind == "vector") == pd:
                 raise ConfigError(f"tensor {name} does not belong to a checkpoint with "

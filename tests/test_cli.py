@@ -149,10 +149,15 @@ def trained(tiny, capsys):
      "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
     (_splice("config train.proxy_momentum=", ["config train.proxy_momentum=1.5"]),
      "proxy_momentum must lie in [0, 1]"),
+    # proxy ids must be ASCII integers
+    (_splice("tensor proxy1.nodes ", ["tensor proxy--1.nodes 5,8"]),
+     "unknown tensor proxy--1.nodes"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy\u00b2.nodes 5,8"]),
+     "unknown tensor proxy\u00b2.nodes"),
 ], ids=["value_token", "dims", "cost_tensor", "proxy_width",
         "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
         "nan_value", "inf_proxy", "proxy_nodes", "legacy_edge_width", "vector_in_graph_proxies",
-        "graph_in_vector_proxies", "proxy_momentum"])
+        "graph_in_vector_proxies", "proxy_momentum", "double_minus_id", "superscript_id"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")
@@ -213,6 +218,13 @@ def _last_token_abc(lines):
     return [lines[0], lines[1].rsplit(" ", 1)[0] + " abc", *lines[2:]]
 
 
+def _mask_token(mask):
+    def edit(lines):
+        label, _, rest = lines[1].split(" ", 2)
+        return [lines[0], f"{label} {mask} {rest}", *lines[2:]]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_last_token_abc, "line 2: could not convert string to float: 'abc'"),
     (_edit_header(" classes=", " junk classes="), "line 1: header token 'junk' is not key=value"),
@@ -220,7 +232,8 @@ def _last_token_abc(lines):
      "line 1: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
     (_edit_header(" sigma=", " no_sigma="), "line 1: missing header key 'sigma'"),
-], ids=["record_token", "header_token", "model", "missing_key"])
+    (_mask_token("1x2?"), "line 2: clean mask '1x2?' holds a character other than 0 or 1"),
+], ids=["record_token", "header_token", "model", "missing_key", "mask"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"
@@ -336,3 +349,38 @@ def test_train_with_test_data_of_another_feature_dim_exits_two(tiny, capsys):
     assert captured.out == ""
     assert captured.err == "error: test data feature dim 6 != training data feature dim 8\n"
     assert not (out / "checkpoint.txt").exists()
+
+
+@pytest.mark.parametrize("formula, args, out", [
+    ("topology-count", ["4"], "16"),
+    ("turan", ["6", "3"], "12"),
+    ("mstar", ["8", "0.5", "1.0"], "4"),          # epsilon 0.5, delta 1.0 would print 6
+    ("meta", ["3", "0.25", "0.5"], "20"),         # epsilon 0.25, delta 0.5 would print 64
+])
+def test_calc_prints_each_formula_and_names_its_arguments(capsys, formula, args, out):
+    assert main(["calc", formula, *args]) == 0
+    assert capsys.readouterr().out == out + "\n"
+    names = {"topology-count": "n", "turan": "n k", "mstar": "n delta epsilon",
+             "meta": "eta delta epsilon"}[formula]
+    assert main(["calc", formula, *args[:-1]]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {formula} takes {names}, got {len(args) - 1} arguments\n"
+    with pytest.raises(SystemExit):
+        main(["calc", "--help"])
+    # help text wraps at the terminal width, possibly inside a hyphenated name
+    assert (formula + names).replace(" ", "") in "".join(capsys.readouterr().out.split())
+    assert main(["calc", "nosuch"]) == 2
+    assert f"{formula} {names}" in capsys.readouterr().err
+
+
+def test_calc_topology_count_up_to_the_printable_limit(capsys):
+    assert main(["calc", "topology-count", "239"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{2 ** (239 * 239 // 4)}\n" and len(out) == 4299 + 1
+    # 2^(2.5e11) for n = 1000000 is never built
+    for n in ("240", "1000000"):
+        assert main(["calc", "topology-count", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: n must be at most 239; larger counts exceed Python's "
+                                "default limit of 4300 digits for printing an integer\n")

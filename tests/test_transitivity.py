@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from relviews.graphs import ViewGraph, edge_weight, num_pairs
-from relviews.transitivity import (ContinentReport, TransitivityConfig,
-                                   count_k_cliques_with_global, cut_edge_mass,
-                                   emergence_scores, find_continents,
-                                   is_transitive_triple, mean_intra_edge_weight,
-                                   pairwise_emergence, sample_complexity_noisy,
+from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
+                                   emergence_scores, sample_complexity_noisy,
                                    sample_complexity_transitive, topology_count,
                                    turan_edge_bound)
 
@@ -42,121 +39,6 @@ def test_emergence_sorts_like_global_edges(rng):
     scores = emergence_scores(g)
     weights = [g.weight_matrix()[0, i] for i in range(1, 8)]
     assert np.argsort(scores).tolist() == np.argsort(weights).tolist()
-
-
-def test_pairwise_emergence_weakest_link(rng):
-    for _ in range(20):
-        g = random_weight_graph(6, rng)
-        w = g.weight_matrix()
-        for i, j in combinations(range(1, 6), 2):
-            expect = min(w[0, i], w[0, j], w[i, j])
-            assert pairwise_emergence(g, i, j) == pytest.approx(expect)
-
-
-def test_pairwise_emergence_equal_and_zero_legs():
-    w = np.full((4, 4), 2.0)
-    np.fill_diagonal(w, 0.0)
-    g = graph_from_weights(w)
-    assert pairwise_emergence(g, 1, 2) == pytest.approx(2.0)
-    w[0, 1] = w[1, 0] = 0.0
-    g0 = graph_from_weights(w)
-    assert pairwise_emergence(g0, 1, 2) == 0.0
-
-
-def test_transitive_triple_cases():
-    w = np.zeros((5, 5))
-    for i in range(1, 5):
-        w[0, i] = w[i, 0] = 10.0
-    # all three pairwise scores above gamma -> implication holds
-    for i, j in combinations(range(1, 4), 2):
-        w[i, j] = w[j, i] = 5.0
-    g = graph_from_weights(w)
-    assert is_transitive_triple(g, 1, 2, 3, gamma=1.0).all_hold
-    # exactly two high, one low -> violated for the rotation concluding low
-    w2 = w.copy()
-    w2[1, 3] = w2[3, 1] = 0.1
-    g2 = graph_from_weights(w2)
-    rep = is_transitive_triple(g2, 1, 2, 3, gamma=1.0)
-    assert not rep.all_hold
-    assert sum(rep.holds) == 2
-    # at most one high -> vacuously holds
-    w3 = w.copy()
-    w3[1, 2] = w3[2, 1] = 0.1
-    w3[1, 3] = w3[3, 1] = 0.1
-    g3 = graph_from_weights(w3)
-    assert is_transitive_triple(g3, 1, 2, 3, gamma=1.0).all_hold
-
-
-def brute_force_maximal_cliques(nodes, above):
-    """Oracle: all maximal cliques by scanning every subset (<= 2^10)."""
-    nodes = list(nodes)
-    cliques = []
-    for r in range(2, len(nodes) + 1):
-        for sub in combinations(nodes, r):
-            if all(above.get((min(a, b), max(a, b)), False)
-                   for a, b in combinations(sub, 2)):
-                cliques.append(frozenset(sub))
-    return [c for c in cliques
-            if not any(c < other for other in cliques)]
-
-
-def test_all_above_threshold_single_continent():
-    w = np.full((6, 6), 3.0)
-    np.fill_diagonal(w, 0.0)
-    g = graph_from_weights(w)
-    rep = find_continents(g, TransitivityConfig(gamma=1.0))
-    assert rep.continents == (frozenset({1, 2, 3, 4, 5}),)
-    assert rep.islands == ()
-
-
-def test_bipartition_zero_cut():
-    w = np.zeros((7, 7))
-    for i in range(1, 7):
-        w[0, i] = w[i, 0] = 10.0
-    for grp in ({1, 2, 3}, {4, 5, 6}):
-        for a, b in combinations(sorted(grp), 2):
-            w[a, b] = w[b, a] = 9.0
-    g = graph_from_weights(w)
-    rep = find_continents(g, TransitivityConfig(gamma=5.0))
-    assert set(rep.continents) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
-    assert rep.islands == ()
-    # the two continents have no islands; cross-mass helper still works
-    assert cut_edge_mass(g, {1, 2, 3}, {4, 5, 6}) == 0.0
-
-
-def test_continents_match_exhaustive_enumeration(rng):
-    for trial in range(60):
-        n = int(rng.integers(4, 11))
-        g = random_weight_graph(n, rng)
-        gamma = float(rng.random())
-        rep = find_continents(g, TransitivityConfig(gamma=gamma))
-        locals_ = list(range(1, n))
-        above = {}
-        for i, j in combinations(locals_, 2):
-            above[(i, j)] = pairwise_emergence(g, i, j) > gamma
-        expected = brute_force_maximal_cliques(locals_, above)
-        connected = {v for v in locals_
-                     if any(above[(min(v, u), max(v, u))] for u in locals_ if u != v)}
-        assert set(rep.continents) == set(expected), trial
-        assert set().union(*rep.islands) if rep.islands else set() == set(locals_) - connected
-        # continents + islands cover every local view
-        covered = set().union(*rep.continents) if rep.continents else set()
-        covered |= set().union(*rep.islands) if rep.islands else set()
-        assert covered == set(locals_)
-        # disjoint assignment partitions the continent nodes
-        seen = set()
-        for grp in rep.disjoint_continents:
-            assert not (grp & seen)
-            seen |= grp
-
-
-def test_islands_form_single_component_on_complete_graphs(rng):
-    w = np.zeros((6, 6))   # nothing above threshold
-    g = graph_from_weights(w)
-    rep = find_continents(g, TransitivityConfig(gamma=0.5))
-    assert rep.continents == ()
-    assert rep.islands == (frozenset({1, 2, 3, 4, 5}),)
-    assert rep.cut_edge_mass == 0.0
 
 
 def test_clique_count_complete_graph_closed_form():
@@ -232,16 +114,6 @@ def test_quantile_threshold_resolution():
     assert cfg.resolve(vals) == pytest.approx(75.0)
     fixed = TransitivityConfig(gamma=3.5)
     assert fixed.resolve(vals) == 3.5
-
-
-def test_mean_intra_edge_weight(rng):
-    g = random_weight_graph(6, rng)
-    w = g.weight_matrix()
-    group = [1, 3, 5]
-    expect = np.mean([w[1, 3], w[1, 5], w[3, 5]])
-    assert mean_intra_edge_weight(g, group) == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        mean_intra_edge_weight(g, [2])
 
 
 # ------------------------------------------------------------- calculators
