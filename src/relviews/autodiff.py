@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 __all__ = [
-    "Var", "constant", "leaf", "backward", "backward_from",
+    "Var", "constant", "backward",
     "matmul", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
     "exp", "sqrt", "square", "tanh", "leaky_relu", "softplus",
     "pairwise_l2", "reduce_min", "where_select", "flat_views",
@@ -125,40 +125,18 @@ class Var:
     def __add__(self, other):
         return _add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return _add(_wrap(other), self)
-
     def __sub__(self, other):
         return _sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return _sub(_wrap(other), self)
 
     def __mul__(self, other):
         return _mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return _mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return _div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return _div(_wrap(other), self)
-
-    def __neg__(self):
-        return _mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def constant(value) -> Var:
     return Var(value, requires_grad=False)
-
-
-def leaf(value) -> Var:
-    return Var(value, requires_grad=True)
 
 
 def _wrap(x) -> Var:
@@ -269,15 +247,10 @@ def vsum(a: Var, axis=None, keepdims=False) -> Var:
     return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), bk)
 
 
-def vmean(a: Var, axis=None, keepdims=False) -> Var:
-    if axis is None:
-        count = a.value.size
-    else:
-        count = a.shape[axis]
+def vmean(a: Var, axis: int, keepdims=False) -> Var:
+    count = a.shape[axis]
 
     def bk(g):
-        if axis is None:
-            return (np.full_like(a.value, 1.0) * g / count,)
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy() / count,)
     return _node(a.value.mean(axis=axis, keepdims=keepdims), (a,), bk)
@@ -401,10 +374,10 @@ def where_select(cond: np.ndarray, a: Var, b: Var) -> Var:
     return _node(np.where(cond, a.value, b.value), (a, b), bk)
 
 
-def _toposort(roots: list[Var]) -> list[Var]:
+def _toposort(root: Var) -> list[Var]:
     order: list[Var] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(r, False) for r in roots]
+    stack: list[tuple[Var, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -420,16 +393,13 @@ def _toposort(roots: list[Var]) -> list[Var]:
     return order
 
 
-def backward_from(seeds: list[tuple[Var, np.ndarray]]) -> None:
-    """Backpropagate from several roots with given upstream gradients."""
-    roots = [v for v, _ in seeds if v.requires_grad]
-    order = _toposort(roots)
-    for v, g in seeds:
-        if not v.requires_grad:
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        v.grad = g.copy() if v.grad is None else v.grad + g
-    for node in reversed(order):
+def backward(root: Var, seed=None) -> None:
+    """Backpropagate from `root` with upstream gradient `seed`, ones by default."""
+    if not root.requires_grad:
+        return
+    g = np.ones_like(root.value) if seed is None else np.asarray(seed, dtype=np.float64)
+    root.grad = g.copy() if root.grad is None else root.grad + g
+    for node in reversed(_toposort(root)):
         if node._backward is None or node.grad is None:
             continue
         grads = node._backward(node.grad)
@@ -438,9 +408,3 @@ def backward_from(seeds: list[tuple[Var, np.ndarray]]) -> None:
                 continue
             # never in place: a backward fn may hand the same array to two parents
             p.grad = g if p.grad is None else p.grad + g
-
-
-def backward(root: Var, seed=None) -> None:
-    if seed is None:
-        seed = np.ones_like(root.value)
-    backward_from([(root, seed)])

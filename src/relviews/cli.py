@@ -31,12 +31,15 @@ def _write_text(path, text: str) -> None:
 
 
 def _list_option(raw: str, option: str, parse) -> list:
-    """Comma-separated values of one option; a bad token is a ConfigError
-    that names the option."""
+    """Comma-separated values of one option; a bad token or an empty list is
+    a ConfigError that names the option."""
     try:
-        return [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        values = [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError as err:
         raise ConfigError(f"{option}: {err}") from None
+    if not values:
+        raise ConfigError(f"{option}: no values given")
+    return values
 
 
 def _size(k: int, option: str) -> int:

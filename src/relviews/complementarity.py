@@ -1,11 +1,12 @@
 """Input graph construction: edges favor low-redundancy view pairs.
 
-Built once per instance before training, in stacked chunks of instances:
-each chunk is one pass of whole-array operations, and an instance's graph
-does not depend on the chunk it falls in. Local-local edges are constant
-vectors with every component equal to 1/|z_i . z_j| (capped); edges
-incident to the global view are all-ones so no local-to-global prior is
-baked in.
+`build_dataset` builds one complete graph per instance of a dataset before
+training, in stacked chunks of instances: each chunk is one pass of
+whole-array operations, and an instance's graph does not depend on the
+chunk it falls in. The global view, row 0 of `SynthInstance.embeddings()`,
+becomes node 0. Local-local edges are constant vectors with every component
+equal to 1/|z_i . z_j| (capped); edges incident to the global view are
+all-ones so no local-to-global prior is baked in.
 """
 from __future__ import annotations
 
@@ -55,25 +56,13 @@ def _build_stack(emb: np.ndarray, cfg: ComplementarityConfig,
     return graphs
 
 
-def build(embeddings, cfg: ComplementarityConfig,
-          label: int | None = None, uniform: bool = False) -> ViewGraph:
-    """Complete graph over the views of one instance. Row 0 of `embeddings`
-    is the global view and becomes node 0, as `SynthInstance.embeddings()`
-    stacks it.
-
-    `uniform=True` replaces the 1/|dot| rule with all-ones local-local edges
-    (the input-graph ablation).
-    """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] < 2:
-        raise ValueError("need at least two embeddings of equal dimension")
-    return _build_stack(emb[None], cfg, [label], uniform)[0]
-
-
 def build_dataset(ds: SynthDataset, cfg: ComplementarityConfig,
                   uniform: bool = False, chunk_size: int = 8) -> list[ViewGraph]:
     """One graph per instance, in dataset order, built `chunk_size` instances
-    per stacked pass so the temporaries stay bounded."""
+    per stacked pass so the temporaries stay bounded.
+
+    `uniform=True` replaces the 1/|dot| rule with all-ones local-local edges
+    (the input-graph ablation)."""
     graphs: list[ViewGraph] = []
     for start in range(0, len(ds.instances), chunk_size):
         chunk = ds.instances[start:start + chunk_size]

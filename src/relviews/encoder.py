@@ -17,11 +17,9 @@ batch of one would give it. `GatParams` is a flat parameter store
 
 The returned tape holds the batch's output node and edge Vars, (B, N,
 hidden) and (B, N(N-1)/2, hidden), the latter None after a node-only pass
-(see `forward`); per layer, one leaf Var per stored (head-stacked) tensor,
-keyed like the LayerParams fields; and the attention coefficients as one
-(B, H, N, N) array per layer: graph b's coefficients are `[layer][b]`,
-indexed `[head]`. After a backward pass from the outputs,
-`EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
+(see `forward`), and per layer one leaf Var per stored (head-stacked)
+tensor, keyed like the LayerParams fields. After a backward pass from the
+outputs, `EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
 
 The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
@@ -168,12 +166,11 @@ def _diag_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EncoderTape:
-    """Handles for backward plus recorded attention coefficients."""
+    """Handles for backward."""
     params: GatParams
     param_vars: list[dict[str, Var]]     # per layer: LayerParams field -> leaf Var
     node_out: Var                        # (B, N, hidden)
     edge_out: Var | None                 # (B, N(N-1)/2, hidden); None if node-only
-    attention: list[np.ndarray]          # per layer: (B, H, N, N)
 
     def accumulate(self) -> None:
         """Hand the leaves' gradients of a finished backward pass to `params`."""
@@ -224,7 +221,6 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
 
     h: Var = ad.constant(nodes)                                      # (B, N, d)
     e: Var = ad.constant(edges)                                      # (B, M, d_e)
-    attention: list[np.ndarray] = []
 
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
@@ -242,7 +238,6 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
         rowmax = logits.value.max(axis=-1, keepdims=True)            # detached shift
         ex = ad.exp(logits - rowmax) * offdiag
         alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)             # (B, H, N, N)
-        attention.append(alpha.value)
         head_out = ad.matmul(alpha, Wh)                              # (B, H, N, hd)
 
         if final:
@@ -270,9 +265,9 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
                 raise NumericError(f"non-finite edge features after layer {li}")
 
     if node_only:
-        return None, EncoderTape(params, pvars, h, None, attention)
+        return None, EncoderTape(params, pvars, h, None)
     outs = [ViewGraph(h.value[i], e.value[i], label=g.label) for i, g in enumerate(graphs)]
-    return outs, EncoderTape(params, pvars, h, e, attention)
+    return outs, EncoderTape(params, pvars, h, e)
 
 
 def distinguishability(embeddings) -> float:

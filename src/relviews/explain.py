@@ -114,13 +114,6 @@ def fidelity(expls: ExplanationSet, head) -> float:
     return float(np.mean(dist[:, 0] - dist[:, 1]))
 
 
-def sparsity(expls: ExplanationSet) -> float:
-    """Mean of 1 - |kept nodes| / |all nodes|."""
-    if len(expls) == 0:
-        raise ValueError("explanation set is empty")
-    return float(np.mean([1.0 - ex.size / ex.parent.num_views for ex in expls.entries]))
-
-
 def fidelity_sparsity_curve(graphs: list[ViewGraph], proxies: dict[int, ProxyGraph],
                             head, top_k_list) -> list[tuple[int, float, float]]:
     """(top_k, sparsity, fidelity) per requested explanation size, for the

@@ -75,9 +75,6 @@ class CostHead(ad.FlatParams):
     def bind(self, want_grad: bool = False) -> "_BoundMlpHead":
         return _BoundMlpHead(self, want_grad)
 
-    def costs(self, x: np.ndarray) -> np.ndarray:
-        return self.bind(False).costs(ad.constant(x)).value
-
 
 class _BoundMlpHead:
     def __init__(self, head: CostHead, want_grad: bool):

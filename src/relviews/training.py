@@ -15,7 +15,6 @@ matching (TR).
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -98,9 +97,12 @@ def _parse_int(raw: str) -> int:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 # The one schema of run-config and checkpoint keys: key -> (component,
@@ -187,7 +189,6 @@ class TrainReport:
     epoch_losses: list[float]
     final_train_accuracy: float
     final_test_accuracy: float | None
-    wall_clock_seconds: float
     checkpoint_path: str | None = None
 
     def losses_csv(self) -> str:
@@ -272,7 +273,9 @@ class TrainedModel:
                 continue
             slot, _, kind = name.partition(".")
             cid = slot[len("proxy"):]
-            if not (slot.startswith("proxy") and re.fullmatch("-?[0-9]+", cid) and kind in stash):
+            # canonical ids only, as `save` writes them: no two names alias one class
+            if not (slot.startswith("proxy") and re.fullmatch("0|-?[1-9][0-9]*", cid)
+                    and kind in stash):
                 raise ConfigError(f"unknown tensor {name}")
             if (kind == "vector") == pd:
                 raise ConfigError(f"tensor {name} does not belong to a checkpoint with "
@@ -294,6 +297,9 @@ class TrainedModel:
         return model
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with L2 weight decay folded into the gradient (betas 0.9/0.999).
 
@@ -302,26 +308,24 @@ class Adam:
     elementwise pass per `step`; the gradients come as buffers of the same
     layout, in the same order."""
 
-    def __init__(self, buffers: list[np.ndarray], weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, buffers: list[np.ndarray], weight_decay: float = 0.0):
         self.buffers = buffers
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(buf) for buf in buffers]
         self.v = [np.zeros_like(buf) for buf in buffers]
         self.t = 0
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for i, (buf, grad) in enumerate(zip(self.buffers, grads, strict=True)):
             g = grad + self.weight_decay * buf
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
             mhat = self.m[i] / b1c
             vhat = self.v[i] / b2c
-            buf -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            buf -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 def _anchor_loss_var(table: Var, labels, class_ids, cfg: ProxyAnchorConfig) -> Var:
@@ -375,7 +379,6 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     """Deterministic per config+seed; raises NumericError if the loss diverges."""
     if len(dataset.class_ids) < 2:
         raise ConfigError("training needs at least two classes")
-    started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     in_dim = dataset.config.feature_dim
 
@@ -434,8 +437,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
 
     train_acc = _accuracy(model, graphs, labels)
     test_acc = evaluate(model, test_dataset) if test_dataset else None
-    report = TrainReport(epoch_losses, train_acc, test_acc,
-                         time.perf_counter() - started)
+    report = TrainReport(epoch_losses, train_acc, test_acc)
     if checkpoint_path is not None:
         model.save(checkpoint_path)
         report.checkpoint_path = str(checkpoint_path)

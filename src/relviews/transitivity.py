@@ -104,13 +104,14 @@ def turan_edge_bound(n: int, k: int) -> float:
 
 def sample_complexity_transitive(n: float, epsilon: float, delta: float) -> float:
     """Samples to pin down a transitive topology: (log2 n + log2(1/delta)) / eps."""
-    if n <= 0 or epsilon <= 0 or not 0 < delta <= 1:
-        raise ValueError("need n > 0, epsilon > 0, 0 < delta <= 1")
+    # written so that NaN fails every comparison
+    if not (0 < n < np.inf and 0 < epsilon < np.inf and 0 < delta <= 1):
+        raise ValueError("need finite n > 0, finite epsilon > 0, 0 < delta <= 1")
     return (np.log2(n) + np.log2(1.0 / delta)) / epsilon
 
 
 def sample_complexity_noisy(eta_count: float, epsilon: float, delta: float) -> float:
     """Samples to pin down a noisy-subgraph topology: (eta + log2(1/delta)) / eps^2."""
-    if eta_count < 0 or epsilon <= 0 or not 0 < delta <= 1:
-        raise ValueError("need eta >= 0, epsilon > 0, 0 < delta <= 1")
+    if not (0 <= eta_count < np.inf and 0 < epsilon < np.inf and 0 < delta <= 1):
+        raise ValueError("need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1")
     return (eta_count + np.log2(1.0 / delta)) / (epsilon * epsilon)

@@ -24,9 +24,6 @@ class ConstantCostHead:
     def bind(self, want_grad: bool = False) -> "_BoundSimpleHead":
         return _BoundSimpleHead(lambda x: ad.constant(np.full(x.shape[:-1], self.value)))
 
-    def costs(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(x).shape[0], self.value)
-
 
 class LinearCostHead:
     """psi(u) = |w . u|; positively homogeneous, used by scale tests."""
@@ -37,11 +34,8 @@ class LinearCostHead:
     def bind(self, want_grad: bool = False) -> "_BoundSimpleHead":
         def costs(x: Var) -> Var:
             raw = ad.reshape(ad.matmul(x, ad.constant(self.w.reshape(-1, 1))), x.shape[:-1])
-            return ad.where_select(raw.value >= 0, raw, -raw)
+            return ad.where_select(raw.value >= 0, raw, raw * -1.0)
         return _BoundSimpleHead(costs)
-
-    def costs(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(x) @ self.w)
 
 
 class _BoundSimpleHead:
@@ -80,8 +74,8 @@ def exact_ged(u, v, head) -> float:
     if m > 8 or p > 8:
         raise ValueError("exact search refused beyond 8 nodes")
     dist = np.sqrt(np.square(u[:, None, :] - v[None, :, :]).sum(axis=-1))
-    del_u = np.asarray(head.costs(u), dtype=np.float64)
-    ins_v = np.asarray(head.costs(v), dtype=np.float64)
+    bound = head.bind(False)
+    del_u, ins_v = (bound.costs(ad.constant(x)).value for x in (u, v))
     base = del_u.sum() + ins_v.sum()
     # matching (i, j) replaces delete(i) + insert(j) with substitution cost
     gain = dist - del_u[:, None] - ins_v[None, :]
@@ -108,13 +102,14 @@ def encoder_backward(tape, node_grads: np.ndarray,
     node_grads = np.asarray(node_grads, dtype=np.float64)
     if node_grads.shape != tape.node_out.shape:
         raise ValueError(f"node gradient shape {node_grads.shape} != {tape.node_out.shape}")
-    seeds = [(tape.node_out, node_grads)]
+    # each output's gradient under this scalar root is exactly its seed
+    root = ad.vsum(tape.node_out * node_grads)
     if edge_grads is not None:
         edge_grads = np.asarray(edge_grads, dtype=np.float64)
         if edge_grads.shape != tape.edge_out.shape:
             raise ValueError(f"edge gradient shape {edge_grads.shape} != {tape.edge_out.shape}")
-        seeds.append((tape.edge_out, edge_grads))
-    ad.backward_from(seeds)
+        root = root + ad.vsum(tape.edge_out * edge_grads)
+    ad.backward(root)
     tape.accumulate()
     leaves = [v for layer in tape.param_vars for v in layer.values() if v is not None]
     return dict(tape.params._named([np.zeros_like(v.value) if v.grad is None else v.grad
@@ -160,30 +155,29 @@ def concat(vs: list[Var], axis: int) -> Var:
 class PerTensorAdam:
     """Adam with L2 weight decay, stepping each named tensor on its own."""
 
-    def __init__(self, named_arrays, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, named_arrays, weight_decay=0.0):
         self.arrays = named_arrays
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros_like(arr) for name, arr in named_arrays}
         self.v = {name: np.zeros_like(arr) for name, arr in named_arrays}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - 0.9 ** self.t
+        b2c = 1.0 - 0.999 ** self.t
         for name, arr in self.arrays:
             g = grads[name] + self.weight_decay * arr
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = 0.9 * self.m[name] + (1.0 - 0.9) * g
+            self.v[name] = 0.999 * self.v[name] + (1.0 - 0.999) * g * g
             mhat = self.m[name] / b1c
             vhat = self.v[name] / b2c
-            arr -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            arr -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
-    """`complementarity.build` one instance at a time: a 2-D norm and one
-    (1, d) @ (d, 1) product per local pair."""
+    """`complementarity.build_dataset` one instance at a time: a 2-D norm
+    and one (1, d) @ (d, 1) product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
     if cfg.normalize_embeddings:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)

@@ -13,7 +13,7 @@ def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
     """build(list of Vars) -> scalar Var; compares grads to central FD."""
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(s) for s in shapes]
-    leaves = [ad.leaf(a.copy()) for a in arrays]
+    leaves = [ad.Var(a.copy(), requires_grad=True) for a in arrays]
     out = build(leaves)
     ad.backward(out)
     for ai, arr in enumerate(arrays):
@@ -94,15 +94,15 @@ def test_sigmoid_equals_mask_form():
 def test_softplus_backward_is_the_mask_form_sigmoid():
     # with g = 1 the gradient is the sigmoid itself, from the forward's exp(-|x|)
     x = np.concatenate([EXTREMES, np.random.default_rng(2).normal(scale=20.0, size=200)])
-    leaf = ad.leaf(x.copy())
+    x_var = ad.Var(x.copy(), requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ad.backward(ad.softplus(leaf), np.ones_like(x))
-    assert np.array_equal(leaf.grad, mask_sigmoid(x))
+        ad.backward(ad.softplus(x_var), np.ones_like(x))
+    assert np.array_equal(x_var.grad, mask_sigmoid(x))
 
 
 def test_leaky_relu_slope():
-    x = ad.leaf(np.array([-2.0, -0.5, 0.5, 3.0]))
+    x = ad.Var(np.array([-2.0, -0.5, 0.5, 3.0]), requires_grad=True)
     y = ad.vsum(ad.leaky_relu(x, 0.2))
     ad.backward(y)
     assert np.allclose(x.grad, [0.2, 0.2, 1.0, 1.0])
@@ -110,7 +110,7 @@ def test_leaky_relu_slope():
 
 def test_reduce_min_routes_to_argmin():
     vals = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, 0.5]])
-    x = ad.leaf(vals.copy())
+    x = ad.Var(vals.copy(), requires_grad=True)
     y = ad.vsum(ad.reduce_min(x, axis=1))
     ad.backward(y)
     expect = np.zeros_like(vals)
@@ -142,8 +142,8 @@ def test_no_grad_reduce_min_equals_argmin_form(axis):
 
 
 def test_where_select_routes_by_mask():
-    a = ad.leaf(np.array([1.0, 2.0, 3.0]))
-    b = ad.leaf(np.array([10.0, 20.0, 30.0]))
+    a = ad.Var(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    b = ad.Var(np.array([10.0, 20.0, 30.0]), requires_grad=True)
     cond = np.array([True, False, True])
     y = ad.vsum(ad.where_select(cond, a, b))
     ad.backward(y)
@@ -152,7 +152,7 @@ def test_where_select_routes_by_mask():
 
 
 def test_grad_accumulates_over_reuse():
-    x = ad.leaf(np.array([2.0]))
+    x = ad.Var(np.array([2.0]), requires_grad=True)
     y = x * x + x * 3.0
     ad.backward(y)
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
@@ -160,23 +160,15 @@ def test_grad_accumulates_over_reuse():
 
 def test_constants_get_no_grad():
     c = ad.constant(np.ones(3))
-    x = ad.leaf(np.ones(3))
+    x = ad.Var(np.ones(3), requires_grad=True)
     y = ad.vsum(c * x)
     ad.backward(y)
     assert c.grad is None
     assert np.allclose(x.grad, 1.0)
 
 
-def test_backward_from_multiple_roots():
-    x = ad.leaf(np.array([1.0, 2.0]))
-    y1 = ad.vsum(ad.square(x))
-    y2 = ad.vsum(x * 3.0)
-    ad.backward_from([(y1, np.asarray(1.0)), (y2, np.asarray(2.0))])
-    assert np.allclose(x.grad, 2.0 * x.value + 6.0)
-
-
 def test_zero_upstream_gives_zero_grads():
-    x = ad.leaf(np.ones((2, 2)))
+    x = ad.Var(np.ones((2, 2)), requires_grad=True)
     y = ad.vsum(ad.exp(x))
     ad.backward(y, np.asarray(0.0))
     assert np.all(x.grad == 0.0)
@@ -190,12 +182,12 @@ def test_zero_upstream_gives_zero_grads():
 def test_take_backward_equals_one_hot_form(shape, axis, idx):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(shape)
-    leaf = ad.leaf(x.copy())
-    y = ad.take(leaf, idx, axis=axis)
+    x_var = ad.Var(x.copy(), requires_grad=True)
+    y = ad.take(x_var, idx, axis=axis)
     assert np.array_equal(y.value, np.take(x, idx, axis=axis))
     g = rng.standard_normal(y.shape)
     ad.backward(y, g)
-    assert np.array_equal(leaf.grad, onehot_take_grad(x.shape, idx, axis, g))
+    assert np.array_equal(x_var.grad, onehot_take_grad(x.shape, idx, axis, g))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -205,7 +197,7 @@ def test_pair_matrix_equals_gathered_form(n):
     vals = rng.standard_normal((2, 3, m, 1))
     vals[0, 0, 0, 0] = -abs(vals[0, 0, 0, 0])          # a negative value at row 0
     idx_i, idx_j = np.triu_indices(n, k=1)
-    a, b = ad.leaf(vals.copy()), ad.leaf(vals.copy())
+    a, b = ad.Var(vals.copy(), requires_grad=True), ad.Var(vals.copy(), requires_grad=True)
     got = ad.pair_matrix(a, idx_i, idx_j, n)
     ref = gathered_pair_matrix(b, n)
     assert np.array_equal(got.value, ref.value)
@@ -224,8 +216,8 @@ def test_pair_matrix_equals_gathered_form(n):
     (lambda a, b: (a + b) + a, [2.0, 2.0], [1.0, 1.0]),
 ], ids=["shared_then_summed", "shared_first_grad"])
 def test_shared_gradient_arrays_accumulate_exactly(build, grad_a, grad_b):
-    a = ad.leaf(np.array([1.5, -2.0]))
-    b = ad.leaf(np.array([0.25, 3.0]))
+    a = ad.Var(np.array([1.5, -2.0]), requires_grad=True)
+    b = ad.Var(np.array([0.25, 3.0]), requires_grad=True)
     ad.backward(build(a, b))
     assert np.array_equal(a.grad, grad_a)
     assert np.array_equal(b.grad, grad_b)

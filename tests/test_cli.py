@@ -5,6 +5,8 @@ import pytest
 from relviews import explain as ex
 from relviews import synth, training
 from relviews.cli import main
+from relviews.runconfig import load_config
+from relviews.synth import NoiseModel
 from relviews.transitivity import TransitivityConfig
 
 TINY_CONFIG = """\
@@ -149,15 +151,22 @@ def trained(tiny, capsys):
      "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
     (_splice("config train.proxy_momentum=", ["config train.proxy_momentum=1.5"]),
      "proxy_momentum must lie in [0, 1]"),
-    # proxy ids must be ASCII integers
+    (_splice("config sinkhorn.epsilon=", ["config sinkhorn.epsilon=nan"]),
+     "sinkhorn.epsilon: expected a finite number, got 'nan'"),
+    # proxy ids must be ASCII integers as `save` writes them, so no two alias one class
     (_splice("tensor proxy1.nodes ", ["tensor proxy--1.nodes 5,8"]),
      "unknown tensor proxy--1.nodes"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy\u00b2.nodes 5,8"]),
      "unknown tensor proxy\u00b2.nodes"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy01.nodes 5,8"]),
+     "unknown tensor proxy01.nodes"),
+    (_splice("tensor proxy1.nodes ", ["tensor proxy-0.nodes 5,8", " ".join("0" * 40)], count=0),
+     "unknown tensor proxy-0.nodes"),
 ], ids=["value_token", "dims", "cost_tensor", "proxy_width",
         "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
         "nan_value", "inf_proxy", "proxy_nodes", "legacy_edge_width", "vector_in_graph_proxies",
-        "graph_in_vector_proxies", "proxy_momentum", "double_minus_id", "superscript_id"])
+        "graph_in_vector_proxies", "proxy_momentum", "nan_config_value", "double_minus_id",
+        "superscript_id", "leading_zero_id", "minus_zero_id"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")
@@ -252,7 +261,11 @@ def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
      "outside_global_fraction, causal_intervention)"),
     (["sweep-depth", "--depth-list", "2,x"],
      "--depth-list: invalid literal for int() with base 10: 'x'"),
-], ids=["eta_list", "models", "depth_list"])
+    (["sweep-noise", "--eta-list", ""], "--eta-list: no values given"),
+    (["sweep-noise", "--eta-list", "0.5", "--models", " , "], "--models: no values given"),
+    (["sweep-depth", "--depth-list", ","], "--depth-list: no values given"),
+], ids=["eta_list", "models", "depth_list", "empty_eta_list", "empty_models",
+        "empty_depth_list"])
 def test_bad_sweep_list_exits_two(tiny, capsys, argv, message):
     tmp_path, config, _ = tiny
     capsys.readouterr()
@@ -264,11 +277,28 @@ def test_bad_sweep_list_exits_two(tiny, capsys, argv, message):
 def test_bad_top_k_list_exits_two(trained, capsys):
     ckpt, data = trained
     out = ckpt.parent / "metrics"
-    assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
-                 "--top-k-list", "2,x", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        "error: --top-k-list: invalid literal for int() with base 10: 'x'\n"
-    assert not out.exists()
+    for raw, message in (("2,x", "invalid literal for int() with base 10: 'x'"),
+                         ("", "no values given")):
+        assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--top-k-list", raw, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --top-k-list: {message}\n"
+        assert not out.exists()
+
+
+def test_sweeps_write_the_library_rows(tiny, capsys):
+    tmp_path, config, _ = tiny
+    run = load_config(config)
+    noise, depth = tmp_path / "noise.csv", tmp_path / "depth.csv"
+    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
+                 "--models", "causal_intervention", "--out", str(noise)]) == 0
+    assert noise.read_text() == training.noise_csv(
+        training.sweep_noise(run.train, run.synth, [0.5], [NoiseModel.CAUSAL_INTERVENTION]))
+    assert main(["sweep-depth", "--config", str(config), "--depth-list", "1",
+                 "--out", str(depth)]) == 0
+    assert depth.read_text() == training.depth_csv(
+        training.sweep_depth(run.train, run.synth, [1]))
+    assert capsys.readouterr().out == (f"wrote 1 rows to {noise}\n"
+                                       f"wrote 1 rows to {depth}\n")
 
 
 def _data_with(tmp_path, name, key, value):
@@ -371,6 +401,19 @@ def test_calc_prints_each_formula_and_names_its_arguments(capsys, formula, args,
     assert (formula + names).replace(" ", "") in "".join(capsys.readouterr().out.split())
     assert main(["calc", "nosuch"]) == 2
     assert f"{formula} {names}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula, args, message", [
+    ("mstar", ["nan", "0.5", "1"], "need finite n > 0, finite epsilon > 0, 0 < delta <= 1"),
+    ("mstar", ["8", "0.5", "inf"], "need finite n > 0, finite epsilon > 0, 0 < delta <= 1"),
+    ("meta", ["inf", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
+    ("meta", ["nan", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
+], ids=["mstar_nan_n", "mstar_inf_epsilon", "meta_inf_eta", "meta_nan_eta"])
+def test_calc_non_finite_arguments_exit_two(capsys, formula, args, message):
+    assert main(["calc", formula, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_calc_topology_count_up_to_the_printable_limit(capsys):

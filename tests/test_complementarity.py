@@ -4,29 +4,39 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews.complementarity import ComplementarityConfig, build, build_dataset
-from relviews.graphs import num_pairs, pair_rows
-from relviews.synth import SynthConfig, SynthDataset, generate
+from relviews.complementarity import ComplementarityConfig, build_dataset
+from relviews.graphs import ViewGraph, num_pairs, pair_rows
+from relviews.synth import SynthConfig, SynthDataset, SynthInstance, generate
 from tests.helpers import edge_feature, instance_build
+
+
+def build_one(embeddings, cfg: ComplementarityConfig, uniform: bool = False) -> ViewGraph:
+    """`build_dataset` of a one-instance dataset whose views are the rows of
+    `embeddings`, the global view first."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    k = emb.shape[0] - 1
+    inst = SynthInstance(0, emb[0], emb[1:], np.ones(k, dtype=bool), np.zeros(k, dtype=int))
+    [graph] = build_dataset(SynthDataset(SynthConfig(), [inst]), cfg, uniform=uniform)
+    return graph
 
 
 def test_identical_unit_vectors_give_unit_edge():
     v = np.zeros(4)
     v[0] = 1.0
-    g = build(np.stack([np.ones(4) / 2.0, v, v]), ComplementarityConfig())
+    g = build_one(np.stack([np.ones(4) / 2.0, v, v]), ComplementarityConfig())
     assert np.allclose(edge_feature(g, 1, 2), 1.0)
 
 
 def test_orthogonal_vectors_hit_cap():
     e1, e2 = np.eye(4)[0], np.eye(4)[1]
     cfg = ComplementarityConfig(weight_cap=1e4)
-    g = build(np.stack([np.ones(4), e1, e2]), cfg)
+    g = build_one(np.stack([np.ones(4), e1, e2]), cfg)
     assert np.allclose(edge_feature(g, 1, 2), 1e4)
 
 
 def test_global_edges_all_ones():
     rng = np.random.default_rng(0)
-    g = build(rng.standard_normal((6, 8)), ComplementarityConfig())
+    g = build_one(rng.standard_normal((6, 8)), ComplementarityConfig())
     for j in range(1, 6):
         assert np.allclose(edge_feature(g, 0, j), 1.0)
 
@@ -40,7 +50,7 @@ def test_monotone_in_absolute_dot():
     for ang in (0.2, 0.5, 0.9, 1.3):
         other = np.zeros(8)
         other[0], other[1] = np.cos(ang), np.sin(ang)
-        g = build(np.stack([np.ones(8), base, other]), cfg)
+        g = build_one(np.stack([np.ones(8), base, other]), cfg)
         w = edge_feature(g, 1, 2)[0]
         assert np.allclose(edge_feature(g, 1, 2), w)  # constant vector
         if prev is not None:
@@ -50,21 +60,16 @@ def test_monotone_in_absolute_dot():
 
 def test_normalization_flag():
     a = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]])
-    g_norm = build(a, ComplementarityConfig(normalize_embeddings=True))
+    g_norm = build_one(a, ComplementarityConfig(normalize_embeddings=True))
     assert np.allclose(np.linalg.norm(g_norm.node_features, axis=1), 1.0)
-    g_raw = build(a, ComplementarityConfig(normalize_embeddings=False))
+    g_raw = build_one(a, ComplementarityConfig(normalize_embeddings=False))
     assert np.array_equal(g_raw.node_features, a)
 
 
 def test_uniform_ablation_edges():
     rng = np.random.default_rng(2)
-    g = build(rng.standard_normal((5, 4)), ComplementarityConfig(), uniform=True)
+    g = build_one(rng.standard_normal((5, 4)), ComplementarityConfig(), uniform=True)
     assert np.allclose(g.edge_features, 1.0)
-
-
-def test_build_errors():
-    with pytest.raises(ValueError):
-        build(np.zeros((1, 3)), ComplementarityConfig())
 
 
 def test_dataset_build_order_and_counts():
@@ -87,7 +92,7 @@ def test_dataset_build_deterministic():
 
 
 def loop_build(embeddings, cfg, uniform=False):
-    """Per-pair reference for `build`: one Python dot product per local pair."""
+    """Per-pair reference for `build_one`: one Python dot product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
     if cfg.normalize_embeddings:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
@@ -116,7 +121,7 @@ def test_build_equals_per_pair_loop(normalize):
     cases.append(np.stack([np.ones(5), eye[0], 1e-3 * eye[0] + eye[1]]))  # 1/dot past cap
     for emb in cases:
         for uniform in (False, True):
-            g = build(emb, cfg, uniform=uniform)
+            g = build_one(emb, cfg, uniform=uniform)
             nodes, edges = loop_build(emb, cfg, uniform=uniform)
             assert np.array_equal(g.node_features, nodes)
             assert np.array_equal(g.edge_features, edges)
@@ -159,14 +164,3 @@ def test_batched_build_equals_per_instance_build(normalize, uniform, count, chun
         at_cap = edge_feature(graphs[6], 2, 3)
         assert (at_cap == 2.0).all()                           # 1/0.5, at the cap
 
-
-def test_single_build_equals_per_instance_build():
-    rng = np.random.default_rng(21)
-    cfg = ComplementarityConfig(weight_cap=50.0)
-    for _ in range(50):
-        n, dim = int(rng.integers(2, 18)), int(rng.integers(1, 40))
-        emb = rng.standard_normal((n, dim))
-        g = build(emb, cfg, label=3)
-        ref = instance_build(emb, cfg, label=3)
-        assert np.array_equal(g.node_features, ref.node_features)
-        assert np.array_equal(g.edge_features, ref.edge_features)

@@ -38,26 +38,16 @@ def test_config_validation():
 
 
 def test_zero_attention_gives_uniform_coefficients():
-    # single final layer, zero attention vector: every neighbor weighs 1/k
+    # single final layer, zero attention vector: every neighbor weighs 1/k,
+    # so node i's output is the mean of the other nodes' W h
     cfg = EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=8)
     params = init_params(cfg, 8, seed=0)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(5, 8, seed=1)
     _, tape = enc.forward(params, [g])
-    alpha = tape.attention[0][0][0]
-    off = ~np.eye(5, dtype=bool)
-    assert np.all(alpha[off] == 0.25)          # exactly 1/k with k = 4
-    assert np.all(alpha[~off] == 0.0)
-
-
-def test_attention_rows_sum_to_one():
-    cfg = EncoderConfig(num_layers=2, heads_per_layer=4, hidden_dim=8)
-    params = init_params(cfg, 8, seed=2)
-    g = random_graph(5, 8, seed=3)   # n=8, k=4
-    _, tape = enc.forward(params, [g])
-    for layer_att in tape.attention:
-        for alpha in layer_att[0]:
-            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+    wh = g.node_features @ params.layers[0].W[0]
+    expect = [wh[np.arange(5) != i].mean(axis=0) for i in range(5)]
+    np.testing.assert_allclose(tape.node_out.value[0], expect, rtol=0, atol=1e-12)
 
 
 def test_permutation_equivariance():
@@ -209,11 +199,10 @@ def concat_forward(params, graphs):
     n, b, heads = graphs[0].num_views, len(graphs), cfg.heads_per_layer
     idx_i, idx_j = upper_pairs(n)
     offdiag, diag_neg = 1.0 - np.eye(n), np.where(np.eye(n) > 0, enc._NEG, 0.0)
-    pvars = [{key: None if arr is None else ad.leaf(arr) for key, arr in vars(layer).items()}
-             for layer in params.layers]
+    pvars = [{key: None if arr is None else ad.Var(arr, requires_grad=True)
+              for key, arr in vars(layer).items()} for layer in params.layers]
     h = ad.constant(np.stack([g.node_features for g in graphs]))
     e = ad.constant(np.stack([g.edge_features for g in graphs]))
-    attention = []
     for li, (node_in, head_dim, edge_in, updates) in enumerate(
             enc._layer_dims(cfg, params.in_dim)):
         pv = pvars[li]
@@ -229,7 +218,6 @@ def concat_forward(params, graphs):
         logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
         ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * offdiag
         alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)
-        attention.append(alpha.value)
         head_out = ad.matmul(alpha, Wh)
         if li == cfg.num_layers - 1:
             h = ad.vsum(head_out, axis=1) * (1.0 / heads)
@@ -243,7 +231,7 @@ def concat_forward(params, graphs):
             fwd_ord = ad.matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
             rev_ord = ad.matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
             e = ad.softplus((fwd_ord + rev_ord) * 0.5)
-    return enc.EncoderTape(params, pvars, h, e, attention)
+    return enc.EncoderTape(params, pvars, h, e)
 
 
 def assert_close_rel(actual, expect, rtol):
@@ -265,8 +253,6 @@ def test_forward_and_gradients_match_concat_form(cfg, in_dim):
     ref = concat_forward(params, graphs)
     assert_close_rel(tape.node_out.value, ref.node_out.value, 1e-12)
     assert_close_rel(tape.edge_out.value, ref.edge_out.value, 1e-12)
-    for alpha, alpha_ref in zip(tape.attention, ref.attention, strict=True):
-        assert_close_rel(alpha, alpha_ref, 1e-12)
 
     node_g = rng.standard_normal(tape.node_out.shape)
     edge_g = rng.standard_normal(tape.edge_out.shape)
@@ -334,8 +320,6 @@ def test_node_only_forward_equals_full_forward(batch, num_layers, edge_update):
     assert np.array_equal(node_tape.node_out.value, tape.node_out.value)
     for b, g in enumerate(full):
         assert np.array_equal(node_tape.node_out.value[b], g.node_features)
-    for layer, layer_full in zip(node_tape.attention, tape.attention, strict=True):
-        assert np.array_equal(layer, layer_full)
 
 
 def test_node_only_forward_skips_the_final_edge_check():

@@ -5,7 +5,7 @@ import pytest
 
 from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
                               curve_csv, macs_at_k, macs_csv, random_explanation,
-                              sparsity, top_k_explanation)
+                              top_k_explanation)
 from relviews.graphs import ExplanationSubgraph, ViewGraph, edge_weight, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyGraph
@@ -40,7 +40,8 @@ def test_full_graph_explanations_give_zero_fidelity_and_sparsity(rng):
     expls = ExplanationSet(tuple(ExplanationSubgraph(g, frozenset(range(5)))
                                  for g in graphs), proxies)
     assert fidelity(expls, ConstantCostHead(1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert sparsity(expls) == 0.0
+    [(_, sp, _)] = fidelity_sparsity_curve(graphs, proxies, ConstantCostHead(1.0), [4])
+    assert sp == 0.0
 
 
 def test_fidelity_is_difference_of_distances(rng):
@@ -69,19 +70,19 @@ def test_fidelity_matches_per_instance_oracle(rng):
 
 def test_sparsity_six_of_sixtyfive(rng):
     g = random_labeled_graph(65, 2, rng, label=0)
-    expls = ExplanationSet((ExplanationSubgraph(g, frozenset(range(6))),),
-                           {0: dummy_proxy(0, dim=2)})
-    assert sparsity(expls) == pytest.approx(1.0 - 6.0 / 65.0, abs=1e-12)
+    # the global view and 5 locals kept
+    [(_, sp, _)] = fidelity_sparsity_curve([g], {0: dummy_proxy(0, dim=2)},
+                                                 ConstantCostHead(1.0), [5])
+    assert sp == pytest.approx(1.0 - 6.0 / 65.0, abs=1e-12)
 
 
 def test_sparsity_mean_of_per_instance_values(rng):
     g1 = random_labeled_graph(10, 2, rng, label=0)
     g2 = random_labeled_graph(8, 2, rng, label=0)
-    expls = ExplanationSet((ExplanationSubgraph(g1, frozenset(range(4))),
-                            ExplanationSubgraph(g2, frozenset(range(2)))),
-                           {0: dummy_proxy(0, dim=2)})
-    expect = np.mean([1 - 4 / 10, 1 - 2 / 8])
-    assert sparsity(expls) == pytest.approx(expect, abs=1e-12)
+    [(_, sp, _)] = fidelity_sparsity_curve([g1, g2], {0: dummy_proxy(0, dim=2)},
+                                                 ConstantCostHead(1.0), [3])
+    expect = np.mean([1 - 4 / 10, 1 - 4 / 8])
+    assert sp == pytest.approx(expect, abs=1e-12)
 
 
 def test_top_k_ranking_and_tie_break():
@@ -212,7 +213,8 @@ def test_curve_equals_fidelity_of_each_top_k_set(rng):
         rows = fidelity_sparsity_curve(graphs, proxies, head, ks)
         for (k, sp, fid) in rows:
             expls = ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs), proxies)
-            assert fid == fidelity(expls, head) and sp == sparsity(expls)
+            assert fid == fidelity(expls, head)
+            assert sp == np.mean([1.0 - ex.size / n for ex in expls.entries])
         assert rows[-1][2] == 0.0   # k = all locals: the full graphs' own distances
 
 

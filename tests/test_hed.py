@@ -62,7 +62,7 @@ def test_value_recomputable_from_assignments():
     v = rng.standard_normal((5, 6))
     head = CostHead(6, seed=3)
     res = hed(u, v, head)
-    du, iv = head.costs(u), head.costs(v)
+    du, iv = (head.bind(False).costs(ad.constant(x)).value for x in (u, v))
     total = 0.0
     for i, a in enumerate(res.forward_assignment):
         total += du[i] if a < 0 else np.linalg.norm(u[i] - v[a]) / 2.0
@@ -105,7 +105,7 @@ def test_added_nodes_raise_the_unnormalized_distance_by_at_most_their_deletion_c
         head = CostHead(d, hidden=int(rng.integers(1, 8)), seed=draw)
         before = 2 * m * hed(g, proxy, head).value
         after = 2 * (m + k) * hed(np.vstack([g, extra]), proxy, head).value
-        bound = before + head.costs(extra).sum()
+        bound = before + head.bind(False).costs(ad.constant(extra)).value.sum()
         assert after - bound <= 1e-12 * bound, draw
 
 
@@ -160,7 +160,8 @@ def test_dim_mismatch_and_empty_errors():
 def multi_grads(u, targets, slots, head, seed):
     """hed_values_multi table and the gradients of sum(seed * table) w.r.t. the
     instances, the stacked targets and, for a CostHead, its tensors."""
-    u_var, t_var = ad.leaf(u.copy()), ad.leaf(targets.copy())
+    u_var = ad.Var(u.copy(), requires_grad=True)
+    t_var = ad.Var(targets.copy(), requires_grad=True)
     bound = head.bind(True)
     table = hed_values_multi(u_var, t_var, slots, bound)
     ad.backward(table, seed)
@@ -222,7 +223,8 @@ def test_backward_matches_finite_differences():
     table, du, dt, hg = multi_grads(u, targets, slots, head, seed)
     # both branches occur, so the cost head gets a gradient
     dist = np.linalg.norm(u[:, :, None] - targets[None, None], axis=-1).reshape(2, 4, 2, slots)
-    take_del = head.costs(u.reshape(-1, 5)).reshape(2, 4, 1) < 0.5 * dist.min(axis=3)
+    del_cost = head.bind(False).costs(ad.constant(u.reshape(-1, 5))).value.reshape(2, 4, 1)
+    take_del = del_cost < 0.5 * dist.min(axis=3)
     assert take_del.any() and not take_del.all()
 
     checked = 0

@@ -18,6 +18,11 @@ from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig
     ("train.epochs = 2.5\n", "train.epochs: expected an integer, got '2.5'"),
     ("train.lr = fast\n", "train.lr: expected a number, got 'fast'"),
     ("synth.noise_model = gaussian\n", "synth.noise_model: unknown noise model 'gaussian'"),
+    ("sinkhorn.epsilon = nan\n", "sinkhorn.epsilon: expected a finite number, got 'nan'"),
+    ("sinkhorn.tol = NaN\n", "sinkhorn.tol: expected a finite number, got 'NaN'"),
+    ("train.lr = inf\n", "train.lr: expected a finite number, got 'inf'"),
+    ("encoder.leaky_slope = -Infinity\n",
+     "encoder.leaky_slope: expected a finite number, got '-Infinity'"),
 ])
 def test_bad_values_name_the_key(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape("run.cfg:1: " + message)):
