@@ -2,7 +2,7 @@
 
 from .complementarity import ComplementarityConfig
 from .encoder import EncoderConfig, GatParams
-from .graphs import ExplanationSubgraph, ViewGraph, edge_weight, export_dot, induced_subgraph
+from .graphs import ExplanationSubgraph, ViewGraph, export_dot, induced_subgraph
 from .hed import CostHead, HedResult, hed
 from .proxies import ProxyAnchorConfig, ProxyGraph, SinkhornConfig, sinkhorn
 from .synth import NoiseModel, SynthConfig, SynthDataset, SynthInstance, generate
@@ -14,6 +14,6 @@ __all__ = [
     "ExplanationSubgraph", "GatParams", "HedResult", "NoiseModel",
     "ProxyAnchorConfig", "ProxyGraph", "SinkhornConfig", "SynthConfig",
     "SynthDataset", "SynthInstance", "TrainConfig", "TrainReport", "TrainedModel",
-    "TransitivityConfig", "ViewGraph", "edge_weight", "evaluate",
+    "TransitivityConfig", "ViewGraph", "evaluate",
     "export_dot", "generate", "hed", "induced_subgraph", "sinkhorn", "train",
 ]

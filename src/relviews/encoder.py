@@ -1,8 +1,8 @@
-"""Graph-attention encoder mapping input view graphs to relevance graphs.
+"""Graph-attention encoder mapping input view graphs to node embeddings.
 
 Multi-head attention over the complete graph with an edge channel in the
 logits, graph-level normalization between layers, and a learned edge update
-so the output graph carries both node and edge embeddings.
+in the hidden layers; the final layer outputs node embeddings only.
 
 Hidden layers concatenate heads; the final layer averages full-width heads
 and is left unnormalized so its output scale is free to contract.
@@ -15,11 +15,10 @@ matmul computes every graph's and head's W h, and the attention is one
 batch of one would give it. `GatParams` is a flat parameter store
 (`autodiff.FlatParams`): each head-stacked tensor is one stored tensor.
 
-The returned tape holds the batch's output node and edge Vars, (B, N,
-hidden) and (B, N(N-1)/2, hidden), the latter None after a node-only pass
-(see `forward`), and per layer one leaf Var per stored (head-stacked)
-tensor, keyed like the LayerParams fields. After a backward pass from the
-outputs, `EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
+The returned tape holds the batch's output node Var, (B, N, hidden), and
+per layer one leaf Var per stored (head-stacked) tensor, keyed like the
+LayerParams fields. After a backward pass from the output,
+`EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
 
 The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
@@ -128,7 +127,7 @@ def _layer_dims(cfg: EncoderConfig, in_dim: int):
     for li in range(cfg.num_layers):
         final = li == cfg.num_layers - 1
         head_dim = cfg.hidden_dim if final else cfg.hidden_dim // cfg.heads_per_layer
-        updates = True if final else cfg.edge_update
+        updates = not final and cfg.edge_update
         dims.append((node_in, head_dim, edge_in, updates))
         node_in = cfg.hidden_dim
         if updates:
@@ -170,7 +169,6 @@ class EncoderTape:
     params: GatParams
     param_vars: list[dict[str, Var]]     # per layer: LayerParams field -> leaf Var
     node_out: Var                        # (B, N, hidden)
-    edge_out: Var | None                 # (B, N(N-1)/2, hidden); None if node-only
 
     def accumulate(self) -> None:
         """Hand the leaves' gradients of a finished backward pass to `params`."""
@@ -185,22 +183,15 @@ def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> V
     return shifted / ad.sqrt(var + eps) * scale + shift
 
 
-def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
-            node_only: bool = False) -> tuple[list[ViewGraph] | None, EncoderTape]:
+def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) -> EncoderTape:
     """Propagate a batch of same-size graphs through all attention layers.
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
     LeakyReLU, softmax over the other nodes, weighted aggregation; heads are
-    concatenated (hidden) or averaged (final). Edge features are refreshed by
-    the layer's update map when enabled, and always after the final layer,
-    through a softplus so their norms stay non-negative. Returns one output
-    graph per input graph, in order, and the batch's tape.
-
-    The final layer's edges feed only the explanations; the distance to a
-    proxy and the proxy update read node embeddings alone, so `train` and
-    `evaluate` run node-only. `node_only=True` skips the final edge update
-    and the output graphs and returns (None, tape) with `tape.edge_out`
-    None; `tape.node_out` holds exactly the values of the full pass.
+    concatenated (hidden) or averaged (final). A hidden layer with the edge
+    update enabled refreshes the edge features through a softplus, so their
+    norms stay non-negative. Returns the batch's tape, whose `node_out`
+    holds the final node embeddings in input order.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -249,7 +240,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
         if not np.isfinite(h.value).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
-        if updates and not (final and node_only):
+        if updates:
             # [z_i || z_j || e] U averaged over both endpoint orders, so the
             # update is well defined on unordered pairs (keeps permutation
             # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
@@ -264,10 +255,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True,
             if not np.isfinite(e.value).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 
-    if node_only:
-        return None, EncoderTape(params, pvars, h, None)
-    outs = [ViewGraph(h.value[i], e.value[i], label=g.label) for i, g in enumerate(graphs)]
-    return outs, EncoderTape(params, pvars, h, e)
+    return EncoderTape(params, pvars, h)
 
 
 def distinguishability(embeddings) -> float:

@@ -83,14 +83,14 @@ class ViewGraph:
         return w
 
 
-def edge_weight(g: ViewGraph, i: int, j: int) -> float:
-    """L2 norm of the (i, j) edge feature; symmetric in (i, j)."""
-    if i == j:
-        raise ValueError("no self-edges: i == j")
-    n = g.num_views
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index out of range for {n} nodes")
-    return float(np.linalg.norm(g.edge_features[pair_rows(min(i, j), max(i, j), n)]))
+def midpoint_edges(nodes: np.ndarray) -> np.ndarray:
+    """Edges from (N, d) node embeddings, canonical pair order: the midpoint of
+    the unit-normalised endpoints (a zero embedding stays zero), so an edge
+    weighs sqrt((1 + cos) / 2) of its endpoints' cosine."""
+    norms = np.linalg.norm(nodes, axis=1, keepdims=True)
+    unit = nodes / np.where(norms == 0, 1.0, norms)
+    i, j = upper_pairs(nodes.shape[0])
+    return (unit[i] + unit[j]) * 0.5
 
 
 def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
@@ -114,11 +114,10 @@ def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:
     """Render as DOT text; deterministic node order, LF endings."""
     lines = ["graph view_graph {", '  v0 [shape=doublecircle, label="g"];']
     lines += [f'  v{i} [shape=circle, label="{i}"];' for i in range(1, g.num_views)]
-    for i, j in zip(*(ends.tolist() for ends in upper_pairs(g.num_views))):
-        if weights_as_labels:
-            lines.append(f'  v{i} -- v{j} [label="{edge_weight(g, i, j):.3f}"];')
-        else:
-            lines.append(f"  v{i} -- v{j};")
+    pairs = zip(*(ends.tolist() for ends in upper_pairs(g.num_views)))
+    for (i, j), w in zip(pairs, g.edge_weights()):
+        label = f' [label="{w:.3f}"]' if weights_as_labels else ""
+        lines.append(f"  v{i} -- v{j}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

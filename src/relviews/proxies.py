@@ -9,7 +9,6 @@ nearest proxy under the learnable Hausdorff edit distance.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,23 +107,19 @@ def sinkhorn(cost: np.ndarray, row_marginals, col_marginals,
         v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
         it += 1
         plan, res = plan_residual(u, v)
-    converged = res <= cfg.marginal_tol
-    if not converged:
-        warnings.warn(f"sinkhorn did not converge: residual {res:.3e} "
-                      f"after {it} iterations", RuntimeWarning)
-    return SinkhornResult(plan, it, float(res), converged)
+    return SinkhornResult(plan, it, float(res), res <= cfg.marginal_tol)
 
 
 def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,
-                   momentum: float = 0.9) -> ProxyGraph:
+                   momentum: float = 0.9) -> tuple[ProxyGraph, bool]:
     """One online clustering step from one class's batch of encoded graphs.
 
     `nodes` is the (B, n, d) stack of the batch's node embeddings, n equal to
     the proxy's slot count. All B*n embeddings are transported onto the node
     centroids (squared distances normalized by the feature dim; each
     instance's global view is forced onto the global slot), and the
-    plan-weighted means are blended into the centroids. Deterministic given
-    inputs.
+    plan-weighted means are blended into the centroids. Returns the new
+    proxy and whether its transport converged; deterministic given inputs.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 3 or nodes.shape[0] == 0:
@@ -145,20 +140,16 @@ def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,
     # equivalent reduced problem transports only the locals onto slots 1..
     plan = np.zeros((m, slots))
     plan[~local, 0] = 1.0 / m
-    with warnings.catch_warnings():
-        # an EMA update only needs the achieved plan; leftover marginal
-        # residual at the default tolerance is immaterial here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        reduced = sinkhorn(cost[local, 1:], np.full(m - batch, 1.0 / m),
-                           np.full(slots - 1, 1.0 / slots), cfg).plan
-    plan[local, 1:] = reduced
+    transport = sinkhorn(cost[local, 1:], np.full(m - batch, 1.0 / m),
+                         np.full(slots - 1, 1.0 / slots), cfg)
+    plan[local, 1:] = transport.plan
 
     mass = plan.sum(axis=0)
     new_nodes = proxy.node_centroids.copy()
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
-    return ProxyGraph(proxy.class_id,
-                      momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes)
+    blended = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
+    return ProxyGraph(proxy.class_id, blended), bool(transport.converged)
 
 
 def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,

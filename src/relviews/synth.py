@@ -54,8 +54,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.concept_count_per_class > self.views_per_instance:
             raise ConfigError("concept_count_per_class must be <= views_per_instance")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be non-negative")
+        if not 0 <= self.noise_scale < np.inf:   # NaN fails it too
+            raise ConfigError("noise_scale must be finite and non-negative")
         object.__setattr__(self, "noise_model", NoiseModel(self.noise_model))
 
 

@@ -1,16 +1,16 @@
 """End-to-end training: encoder -> edit distance to proxies -> anchor loss.
 
-Each mini-batch goes through the encoder in one batched node-only pass, is
-scored against every initialized class proxy in one (B, C) distance table,
+Each mini-batch goes through the encoder in one batched pass, is scored
+against every initialized class proxy in one (B, C) distance table,
 backpropagates the anchor loss through the table, cost head and encoder in
 one backward pass, takes an Adam step with a stepped learning-rate
 schedule, and then refreshes the touched proxies by online clustering of
-its node embeddings. `evaluate` runs the same node-only encoder and table
-over chunks of `batch_size` instances, so a prediction never depends on the
-chunk an instance falls in; `encode_dataset` runs the full pass, whose
-final-layer edges feed only the explanations. Three ablation switches cover
-the input-graph edge rule (CG), graph-valued proxies (PD), and graph-space
-matching (TR).
+its node embeddings, counting the updates whose transport did not converge.
+`evaluate` runs the same encoder and table over chunks of `batch_size`
+instances, so a prediction never depends on the chunk an instance falls in;
+`encode_dataset` derives the explanations' relevance graphs from the same
+node embeddings. Three ablation switches cover the input-graph edge rule
+(CG), graph-valued proxies (PD), and graph-space matching (TR).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .complementarity import ComplementarityConfig, build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
 from .errors import ConfigError, NumericError
-from .graphs import ViewGraph
+from .graphs import ViewGraph, midpoint_edges
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
                       update_proxies)
@@ -189,6 +189,7 @@ class TrainReport:
     epoch_losses: list[float]
     final_train_accuracy: float
     final_test_accuracy: float | None
+    sinkhorn_nonconverged: int           # proxy updates whose transport missed its tolerance
     checkpoint_path: str | None = None
 
     def losses_csv(self) -> str:
@@ -271,6 +272,12 @@ class TrainedModel:
             if name in unread:
                 unread.pop(name).set_tensor(name, arr)
                 continue
+            if name == f"layer{cfg.encoder.num_layers - 1}.edge_update":
+                # the final layer's edge map of earlier versions: checked, dropped
+                shape = (2 * width + enc._layer_dims(cfg.encoder, in_dim)[-1][2], width)
+                if arr.shape != shape:
+                    raise ConfigError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
+                continue
             slot, _, kind = name.partition(".")
             cid = slot[len("proxy"):]
             # canonical ids only, as `save` writes them: no two names alias one class
@@ -349,34 +356,29 @@ def _proxy_targets(model: TrainedModel, class_ids: list[int]) -> np.ndarray:
     return np.vstack([model.proxies[cid].node_centroids for cid in class_ids])
 
 
-def _init_proxies_for(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
-                      cfg: TrainConfig) -> None:
-    """First-batch cluster means for classes not seen before."""
+def _update_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
+                    cfg: TrainConfig, momentum: float) -> list[bool]:
+    """Blend each batch class's cluster means into its proxy, keeping `momentum`
+    of the old value (an unseen class starts at its first graph or batch mean).
+    Returns each graph proxy update's convergence flag."""
+    converged = []
     for cid, nodes in nodes_by_class.items():
         if cfg.ablations.proxy_as_graph:
-            if cid not in model.proxies:
-                model.proxies[cid] = update_proxies(ProxyGraph(cid, nodes[0]), nodes,
-                                                    cfg.sinkhorn, momentum=0.0)
-        elif cid not in model.proxy_vectors:
-            model.proxy_vectors[cid] = nodes.mean(axis=1).mean(axis=0)
-
-
-def _refresh_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
-                     cfg: TrainConfig) -> None:
-    mom = cfg.proxy_momentum
-    for cid, nodes in nodes_by_class.items():
-        if cfg.ablations.proxy_as_graph:
-            model.proxies[cid] = update_proxies(model.proxies[cid], nodes, cfg.sinkhorn,
-                                                momentum=mom)
+            old = model.proxies[cid] if cid in model.proxies else ProxyGraph(cid, nodes[0])
+            model.proxies[cid], ok = update_proxies(old, nodes, cfg.sinkhorn, momentum=momentum)
+            converged.append(ok)
         else:
-            model.proxy_vectors[cid] = (mom * model.proxy_vectors[cid]
-                                        + (1.0 - mom) * nodes.mean(axis=1).mean(axis=0))
+            mean = nodes.mean(axis=1).mean(axis=0)
+            model.proxy_vectors[cid] = (momentum * model.proxy_vectors.get(cid, mean)
+                                        + (1.0 - momentum) * mean)
+    return converged
 
 
 def train(dataset: SynthDataset, cfg: TrainConfig,
           test_dataset: SynthDataset | None = None,
           checkpoint_path=None, log=None) -> tuple[TrainReport, TrainedModel]:
-    """Deterministic per config+seed; raises NumericError if the loss diverges."""
+    """Deterministic per config+seed; raises NumericError if the loss diverges
+    or if no graph proxy update's transport converges."""
     if len(dataset.class_ids) < 2:
         raise ConfigError("training needs at least two classes")
     rng = np.random.default_rng(cfg.seed)
@@ -396,7 +398,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
 
     opt = Adam([params.buffer, head.buffer], weight_decay=cfg.weight_decay)
 
-    epoch_losses = []
+    epoch_losses, converged = [], []    # one convergence flag per graph proxy update
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         order = rng.permutation(len(graphs))
@@ -405,13 +407,15 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             batch_labels = [labels[i] for i in idx]
 
-            _, tape = enc.forward(params, [graphs[i] for i in idx], True, node_only=True)
+            tape = enc.forward(params, [graphs[i] for i in idx], True)
             # each class's (B_c, N, d) node stack, in batch order, by class id
             label_arr = np.asarray(batch_labels)
             nodes_by_class = {int(cid): tape.node_out.value[label_arr == cid]
                               for cid in np.unique(label_arr)}
 
-            _init_proxies_for(model, nodes_by_class, cfg)
+            known = model.class_ids()   # unseen classes start at the batch's cluster means
+            unseen = {cid: nodes for cid, nodes in nodes_by_class.items() if cid not in known}
+            converged += _update_proxies(model, unseen, cfg, 0.0)
             class_ids = model.class_ids()
 
             bound = head.bind(True)
@@ -430,14 +434,17 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             params.check_finite()
             head.check_finite()
 
-            _refresh_proxies(model, nodes_by_class, cfg)
+            converged += _update_proxies(model, nodes_by_class, cfg, cfg.proxy_momentum)
         epoch_losses.append(float(np.mean(batch_losses)))
         if log is not None and (epoch % 20 == 0 or epoch == cfg.epochs - 1):
-            log(f"epoch {epoch}: loss {epoch_losses[-1]:.6f} lr {lr:.6g}")
+            log(f"epoch {epoch}: loss {epoch_losses[-1]:.6f} lr {lr:.6g} "
+                f"non-converged proxy updates {converged.count(False)}")
+    if converged and not any(converged):
+        raise NumericError(f"none of {len(converged)} proxy updates converged")
 
     train_acc = _accuracy(model, graphs, labels)
     test_acc = evaluate(model, test_dataset) if test_dataset else None
-    report = TrainReport(epoch_losses, train_acc, test_acc)
+    report = TrainReport(epoch_losses, train_acc, test_acc, converged.count(False))
     if checkpoint_path is not None:
         model.save(checkpoint_path)
         report.checkpoint_path = str(checkpoint_path)
@@ -459,30 +466,27 @@ def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
                          chunk_size=cfg.batch_size)
 
 
-def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph], node_only: bool):
-    """(relevance graphs, tape) per chunk of batch_size input graphs, in order.
-
-    With `node_only`, each chunk is (None, tape) from the encoder's
-    node-only pass: `tape.node_out` as in the full pass, no final-layer edges."""
+def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
+    """The (B, N, hidden) node embedding Var of each batch_size chunk, in order."""
     step = model.config.batch_size
     for start in range(0, len(graphs), step):
-        yield enc.forward(model.params, graphs[start:start + step], False, node_only=node_only)
+        yield enc.forward(model.params, graphs[start:start + step], False).node_out
 
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:
-    """Relevance graphs for every instance, in dataset order."""
+    """Relevance graphs for every instance, in dataset order: node embeddings
+    and their `midpoint_edges`."""
     graphs = _input_graphs(model.config, dataset)
-    return [srg for srgs, _ in _encoded_chunks(model, graphs, False) for srg in srgs]
+    nodes = [x for chunk in _encoded_chunks(model, graphs) for x in chunk.value]
+    return [ViewGraph(x, midpoint_edges(x), label=g.label) for x, g in zip(nodes, graphs)]
 
 
 def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:
-    """Fraction of input graphs whose nearest proxy matches their label. The
-    encoder runs node-only: a prediction reads node embeddings alone, so the
-    final layer's edges are neither computed nor checked for finiteness."""
+    """Fraction of input graphs whose nearest proxy matches their label."""
     ids = np.asarray(model.class_ids())
     bound = model.cost_head.bind(False)
-    preds = [ids[model.distance_table(tape.node_out, bound).value.argmin(axis=1)]
-             for _, tape in _encoded_chunks(model, graphs, True)]
+    preds = [ids[model.distance_table(nodes, bound).value.argmin(axis=1)]
+             for nodes in _encoded_chunks(model, graphs)]
     return int((np.concatenate(preds) == labels).sum()) / len(labels)
 
 

@@ -1,7 +1,8 @@
 """Emergence scores, global-view clique counts, gamma resolution, and the
 closed-form robustness calculators.
 
-Emergence of a local view is its learned edge weight to the global view;
+Emergence of a local view is its edge weight to the global view in the
+relevance graph, which grows with the cosine of their node embeddings;
 `explain` ranks views by it. mACS counts the k-cliques that contain the
 global view once every edge weight is thresholded at gamma, which
 `TransitivityConfig` fixes or resolves as a quantile of a graph's own edge
@@ -46,15 +47,8 @@ class TransitivityConfig:
 
 
 def emergence_scores(g: ViewGraph) -> np.ndarray:
-    """Edge weight of each local view 1..N-1 to the global view: the norms
-    of the global edge rows 0..N-2.
-
-    Bit-identical to `edge_weight(g, v, 0)`: the norm there is the square
-    root of a dot product, and a stacked matmul of (1, d) by (d, 1) rows
-    takes the same dot product per row.
-    """
-    feats = g.edge_features[:g.num_views - 1]
-    return np.sqrt(np.matmul(feats[:, None, :], feats[:, :, None])[:, 0, 0])
+    """Edge weight of each local view 1..N-1 to the global view (edge rows 0..N-2)."""
+    return g.edge_weights()[:g.num_views - 1]
 
 
 def count_k_cliques_with_global(g: ViewGraph, k: int, gamma: float) -> int:
@@ -102,16 +96,25 @@ def turan_edge_bound(n: int, k: int) -> float:
     return (1.0 - 1.0 / k) * n * n / 2.0
 
 
+def _finite(samples: float) -> float:
+    """`samples`, refused when the arguments overflow it to infinity."""
+    if not np.isfinite(samples):
+        raise ValueError("sample complexity overflows to infinity")
+    return samples
+
+
 def sample_complexity_transitive(n: float, epsilon: float, delta: float) -> float:
     """Samples to pin down a transitive topology: (log2 n + log2(1/delta)) / eps."""
     # written so that NaN fails every comparison
     if not (0 < n < np.inf and 0 < epsilon < np.inf and 0 < delta <= 1):
         raise ValueError("need finite n > 0, finite epsilon > 0, 0 < delta <= 1")
-    return (np.log2(n) + np.log2(1.0 / delta)) / epsilon
+    with np.errstate(over="ignore", divide="ignore"):
+        return _finite((np.log2(n) + np.log2(1.0 / delta)) / epsilon)
 
 
 def sample_complexity_noisy(eta_count: float, epsilon: float, delta: float) -> float:
     """Samples to pin down a noisy-subgraph topology: (eta + log2(1/delta)) / eps^2."""
     if not (0 <= eta_count < np.inf and 0 < epsilon < np.inf and 0 < delta <= 1):
         raise ValueError("need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1")
-    return (eta_count + np.log2(1.0 / delta)) / (epsilon * epsilon)
+    with np.errstate(over="ignore", divide="ignore"):
+        return _finite((eta_count + np.log2(1.0 / delta)) / (epsilon * epsilon))

@@ -2,7 +2,6 @@
 the `concat` op of the concat-form encoder, and the earlier forms that the
 tape, Adam, the input-graph build, the no-grad minimum and Sinkhorn replaced."""
 import itertools
-import warnings
 
 import numpy as np
 
@@ -91,25 +90,17 @@ def exact_ged(u, v, head) -> float:
     return (base + best) / (2.0 * m)
 
 
-def encoder_backward(tape, node_grads: np.ndarray,
-                     edge_grads: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Backward from an encoder tape's outputs; accumulates into the tape's
+def encoder_backward(tape, node_grads: np.ndarray) -> dict[str, np.ndarray]:
+    """Backward from an encoder tape's output; accumulates into the tape's
     parameter buffers and returns this call's gradient per tensor name.
 
-    The upstream gradients are shaped like the batch outputs, (B, N, hidden)
-    and (B, N(N-1)/2, hidden).
+    The upstream gradient is shaped like the batch output, (B, N, hidden).
     """
     node_grads = np.asarray(node_grads, dtype=np.float64)
     if node_grads.shape != tape.node_out.shape:
         raise ValueError(f"node gradient shape {node_grads.shape} != {tape.node_out.shape}")
     # each output's gradient under this scalar root is exactly its seed
-    root = ad.vsum(tape.node_out * node_grads)
-    if edge_grads is not None:
-        edge_grads = np.asarray(edge_grads, dtype=np.float64)
-        if edge_grads.shape != tape.edge_out.shape:
-            raise ValueError(f"edge gradient shape {edge_grads.shape} != {tape.edge_out.shape}")
-        root = root + ad.vsum(tape.edge_out * edge_grads)
-    ad.backward(root)
+    ad.backward(ad.vsum(tape.node_out * node_grads))
     tape.accumulate()
     leaves = [v for layer in tape.param_vars for v in layer.values() if v is not None]
     return dict(tape.params._named([np.zeros_like(v.value) if v.grad is None else v.grad
@@ -226,8 +217,4 @@ def loop_sinkhorn(cost, row_marginals, col_marginals, cfg) -> SinkhornResult:
         v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
         it += 1
         res = residual(u, v)
-    converged = res <= cfg.marginal_tol
-    if not converged:
-        warnings.warn(f"sinkhorn did not converge: residual {res:.3e} "
-                      f"after {it} iterations", RuntimeWarning)
-    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), converged)
+    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), res <= cfg.marginal_tol)

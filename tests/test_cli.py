@@ -95,6 +95,21 @@ def test_non_finite_feature_exits_three(tiny):
                  "--out", str(tmp_path / "run")]) == 3
 
 
+def test_train_in_which_no_proxy_update_converges_exits_three(tiny, capsys):
+    tmp_path, config, data = tiny
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err.endswith(" non-converged proxy updates 0\n")
+    config.write_text(TINY_CONFIG + "sinkhorn.max_iters = 1\nsinkhorn.tol = 1e-15\n")
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 3
+    log, failure = capsys.readouterr().err.splitlines()
+    count = failure.split()[4]
+    assert log.endswith(f" non-converged proxy updates {count}")
+    assert failure == f"numeric failure: none of {count} proxy updates converged"
+
+
 def _splice(prefix, new, offset=0, count=1):
     """Edit putting `new` in place of `count` lines, starting `offset` lines after
     the first line that starts with `prefix`."""
@@ -242,7 +257,9 @@ def _mask_token(mask):
      "outside_global_fraction, causal_intervention)"),
     (_edit_header(" sigma=", " no_sigma="), "line 1: missing header key 'sigma'"),
     (_mask_token("1x2?"), "line 2: clean mask '1x2?' holds a character other than 0 or 1"),
-], ids=["record_token", "header_token", "model", "missing_key", "mask"])
+    (_edit_header(" sigma=0.1 ", " sigma=nan "),
+     "line 1: noise_scale must be finite and non-negative"),
+], ids=["record_token", "header_token", "model", "missing_key", "mask", "sigma_nan"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"
@@ -408,7 +425,10 @@ def test_calc_prints_each_formula_and_names_its_arguments(capsys, formula, args,
     ("mstar", ["8", "0.5", "inf"], "need finite n > 0, finite epsilon > 0, 0 < delta <= 1"),
     ("meta", ["inf", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
     ("meta", ["nan", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
-], ids=["mstar_nan_n", "mstar_inf_epsilon", "meta_inf_eta", "meta_nan_eta"])
+    ("mstar", ["8", "1", "1e-320"], "sample complexity overflows to infinity"),
+    ("meta", ["3", "1", "1e-200"], "sample complexity overflows to infinity"),
+], ids=["mstar_nan_n", "mstar_inf_epsilon", "meta_inf_eta", "meta_nan_eta", "mstar_overflow",
+        "meta_overflow"])
 def test_calc_non_finite_arguments_exit_two(capsys, formula, args, message):
     assert main(["calc", formula, *args]) == 2
     captured = capsys.readouterr()

@@ -8,7 +8,7 @@ from relviews import checkpoint as ckpt
 from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
 from relviews.errors import ConfigError, NumericError
-from relviews.graphs import ViewGraph, num_pairs, upper_pairs
+from relviews.graphs import ViewGraph, midpoint_edges, num_pairs, upper_pairs
 from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
 from tests.helpers import concat, edge_feature, encoder_backward, gathered_pair_matrix
@@ -44,7 +44,7 @@ def test_zero_attention_gives_uniform_coefficients():
     params = init_params(cfg, 8, seed=0)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(5, 8, seed=1)
-    _, tape = enc.forward(params, [g])
+    tape = enc.forward(params, [g])
     wh = g.node_features @ params.layers[0].W[0]
     expect = [wh[np.arange(5) != i].mean(axis=0) for i in range(5)]
     np.testing.assert_allclose(tape.node_out.value[0], expect, rtol=0, atol=1e-12)
@@ -55,33 +55,28 @@ def test_permutation_equivariance():
     params = init_params(cfg, 6, seed=4)
     g = random_graph(5, 6, seed=5)
     perm = [0, 2, 1, 4, 3]           # swap locals 1<->2 and 3<->4
-    (out,), _ = enc.forward(params, [g])
-    (out_p,), _ = enc.forward(params, [permute_graph(g, perm)])
-    np.testing.assert_allclose(out_p.node_features, out.node_features[perm], atol=1e-9)
-    n = g.num_views
-    for r, (i, j) in enumerate(combinations(range(n), 2)):
-        np.testing.assert_allclose(out_p.edge_features[r],
-                                   edge_feature(out, perm[i], perm[j]),
-                                   atol=1e-9)
+    out = enc.forward(params, [g]).node_out.value[0]
+    out_p = enc.forward(params, [permute_graph(g, perm)]).node_out.value[0]
+    np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_output_graph_shapes_and_positivity():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=4, hidden_dim=16)
     params = init_params(cfg, 8, seed=6)
     g = random_graph(6, 8, seed=7)
-    (out,), _ = enc.forward(params, [g])
-    assert out.node_features.shape == (6, 16)
+    nodes = enc.forward(params, [g]).node_out.value
+    assert nodes.shape == (1, 6, 16)
+    out = ViewGraph(nodes[0], midpoint_edges(nodes[0]))
     assert out.edge_features.shape == (num_pairs(6), 16)
-    assert (out.edge_features > 0).all()       # softplus keeps edges positive
+    assert (out.edge_weights() > 0).all()
 
 
 def test_zero_upstream_gradient_gives_zero_param_grads():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=2, hidden_dim=8)
     params = init_params(cfg, 6, seed=8)
     g = random_graph(4, 6, seed=9)
-    _, tape = enc.forward(params, [g])
-    grads = encoder_backward(tape, np.zeros(tape.node_out.shape),
-                         np.zeros(tape.edge_out.shape))
+    tape = enc.forward(params, [g])
+    grads = encoder_backward(tape, np.zeros(tape.node_out.shape))
     assert all(np.all(v == 0.0) for v in grads.values())
 
 
@@ -92,7 +87,7 @@ def test_single_linear_layer_hand_gradient():
     params = init_params(cfg, 3, seed=10)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(4, 3, seed=11)
-    _, tape = enc.forward(params, [g])
+    tape = enc.forward(params, [g])
     params.zero_grads()
     encoder_backward(tape, np.ones(tape.node_out.shape))
     x = g.node_features
@@ -108,17 +103,13 @@ def test_gradients_match_finite_differences():
     params = init_params(cfg, 6, seed=12)
     g = random_graph(4, 6, seed=13)
     rng = np.random.default_rng(14)
-    (out,), _ = enc.forward(params, [g])
-    rn = rng.standard_normal(out.node_features.shape)
-    re = rng.standard_normal(out.edge_features.shape)
+    rn = rng.standard_normal((1, 4, 8))
 
     def loss_value():
-        (o,), _ = enc.forward(params, [g])
-        return float((o.node_features * rn).sum() + (o.edge_features * re).sum())
+        return float((enc.forward(params, [g]).node_out.value * rn).sum())
 
     params.zero_grads()
-    _, tape = enc.forward(params, [g])
-    encoder_backward(tape, rn[None], re[None])
+    encoder_backward(enc.forward(params, [g]), rn)
 
     checked = 0
     for name, arr in params.named_tensors():
@@ -186,10 +177,9 @@ def test_forward_deterministic():
     cfg = EncoderConfig()
     params = init_params(cfg, 16, seed=20)
     g = random_graph(9, 16, seed=21)
-    (a,), _ = enc.forward(params, [g])
-    (b,), _ = enc.forward(params, [g])
-    assert np.array_equal(a.node_features, b.node_features)
-    assert np.array_equal(a.edge_features, b.edge_features)
+    a = enc.forward(params, [g]).node_out.value
+    b = enc.forward(params, [g]).node_out.value
+    assert np.array_equal(a, b)
 
 
 def concat_forward(params, graphs):
@@ -231,7 +221,7 @@ def concat_forward(params, graphs):
             fwd_ord = ad.matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
             rev_ord = ad.matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
             e = ad.softplus((fwd_ord + rev_ord) * 0.5)
-    return enc.EncoderTape(params, pvars, h, e)
+    return enc.EncoderTape(params, pvars, h)
 
 
 def assert_close_rel(actual, expect, rtol):
@@ -249,15 +239,13 @@ def test_forward_and_gradients_match_concat_form(cfg, in_dim):
     params = init_params(cfg, in_dim, seed=22)
     graphs = [random_graph(6, in_dim, seed=23 + k) for k in range(3)]
     rng = np.random.default_rng(24)
-    _, tape = enc.forward(params, graphs)
+    tape = enc.forward(params, graphs)
     ref = concat_forward(params, graphs)
     assert_close_rel(tape.node_out.value, ref.node_out.value, 1e-12)
-    assert_close_rel(tape.edge_out.value, ref.edge_out.value, 1e-12)
 
     node_g = rng.standard_normal(tape.node_out.shape)
-    edge_g = rng.standard_normal(tape.edge_out.shape)
-    grads = encoder_backward(tape, node_g, edge_g)
-    ref_grads = encoder_backward(ref, node_g, edge_g)
+    grads = encoder_backward(tape, node_g)
+    ref_grads = encoder_backward(ref, node_g)
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert_close_rel(g, ref_grads[name], 1e-10)
@@ -304,34 +292,3 @@ def test_check_finite_names_the_tensor():
         field[0] = bad
         with pytest.raises(NumericError, match=f"^non-finite parameter tensor {name}$"):
             store.check_finite()
-
-
-@pytest.mark.parametrize("batch", [1, 5, 8])
-@pytest.mark.parametrize("num_layers", [1, 2])
-@pytest.mark.parametrize("edge_update", [True, False])
-def test_node_only_forward_equals_full_forward(batch, num_layers, edge_update):
-    cfg = EncoderConfig(num_layers=num_layers, heads_per_layer=2, hidden_dim=8,
-                        edge_update=edge_update)
-    params = init_params(cfg, 8, seed=40 + num_layers)
-    graphs = [random_graph(6, 8, seed=50 + b) for b in range(batch)]
-    full, tape = enc.forward(params, graphs, want_grad=False)
-    outs, node_tape = enc.forward(params, graphs, want_grad=False, node_only=True)
-    assert outs is None and node_tape.edge_out is None
-    assert np.array_equal(node_tape.node_out.value, tape.node_out.value)
-    for b, g in enumerate(full):
-        assert np.array_equal(node_tape.node_out.value[b], g.node_features)
-
-
-def test_node_only_forward_skips_the_final_edge_check():
-    # final-layer edge logits that overflow the softplus: the full pass
-    # refuses them, the node-only pass never computes them
-    cfg = EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4)
-    params = init_params(cfg, 4, seed=19)
-    params.layers[0].edge_U[-4:] = 1e308
-    g = random_graph(3, 4, seed=20)
-    g = ViewGraph(g.node_features, np.full_like(g.edge_features, 2.0))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError, match="edge features after layer 0"):
-        enc.forward(params, [g], want_grad=False)
-    _, tape = enc.forward(params, [g], want_grad=False, node_only=True)
-    assert np.isfinite(tape.node_out.value).all()

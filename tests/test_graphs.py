@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews.graphs import (ExplanationSubgraph, ViewGraph, edge_weight, export_dot,
-                             induced_subgraph, num_pairs, pair_rows, upper_pairs)
+from relviews.graphs import (ExplanationSubgraph, ViewGraph, export_dot, induced_subgraph,
+                             midpoint_edges, num_pairs, pair_rows, upper_pairs)
 from tests.helpers import edge_feature
 
 
@@ -37,37 +37,44 @@ def test_edge_count_is_choose_two():
 
 def test_edge_weight_zero_vector():
     g = ViewGraph(np.zeros((2, 3)), np.zeros((1, 3)))
-    assert edge_weight(g, 0, 1) == 0.0
+    assert g.edge_weights().tolist() == [0.0]
+    assert np.array_equal(g.weight_matrix(), np.zeros((2, 2)))
 
 
 def test_edge_weight_three_four_five():
     g = ViewGraph(np.zeros((2, 2)), np.array([[3.0, 4.0]]))
-    assert edge_weight(g, 0, 1) == pytest.approx(5.0)
+    assert g.edge_weights()[0] == pytest.approx(5.0)
+    assert g.weight_matrix()[0, 1] == g.weight_matrix()[1, 0] == pytest.approx(5.0)
 
 
 def test_edge_weight_matches_scalar_recomputation(rng):
     # oracle: explicit sqrt of a running sum of squares
     feats = rng.standard_normal((num_pairs(5), 8))
     g = ViewGraph(rng.standard_normal((5, 8)), feats)
-    for r, (i, j) in enumerate(pairs(5)):
+    weights = g.edge_weights()
+    for r in range(num_pairs(5)):
         acc = 0.0
         for x in feats[r]:
             acc += float(x) * float(x)
-        assert edge_weight(g, i, j) == pytest.approx(math.sqrt(acc), abs=1e-12)
+        assert weights[r] == pytest.approx(math.sqrt(acc), abs=1e-12)
 
 
 def test_edge_weight_symmetric(rng):
-    g = make_graph(6, seed=3)
+    w = make_graph(6, seed=3).weight_matrix()
+    assert np.array_equal(w, w.T)
+
+
+def test_midpoint_edge_weights_follow_the_cosine(rng):
+    nodes = rng.standard_normal((6, 5))
+    nodes[3] = 0.0                       # a zero embedding stays zero
+    g = ViewGraph(nodes, midpoint_edges(nodes))
+    w = g.weight_matrix()
     for i, j in pairs(6):
-        assert edge_weight(g, i, j) == edge_weight(g, j, i)
-
-
-def test_edge_weight_errors():
-    g = make_graph(4)
-    with pytest.raises(ValueError):
-        edge_weight(g, 2, 2)
-    with pytest.raises(IndexError):
-        edge_weight(g, 0, 9)
+        if 3 in (i, j):
+            assert w[i, j] == pytest.approx(0.5, abs=1e-12)
+        else:
+            cos = nodes[i] @ nodes[j] / np.linalg.norm(nodes[i]) / np.linalg.norm(nodes[j])
+            assert w[i, j] == pytest.approx(math.sqrt((1.0 + cos) / 2.0), abs=1e-12)
 
 
 def test_induced_full_set_is_identity():

@@ -68,13 +68,19 @@ def test_zero_marginal_row_excluded():
     np.testing.assert_allclose(res.plan[1], 0.5, atol=1e-9)
 
 
-def test_nonconvergence_warns():
+def test_nonconvergence_is_flagged_without_a_warning():
     cfg = scfg(max_iters=1, marginal_tol=1e-15)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = sinkhorn(np.random.default_rng(0).random((6, 6)),
                        np.full(6, 1 / 6), np.full(6, 1 / 6), cfg)
+        rng = np.random.default_rng(1)
+        proxy = ProxyGraph(0, 0.1 * rng.standard_normal((4, 8)))
+        batch = 0.1 * rng.standard_normal((2, 4, 8))
+        flags = [update_proxies(proxy, batch, c)[1] for c in (cfg, scfg())]
     assert not res.converged
     assert res.residual > 0
+    assert flags == [False, True]
 
 
 def test_sinkhorn_input_validation():
@@ -98,7 +104,7 @@ def separated_proxy(slots=4, dim=8, scale=4.0):
 
 def test_fixed_point_on_identical_batch():
     proxy = separated_proxy()
-    out = update_proxies(proxy, proxy.node_centroids[None].copy(), scfg(), momentum=0.0)
+    out, _ = update_proxies(proxy, proxy.node_centroids[None].copy(), scfg(), momentum=0.0)
     np.testing.assert_allclose(out.node_centroids, proxy.node_centroids, atol=1e-9)
 
 
@@ -106,8 +112,8 @@ def test_idempotent_after_one_step_on_separated_batch(rng):
     proxy = separated_proxy()
     batch_nodes = proxy.node_centroids + 0.05 * rng.standard_normal((4, 8))
     batch = batch_nodes[None]
-    once = update_proxies(proxy, batch, scfg(), momentum=0.0)
-    twice = update_proxies(once, batch, scfg(), momentum=0.0)
+    once, _ = update_proxies(proxy, batch, scfg(), momentum=0.0)
+    twice, _ = update_proxies(once, batch, scfg(), momentum=0.0)
     np.testing.assert_allclose(twice.node_centroids, once.node_centroids, atol=1e-6)
 
 
@@ -116,7 +122,7 @@ def test_plan_weighted_means_single_instance(rng):
     # pinned to slot 0, locals transported over the remaining slots)
     proxy = separated_proxy()
     nodes = proxy.node_centroids + 0.1 * rng.standard_normal((4, 8))
-    out = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
+    out, _ = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
 
     cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / 8
     plan = np.zeros((4, 4))
@@ -131,7 +137,7 @@ def test_global_slot_forced(rng):
     proxy = separated_proxy()
     nodes = rng.standard_normal((4, 8))
     nodes[0] = -proxy.node_centroids[2]   # global far from slot 0, near slot 2
-    out = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
+    out, _ = update_proxies(proxy, nodes[None], scfg(), momentum=0.0)
     # slot 0 absorbed the global embedding regardless of distances
     np.testing.assert_allclose(out.node_centroids[0], nodes[0], atol=1e-12)
 
@@ -139,8 +145,8 @@ def test_global_slot_forced(rng):
 def test_momentum_blends():
     proxy = separated_proxy()
     shifted = (proxy.node_centroids + 1.0)[None]
-    hard = update_proxies(proxy, shifted, scfg(), momentum=0.0)
-    soft = update_proxies(proxy, shifted, scfg(), momentum=0.9)
+    hard, _ = update_proxies(proxy, shifted, scfg(), momentum=0.0)
+    soft, _ = update_proxies(proxy, shifted, scfg(), momentum=0.9)
     np.testing.assert_allclose(
         soft.node_centroids,
         0.9 * proxy.node_centroids + 0.1 * hard.node_centroids, atol=1e-9)
@@ -166,7 +172,8 @@ def test_proxy_refuses_bad_centroids(nodes):
 
 
 def loop_update_proxies(proxy, batch, cfg, momentum):
-    """Reference update from a list of per-graph node arrays, on index lists."""
+    """Reference update from a list of per-graph node arrays, on index lists:
+    the new proxy and the transport's convergence flag."""
     slots, d, n = proxy.num_slots, proxy.node_centroids.shape[1], batch[0].shape[0]
     nodes = np.vstack(batch)
     m = nodes.shape[0]
@@ -175,18 +182,16 @@ def loop_update_proxies(proxy, batch, cfg, momentum):
     local_rows = np.setdiff1d(np.arange(m), global_rows)
     plan = np.zeros((m, slots))
     plan[global_rows, 0] = 1.0 / m
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        reduced = sinkhorn(cost[np.ix_(local_rows, np.arange(1, slots))],
-                           np.full(local_rows.size, 1.0 / m),
-                           np.full(slots - 1, 1.0 / slots), cfg).plan
-    plan[np.ix_(local_rows, np.arange(1, slots))] = reduced
+    transport = sinkhorn(cost[np.ix_(local_rows, np.arange(1, slots))],
+                         np.full(local_rows.size, 1.0 / m),
+                         np.full(slots - 1, 1.0 / slots), cfg)
+    plan[np.ix_(local_rows, np.arange(1, slots))] = transport.plan
     mass = plan.sum(axis=0)
     new_nodes = proxy.node_centroids.copy()
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
-    return ProxyGraph(proxy.class_id,
-                      momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes)
+    return ProxyGraph(proxy.class_id, momentum * proxy.node_centroids
+                      + (1.0 - momentum) * new_nodes), transport.converged
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -195,9 +200,9 @@ def test_update_equals_per_graph_loop(rng, momentum):
     proxy = ProxyGraph(0, rng.standard_normal((slots, dim)))
     for _ in range(6):
         batch = [proxy.node_centroids + rng.standard_normal((slots, dim)) for k in range(4)]
-        out = update_proxies(proxy, np.stack(batch), SinkhornConfig(), momentum=momentum)
-        ref = loop_update_proxies(proxy, batch, SinkhornConfig(), momentum)
-        assert np.array_equal(out.node_centroids, ref.node_centroids)
+        out, ok = update_proxies(proxy, np.stack(batch), SinkhornConfig(), momentum=momentum)
+        ref, ref_ok = loop_update_proxies(proxy, batch, SinkhornConfig(), momentum)
+        assert np.array_equal(out.node_centroids, ref.node_centroids) and ok == ref_ok
         proxy = out
 
 
@@ -211,10 +216,8 @@ def test_sinkhorn_equals_the_plan_per_residual_loop(rng, max_iters, tol):
             a[0] = 0.0                                    # a row excluded from scaling
             a /= a.sum()
         b = np.full(cols, 1.0 / cols)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = sinkhorn(cost, a, b, cfg)
-            ref = loop_sinkhorn(cost, a, b, cfg)
+        out = sinkhorn(cost, a, b, cfg)
+        ref = loop_sinkhorn(cost, a, b, cfg)
         assert np.array_equal(out.plan, ref.plan)
         assert (out.iterations, out.residual, out.converged) == (
             ref.iterations, ref.residual, ref.converged)

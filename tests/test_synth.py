@@ -145,6 +145,9 @@ def test_config_validation():
         cfg(concept_count_per_class=40)
     with pytest.raises(ConfigError):
         cfg(num_classes=0)
+    for sigma in (-0.1, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="noise_scale must be finite and non-negative"):
+            cfg(noise_scale=sigma)
 
 
 def test_save_load_roundtrip(tmp_path):

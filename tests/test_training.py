@@ -7,6 +7,7 @@ import pytest
 
 from relviews import encoder as enc
 from relviews import synth, training
+from relviews.cli import main
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
 from relviews.errors import ConfigError, NumericError
@@ -37,27 +38,24 @@ def tiny_split(noise_rate=0.0):
 def test_batch_outputs_bit_identical_to_batch_of_one():
     params = init_params(EncoderConfig(), 8, seed=1)
     graphs = random_batch(8, seed=2)
-    outs, tape = enc.forward(params, graphs, want_grad=False)
+    nodes = enc.forward(params, graphs, want_grad=False).node_out.value
     for b, g in enumerate(graphs):
-        (one,), tape_one = enc.forward(params, [g], want_grad=False)
-        assert np.array_equal(outs[b].node_features, one.node_features)
-        assert np.array_equal(outs[b].edge_features, one.edge_features)
-        assert outs[b].label == g.label
+        one = enc.forward(params, [g], want_grad=False).node_out.value
+        assert np.array_equal(nodes[b], one[0])
 
 
 def test_batched_gradients_equal_sum_of_single_graph_gradients():
     params = init_params(EncoderConfig(heads_per_layer=2, hidden_dim=8), 8, seed=3)
     graphs = random_batch(8, seed=4)
-    _, tape = enc.forward(params, graphs)
+    tape = enc.forward(params, graphs)
     rng = np.random.default_rng(5)
     rn = rng.standard_normal(tape.node_out.shape)
-    re = rng.standard_normal(tape.edge_out.shape)
     params.zero_grads()
-    batched = encoder_backward(tape, rn, re)
+    batched = encoder_backward(tape, rn)
     summed = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     for b, g in enumerate(graphs):
-        _, one = enc.forward(params, [g])
-        for name, grad in encoder_backward(one, rn[b:b + 1], re[b:b + 1]).items():
+        one = enc.forward(params, [g])
+        for name, grad in encoder_backward(one, rn[b:b + 1]).items():
             summed[name] += grad
     for name, grad in batched.items():
         scale = np.abs(summed[name]).max()
@@ -213,9 +211,9 @@ def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
         monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
         report, model = training.train(train_ds, TINY_TRAIN, test_dataset=test_ds)
         bound = model.cost_head.bind(False)
-        tables = [model.distance_table(tape.node_out, bound).value
-                  for _, tape in training._encoded_chunks(
-                      model, training._input_graphs(model.config, test_ds), False)]
+        tables = [model.distance_table(nodes, bound).value
+                  for nodes in training._encoded_chunks(
+                      model, training._input_graphs(model.config, test_ds))]
         runs.append((report, model, np.concatenate(tables)))
     (rep_s, model_s, table_s), (rep_f, model_f, table_f) = runs
     assert rep_s.epoch_losses == rep_f.epoch_losses
@@ -322,8 +320,8 @@ tensor proxy1.edges 3,2
 
 
 def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
-    # the proxies' edge tensors of V1 text enter no distance: they are
-    # checked on load, dropped, and not written back
+    # the proxies' edge tensors and the final layer's edge update of V1 text
+    # enter no distance: they are checked on load, dropped, and not written back
     path = tmp_path / "v1.ckpt"
     path.write_text(V1_CHECKPOINT)
     model = TrainedModel.load(path)
@@ -338,9 +336,9 @@ def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
     lines = V1_CHECKPOINT.splitlines()
-    edges = [i for i, line in enumerate(lines) if line.startswith("tensor proxy")
-             and line.split()[1].endswith(".edges")]
-    assert len(edges) == 2
+    edges = [i for i, line in enumerate(lines) if line.startswith("tensor ")
+             and line.split()[1].endswith((".edges", ".edge_update"))]
+    assert len(edges) == 3
     kept = [line for i, line in enumerate(lines) if i not in {j + k for j in edges for k in (0, 1)}]
     assert (tmp_path / "again.ckpt").read_text() == "\n".join(kept) + "\n"
 
@@ -378,3 +376,50 @@ def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
         assert all(np.shares_memory(owner.grads[name], owner.grad_buffer) for name, _ in tensors)
     assert np.array_equal(model.params.buffer[:4], [0.18, 0.56, 0.39, -0.39])
     assert np.array_equal(model.cost_head.buffer, [-0.24, 0.69, 0.0, -0.36, 0.0])
+
+
+def test_checkpoint_refuses_a_final_edge_update_of_another_shape(tmp_path, capsys):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_CHECKPOINT.replace("tensor layer0.edge_update 6,2",
+                                          "tensor layer0.edge_update 4,3"))
+    with pytest.raises(ConfigError, match=r"v1\.ckpt: shape mismatch for layer0\.edge_update: "
+                                          r"\(6, 2\) vs \(4, 3\)$"):
+        TrainedModel.load(path)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
+    assert "shape mismatch for layer0.edge_update" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """One default-config epoch: its report and the encoder gradients of its first step."""
+    first = []
+    step = training.Adam.step
+
+    def record(self, grads, lr):
+        if not first:
+            first.append(grads[0].copy())
+        step(self, grads, lr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training.Adam, "step", record)
+        report, model = training.train(synth.generate(synth.SynthConfig(seed=1)),
+                                       TrainConfig(epochs=1))
+    return report, model, first[0]
+
+
+def test_one_default_step_gives_every_encoder_tensor_a_gradient(default_run):
+    _, model, grad_buffer = default_run
+    model.params.grad_buffer[:] = grad_buffer
+    for name, grad in model.params.grads.items():
+        assert np.any(grad != 0.0), name
+
+
+def test_default_config_counts_no_nonconverged_proxy_update(default_run):
+    report, _, _ = default_run
+    assert report.sinkhorn_nonconverged == 0
+
+
+def test_train_refuses_a_run_in_which_no_proxy_update_converges():
+    train_ds, _ = tiny_split()
+    cfg = replace(TINY_TRAIN, epochs=1, sinkhorn=SinkhornConfig(max_iters=1, marginal_tol=1e-15))
+    with pytest.raises(NumericError, match=r"^none of \d+ proxy updates converged$"):
+        training.train(train_ds, cfg)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews.graphs import ViewGraph, edge_weight, num_pairs
+from relviews.graphs import ViewGraph, num_pairs
 from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
                                    emergence_scores, sample_complexity_noisy,
                                    sample_complexity_transitive, topology_count,
@@ -84,14 +84,6 @@ def test_clique_count_matches_brute_force_with_ties_at_gamma(rng):
             expect = sum(all(w[a, b] > 1.0 for a, b in combinations((0,) + group, 2))
                          for group in combinations(range(1, n), k - 1))
             assert count_k_cliques_with_global(g, k, 1.0) == expect, (trial, k)
-
-
-def test_emergence_scores_equal_scalar_scores(rng):
-    # the scalar weight is a norm; a sum of squares would differ in the last bit
-    for trial in range(50):
-        n = int(rng.integers(2, 18))
-        g = ViewGraph(rng.standard_normal((n, 32)), rng.standard_normal((num_pairs(n), 32)))
-        assert np.array_equal(emergence_scores(g), [edge_weight(g, v, 0) for v in range(1, n)])
 
 
 def test_resolve_rows_equals_resolve_per_row(rng):
