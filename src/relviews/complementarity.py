@@ -4,9 +4,8 @@
 training, in stacked chunks of instances: each chunk is one pass of
 whole-array operations, and an instance's graph does not depend on the
 chunk it falls in. The global view, row 0 of `SynthInstance.embeddings()`,
-becomes node 0. Local-local edges are constant vectors with every component
-equal to 1/|z_i . z_j| (capped); edges incident to the global view are
-all-ones so no local-to-global prior is baked in.
+becomes node 0. A local-local edge weighs 1/|z_i . z_j| (capped); edges
+incident to the global view weigh 1, so no local-to-global prior is baked in.
 """
 from __future__ import annotations
 
@@ -37,23 +36,19 @@ def _build_stack(emb: np.ndarray, cfg: ComplementarityConfig,
         norms = np.linalg.norm(emb, axis=2, keepdims=True)
         emb = emb / np.where(norms == 0, 1.0, norms)
 
-    b, n_nodes, dim = emb.shape
-    weight = np.ones((b, num_pairs(n_nodes), 1))
+    b, n_nodes, _ = emb.shape
+    weight = np.ones((b, num_pairs(n_nodes)))
     if not uniform:
         i, j = upper_pairs(n_nodes)
-        local = i != 0  # global edges stay all-ones
+        local = i != 0  # global edges stay at 1
         # (1, d) @ (d, 1) per pair takes the same dot product as emb[i] @ emb[j]
         dot = np.abs(np.matmul(emb[:, i[local], None, :], emb[:, j[local], :, None])[..., 0, 0])
         inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
-        weight[:, local, 0] = np.minimum(inv, cfg.weight_cap)
-    graphs = []
-    for k, label in enumerate(labels):
-        # each graph owns its arrays: graphs kept as views of chunk-sized
-        # blocks raised the peak RSS of a training run by about 1 MB
-        edges = np.empty((weight.shape[1], dim))
-        edges[...] = weight[k]
-        graphs.append(ViewGraph(emb[k].copy(), edges, label=label))
-    return graphs
+        weight[:, local] = np.minimum(inv, cfg.weight_cap)
+    # each graph owns its arrays: graphs kept as views of chunk-sized
+    # blocks raised the peak RSS of a training run by about 1 MB
+    return [ViewGraph(emb[k].copy(), weight[k].copy(), label=label)
+            for k, label in enumerate(labels)]
 
 
 def build_dataset(ds: SynthDataset, cfg: ComplementarityConfig,
@@ -61,7 +56,7 @@ def build_dataset(ds: SynthDataset, cfg: ComplementarityConfig,
     """One graph per instance, in dataset order, built `chunk_size` instances
     per stacked pass so the temporaries stay bounded.
 
-    `uniform=True` replaces the 1/|dot| rule with all-ones local-local edges
+    `uniform=True` gives local-local edges weight 1 instead of 1/|dot|
     (the input-graph ablation)."""
     graphs: list[ViewGraph] = []
     for start in range(0, len(ds.instances), chunk_size):

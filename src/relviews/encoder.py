@@ -20,7 +20,12 @@ per layer one leaf Var per stored (head-stacked) tensor, keyed like the
 LayerParams fields. After a backward pass from the output,
 `EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
 
-The edge channel has M = N(N-1)/2 rows per graph against N node rows, so
+Input edges are (M,) weights, M = N(N-1)/2, each copied across layer 0's
+`in_dim`-wide edge channel, so that channel is rank 1: layer 0's P rows and
+U_edge rows act only through their column sums, and every row of layer 0's
+P gradient is equal. A width-1 channel would draw other initial values.
+
+The edge channel has M rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
 as e (P a_edge): P a_edge is one small product per layer, and each edge
 needs one dot product; `ad.pair_matrix` spreads the M edge logits into the
@@ -188,10 +193,10 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
     LeakyReLU, softmax over the other nodes, weighted aggregation; heads are
-    concatenated (hidden) or averaged (final). A hidden layer with the edge
-    update enabled refreshes the edge features through a softplus, so their
-    norms stay non-negative. Returns the batch's tape, whose `node_out`
-    holds the final node embeddings in input order.
+    concatenated (hidden) or averaged (final). f_ij starts as the edge
+    weight; a hidden layer with the edge update refreshes it through a
+    softplus, so it stays non-negative. Returns the batch's tape, whose
+    `node_out` holds the final node embeddings in input order.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -201,8 +206,8 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
         if g.num_views != n:
             raise ValueError(f"graphs in one batch must share a node count: {g.num_views} != {n}")
     nodes = np.stack([g.node_features for g in graphs])
-    edges = np.stack([g.edge_features for g in graphs])
-    if not (np.isfinite(nodes).all() and np.isfinite(edges).all()):
+    weights = np.stack([g.edge_weights for g in graphs])            # (B, M)
+    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
         raise NumericError("non-finite values in input graph (layer 0)")
 
     b, heads = len(graphs), cfg.heads_per_layer
@@ -211,7 +216,9 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
     pvars = params.by_layer(params.leaves(want_grad))
 
     h: Var = ad.constant(nodes)                                      # (B, N, d)
-    e: Var = ad.constant(edges)                                      # (B, M, d_e)
+    # each weight w enters layer 0's edge_in = in_dim wide channel as the
+    # contiguous row w * 1, so P, edge_U and their BLAS calls keep their shapes
+    e: Var = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))  # (B, M, d_e)
 
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1

@@ -151,7 +151,7 @@ def _thresholds(graphs: list[ViewGraph], cfg: TransitivityConfig) -> np.ndarray:
     """cfg.resolve of each graph's own edge weights, one call per graph size."""
     out = np.empty(len(graphs))
     for rows in _rows_by(g.num_views for g in graphs).values():
-        out[rows] = cfg.resolve_rows(np.stack([graphs[i].edge_weights() for i in rows]))
+        out[rows] = cfg.resolve_rows(np.stack([graphs[i].edge_weights for i in rows]))
     return out
 
 

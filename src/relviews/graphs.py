@@ -2,12 +2,12 @@
 
 Every view graph has one fixed layout, which the whole package relies on:
 - node 0 is the global view, nodes 1..N-1 are the k local views;
-- edge features are stored once per unordered pair, in `upper_pairs`
+- edge weights are stored once per unordered pair, in `upper_pairs`
   order: (0, 1), ..., (0, N-1), (1, 2), ..., which keeps the graph
   undirected by construction and exports byte-stable;
-- so the global edges (0, 1)..(0, N-1) are edge rows 0..N-2.
+- so the global edges (0, 1)..(0, N-1) are edge weights 0..N-2.
 
-Each node and each pair carries an n-dimensional feature vector.
+Each node carries an n-dimensional feature vector, each pair one weight.
 """
 from __future__ import annotations
 
@@ -43,20 +43,19 @@ class ViewGraph:
     edges in `upper_pairs` order. Immutable once built."""
 
     node_features: np.ndarray   # (N, n)
-    edge_features: np.ndarray   # (N*(N-1)/2, n), canonical pair order
+    edge_weights: np.ndarray    # (N*(N-1)/2,), canonical pair order
     label: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.node_features, dtype=np.float64)
-        edges = np.asarray(self.edge_features, dtype=np.float64)
+        weights = np.asarray(self.edge_weights, dtype=np.float64)
         object.__setattr__(self, "node_features", nodes)
-        object.__setattr__(self, "edge_features", edges)
+        object.__setattr__(self, "edge_weights", weights)
         if nodes.ndim != 2 or nodes.shape[0] < 1:
             raise ValueError("node_features must be a non-empty (N, n) array")
-        if edges.shape != (num_pairs(nodes.shape[0]), nodes.shape[1]):
-            raise ValueError(
-                f"edge_features must have shape ({num_pairs(nodes.shape[0])}, "
-                f"{nodes.shape[1]}), got {edges.shape}")
+        if weights.shape != (num_pairs(nodes.shape[0]),):
+            raise ValueError(f"edge_weights must have shape ({num_pairs(nodes.shape[0])},), "
+                             f"got {weights.shape}")
 
     @property
     def num_views(self) -> int:
@@ -70,27 +69,23 @@ class ViewGraph:
     def local_indices(self) -> list[int]:
         return list(range(1, self.num_views))
 
-    def edge_weights(self) -> np.ndarray:
-        """L2 norm per canonical pair."""
-        return np.sqrt(np.square(self.edge_features).sum(axis=1))
-
     def weight_matrix(self) -> np.ndarray:
         """Symmetric (N, N) matrix of edge weights with zero diagonal."""
         n = self.num_views
         w = np.zeros((n, n))
         i, j = upper_pairs(n)
-        w[i, j] = w[j, i] = self.edge_weights()
+        w[i, j] = w[j, i] = self.edge_weights
         return w
 
 
-def midpoint_edges(nodes: np.ndarray) -> np.ndarray:
-    """Edges from (N, d) node embeddings, canonical pair order: the midpoint of
-    the unit-normalised endpoints (a zero embedding stays zero), so an edge
-    weighs sqrt((1 + cos) / 2) of its endpoints' cosine."""
+def midpoint_weights(nodes: np.ndarray) -> np.ndarray:
+    """Edge weights from (N, d) node embeddings, canonical pair order: the
+    norm of the midpoint of the unit-normalised endpoints (a zero embedding
+    stays zero), so an edge weighs sqrt((1 + cos) / 2) of its endpoints' cosine."""
     norms = np.linalg.norm(nodes, axis=1, keepdims=True)
     unit = nodes / np.where(norms == 0, 1.0, norms)
     i, j = upper_pairs(nodes.shape[0])
-    return (unit[i] + unit[j]) * 0.5
+    return np.sqrt(np.square((unit[i] + unit[j]) * 0.5).sum(axis=1))
 
 
 def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
@@ -106,8 +101,8 @@ def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
     if subset[0] != 0:
         raise ValueError("node subset must contain the global view")
     a, b = upper_pairs(subset.size)   # pair order within the subset
-    edge_feats = g.edge_features[pair_rows(subset[a], subset[b], g.num_views)]
-    return ViewGraph(g.node_features[subset], edge_feats, label=g.label)
+    weights = g.edge_weights[pair_rows(subset[a], subset[b], g.num_views)]
+    return ViewGraph(g.node_features[subset], weights, label=g.label)
 
 
 def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:
@@ -115,7 +110,7 @@ def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:
     lines = ["graph view_graph {", '  v0 [shape=doublecircle, label="g"];']
     lines += [f'  v{i} [shape=circle, label="{i}"];' for i in range(1, g.num_views)]
     pairs = zip(*(ends.tolist() for ends in upper_pairs(g.num_views)))
-    for (i, j), w in zip(pairs, g.edge_weights()):
+    for (i, j), w in zip(pairs, g.edge_weights):
         label = f' [label="{w:.3f}"]' if weights_as_labels else ""
         lines.append(f"  v{i} -- v{j}{label};")
     lines.append("}")

@@ -215,10 +215,15 @@ def _parse_header(line: str) -> SynthConfig:
         key, eq, value = tok.partition("=")
         if not eq:
             raise ConfigError(f"header token {tok!r} is not key=value")
+        if key in fields:
+            raise ConfigError(f"duplicate header key {key!r}")
         fields[key] = value
     for key in _HEADER_KEYS:
         if key not in fields:
             raise ConfigError(f"missing header key {key!r}")
+    for key in fields:
+        if key not in _HEADER_KEYS:
+            raise ConfigError(f"unknown header key {key!r}")
     return SynthConfig(**{attr: parse(fields[key])
                           for key, (attr, parse, _) in _HEADER_KEYS.items()})
 
@@ -236,6 +241,8 @@ def _parse_record(line: str, k: int, n: int) -> SynthInstance:
         raise ConfigError("clean mask length does not match view count")
     src = np.array([int(t) for t in toks[2:2 + k]], dtype=int)
     emb = np.array([float(t) for t in toks[2 + k:]]).reshape(k + 1, n)
+    if not np.isfinite(emb).all():
+        raise ConfigError("non-finite embedding value")
     return SynthInstance(label, emb[0], emb[1:], mask, src)
 
 

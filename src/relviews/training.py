@@ -27,7 +27,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .complementarity import ComplementarityConfig, build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
 from .errors import ConfigError, NumericError
-from .graphs import ViewGraph, midpoint_edges
+from .graphs import ViewGraph, midpoint_weights
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
                       update_proxies)
@@ -39,7 +39,7 @@ SWEEP_TEST_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class AblationConfig:
-    use_complementarity_graph: bool = True   # CG: 1/|dot| local edges vs all-ones
+    use_complementarity_graph: bool = True   # CG: 1/|dot| local edge weights vs 1
     proxy_as_graph: bool = True              # PD: concept graph vs single vector
     transitivity_recovery: bool = True       # TR: edit distance vs mean-pool matching
 
@@ -475,10 +475,10 @@ def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:
     """Relevance graphs for every instance, in dataset order: node embeddings
-    and their `midpoint_edges`."""
+    and their `midpoint_weights`."""
     graphs = _input_graphs(model.config, dataset)
     nodes = [x for chunk in _encoded_chunks(model, graphs) for x in chunk.value]
-    return [ViewGraph(x, midpoint_edges(x), label=g.label) for x, g in zip(nodes, graphs)]
+    return [ViewGraph(x, midpoint_weights(x), label=g.label) for x, g in zip(nodes, graphs)]
 
 
 def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:

@@ -47,8 +47,8 @@ class TransitivityConfig:
 
 
 def emergence_scores(g: ViewGraph) -> np.ndarray:
-    """Edge weight of each local view 1..N-1 to the global view (edge rows 0..N-2)."""
-    return g.edge_weights()[:g.num_views - 1]
+    """Edge weight of each local view 1..N-1 to the global view (edge weights 0..N-2)."""
+    return g.edge_weights[:g.num_views - 1]
 
 
 def count_k_cliques_with_global(g: ViewGraph, k: int, gamma: float) -> int:

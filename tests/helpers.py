@@ -8,7 +8,7 @@ import numpy as np
 from relviews import autodiff as ad
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
-from relviews.graphs import ViewGraph, num_pairs, pair_rows, upper_pairs
+from relviews.graphs import ViewGraph, num_pairs, upper_pairs
 from relviews.proxies import SinkhornResult
 
 
@@ -107,11 +107,6 @@ def encoder_backward(tape, node_grads: np.ndarray) -> dict[str, np.ndarray]:
                                     for v in leaves]))
 
 
-def edge_feature(g: ViewGraph, i: int, j: int) -> np.ndarray:
-    """Feature row of the undirected edge (i, j), i != j."""
-    return g.edge_features[pair_rows(min(i, j), max(i, j), g.num_views)]
-
-
 def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:
     """The `take` backward as a one-hot matmul, for any indices."""
     onehot = (np.asarray(idx)[:, None] == np.arange(shape[axis])).astype(np.float64)
@@ -173,15 +168,14 @@ def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
     if cfg.normalize_embeddings:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = emb / np.where(norms == 0, 1.0, norms)
-    n_nodes, dim = emb.shape
-    edges = np.ones((num_pairs(n_nodes), dim))
+    weights = np.ones(num_pairs(emb.shape[0]))
     if not uniform:
-        i, j = upper_pairs(n_nodes)
+        i, j = upper_pairs(emb.shape[0])
         local = i != 0
         dot = np.abs(np.matmul(emb[i[local], None, :], emb[j[local], :, None])[:, 0, 0])
         inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
-        edges[local] = np.minimum(inv, cfg.weight_cap)[:, None]
-    return ViewGraph(emb, edges, label=label)
+        weights[local] = np.minimum(inv, cfg.weight_cap)
+    return ViewGraph(emb, weights, label=label)
 
 
 def argmin_min(value: np.ndarray, axis: int) -> np.ndarray:

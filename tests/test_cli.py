@@ -84,17 +84,6 @@ def test_unknown_option_exits_two(tiny):
     assert exc.value.code == 2
 
 
-def test_non_finite_feature_exits_three(tiny):
-    tmp_path, config, data = tiny
-    header, first, *rest = data.read_text().splitlines()
-    toks = first.split()
-    toks[-1] = "nan"
-    bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join([header, " ".join(toks), *rest]) + "\n")
-    assert main(["train", "--config", str(config), "--data", str(bad),
-                 "--out", str(tmp_path / "run")]) == 3
-
-
 def test_train_in_which_no_proxy_update_converges_exits_three(tiny, capsys):
     tmp_path, config, data = tiny
     capsys.readouterr()
@@ -238,8 +227,10 @@ def _edit_header(old, new):
     return edit
 
 
-def _last_token_abc(lines):
-    return [lines[0], lines[1].rsplit(" ", 1)[0] + " abc", *lines[2:]]
+def _last_token(token):
+    def edit(lines):
+        return [lines[0], lines[1].rsplit(" ", 1)[0] + f" {token}", *lines[2:]]
+    return edit
 
 
 def _mask_token(mask):
@@ -250,7 +241,9 @@ def _mask_token(mask):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_last_token_abc, "line 2: could not convert string to float: 'abc'"),
+    (_last_token("abc"), "line 2: could not convert string to float: 'abc'"),
+    (_last_token("nan"), "line 2: non-finite embedding value"),
+    (_last_token("inf"), "line 2: non-finite embedding value"),
     (_edit_header(" classes=", " junk classes="), "line 1: header token 'junk' is not key=value"),
     (_edit_header("model=outside_global_fraction", "model=nosuch"),
      "line 1: unknown noise model 'nosuch' (one of: uniform_whole_image, "
@@ -259,7 +252,10 @@ def _mask_token(mask):
     (_mask_token("1x2?"), "line 2: clean mask '1x2?' holds a character other than 0 or 1"),
     (_edit_header(" sigma=0.1 ", " sigma=nan "),
      "line 1: noise_scale must be finite and non-negative"),
-], ids=["record_token", "header_token", "model", "missing_key", "mask", "sigma_nan"])
+    (_edit_header(" seed=", " bogus=1 seed="), "line 1: unknown header key 'bogus'"),
+    (lambda lines: [lines[0] + " seed=9", *lines[1:]], "line 1: duplicate header key 'seed'"),
+], ids=["record_token", "embedding_nan", "embedding_inf", "header_token", "model",
+        "missing_key", "mask", "sigma_nan", "unknown_key", "duplicate_key"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"

@@ -7,7 +7,7 @@ import pytest
 from relviews.complementarity import ComplementarityConfig, build_dataset
 from relviews.graphs import ViewGraph, num_pairs, pair_rows
 from relviews.synth import SynthConfig, SynthDataset, SynthInstance, generate
-from tests.helpers import edge_feature, instance_build
+from tests.helpers import instance_build
 
 
 def build_one(embeddings, cfg: ComplementarityConfig, uniform: bool = False) -> ViewGraph:
@@ -24,25 +24,24 @@ def test_identical_unit_vectors_give_unit_edge():
     v = np.zeros(4)
     v[0] = 1.0
     g = build_one(np.stack([np.ones(4) / 2.0, v, v]), ComplementarityConfig())
-    assert np.allclose(edge_feature(g, 1, 2), 1.0)
+    assert g.weight_matrix()[1, 2] == pytest.approx(1.0)
 
 
 def test_orthogonal_vectors_hit_cap():
     e1, e2 = np.eye(4)[0], np.eye(4)[1]
     cfg = ComplementarityConfig(weight_cap=1e4)
     g = build_one(np.stack([np.ones(4), e1, e2]), cfg)
-    assert np.allclose(edge_feature(g, 1, 2), 1e4)
+    assert g.weight_matrix()[1, 2] == pytest.approx(1e4)
 
 
 def test_global_edges_all_ones():
     rng = np.random.default_rng(0)
     g = build_one(rng.standard_normal((6, 8)), ComplementarityConfig())
-    for j in range(1, 6):
-        assert np.allclose(edge_feature(g, 0, j), 1.0)
+    assert np.array_equal(g.weight_matrix()[0, 1:], np.ones(5))
 
 
 def test_monotone_in_absolute_dot():
-    # lower |dot| -> larger edge components, until the cap
+    # lower |dot| -> larger edge weight, until the cap
     base = np.zeros(8)
     base[0] = 1.0
     cfg = ComplementarityConfig(weight_cap=1e6)
@@ -51,8 +50,7 @@ def test_monotone_in_absolute_dot():
         other = np.zeros(8)
         other[0], other[1] = np.cos(ang), np.sin(ang)
         g = build_one(np.stack([np.ones(8), base, other]), cfg)
-        w = edge_feature(g, 1, 2)[0]
-        assert np.allclose(edge_feature(g, 1, 2), w)  # constant vector
+        w = g.weight_matrix()[1, 2]
         if prev is not None:
             assert w > prev
         prev = w
@@ -69,7 +67,7 @@ def test_normalization_flag():
 def test_uniform_ablation_edges():
     rng = np.random.default_rng(2)
     g = build_one(rng.standard_normal((5, 4)), ComplementarityConfig(), uniform=True)
-    assert np.allclose(g.edge_features, 1.0)
+    assert np.array_equal(g.edge_weights, np.ones(num_pairs(5)))
 
 
 def test_dataset_build_order_and_counts():
@@ -78,7 +76,7 @@ def test_dataset_build_order_and_counts():
     graphs = build_dataset(ds, ComplementarityConfig())
     assert len(graphs) == 10
     assert all(g.label == inst.label for g, inst in zip(graphs, ds.instances))
-    assert all(g.edge_features.shape[0] == 136 for g in graphs)  # C(17, 2)
+    assert all(g.edge_weights.shape == (136,) for g in graphs)  # C(17, 2)
 
 
 def test_dataset_build_deterministic():
@@ -88,7 +86,7 @@ def test_dataset_build_deterministic():
     g2 = build_dataset(ds, ComplementarityConfig())
     for a, b in zip(g1, g2):
         assert np.array_equal(a.node_features, b.node_features)
-        assert np.array_equal(a.edge_features, b.edge_features)
+        assert np.array_equal(a.edge_weights, b.edge_weights)
 
 
 def loop_build(embeddings, cfg, uniform=False):
@@ -97,14 +95,14 @@ def loop_build(embeddings, cfg, uniform=False):
     if cfg.normalize_embeddings:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = emb / np.where(norms == 0, 1.0, norms)
-    edges = np.ones((num_pairs(emb.shape[0]), emb.shape[1]))
+    weights = np.ones(num_pairs(emb.shape[0]))
     if not uniform:
         for r, (i, j) in enumerate(combinations(range(emb.shape[0]), 2)):
             if i == 0 or j == 0:
                 continue
             dot = abs(float(emb[i] @ emb[j]))
-            edges[r] = cfg.weight_cap if dot == 0 else min(1.0 / dot, cfg.weight_cap)
-    return emb, edges
+            weights[r] = cfg.weight_cap if dot == 0 else min(1.0 / dot, cfg.weight_cap)
+    return emb, weights
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -122,9 +120,9 @@ def test_build_equals_per_pair_loop(normalize):
     for emb in cases:
         for uniform in (False, True):
             g = build_one(emb, cfg, uniform=uniform)
-            nodes, edges = loop_build(emb, cfg, uniform=uniform)
+            nodes, weights = loop_build(emb, cfg, uniform=uniform)
             assert np.array_equal(g.node_features, nodes)
-            assert np.array_equal(g.edge_features, edges)
+            assert np.array_equal(g.edge_weights, weights)
 
 
 def planted_dataset(count: int) -> SynthDataset:
@@ -157,10 +155,8 @@ def test_batched_build_equals_per_instance_build(normalize, uniform, count, chun
         ref = instance_build(inst.embeddings(), cfg, label=inst.label, uniform=uniform)
         assert g.label == ref.label
         assert np.array_equal(g.node_features, ref.node_features)
-        assert np.array_equal(g.edge_features, ref.edge_features)
-    pair = pair_rows(1, 2, 5)
-    assert (graphs[1].edge_features[pair] == (1.0 if uniform else 2.0)).all()  # orthogonal
+        assert np.array_equal(g.edge_weights, ref.edge_weights)
+    assert graphs[1].edge_weights[pair_rows(1, 2, 5)] == (1.0 if uniform else 2.0)  # orthogonal
     if count > 6 and not (normalize or uniform):
-        at_cap = edge_feature(graphs[6], 2, 3)
-        assert (at_cap == 2.0).all()                           # 1/0.5, at the cap
+        assert graphs[6].edge_weights[pair_rows(2, 3, 5)] == 2.0   # 1/0.5, at the cap
 

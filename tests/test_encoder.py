@@ -8,26 +8,22 @@ from relviews import checkpoint as ckpt
 from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
 from relviews.errors import ConfigError, NumericError
-from relviews.graphs import ViewGraph, midpoint_edges, num_pairs, upper_pairs
+from relviews.graphs import ViewGraph, midpoint_weights, num_pairs, upper_pairs
 from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
-from tests.helpers import concat, edge_feature, encoder_backward, gathered_pair_matrix
+from tests.helpers import concat, encoder_backward, gathered_pair_matrix
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    return ViewGraph(rng.standard_normal((n_nodes, dim)),
-                     rng.standard_normal((num_pairs(n_nodes), dim)))
+    return ViewGraph(rng.standard_normal((n_nodes, dim)), rng.standard_normal(num_pairs(n_nodes)))
 
 
 def permute_graph(g: ViewGraph, perm: list[int]) -> ViewGraph:
     """Node i of the result is node perm[i] of g (perm[0] must be 0)."""
-    n = g.num_views
-    nodes = g.node_features[perm]
-    edges = np.empty_like(g.edge_features)
-    for r, (i, j) in enumerate(combinations(range(n), 2)):
-        edges[r] = edge_feature(g, perm[i], perm[j])
-    return ViewGraph(nodes, edges)
+    w = g.weight_matrix()
+    weights = [w[perm[i], perm[j]] for i, j in combinations(range(g.num_views), 2)]
+    return ViewGraph(g.node_features[perm], weights)
 
 
 def test_config_validation():
@@ -66,9 +62,9 @@ def test_output_graph_shapes_and_positivity():
     g = random_graph(6, 8, seed=7)
     nodes = enc.forward(params, [g]).node_out.value
     assert nodes.shape == (1, 6, 16)
-    out = ViewGraph(nodes[0], midpoint_edges(nodes[0]))
-    assert out.edge_features.shape == (num_pairs(6), 16)
-    assert (out.edge_weights() > 0).all()
+    out = ViewGraph(nodes[0], midpoint_weights(nodes[0]))
+    assert out.edge_weights.shape == (num_pairs(6),)
+    assert (out.edge_weights > 0).all()
 
 
 def test_zero_upstream_gradient_gives_zero_param_grads():
@@ -130,11 +126,12 @@ def test_gradients_match_finite_differences():
 def test_nan_input_raises_with_layer():
     cfg = EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4)
     params = init_params(cfg, 4, seed=15)
-    bad = random_graph(3, 4, seed=16)
-    nodes = bad.node_features.copy()
-    nodes[0, 0] = np.nan
-    with pytest.raises(NumericError, match="layer 0"):
-        enc.forward(params, [ViewGraph(nodes, bad.edge_features)])
+    g = random_graph(3, 4, seed=16)
+    nodes, weights = g.node_features.copy(), g.edge_weights.copy()
+    nodes[0, 0] = weights[2] = np.nan
+    for bad in (ViewGraph(nodes, g.edge_weights), ViewGraph(g.node_features, weights)):
+        with pytest.raises(NumericError, match="layer 0"):
+            enc.forward(params, [g, bad])
 
 
 def test_dim_mismatch_raises():
@@ -192,7 +189,8 @@ def concat_forward(params, graphs):
     pvars = [{key: None if arr is None else ad.Var(arr, requires_grad=True)
               for key, arr in vars(layer).items()} for layer in params.layers]
     h = ad.constant(np.stack([g.node_features for g in graphs]))
-    e = ad.constant(np.stack([g.edge_features for g in graphs]))
+    weights = np.stack([g.edge_weights for g in graphs])
+    e = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))
     for li, (node_in, head_dim, edge_in, updates) in enumerate(
             enc._layer_dims(cfg, params.in_dim)):
         pv = pvars[li]

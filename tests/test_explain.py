@@ -15,15 +15,13 @@ from tests.helpers import ConstantCostHead
 
 def weight_graph(w: np.ndarray, label=0) -> ViewGraph:
     n = w.shape[0]
-    edges = np.zeros((num_pairs(n), 1))
-    for r, (i, j) in enumerate(combinations(range(n), 2)):
-        edges[r, 0] = w[i, j]
-    return ViewGraph(np.zeros((n, 1)), edges, label=label)
+    return ViewGraph(np.zeros((n, 1)), [w[i, j] for i, j in combinations(range(n), 2)],
+                     label=label)
 
 
 def random_labeled_graph(n, dim, rng, label=0) -> ViewGraph:
-    return ViewGraph(rng.standard_normal((n, dim)),
-                     np.abs(rng.standard_normal((num_pairs(n), dim))), label=label)
+    return ViewGraph(rng.standard_normal((n, dim)), np.abs(rng.standard_normal(num_pairs(n))),
+                     label=label)
 
 
 def dummy_proxy(label, dim=1, slots=2) -> ProxyGraph:
@@ -222,9 +220,9 @@ def test_top_k_equals_sorted_emergence(rng):
     # rounded weights tie often
     for trial in range(60):
         n = int(rng.integers(2, 12))
-        edges = np.round(rng.random((num_pairs(n), 1)), 1)
-        g = ViewGraph(np.zeros((n, 1)), edges, label=0)
-        ranked = sorted(range(1, n), key=lambda v: (-abs(edges[v - 1, 0]), v))
+        weights = np.round(rng.random(num_pairs(n)), 1)
+        g = ViewGraph(np.zeros((n, 1)), weights, label=0)
+        ranked = sorted(range(1, n), key=lambda v: (-weights[v - 1], v))
         for k in range(n + 1):
             assert top_k_explanation(g, k).node_subset == frozenset(ranked[:k]) | {0}
 
@@ -243,7 +241,7 @@ def test_macs_equals_per_explanation_thresholds(rng):
             for ex in expls.entries:
                 sub = ex.as_graph()
                 per_class.setdefault(ex.parent.label, []).append(
-                    count_k_cliques_with_global(sub, k, cfg.resolve(sub.edge_weights())))
+                    count_k_cliques_with_global(sub, k, cfg.resolve(sub.edge_weights)))
             return {c: np.mean(v) for c, v in per_class.items()}
         ca, cb = class_counts(a), class_counts(b)
         diffs = [0.0 if max(ca[c], cb[c]) == 0 else abs(ca[c] - cb[c]) / max(ca[c], cb[c])

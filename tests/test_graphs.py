@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from relviews.graphs import (ExplanationSubgraph, ViewGraph, export_dot, induced_subgraph,
-                             midpoint_edges, num_pairs, pair_rows, upper_pairs)
-from tests.helpers import edge_feature
+                             midpoint_weights, num_pairs, pair_rows, upper_pairs)
 
 
 def make_graph(n_nodes=5, dim=4, seed=0, label=None):
     rng = np.random.default_rng(seed)
-    return ViewGraph(rng.standard_normal((n_nodes, dim)),
-                     rng.standard_normal((num_pairs(n_nodes), dim)), label=label)
+    return ViewGraph(rng.standard_normal((n_nodes, dim)), rng.random(num_pairs(n_nodes)),
+                     label=label)
 
 
 def pairs(n: int) -> list[tuple[int, int]]:
@@ -32,31 +31,13 @@ def test_pair_rows_match_enumeration():
 def test_edge_count_is_choose_two():
     for n in (2, 4, 9, 17):
         g = make_graph(n)
-        assert g.edge_features.shape[0] == n * (n - 1) // 2
+        assert g.edge_weights.shape == (n * (n - 1) // 2,)
 
 
 def test_edge_weight_zero_vector():
-    g = ViewGraph(np.zeros((2, 3)), np.zeros((1, 3)))
-    assert g.edge_weights().tolist() == [0.0]
+    g = ViewGraph(np.zeros((2, 3)), np.zeros(1))
+    assert g.edge_weights.tolist() == [0.0]
     assert np.array_equal(g.weight_matrix(), np.zeros((2, 2)))
-
-
-def test_edge_weight_three_four_five():
-    g = ViewGraph(np.zeros((2, 2)), np.array([[3.0, 4.0]]))
-    assert g.edge_weights()[0] == pytest.approx(5.0)
-    assert g.weight_matrix()[0, 1] == g.weight_matrix()[1, 0] == pytest.approx(5.0)
-
-
-def test_edge_weight_matches_scalar_recomputation(rng):
-    # oracle: explicit sqrt of a running sum of squares
-    feats = rng.standard_normal((num_pairs(5), 8))
-    g = ViewGraph(rng.standard_normal((5, 8)), feats)
-    weights = g.edge_weights()
-    for r in range(num_pairs(5)):
-        acc = 0.0
-        for x in feats[r]:
-            acc += float(x) * float(x)
-        assert weights[r] == pytest.approx(math.sqrt(acc), abs=1e-12)
 
 
 def test_edge_weight_symmetric(rng):
@@ -67,7 +48,7 @@ def test_edge_weight_symmetric(rng):
 def test_midpoint_edge_weights_follow_the_cosine(rng):
     nodes = rng.standard_normal((6, 5))
     nodes[3] = 0.0                       # a zero embedding stays zero
-    g = ViewGraph(nodes, midpoint_edges(nodes))
+    g = ViewGraph(nodes, midpoint_weights(nodes))
     w = g.weight_matrix()
     for i, j in pairs(6):
         if 3 in (i, j):
@@ -81,7 +62,7 @@ def test_induced_full_set_is_identity():
     g = make_graph(6, label=3)
     sub = induced_subgraph(g, range(6))
     assert np.array_equal(sub.node_features, g.node_features)
-    assert np.array_equal(sub.edge_features, g.edge_features)
+    assert np.array_equal(sub.edge_weights, g.edge_weights)
     assert sub.label == 3
 
 
@@ -89,13 +70,13 @@ def test_induced_two_nodes_keeps_edge():
     g = make_graph(5)
     sub = induced_subgraph(g, [0, 3])
     assert sub.num_views == 2
-    assert np.array_equal(sub.edge_features[0], edge_feature(g, 0, 3))
+    assert sub.edge_weights.tolist() == [g.edge_weights[pair_rows(0, 3, 5)]]
 
 
 def test_induced_six_of_seventeen_has_fifteen_edges():
     g = make_graph(17)
     sub = induced_subgraph(g, [0, 2, 5, 7, 11, 16])
-    assert sub.edge_features.shape[0] == 15
+    assert sub.edge_weights.shape == (15,)
 
 
 def test_induced_requires_global():
@@ -109,7 +90,7 @@ def test_induced_idempotent():
     sub = induced_subgraph(g, [0, 1, 4, 6])
     again = induced_subgraph(sub, range(sub.num_views))
     assert np.array_equal(sub.node_features, again.node_features)
-    assert np.array_equal(sub.edge_features, again.edge_features)
+    assert np.array_equal(sub.edge_weights, again.edge_weights)
     # prefix subsets keep their indices, so literal re-application agrees too
     pre = induced_subgraph(g, [0, 1, 2])
     assert np.array_equal(induced_subgraph(pre, [0, 1, 2]).node_features,
@@ -142,7 +123,9 @@ def test_dot_four_nodes_six_edges_and_styles():
 
 def test_viewgraph_validation():
     with pytest.raises(ValueError):
-        ViewGraph(np.zeros((3, 2)), np.zeros((2, 2)))   # wrong edge count
+        ViewGraph(np.zeros((3, 2)), np.zeros(2))        # wrong edge count
+    with pytest.raises(ValueError):
+        ViewGraph(np.zeros((3, 2)), np.zeros((3, 2)))   # a vector per edge, not a weight
     with pytest.raises(ValueError):
         ViewGraph(np.zeros((3, 2)), np.zeros((3, 3)))   # wrong edge dim
 
@@ -159,23 +142,23 @@ def test_explanation_subgraph_contracts():
 
 
 def loop_induced(g: ViewGraph, subset: list[int]):
-    """Per-pair reference for `induced_subgraph`: one edge row at a time."""
-    edges = np.array([edge_feature(g, subset[a], subset[b])
-                      for a, b in pairs(len(subset))]).reshape(-1, g.feature_dim)
-    return g.node_features[subset], edges
+    """Per-pair reference for `induced_subgraph`: one edge weight at a time."""
+    weights = np.array([g.edge_weights[pair_rows(subset[a], subset[b], g.num_views)]
+                        for a, b in pairs(len(subset))])
+    return g.node_features[subset], weights
 
 
 def test_induced_subgraph_equals_per_pair_loop(rng):
     for trial in range(200):
         n = int(rng.integers(1, 20))
-        g = ViewGraph(rng.standard_normal((n, 3)), rng.standard_normal((num_pairs(n), 3)),
+        g = ViewGraph(rng.standard_normal((n, 3)), rng.standard_normal(num_pairs(n)),
                       label=trial)
         keep = rng.permutation(np.arange(1, n))[:int(rng.integers(0, n))]
         subset = sorted({0, *(int(v) for v in keep)})
         sub = induced_subgraph(g, reversed(subset))
-        nodes, edges = loop_induced(g, subset)
+        nodes, weights = loop_induced(g, subset)
         assert np.array_equal(sub.node_features, nodes)
-        assert np.array_equal(sub.edge_features, edges)
+        assert np.array_equal(sub.edge_weights, weights)
         assert sub.label == trial
 
 
@@ -184,7 +167,7 @@ def test_weight_matrix_equals_per_pair_edge_weights(rng):
         g = make_graph(n, dim=6, seed=n)
         w = g.weight_matrix()
         expect = np.zeros((n, n))
-        flat = g.edge_weights()
+        flat = g.edge_weights
         for r, (i, j) in enumerate(pairs(n)):
             expect[i, j] = expect[j, i] = flat[r]
         assert np.array_equal(w, expect)

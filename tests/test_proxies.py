@@ -307,7 +307,7 @@ def test_classify_exact_match_wins(rng):
     protos = {}
     for cid in range(3):
         protos[cid] = ProxyGraph(cid, rng.standard_normal((slots, dim)) * (cid + 1))
-    exact = ViewGraph(protos[1].node_centroids, np.zeros((num_pairs(slots), dim)))
+    exact = ViewGraph(protos[1].node_centroids, np.zeros(num_pairs(slots)))
     dist = proxy_model(protos, ConstantCostHead(10.0)).distances(exact)
     assert dist[1] == 0.0 and int(np.argmin(dist)) == 1
 

@@ -25,8 +25,8 @@ TINY_TRAIN = TrainConfig(epochs=4, batch_size=8, cost_head_hidden=4,
 
 def random_batch(count, n_nodes=6, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    return [ViewGraph(rng.standard_normal((n_nodes, dim)),
-                      rng.standard_normal((num_pairs(n_nodes), dim)), label=i % 3)
+    return [ViewGraph(rng.standard_normal((n_nodes, dim)), rng.standard_normal(num_pairs(n_nodes)),
+                      label=i % 3)
             for i in range(count)]
 
 
@@ -332,7 +332,7 @@ def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
     assert sorted(model.proxies) == [0, 1] and not model.proxy_vectors
     assert np.array_equal(model.proxies[1].node_centroids, [[-0.5, 0.25], [2, 1], [1, -1.5]])
     assert model.cost_head.W1[1, 0] == 0.69
-    distances = model.distances(ViewGraph(model.proxies[0].node_centroids, np.zeros((3, 2))))
+    distances = model.distances(ViewGraph(model.proxies[0].node_centroids, np.zeros(3)))
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
     lines = V1_CHECKPOINT.splitlines()

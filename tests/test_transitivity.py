@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews.graphs import ViewGraph, num_pairs
+from relviews.graphs import ViewGraph
 from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_global,
                                    emergence_scores, sample_complexity_noisy,
                                    sample_complexity_transitive, topology_count,
@@ -12,12 +12,9 @@ from relviews.transitivity import (TransitivityConfig, count_k_cliques_with_glob
 
 
 def graph_from_weights(w: np.ndarray) -> ViewGraph:
-    """Graph whose edge weight (i, j) equals w[i, j] (1-dim edge features)."""
+    """Graph whose edge weight (i, j) equals w[i, j]."""
     n = w.shape[0]
-    edges = np.zeros((num_pairs(n), 1))
-    for r, (i, j) in enumerate(combinations(range(n), 2)):
-        edges[r, 0] = w[i, j]
-    return ViewGraph(np.zeros((n, 1)), edges)
+    return ViewGraph(np.zeros((n, 1)), [w[i, j] for i, j in combinations(range(n), 2)])
 
 
 def random_weight_graph(n, rng) -> ViewGraph:
