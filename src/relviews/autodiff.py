@@ -310,12 +310,17 @@ def softplus(a: Var) -> Var:
     return _node(np.maximum(x, 0.0) + np.log1p(z), (a,), bk)
 
 
+# `pairwise_l2` distances at most this many eps times |u| + |v| are rounding noise
+_ROUNDING = 64 * np.finfo(np.float64).eps
+
+
 def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
     """All-pairs Euclidean distances, (..., m, d) x (p, d) -> (..., m, p).
 
     Exact forward via explicit differences; the backward uses the closed
-    form dU = diag(W 1) u - W v with W = g / dist (0 where dist is 0).
-    With a boolean `where` shaped like the result, only the entries where
+    form dU = diag(W 1) u - W v with W = g / dist. W is 0, subgradient 0,
+    where dist <= 64 eps (|u| + |v|): there u - v is rounding noise, and
+    g / dist would send a unit-norm gradient along it. With a boolean `where` shaped like the result, only the entries where
     it is true are computed, gathered flat with the same arithmetic per
     entry, and every other entry is +inf. Each computed entry is then
     bit-identical to the full table's, and W = g / inf = 0 at the rest.
@@ -333,7 +338,9 @@ def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
         np.put(val, flat, np.sqrt(np.square(diff, out=diff).sum(axis=-1)))
 
     def bk(g):
-        w = np.where(val == 0.0, 0.0, g / np.where(val == 0.0, 1.0, val))
+        norm_u = np.sqrt(np.square(u.value).sum(axis=-1))[..., None]
+        noise = val <= _ROUNDING * (norm_u + np.sqrt(np.square(v.value).sum(axis=-1)))
+        w = np.where(noise, 0.0, g / np.where(noise, 1.0, val))
         gu = w.sum(axis=-1)[..., None] * u.value - w @ v.value if u.requires_grad else None
         gv = None
         if v.requires_grad:

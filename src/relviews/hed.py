@@ -9,7 +9,8 @@ distance with full substitution costs, the same deletion/insertion costs
 and the same 1/(2|V|) normalization.
 
 Gradients are subgradients through the recorded argmin structure: only the
-winning branch receives gradient, and the norm at zero uses subgradient 0.
+winning branch receives gradient, and a distance within rounding of zero,
+at most 64 eps (|u| + |v|), uses subgradient 0 (`autodiff.pairwise_l2`).
 Ties between deletion and substitution resolve to substitution.
 
 `hed_values_multi` reads only two minima from its (B, m, C*slots) L2

@@ -221,3 +221,34 @@ def test_shared_gradient_arrays_accumulate_exactly(build, grad_a, grad_b):
     ad.backward(build(a, b))
     assert np.array_equal(a.grad, grad_a)
     assert np.array_equal(b.grad, grad_b)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-300, 1e-18, 1e-8])
+def test_pairwise_l2_gradient_rows_stay_bounded_near_zero(gap):
+    # row 1 of u sits `gap` from row 2 of v, the other pairs at the nodes'
+    # scale of 1e-3; no gradient row may exceed the sum of |g| over its
+    # distances, and a pair closer than rounding (64 eps (|u| + |v|), about
+    # 7e-17 here: the first three gaps) gets none
+    rng = np.random.default_rng(41)
+    u, v = rng.standard_normal((3, 6)) * 1e-3, rng.standard_normal((4, 6)) * 1e-3
+    direction = rng.standard_normal(6)
+    u[1] = v[2] + gap * direction / np.linalg.norm(direction)
+    g = rng.standard_normal((3, 4))
+    g0 = g.copy()
+    g0[1, 2] = 0.0                   # the same upstream without the close pair
+    grads = []
+    for seed in (g, g0):
+        u_var, v_var = ad.Var(u.copy(), requires_grad=True), ad.Var(v.copy(), requires_grad=True)
+        ad.backward(ad.pairwise_l2(u_var, v_var), seed)
+        grads.append((u_var.grad, v_var.grad))
+    (gu, gv), (gu0, gv0) = grads
+    assert np.all(np.linalg.norm(gu, axis=1) <= np.abs(g).sum(axis=1) * (1 + 1e-9))
+    assert np.all(np.linalg.norm(gv, axis=1) <= np.abs(g).sum(axis=0) * (1 + 1e-9))
+    dist = np.linalg.norm(u[1] - v[2])
+    if gap < 1e-12:
+        assert 0.0 <= dist < 1e-17
+        assert np.array_equal(gu, gu0) and np.array_equal(gv, gv0)
+    else:
+        unit = g[1, 2] * (u[1] - v[2]) / dist
+        np.testing.assert_allclose(gu[1] - gu0[1], unit, rtol=0, atol=1e-6 * abs(g[1, 2]))
+        np.testing.assert_allclose(gv0[2] - gv[2], unit, rtol=0, atol=1e-6 * abs(g[1, 2]))
