@@ -1,11 +1,14 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Deliberately not a general autodiff framework: only the vectorized ops the
-graph encoder, cost head, and edit-distance computations need. The encoder
-and the distance table work on stacks of same-size graphs, so `matmul`,
-`take`, `pair_matrix`, `transpose` and the reductions accept leading batch
-axes. Values are float64 throughout; gradients are accumulated on leaf Vars
-created with ``requires_grad=True``.
+cost head, the edit-distance table and the mean-pool matching need. The
+graph encoder computes its own gradient in closed form and enters a tape as
+one Var with no parents, whose backward fn writes its parameter gradients
+(`encoder.forward`); the anchor loss enters the same way with one parent.
+The distance table works on stacks of same-size graphs, so `matmul`,
+`reshape`, `transpose` and the reductions accept leading batch axes. Values
+are float64 throughout; gradients are accumulated on leaf Vars created with
+``requires_grad=True``.
 
 A node's gradient is the first array handed to it, then the sum `grad + g`
 per further contribution, in tape order. No gradient is ever updated in
@@ -22,8 +25,7 @@ from .errors import ConfigError, NumericError
 
 __all__ = [
     "Var", "constant", "backward",
-    "matmul", "take", "pair_matrix", "reshape", "transpose", "vsum", "vmean",
-    "exp", "sqrt", "square", "tanh", "leaky_relu", "softplus",
+    "matmul", "reshape", "transpose", "vsum", "vmean", "tanh", "softplus",
     "pairwise_l2", "reduce_min", "where_select", "flat_views",
     "FlatParams", "fan_in_uniform",
 ]
@@ -125,14 +127,8 @@ class Var:
     def __add__(self, other):
         return _add(self, _wrap(other))
 
-    def __sub__(self, other):
-        return _sub(self, _wrap(other))
-
     def __mul__(self, other):
         return _mul(self, _wrap(other))
-
-    def __truediv__(self, other):
-        return _div(self, _wrap(other))
 
 
 def constant(value) -> Var:
@@ -156,23 +152,10 @@ def _add(a: Var, b: Var) -> Var:
     return _node(a.value + b.value, (a, b), bk)
 
 
-def _sub(a: Var, b: Var) -> Var:
-    def bk(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-    return _node(a.value - b.value, (a, b), bk)
-
-
 def _mul(a: Var, b: Var) -> Var:
     def bk(g):
         return _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)
     return _node(a.value * b.value, (a, b), bk)
-
-
-def _div(a: Var, b: Var) -> Var:
-    def bk(g):
-        return (_unbroadcast(g / b.value, a.shape),
-                _unbroadcast(-g * a.value / (b.value * b.value), b.shape))
-    return _node(a.value / b.value, (a, b), bk)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -200,44 +183,6 @@ def transpose(a: Var, axes) -> Var:
     return _node(a.value.transpose(axes), (a,), bk)
 
 
-def take(a: Var, idx, axis: int = 0) -> Var:
-    """Index along one axis with indices in [0, n).
-
-    The backward checks the indices: unique ones get `g` assigned into
-    zeros, which is exact; repeated ones scatter through a one-hot matmul,
-    so their gradients add up."""
-    idx = np.asarray(idx, dtype=np.intp)
-    axis %= a.value.ndim
-
-    def bk(g):
-        size = a.shape[axis]
-        if np.bincount(idx, minlength=size).max(initial=0) <= 1:
-            out = np.zeros(a.shape)
-            out[(slice(None),) * axis + (idx,)] = g
-            return (out,)
-        onehot = (idx[:, None] == np.arange(size)).astype(np.float64)
-        return (np.moveaxis(np.moveaxis(g, axis, -1) @ onehot, -1, axis),)
-    return _node(np.take(a.value, idx, axis=axis), (a,), bk)
-
-
-def pair_matrix(a: Var, idx_i: np.ndarray, idx_j: np.ndarray, n: int) -> Var:
-    """Symmetric (..., n, n) matrices with a zero diagonal from pair values.
-
-    `a` is (..., M, 1): one value per unordered pair (idx_i[r], idx_j[r]),
-    and the pairs list each of the M = n(n-1)/2 pairs of n nodes once. Entry
-    [i, j] and [j, i] both hold the pair's value; the backward is
-    g[i, j] + g[j, i]."""
-    assert a.shape[-2:] == (len(idx_i), 1), a.shape
-    vals = a.value[..., 0]
-    out = np.zeros(vals.shape[:-1] + (n, n))
-    out[..., idx_i, idx_j] = vals
-    out[..., idx_j, idx_i] = vals
-
-    def bk(g):
-        return ((g[..., idx_i, idx_j] + g[..., idx_j, idx_i])[..., None],)
-    return _node(out, (a,), bk)
-
-
 def vsum(a: Var, axis=None, keepdims=False) -> Var:
     def bk(g):
         if axis is None:
@@ -256,28 +201,6 @@ def vmean(a: Var, axis: int, keepdims=False) -> Var:
     return _node(a.value.mean(axis=axis, keepdims=keepdims), (a,), bk)
 
 
-def exp(a: Var) -> Var:
-    val = np.exp(a.value)
-
-    def bk(g):
-        return (g * val,)
-    return _node(val, (a,), bk)
-
-
-def sqrt(a: Var) -> Var:
-    val = np.sqrt(a.value)
-
-    def bk(g):
-        return (g * 0.5 / val,)
-    return _node(val, (a,), bk)
-
-
-def square(a: Var) -> Var:
-    def bk(g):
-        return (g * 2.0 * a.value,)
-    return _node(a.value * a.value, (a,), bk)
-
-
 def tanh(a: Var) -> Var:
     val = np.tanh(a.value)
 
@@ -286,17 +209,11 @@ def tanh(a: Var) -> Var:
     return _node(val, (a,), bk)
 
 
-def leaky_relu(a: Var, slope: float) -> Var:
-    pos = a.value > 0
-
-    def bk(g):
-        return (g * np.where(pos, 1.0, slope),)
-    return _node(np.where(pos, a.value, slope * a.value), (a,), bk)
-
-
 def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Logistic function of x from z = exp(-|x|) <= 1, so neither branch overflows."""
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    out = np.where(x >= 0, 1.0, z)
+    out /= 1.0 + z
+    return out
 
 
 def softplus(a: Var) -> Var:
@@ -320,10 +237,11 @@ def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
     Exact forward via explicit differences; the backward uses the closed
     form dU = diag(W 1) u - W v with W = g / dist. W is 0, subgradient 0,
     where dist <= 64 eps (|u| + |v|): there u - v is rounding noise, and
-    g / dist would send a unit-norm gradient along it. With a boolean `where` shaped like the result, only the entries where
-    it is true are computed, gathered flat with the same arithmetic per
-    entry, and every other entry is +inf. Each computed entry is then
-    bit-identical to the full table's, and W = g / inf = 0 at the rest.
+    g / dist would send a unit-norm gradient along it. With a boolean
+    `where` shaped like the result, only the entries where it is true are
+    computed, gathered flat with the same arithmetic per entry, and every
+    other entry is +inf. Each computed entry is then bit-identical to the
+    full table's, and W = g / inf = 0 at the rest.
     """
     if where is None:
         diff = u.value[..., :, None, :] - v.value

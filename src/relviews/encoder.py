@@ -15,11 +15,6 @@ matmul computes every graph's and head's W h, and the attention is one
 batch of one would give it. `GatParams` is a flat parameter store
 (`autodiff.FlatParams`): each head-stacked tensor is one stored tensor.
 
-The returned tape holds the batch's output node Var, (B, N, hidden), and
-per layer one leaf Var per stored (head-stacked) tensor, keyed like the
-LayerParams fields. After a backward pass from the output,
-`EncoderTape.accumulate` hands the leaves to `GatParams.accumulate`.
-
 Input edges are (M,) weights, M = N(N-1)/2, each copied across layer 0's
 `in_dim`-wide edge channel, so that channel is rank 1: layer 0's P rows and
 U_edge rows act only through their column sums, and every row of layer 0's
@@ -28,11 +23,34 @@ P gradient is equal. A width-1 channel would draw other initial values.
 The edge channel has M rows per graph against N node rows, so
 it is computed in factored form. A head's edge logit (e P) a_edge is taken
 as e (P a_edge): P a_edge is one small product per layer, and each edge
-needs one dot product; `ad.pair_matrix` spreads the M edge logits into the
-symmetric (B, H, N, N) logit term. The edge update, [z_i || z_j || e] U averaged over
-both endpoint orders, is S_i + S_j + e U_edge with U's row blocks U_src,
-U_dst, U_edge and S = h (U_src + U_dst) / 2, a node-level product gathered
-at both endpoints. Both agree with the unfactored forms up to rounding.
+needs one dot product, spread into the symmetric (B, H, N, N) logit term.
+The edge update, [z_i || z_j || e] U averaged over both endpoint orders, is
+S_i + S_j + e U_edge with U's row blocks U_src, U_dst, U_edge and
+S = h (U_src + U_dst) / 2, a node-level product gathered at both
+endpoints. Both agree with the unfactored forms up to rounding.
+
+The encoder is one node of the autodiff tape. The forward runs in plain
+numpy and returns the (B, N, hidden) output as one Var with no parents;
+its backward fn adds every encoder gradient into `params.grad_buffer`.
+As generic tape ops the encoder took about 100 nodes per training step,
+each with a closure and a gradient array, and their backwards summed
+broadcast axes one at a time. With `want_grad` the forward keeps, per
+layer, the arrays its backward reads (`_Saved`): the node and edge
+inputs, W h, P a_edge, the LeakyReLU's sign mask, the attention α, the
+GraphNorm mean, standard deviation and normalized nodes, and the edge
+update's layer output, softplus input x and exp(-|x|). The backward runs
+the layers in reverse with these closed forms:
+- edge update: g_x = g_e σ(x), σ from the stored exp(-|x|); S takes g_x at
+  both endpoints through one (N, M) incidence product, and U's row blocks
+  take h^T g_S / 2 (U_src, U_dst) and e^T g_x (U_edge);
+- GraphNorm y = x̂ scale + shift, x̂ = (z - μ mean_scale) / σ:
+  g_(z - μ mean_scale) = (g_x̂ - x̂ mean_N(g_x̂ x̂)) / σ, with g_x̂ = g_y scale;
+- attention: g_logits = α ⊙ (g_α - Σ_j g_α α), times the LeakyReLU's
+  slope where its input was not positive; s and t take its row and column
+  sums, and each pair's edge logit g[i, j] + g[j, i];
+- W, a and P take their batch-summed gradient from one matrix product
+  each, and the edge input's gradient contracts the head axis in one.
+Gradients agree with the tape form to rounding (`tests.helpers.tape_forward`).
 """
 from __future__ import annotations
 
@@ -168,35 +186,45 @@ def _diag_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks
 
 
+@lru_cache(maxsize=128)
+def _incidence(n: int) -> np.ndarray:
+    """(N, M) endpoint incidence of the pairs of N nodes, read-only: column r
+    holds ones at both endpoints of pair r."""
+    idx_i, idx_j = upper_pairs(n)
+    inc = np.zeros((n, num_pairs(n)))
+    inc[idx_i, np.arange(num_pairs(n))] = 1.0
+    inc[idx_j, np.arange(num_pairs(n))] = 1.0
+    inc.flags.writeable = False
+    return inc
+
+
 @dataclass
-class EncoderTape:
-    """Handles for backward."""
-    params: GatParams
-    param_vars: list[dict[str, Var]]     # per layer: LayerParams field -> leaf Var
-    node_out: Var                        # (B, N, hidden)
-
-    def accumulate(self) -> None:
-        """Hand the leaves' gradients of a finished backward pass to `params`."""
-        self.params.accumulate([v for pv in self.param_vars for v in pv.values() if v is not None])
-
-
-def _graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> Var:
-    """Per-graph normalization over the node axis of a (B, N, hidden) stack."""
-    mu = ad.vmean(h, axis=1, keepdims=True)
-    shifted = h - mu * mean_scale
-    var = ad.vmean(ad.square(shifted), axis=1, keepdims=True)
-    return shifted / ad.sqrt(var + eps) * scale + shift
+class _Saved:
+    """The arrays of one layer's forward that its backward reads."""
+    h_in: np.ndarray                     # (B, N, node_in) node input
+    e_in: np.ndarray                     # (B, M, edge_in) edge input
+    Wh: np.ndarray                       # (B, H, N, hd)
+    pa: np.ndarray                       # (H, edge_in, 1): P a_edge
+    positive: np.ndarray                 # (B, H, N, N): LeakyReLU input > 0
+    alpha: np.ndarray                    # (B, H, N, N) attention
+    mu: np.ndarray | None = None         # GraphNorm (B, 1, hidden): node mean
+    std: np.ndarray | None = None        # (B, 1, hidden): sqrt(var + eps)
+    xhat: np.ndarray | None = None       # (B, N, hidden): normalized nodes
+    h_out: np.ndarray | None = None      # edge update (B, N, hidden): layer output
+    x: np.ndarray | None = None          # (B, M, hidden): softplus input
+    z: np.ndarray | None = None          # (B, M, hidden): exp(-|x|)
 
 
-def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) -> EncoderTape:
+def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) -> Var:
     """Propagate a batch of same-size graphs through all attention layers.
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
     LeakyReLU, softmax over the other nodes, weighted aggregation; heads are
     concatenated (hidden) or averaged (final). f_ij starts as the edge
     weight; a hidden layer with the edge update refreshes it through a
-    softplus, so it stays non-negative. Returns the batch's tape, whose
-    `node_out` holds the final node embeddings in input order.
+    softplus, so it stays non-negative. Returns the final node embeddings,
+    (B, N, hidden) in input order, as one Var; with `want_grad` its backward
+    adds the gradient of every encoder tensor into `params.grad_buffer`.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -205,64 +233,159 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
             raise ConfigError(f"graph feature dim {g.feature_dim} != params in_dim {params.in_dim}")
         if g.num_views != n:
             raise ValueError(f"graphs in one batch must share a node count: {g.num_views} != {n}")
-    nodes = np.stack([g.node_features for g in graphs])
+    h = np.stack([g.node_features for g in graphs])                 # (B, N, d)
     weights = np.stack([g.edge_weights for g in graphs])            # (B, M)
-    if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+    if not (np.isfinite(h).all() and np.isfinite(weights).all()):
         raise NumericError("non-finite values in input graph (layer 0)")
 
-    b, heads = len(graphs), cfg.heads_per_layer
+    b, heads, m = len(graphs), cfg.heads_per_layer, num_pairs(n)
     idx_i, idx_j = upper_pairs(n)
     offdiag, diag_neg = _diag_masks(n)
-    pvars = params.by_layer(params.leaves(want_grad))
-
-    h: Var = ad.constant(nodes)                                      # (B, N, d)
+    saved: list[_Saved] = []
     # each weight w enters layer 0's edge_in = in_dim wide channel as the
     # contiguous row w * 1, so P, edge_U and their BLAS calls keep their shapes
-    e: Var = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))  # (B, M, d_e)
+    e = np.repeat(weights[..., None], params.in_dim, axis=2)        # (B, M, d_e)
 
     for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
-        pv = pvars[li]
-        Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])  # (B, H, N, hd)
-        a_src, a_dst, a_edge = (
-            ad.reshape(ad.take(pv["a"], np.arange(part * head_dim, (part + 1) * head_dim), axis=1),
-                       (heads, head_dim, 1)) for part in range(3))
-        s = ad.matmul(Wh, a_src)                                     # (B, H, N, 1)
-        t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))       # (B, H, 1, N)
-        pa = ad.matmul(pv["P"], a_edge)                              # (H, d_e, 1)
-        u_pair = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pa)  # (B, H, M, 1)
-        u_mat = ad.pair_matrix(u_pair, idx_i, idx_j, n)              # (B, H, N, N)
-        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
-        rowmax = logits.value.max(axis=-1, keepdims=True)            # detached shift
-        ex = ad.exp(logits - rowmax) * offdiag
-        alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)             # (B, H, N, N)
-        head_out = ad.matmul(alpha, Wh)                              # (B, H, N, hd)
+        lp = params.layers[li]
+        Wh = h.reshape(b, 1, n, node_in) @ lp.W                      # (B, H, N, hd)
+        a_src, a_dst, a_edge = (lp.a[:, part * head_dim:(part + 1) * head_dim]
+                                .reshape(heads, head_dim, 1) for part in range(3))
+        s = Wh @ a_src                                               # (B, H, N, 1)
+        t = (Wh @ a_dst).reshape(b, heads, 1, n)                     # (B, H, 1, N)
+        pa = lp.P @ a_edge                                           # (H, d_e, 1)
+        u_pair = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]          # (B, H, M)
+        pre = s + t                                                  # (B, H, N, N)
+        pre[..., idx_i, idx_j] += u_pair
+        pre[..., idx_j, idx_i] += u_pair
+        positive = pre > 0
+        # the logits and the softmax are updated in place: fewer fresh arrays
+        logits = cfg.leaky_slope * pre
+        np.copyto(logits, pre, where=positive)
+        logits += diag_neg
+        logits -= logits.max(axis=-1, keepdims=True)
+        alpha = np.exp(logits, out=logits)
+        alpha *= offdiag
+        alpha /= alpha.sum(axis=-1, keepdims=True)                   # (B, H, N, N)
+        head_out = alpha @ Wh                                        # (B, H, N, hd)
+        keep = _Saved(h, e, Wh, pa, positive, alpha)
 
         if final:
-            h = ad.vsum(head_out, axis=1) * (1.0 / heads)
+            h = head_out.sum(axis=1) * (1.0 / heads)
         else:
-            h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
-            h = _graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
-                           pv["norm_shift"], cfg.norm_eps)
-        if not np.isfinite(h.value).all():
+            h = head_out.transpose(0, 2, 1, 3).reshape(b, n, heads * head_dim)
+            keep.mu = h.mean(axis=1, keepdims=True)
+            shifted = h - keep.mu * lp.norm_mean_scale
+            keep.std = np.sqrt((shifted * shifted).mean(axis=1, keepdims=True) + cfg.norm_eps)
+            keep.xhat = shifted / keep.std
+            h = keep.xhat * lp.norm_scale + lp.norm_shift
+        if not np.isfinite(h).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
         if updates:
             # [z_i || z_j || e] U averaged over both endpoint orders, so the
             # update is well defined on unordered pairs (keeps permutation
             # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
-            # Each row of U is taken once, so its gradient is exact.
             hd = cfg.hidden_dim
-            u_src, u_dst, u_edge = (
-                ad.take(pv["edge_U"], np.arange(lo, hi), axis=0)
-                for lo, hi in ((0, hd), (hd, 2 * hd), (2 * hd, 2 * hd + edge_in)))
-            S = ad.matmul(h, (u_src + u_dst) * 0.5)                  # (B, N, hidden)
-            e = ad.softplus(ad.take(S, idx_i, axis=1) + ad.take(S, idx_j, axis=1)
-                            + ad.matmul(e, u_edge))
-            if not np.isfinite(e.value).all():
+            S = h @ ((lp.edge_U[:hd] + lp.edge_U[hd:2 * hd]) * 0.5)  # (B, N, hidden)
+            keep.h_out = h
+            # (B, M, hidden) arrays are updated in place: each fresh one of
+            # that size can cost a round of page faults
+            keep.x = x = np.take(S, idx_i, axis=1)
+            x += np.take(S, idx_j, axis=1)
+            x += e @ lp.edge_U[2 * hd:]
+            keep.z = z = np.abs(x)
+            np.exp(np.negative(z, out=z), out=z)
+            e = np.maximum(x, 0.0)
+            e += np.log1p(z)                                         # softplus
+            if not np.isfinite(e).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
+        if want_grad:
+            saved.append(keep)
 
-    return EncoderTape(params, pvars, h)
+    if not want_grad:
+        return ad.constant(h)
+
+    def bk(g):
+        _backward(params, saved, g)
+        return ()
+    return Var(h, requires_grad=True, backward=bk)
+
+
+def _backward(params: GatParams, saved: list[_Saved], g_h: np.ndarray) -> None:
+    """Add the encoder's parameter gradients, from the upstream gradient
+    `g_h` of its (B, N, hidden) output, into `params.grad_buffer`."""
+    cfg = params.config
+    heads, slope, hid = cfg.heads_per_layer, cfg.leaky_slope, cfg.hidden_dim
+    grads = params.by_layer(params.tensor_grads)
+    g_e = None                           # gradient of the layer's edge output
+    for li in reversed(range(len(saved))):
+        sv, lp, grad = saved[li], params.layers[li], grads[li]
+        b, _, n, hd = sv.Wh.shape
+        node_in, edge_in = sv.h_in.shape[2], sv.e_in.shape[2]
+        # the edge input carries a gradient when an earlier layer updated it
+        edge_grad = li > 0 and cfg.edge_update
+        g_e_in = None
+
+        if sv.x is not None:
+            # softplus: g_x = g_e sigmoid(x); S_i + S_j takes g_x at both endpoints
+            g_x = ad._sigmoid(sv.x, sv.z)
+            g_x *= g_e                                               # (B, M, hidden)
+            g_S = _incidence(n) @ g_x                                # (B, N, hidden)
+            u_sd = (lp.edge_U[:hid] + lp.edge_U[hid:2 * hid]) * 0.5
+            g_h = g_h + g_S @ u_sd.T
+            g_sd = 0.5 * (sv.h_out.reshape(-1, hid).T @ g_S.reshape(-1, hid))
+            grad["edge_U"][:hid] += g_sd
+            grad["edge_U"][hid:2 * hid] += g_sd
+            grad["edge_U"][2 * hid:] += sv.e_in.reshape(-1, edge_in).T @ g_x.reshape(-1, hid)
+            if edge_grad:
+                g_e_in = g_x @ lp.edge_U[2 * hid:].T
+
+        if sv.xhat is None:
+            g_ho = np.broadcast_to((g_h * (1.0 / heads))[:, None], (b, heads, n, hd))
+        else:
+            grad["norm_shift"] += g_h.sum(axis=(0, 1))
+            grad["norm_scale"] += (g_h * sv.xhat).sum(axis=(0, 1))
+            g_xhat = g_h * lp.norm_scale
+            g_shifted = (g_xhat - sv.xhat * (g_xhat * sv.xhat).mean(axis=1, keepdims=True)) / sv.std
+            g_sum = g_shifted.sum(axis=1)                            # (B, hidden)
+            grad["norm_mean_scale"] -= (sv.mu[:, 0] * g_sum).sum(axis=0)
+            g_z = g_shifted - lp.norm_mean_scale * (g_sum[:, None] / n)
+            g_ho = g_z.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+
+        # aggregation and softmax; the row max is a detached shift
+        g_alpha = g_ho @ sv.Wh.swapaxes(-1, -2)                      # (B, H, N, N)
+        g_Wh = sv.alpha.swapaxes(-1, -2) @ g_ho                      # (B, H, N, hd)
+        g_pre = g_alpha
+        g_pre -= (g_alpha * sv.alpha).sum(axis=-1, keepdims=True)
+        g_pre *= sv.alpha
+        np.multiply(g_pre, slope, out=g_pre, where=~sv.positive)
+        # s_i + t_j + u_ij: s and t take row and column sums, u both orders of a pair
+        idx_i, idx_j = upper_pairs(n)
+        g_st = np.stack([g_pre.sum(axis=-1), g_pre.sum(axis=-2)], axis=-1)   # (B, H, N, 2)
+        g_u = (g_pre[..., idx_i, idx_j] + g_pre[..., idx_j, idx_i]).transpose(0, 2, 1)
+
+        a_parts = lp.a.reshape(heads, 3, hd)
+        g_Wh = g_Wh + g_st @ a_parts[:, :2]
+        by_head = sv.Wh.transpose(1, 0, 2, 3).reshape(heads, b * n, hd)
+        grad["a"][:, :2 * hd] += (g_st.transpose(1, 3, 0, 2).reshape(heads, 2, b * n)
+                                  @ by_head).reshape(heads, 2 * hd)
+        # edge logits e (P a_edge): the head axis is contracted in one product
+        g_pa = sv.e_in.reshape(-1, edge_in).T @ g_u.reshape(-1, heads)       # (d_e, H)
+        grad["P"] += g_pa.T[:, :, None] * a_parts[:, 2, None, :]
+        grad["a"][:, 2 * hd:] += (lp.P.swapaxes(-1, -2) @ g_pa.T[:, :, None])[..., 0]
+        if edge_grad:
+            g_attn = g_u @ sv.pa[..., 0]                             # (B, M, d_e)
+            g_e_in = g_attn if g_e_in is None else np.add(g_e_in, g_attn, out=g_e_in)
+
+        g_flat = g_Wh.transpose(0, 2, 1, 3).reshape(b * n, heads * hd)
+        grad["W"] += (sv.h_in.reshape(-1, node_in).T @ g_flat).reshape(
+            node_in, heads, hd).transpose(1, 0, 2)
+        if li > 0:
+            g_h = (g_flat @ lp.W.transpose(0, 2, 1).reshape(heads * hd, node_in)).reshape(
+                b, n, node_in)
+        g_e = g_e_in
 
 
 def distinguishability(embeddings) -> float:

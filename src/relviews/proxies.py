@@ -183,8 +183,9 @@ def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,
     def logsum_softmax(expo: np.ndarray):
         """log(1 + sum exp(expo)) and softmax-like weights exp/(1+sum exp)."""
         mx = max(0.0, float(expo.max()))
-        z = np.exp(-mx) + np.exp(expo - mx).sum()
-        return mx + np.log(z), np.exp(expo - mx) / z
+        ex = np.exp(expo - mx)
+        z = np.exp(-mx) + ex.sum()
+        return mx + np.log(z), ex / z
 
     n_pos_proxies = pos_cols.size
     for c in pos_cols:

@@ -407,10 +407,10 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             batch_labels = [labels[i] for i in idx]
 
-            tape = enc.forward(params, [graphs[i] for i in idx], True)
+            nodes = enc.forward(params, [graphs[i] for i in idx], True)
             # each class's (B_c, N, d) node stack, in batch order, by class id
             label_arr = np.asarray(batch_labels)
-            nodes_by_class = {int(cid): tape.node_out.value[label_arr == cid]
+            nodes_by_class = {int(cid): nodes.value[label_arr == cid]
                               for cid in np.unique(label_arr)}
 
             known = model.class_ids()   # unseen classes start at the batch's cluster means
@@ -419,7 +419,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             class_ids = model.class_ids()
 
             bound = head.bind(True)
-            table = model.distance_table(tape.node_out, bound)
+            table = model.distance_table(nodes, bound)
             loss_var = _anchor_loss_var(table, batch_labels, class_ids, cfg.anchor)
             if not np.isfinite(loss_var.value):
                 raise NumericError(f"loss diverged at epoch {epoch}")
@@ -428,7 +428,6 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             params.zero_grads()
             head.zero_grads()
             ad.backward(loss_var, np.asarray(1.0))
-            tape.accumulate()
             bound.accumulate()
             opt.step([params.grad_buffer, head.grad_buffer], lr)
             params.check_finite()
@@ -470,7 +469,7 @@ def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
     """The (B, N, hidden) node embedding Var of each batch_size chunk, in order."""
     step = model.config.batch_size
     for start in range(0, len(graphs), step):
-        yield enc.forward(model.params, graphs[start:start + step], False).node_out
+        yield enc.forward(model.params, graphs[start:start + step], False)
 
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:

@@ -1,11 +1,17 @@
 """Test-only cost heads, the exact edit distance oracle, an encoder backward,
-the `concat` op of the concat-form encoder, and the earlier forms that the
-tape, Adam, the input-graph build, the no-grad minimum and Sinkhorn replaced."""
+the encoder as generic tape ops with the ops only it uses, the one-step
+harness that compares two encoder paths, the `concat` op of the concat-form
+encoder, and the earlier forms that the tape, Adam, the input-graph build,
+the no-grad minimum and Sinkhorn replaced."""
 import itertools
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from relviews import autodiff as ad
+from relviews import encoder as enc
+from relviews import proxies, training
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
 from relviews.graphs import ViewGraph, num_pairs, upper_pairs
@@ -90,21 +96,270 @@ def exact_ged(u, v, head) -> float:
     return (base + best) / (2.0 * m)
 
 
-def encoder_backward(tape, node_grads: np.ndarray) -> dict[str, np.ndarray]:
-    """Backward from an encoder tape's output; accumulates into the tape's
-    parameter buffers and returns this call's gradient per tensor name.
+def encoder_backward(params, out: Var, node_grads: np.ndarray) -> dict[str, np.ndarray]:
+    """Backward from an encoder output `out` of `params`; adds into
+    `params.grad_buffer` and returns this call's gradient per tensor name.
 
     The upstream gradient is shaped like the batch output, (B, N, hidden).
     """
     node_grads = np.asarray(node_grads, dtype=np.float64)
-    if node_grads.shape != tape.node_out.shape:
-        raise ValueError(f"node gradient shape {node_grads.shape} != {tape.node_out.shape}")
-    # each output's gradient under this scalar root is exactly its seed
-    ad.backward(ad.vsum(tape.node_out * node_grads))
-    tape.accumulate()
-    leaves = [v for layer in tape.param_vars for v in layer.values() if v is not None]
-    return dict(tape.params._named([np.zeros_like(v.value) if v.grad is None else v.grad
-                                    for v in leaves]))
+    if node_grads.shape != out.shape:
+        raise ValueError(f"node gradient shape {node_grads.shape} != {out.shape}")
+    kept = params.grad_buffer.copy()
+    params.zero_grads()
+    ad.backward(out, node_grads)
+    grads = {name: g.copy() for name, g in params.grads.items()}
+    params.grad_buffer += kept
+    return grads
+
+
+# ------------------------------------------- the encoder as generic tape ops
+
+def sub(a: Var, b) -> Var:
+    b = ad._wrap(b)
+
+    def bk(g):
+        return ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)
+    return ad._node(a.value - b.value, (a, b), bk)
+
+
+def div(a: Var, b) -> Var:
+    b = ad._wrap(b)
+
+    def bk(g):
+        return (ad._unbroadcast(g / b.value, a.shape),
+                ad._unbroadcast(-g * a.value / (b.value * b.value), b.shape))
+    return ad._node(a.value / b.value, (a, b), bk)
+
+
+def take(a: Var, idx, axis: int = 0) -> Var:
+    """Index along one axis with indices in [0, n).
+
+    The backward checks the indices: unique ones get `g` assigned into
+    zeros, which is exact; repeated ones scatter through a one-hot matmul,
+    so their gradients add up."""
+    idx = np.asarray(idx, dtype=np.intp)
+    axis %= a.value.ndim
+
+    def bk(g):
+        size = a.shape[axis]
+        if np.bincount(idx, minlength=size).max(initial=0) <= 1:
+            out = np.zeros(a.shape)
+            out[(slice(None),) * axis + (idx,)] = g
+            return (out,)
+        onehot = (idx[:, None] == np.arange(size)).astype(np.float64)
+        return (np.moveaxis(np.moveaxis(g, axis, -1) @ onehot, -1, axis),)
+    return ad._node(np.take(a.value, idx, axis=axis), (a,), bk)
+
+
+def pair_matrix(a: Var, idx_i: np.ndarray, idx_j: np.ndarray, n: int) -> Var:
+    """Symmetric (..., n, n) matrices with a zero diagonal from pair values.
+
+    `a` is (..., M, 1): one value per unordered pair (idx_i[r], idx_j[r]),
+    and the pairs list each of the M = n(n-1)/2 pairs of n nodes once. Entry
+    [i, j] and [j, i] both hold the pair's value; the backward is
+    g[i, j] + g[j, i]."""
+    assert a.shape[-2:] == (len(idx_i), 1), a.shape
+    vals = a.value[..., 0]
+    out = np.zeros(vals.shape[:-1] + (n, n))
+    out[..., idx_i, idx_j] = vals
+    out[..., idx_j, idx_i] = vals
+
+    def bk(g):
+        return ((g[..., idx_i, idx_j] + g[..., idx_j, idx_i])[..., None],)
+    return ad._node(out, (a,), bk)
+
+
+def exp(a: Var) -> Var:
+    val = np.exp(a.value)
+
+    def bk(g):
+        return (g * val,)
+    return ad._node(val, (a,), bk)
+
+
+def sqrt(a: Var) -> Var:
+    val = np.sqrt(a.value)
+
+    def bk(g):
+        return (g * 0.5 / val,)
+    return ad._node(val, (a,), bk)
+
+
+def square(a: Var) -> Var:
+    def bk(g):
+        return (g * 2.0 * a.value,)
+    return ad._node(a.value * a.value, (a,), bk)
+
+
+def leaky_relu(a: Var, slope: float) -> Var:
+    pos = a.value > 0
+
+    def bk(g):
+        return (g * np.where(pos, 1.0, slope),)
+    return ad._node(np.where(pos, a.value, slope * a.value), (a,), bk)
+
+
+def graphnorm(h: Var, mean_scale: Var, scale: Var, shift: Var, eps: float) -> Var:
+    """Per-graph normalization over the node axis of a (B, N, hidden) stack."""
+    mu = ad.vmean(h, axis=1, keepdims=True)
+    shifted = sub(h, mu * mean_scale)
+    var = ad.vmean(square(shifted), axis=1, keepdims=True)
+    return div(shifted, sqrt(var + eps)) * scale + shift
+
+
+def tape_output(params, pvars: list[dict], h: Var, want_grad: bool) -> Var:
+    """An encoder tape's output as `encoder.forward` returns it: one Var whose
+    backward runs the tape and adds the leaves' gradients into
+    `params.grad_buffer`."""
+    if not want_grad:
+        return ad.constant(h.value)
+    leaves = [v for layer in pvars for v in layer.values() if v is not None]
+
+    def bk(g):
+        ad.backward(h, g)
+        params.accumulate(leaves)
+        return ()
+    return Var(h.value, requires_grad=True, backward=bk)
+
+
+def tape_forward(params, graphs, want_grad: bool = True) -> Var:
+    """`encoder.forward` as generic tape ops, about 100 nodes per pass: the
+    reference that the closed-form backward is checked against."""
+    cfg = params.config
+    n = graphs[0].num_views
+    b, heads = len(graphs), cfg.heads_per_layer
+    idx_i, idx_j = upper_pairs(n)
+    offdiag, diag_neg = enc._diag_masks(n)
+    pvars = params.by_layer(params.leaves(True))
+    h = ad.constant(np.stack([g.node_features for g in graphs]))
+    weights = np.stack([g.edge_weights for g in graphs])
+    e = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))
+    for li, (node_in, head_dim, edge_in, updates) in enumerate(
+            enc._layer_dims(cfg, params.in_dim)):
+        pv = pvars[li]
+        Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])
+        a_src, a_dst, a_edge = (
+            ad.reshape(take(pv["a"], np.arange(part * head_dim, (part + 1) * head_dim), axis=1),
+                       (heads, head_dim, 1)) for part in range(3))
+        s = ad.matmul(Wh, a_src)
+        t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))
+        pa = ad.matmul(pv["P"], a_edge)
+        u_pair = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pa)
+        u_mat = pair_matrix(u_pair, idx_i, idx_j, n)
+        logits = leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
+        ex = exp(sub(logits, logits.value.max(axis=-1, keepdims=True))) * offdiag
+        alpha = div(ex, ad.vsum(ex, axis=-1, keepdims=True))
+        head_out = ad.matmul(alpha, Wh)
+        if li == cfg.num_layers - 1:
+            h = ad.vsum(head_out, axis=1) * (1.0 / heads)
+        else:
+            h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
+            h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"], pv["norm_shift"],
+                          cfg.norm_eps)
+        if updates:
+            hd = cfg.hidden_dim
+            u_src, u_dst, u_edge = (
+                take(pv["edge_U"], np.arange(lo, hi), axis=0)
+                for lo, hi in ((0, hd), (hd, 2 * hd), (2 * hd, 2 * hd + edge_in)))
+            S = ad.matmul(h, (u_src + u_dst) * 0.5)
+            e = ad.softplus(take(S, idx_i, axis=1) + take(S, idx_j, axis=1)
+                            + ad.matmul(e, u_edge))
+    return tape_output(params, pvars, h, want_grad)
+
+
+# ---------------------------------------------------------- one-step harness
+
+@contextmanager
+def recorded_sinkhorn(results: list):
+    """Append every `proxies.sinkhorn` result to `results` while the block runs."""
+    original = proxies.sinkhorn
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+    proxies.sinkhorn = record
+    try:
+        yield
+    finally:
+        proxies.sinkhorn = original
+
+
+def table_decisions(nodes: np.ndarray, targets: np.ndarray, slots: int, head) -> dict:
+    """The graph-proxy table's discrete choices for (B, m, d) `nodes` against
+    (C * slots, d) `targets`: each node's nearest slot per class, each slot's
+    nearest node, and where deletion and insertion beat substitution."""
+    b, m, _ = nodes.shape
+    dist = np.sqrt(np.square(nodes[:, :, None, :] - targets).sum(axis=-1))
+    dist = dist.reshape(b, m, -1, slots)                                     # (B, m, C, slots)
+    bound = head.bind(False)
+    del_u = bound.costs(ad.constant(nodes)).value[..., None]                 # (B, m, 1)
+    ins_v = bound.costs(ad.constant(targets)).value.reshape(-1, slots)       # (C, slots)
+    return {"decide slot argmin": dist.argmin(axis=3),
+            "decide node argmin": dist.argmin(axis=1),
+            "decide deletion": del_u < dist.min(axis=3) * 0.5,
+            "decide insertion": ins_v < dist.min(axis=1) * 0.5}
+
+
+def one_step(model, graphs, labels, encode=enc.forward) -> dict[str, np.ndarray]:
+    """The numbers of one `training.train` step for `model`'s parameters and
+    proxies and one batch, with `encode` in place of `encoder.forward`.
+
+    Keys starting with "decide" hold discrete decisions: the table argmins,
+    the graph table's choices (`table_decisions`), each transport plan's
+    argmax slots and Sinkhorn's convergence flags. The rest are floats: the
+    loss, the distance table, the encoder's and the cost head's gradient
+    buffers and the proxies after both of the step's updates. `model`'s
+    proxies are left as they were; its gradient buffers hold the step's
+    gradients."""
+    cfg, params, head = model.config, model.params, model.cost_head
+    model = replace(model, proxies=dict(model.proxies), proxy_vectors=dict(model.proxy_vectors))
+    plans = []
+    with recorded_sinkhorn(plans):
+        nodes = encode(params, graphs, True)
+        label_arr = np.asarray(labels)
+        by_class = {int(cid): nodes.value[label_arr == cid] for cid in np.unique(label_arr)}
+        known = model.class_ids()
+        training._update_proxies(model, {cid: x for cid, x in by_class.items() if cid not in known},
+                                 cfg, 0.0)
+        ids = model.class_ids()
+        bound = head.bind(True)
+        table = model.distance_table(nodes, bound)
+        loss = training._anchor_loss_var(table, labels, ids, cfg.anchor)
+        params.zero_grads()
+        head.zero_grads()
+        ad.backward(loss, np.asarray(1.0))
+        bound.accumulate()
+        record = {"loss": loss.value, "table": table.value,
+                  "decide table argmin": table.value.argmin(axis=1)}
+        ab = cfg.ablations
+        if ab.proxy_as_graph and ab.transitivity_recovery:
+            record.update(table_decisions(nodes.value, training._proxy_targets(model, ids),
+                                          model.proxies[ids[0]].num_slots, head))
+        training._update_proxies(model, by_class, cfg, cfg.proxy_momentum)
+    # one entry per parameter store: layer 0's P gradient is a near-cancelling
+    # sum over pairs (rounding noise alone under uniform input weights), so
+    # it is held to the scale of the whole encoder gradient
+    record["grad encoder"] = params.grad_buffer.copy()
+    record["grad cost head"] = head.grad_buffer.copy()
+    record.update((f"proxy {cid}", p.node_centroids) for cid, p in model.proxies.items())
+    record.update((f"proxy vector {cid}", v) for cid, v in model.proxy_vectors.items())
+    record["decide plan argmax"] = np.concatenate([r.plan.argmax(axis=1) for r in plans]
+                                                  or [np.zeros(0, dtype=int)])
+    record["decide sinkhorn converged"] = np.array([r.converged for r in plans])
+    return record
+
+
+def assert_steps_agree(got: dict, ref: dict, rtol: float = 1e-12) -> None:
+    """Equal decisions, and every float entry within rtol of `ref`'s:
+    max |got - ref| <= rtol * max |ref|."""
+    assert got.keys() == ref.keys()
+    for key, expect in ref.items():
+        if key.startswith("decide"):
+            np.testing.assert_array_equal(got[key], expect, err_msg=key)
+        else:
+            err = np.abs(np.asarray(got[key]) - expect).max(initial=0.0)
+            assert err <= rtol * np.abs(expect).max(initial=0.0), (key, err)
 
 
 def onehot_take_grad(shape, idx, axis: int, g: np.ndarray) -> np.ndarray:
@@ -123,9 +378,9 @@ def pair_gather(n: int) -> np.ndarray:
 
 
 def gathered_pair_matrix(u_pair: Var, n: int) -> Var:
-    """`ad.pair_matrix` of (..., M, 1) pair values as a gather, a reshape and
+    """`pair_matrix` of (..., M, 1) pair values as a gather, a reshape and
     a product with the off-diagonal mask."""
-    gathered = ad.take(u_pair, pair_gather(n), axis=u_pair.value.ndim - 2)
+    gathered = take(u_pair, pair_gather(n), axis=u_pair.value.ndim - 2)
     return ad.reshape(gathered, u_pair.shape[:-2] + (n, n)) * (1.0 - np.eye(n))
 
 

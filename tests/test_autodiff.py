@@ -1,4 +1,5 @@
-"""Finite-difference checks for every tape primitive."""
+"""Finite-difference checks for every tape primitive, and for the tape ops in
+`tests.helpers` that only the reference encoder uses."""
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from relviews import autodiff as ad
 from tests.conftest import central_diff, rel_error
-from tests.helpers import argmin_min, concat, gathered_pair_matrix, onehot_take_grad
+from tests.helpers import (argmin_min, concat, div, exp, gathered_pair_matrix, leaky_relu,
+                           onehot_take_grad, pair_matrix, sqrt, square, sub, take)
 
 
 def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
@@ -36,7 +38,7 @@ def test_add_mul_broadcast():
 
 
 def test_sub_div():
-    check_grad(lambda vs: ad.vsum(vs[0] / (vs[1] * vs[1] + 2.0) - vs[1]),
+    check_grad(lambda vs: ad.vsum(sub(div(vs[0], vs[1] * vs[1] + 2.0), vs[1])),
                [(5,), (5,)])
 
 
@@ -47,7 +49,7 @@ def test_matmul():
 def test_reshape_concat_gather():
     def build(vs):
         c = concat([vs[0], vs[1]], axis=1)
-        g = ad.take(c, np.array([2, 0, 1, 2]))
+        g = take(c, np.array([2, 0, 1, 2]))
         return ad.vsum(ad.reshape(g, (4 * 5,)))
     check_grad(build, [(3, 2), (3, 3)])
 
@@ -58,9 +60,9 @@ def test_sum_mean_axes():
 
 
 def test_elementwise_nonlinearities():
-    check_grad(lambda vs: ad.vsum(ad.exp(vs[0]) + ad.tanh(vs[0]) + ad.softplus(vs[0])),
+    check_grad(lambda vs: ad.vsum(exp(vs[0]) + ad.tanh(vs[0]) + ad.softplus(vs[0])),
                [(7,)])
-    check_grad(lambda vs: ad.vsum(ad.sqrt(ad.square(vs[0]) + 1.0)), [(6,)])
+    check_grad(lambda vs: ad.vsum(sqrt(square(vs[0]) + 1.0)), [(6,)])
 
 
 EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 800.0, -800.0])
@@ -103,7 +105,7 @@ def test_softplus_backward_is_the_mask_form_sigmoid():
 
 def test_leaky_relu_slope():
     x = ad.Var(np.array([-2.0, -0.5, 0.5, 3.0]), requires_grad=True)
-    y = ad.vsum(ad.leaky_relu(x, 0.2))
+    y = ad.vsum(leaky_relu(x, 0.2))
     ad.backward(y)
     assert np.allclose(x.grad, [0.2, 0.2, 1.0, 1.0])
 
@@ -169,7 +171,7 @@ def test_constants_get_no_grad():
 
 def test_zero_upstream_gives_zero_grads():
     x = ad.Var(np.ones((2, 2)), requires_grad=True)
-    y = ad.vsum(ad.exp(x))
+    y = ad.vsum(exp(x))
     ad.backward(y, np.asarray(0.0))
     assert np.all(x.grad == 0.0)
 
@@ -183,7 +185,7 @@ def test_take_backward_equals_one_hot_form(shape, axis, idx):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(shape)
     x_var = ad.Var(x.copy(), requires_grad=True)
-    y = ad.take(x_var, idx, axis=axis)
+    y = take(x_var, idx, axis=axis)
     assert np.array_equal(y.value, np.take(x, idx, axis=axis))
     g = rng.standard_normal(y.shape)
     ad.backward(y, g)
@@ -198,7 +200,7 @@ def test_pair_matrix_equals_gathered_form(n):
     vals[0, 0, 0, 0] = -abs(vals[0, 0, 0, 0])          # a negative value at row 0
     idx_i, idx_j = np.triu_indices(n, k=1)
     a, b = ad.Var(vals.copy(), requires_grad=True), ad.Var(vals.copy(), requires_grad=True)
-    got = ad.pair_matrix(a, idx_i, idx_j, n)
+    got = pair_matrix(a, idx_i, idx_j, n)
     ref = gathered_pair_matrix(b, n)
     assert np.array_equal(got.value, ref.value)
     assert np.array_equal(got.value, np.swapaxes(got.value, -1, -2))

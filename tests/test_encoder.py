@@ -11,7 +11,8 @@ from relviews.errors import ConfigError, NumericError
 from relviews.graphs import ViewGraph, midpoint_weights, num_pairs, upper_pairs
 from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
-from tests.helpers import concat, encoder_backward, gathered_pair_matrix
+from tests.helpers import (concat, div, encoder_backward, exp, gathered_pair_matrix, graphnorm,
+                           leaky_relu, sub, tape_output, take)
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
@@ -40,10 +41,10 @@ def test_zero_attention_gives_uniform_coefficients():
     params = init_params(cfg, 8, seed=0)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(5, 8, seed=1)
-    tape = enc.forward(params, [g])
+    out = enc.forward(params, [g])
     wh = g.node_features @ params.layers[0].W[0]
     expect = [wh[np.arange(5) != i].mean(axis=0) for i in range(5)]
-    np.testing.assert_allclose(tape.node_out.value[0], expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.value[0], expect, rtol=0, atol=1e-12)
 
 
 def test_permutation_equivariance():
@@ -51,8 +52,8 @@ def test_permutation_equivariance():
     params = init_params(cfg, 6, seed=4)
     g = random_graph(5, 6, seed=5)
     perm = [0, 2, 1, 4, 3]           # swap locals 1<->2 and 3<->4
-    out = enc.forward(params, [g]).node_out.value[0]
-    out_p = enc.forward(params, [permute_graph(g, perm)]).node_out.value[0]
+    out = enc.forward(params, [g]).value[0]
+    out_p = enc.forward(params, [permute_graph(g, perm)]).value[0]
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -60,7 +61,7 @@ def test_output_graph_shapes_and_positivity():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=4, hidden_dim=16)
     params = init_params(cfg, 8, seed=6)
     g = random_graph(6, 8, seed=7)
-    nodes = enc.forward(params, [g]).node_out.value
+    nodes = enc.forward(params, [g]).value
     assert nodes.shape == (1, 6, 16)
     out = ViewGraph(nodes[0], midpoint_weights(nodes[0]))
     assert out.edge_weights.shape == (num_pairs(6),)
@@ -71,8 +72,8 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
     cfg = EncoderConfig(num_layers=2, heads_per_layer=2, hidden_dim=8)
     params = init_params(cfg, 6, seed=8)
     g = random_graph(4, 6, seed=9)
-    tape = enc.forward(params, [g])
-    grads = encoder_backward(tape, np.zeros(tape.node_out.shape))
+    out = enc.forward(params, [g])
+    grads = encoder_backward(params, out, np.zeros(out.shape))
     assert all(np.all(v == 0.0) for v in grads.values())
 
 
@@ -83,9 +84,9 @@ def test_single_linear_layer_hand_gradient():
     params = init_params(cfg, 3, seed=10)
     params.layers[0].a[0][...] = 0.0
     g = random_graph(4, 3, seed=11)
-    tape = enc.forward(params, [g])
+    out = enc.forward(params, [g])
     params.zero_grads()
-    encoder_backward(tape, np.ones(tape.node_out.shape))
+    encoder_backward(params, out, np.ones(out.shape))
     x = g.node_features
     acc = np.zeros((3, 3))
     for i in range(4):
@@ -102,10 +103,10 @@ def test_gradients_match_finite_differences():
     rn = rng.standard_normal((1, 4, 8))
 
     def loss_value():
-        return float((enc.forward(params, [g]).node_out.value * rn).sum())
+        return float((enc.forward(params, [g]).value * rn).sum())
 
     params.zero_grads()
-    encoder_backward(enc.forward(params, [g]), rn)
+    encoder_backward(params, enc.forward(params, [g]), rn)
 
     checked = 0
     for name, arr in params.named_tensors():
@@ -174,8 +175,8 @@ def test_forward_deterministic():
     cfg = EncoderConfig()
     params = init_params(cfg, 16, seed=20)
     g = random_graph(9, 16, seed=21)
-    a = enc.forward(params, [g]).node_out.value
-    b = enc.forward(params, [g]).node_out.value
+    a = enc.forward(params, [g]).value
+    b = enc.forward(params, [g]).value
     assert np.array_equal(a, b)
 
 
@@ -186,8 +187,7 @@ def concat_forward(params, graphs):
     n, b, heads = graphs[0].num_views, len(graphs), cfg.heads_per_layer
     idx_i, idx_j = upper_pairs(n)
     offdiag, diag_neg = 1.0 - np.eye(n), np.where(np.eye(n) > 0, enc._NEG, 0.0)
-    pvars = [{key: None if arr is None else ad.Var(arr, requires_grad=True)
-              for key, arr in vars(layer).items()} for layer in params.layers]
+    pvars = params.by_layer(params.leaves(True))
     h = ad.constant(np.stack([g.node_features for g in graphs]))
     weights = np.stack([g.edge_weights for g in graphs])
     e = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))
@@ -196,30 +196,30 @@ def concat_forward(params, graphs):
         pv = pvars[li]
         Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])
         a_src, a_dst, a_edge = (
-            ad.reshape(ad.take(pv["a"], np.arange(k * head_dim, (k + 1) * head_dim), axis=1),
+            ad.reshape(take(pv["a"], np.arange(k * head_dim, (k + 1) * head_dim), axis=1),
                        (heads, head_dim, 1)) for k in range(3))
         s = ad.matmul(Wh, a_src)
         t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))
         eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
         u_pair = ad.matmul(eP, a_edge)
         u_mat = gathered_pair_matrix(u_pair, n)
-        logits = ad.leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
-        ex = ad.exp(logits - logits.value.max(axis=-1, keepdims=True)) * offdiag
-        alpha = ex / ad.vsum(ex, axis=-1, keepdims=True)
+        logits = leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
+        ex = exp(sub(logits, logits.value.max(axis=-1, keepdims=True))) * offdiag
+        alpha = div(ex, ad.vsum(ex, axis=-1, keepdims=True))
         head_out = ad.matmul(alpha, Wh)
         if li == cfg.num_layers - 1:
             h = ad.vsum(head_out, axis=1) * (1.0 / heads)
         else:
             h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
-            h = enc._graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
-                               pv["norm_shift"], cfg.norm_eps)
+            h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
+                          pv["norm_shift"], cfg.norm_eps)
         if updates:
-            zi = ad.take(h, idx_i, axis=1)
-            zj = ad.take(h, idx_j, axis=1)
+            zi = take(h, idx_i, axis=1)
+            zj = take(h, idx_j, axis=1)
             fwd_ord = ad.matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
             rev_ord = ad.matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
             e = ad.softplus((fwd_ord + rev_ord) * 0.5)
-    return enc.EncoderTape(params, pvars, h)
+    return tape_output(params, pvars, h, True)
 
 
 def assert_close_rel(actual, expect, rtol):
@@ -237,13 +237,13 @@ def test_forward_and_gradients_match_concat_form(cfg, in_dim):
     params = init_params(cfg, in_dim, seed=22)
     graphs = [random_graph(6, in_dim, seed=23 + k) for k in range(3)]
     rng = np.random.default_rng(24)
-    tape = enc.forward(params, graphs)
+    out = enc.forward(params, graphs)
     ref = concat_forward(params, graphs)
-    assert_close_rel(tape.node_out.value, ref.node_out.value, 1e-12)
+    assert_close_rel(out.value, ref.value, 1e-12)
 
-    node_g = rng.standard_normal(tape.node_out.shape)
-    grads = encoder_backward(tape, node_g)
-    ref_grads = encoder_backward(ref, node_g)
+    node_g = rng.standard_normal(out.shape)
+    grads = encoder_backward(params, out, node_g)
+    ref_grads = encoder_backward(params, ref, node_g)
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert_close_rel(g, ref_grads[name], 1e-10)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relviews import autodiff as ad
 from relviews import encoder as enc
 from relviews import synth, training
 from relviews.cli import main
@@ -15,7 +16,8 @@ from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
-from tests.helpers import PerTensorAdam, encoder_backward
+from tests.helpers import (PerTensorAdam, assert_steps_agree, encoder_backward, one_step,
+                           tape_forward)
 
 TINY_SYNTH = synth.SynthConfig(num_classes=3, instances_per_class=20, views_per_instance=4,
                                feature_dim=8, concept_count_per_class=2, seed=0)
@@ -38,29 +40,94 @@ def tiny_split(noise_rate=0.0):
 def test_batch_outputs_bit_identical_to_batch_of_one():
     params = init_params(EncoderConfig(), 8, seed=1)
     graphs = random_batch(8, seed=2)
-    nodes = enc.forward(params, graphs, want_grad=False).node_out.value
+    nodes = enc.forward(params, graphs, want_grad=False).value
     for b, g in enumerate(graphs):
-        one = enc.forward(params, [g], want_grad=False).node_out.value
+        one = enc.forward(params, [g], want_grad=False).value
         assert np.array_equal(nodes[b], one[0])
 
 
 def test_batched_gradients_equal_sum_of_single_graph_gradients():
     params = init_params(EncoderConfig(heads_per_layer=2, hidden_dim=8), 8, seed=3)
     graphs = random_batch(8, seed=4)
-    tape = enc.forward(params, graphs)
+    out = enc.forward(params, graphs)
     rng = np.random.default_rng(5)
-    rn = rng.standard_normal(tape.node_out.shape)
+    rn = rng.standard_normal(out.shape)
     params.zero_grads()
-    batched = encoder_backward(tape, rn)
+    batched = encoder_backward(params, out, rn)
     summed = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     for b, g in enumerate(graphs):
         one = enc.forward(params, [g])
-        for name, grad in encoder_backward(one, rn[b:b + 1]).items():
+        for name, grad in encoder_backward(params, one, rn[b:b + 1]).items():
             summed[name] += grad
     for name, grad in batched.items():
         scale = np.abs(summed[name]).max()
         assert scale > 0, name
         assert np.abs(grad - summed[name]).max() <= 1e-12 * scale, name
+
+
+# one-step harness settings: (SynthConfig fields, encoder) and ablations
+HARNESS_SETTINGS = {
+    "default": ({}, EncoderConfig()),
+    "classes16": ({"num_classes": 16}, EncoderConfig()),
+    "layers3": ({}, EncoderConfig(num_layers=3)),
+    "no_edge_update": ({}, EncoderConfig(edge_update=False)),
+    "in_dim12": ({"feature_dim": 12}, EncoderConfig()),
+}
+HARNESS_ABLATIONS = {
+    "tr_on": AblationConfig(),
+    "tr_off": AblationConfig(transitivity_recovery=False),
+    "pd_off": AblationConfig(proxy_as_graph=False),
+    "cg_off": AblationConfig(use_complementarity_graph=False),
+}
+
+
+def harness_case(setting: str, ablation: str, seed: int):
+    """A model with random parameters and the proxies of a first batch's
+    classes, and a second batch of 8 instances: (model, graphs, labels)."""
+    synth_fields, enc_cfg = HARNESS_SETTINGS[setting]
+    ds = synth.generate(synth.SynthConfig(instances_per_class=3, noise_rate=0.5, seed=seed,
+                                          **synth_fields))
+    cfg = TrainConfig(encoder=enc_cfg, ablations=HARNESS_ABLATIONS[ablation], seed=seed)
+    graphs = training._input_graphs(cfg, ds)
+    labels = np.array([inst.label for inst in ds.instances])
+    params = init_params(enc_cfg, ds.config.feature_dim, seed=seed)
+    head = CostHead(enc_cfg.hidden_dim, cfg.cost_head_hidden, seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    for store in (params, head):     # away from the initial values' symmetries
+        store.buffer += rng.normal(scale=0.1, size=store.buffer.shape)
+    model = TrainedModel(cfg, ds.config.feature_dim, params, head)
+    order = rng.permutation(len(graphs))
+    first, batch = order[:4], order[4:12]
+    nodes = enc.forward(params, [graphs[i] for i in first], False).value
+    training._update_proxies(model, {int(c): nodes[labels[first] == c]
+                                     for c in np.unique(labels[first])}, cfg, 0.0)
+    return model, [graphs[i] for i in batch], labels[batch].tolist()
+
+
+@pytest.mark.parametrize("ablation", list(HARNESS_ABLATIONS))
+@pytest.mark.parametrize("setting", list(HARNESS_SETTINGS))
+def test_one_step_matches_the_tape_encoder(setting, ablation):
+    # the closed-form encoder backward against the encoder as tape ops, over
+    # 5 seeds: bit-identical node embeddings, the same decisions, and loss,
+    # gradient buffers and proxies within 1e-12 relative
+    for seed in range(5):
+        model, graphs, labels = harness_case(setting, ablation, seed)
+        assert np.array_equal(enc.forward(model.params, graphs, False).value,
+                              tape_forward(model.params, graphs, False).value)
+        ref = one_step(model, graphs, labels, tape_forward)
+        assert_steps_agree(one_step(model, graphs, labels), ref)
+
+
+def test_one_step_harness_flags_a_gradient_off_by_1e_9():
+    model, graphs, labels = harness_case("default", "tr_on", 0)
+
+    def skewed(params, graphs, want_grad):
+        out = enc.forward(params, graphs, want_grad)
+        return ad.Var(out.value, requires_grad=True,
+                      backward=lambda g: out._backward(g * (1.0 + 1e-9)))
+    ref = one_step(model, graphs, labels)
+    with pytest.raises(AssertionError, match="grad encoder"):
+        assert_steps_agree(one_step(model, graphs, labels, skewed), ref)
 
 
 def test_mixed_node_counts_are_refused():
