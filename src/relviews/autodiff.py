@@ -1,21 +1,24 @@
-"""Minimal reverse-mode tape over numpy arrays.
+"""A minimal reverse-mode tape over numpy arrays, and the closed forms its
+nodes share.
 
-Deliberately not a general autodiff framework: only the vectorized ops the
-cost head, the edit-distance table and the mean-pool matching need. The
-graph encoder computes its own gradient in closed form and enters a tape as
-one Var with no parents, whose backward fn writes its parameter gradients
-(`encoder.forward`); the anchor loss enters the same way with one parent.
-The distance table works on stacks of same-size graphs, so `matmul`,
-`reshape`, `transpose` and the reductions accept leading batch axes. Values
-are float64 throughout; gradients are accumulated on leaf Vars created with
-``requires_grad=True``.
+A training step's tape has three nodes, each with a closed-form backward:
+the graph encoder (`encoder.forward`, no parents; its backward fn adds the
+encoder's parameter gradients), the distance table over the encoder's
+output (`hed.hed_values_multi`, or the ablations' mean-pool matching in
+`training`; its backward fn adds the cost head's gradients) and the anchor
+loss over the table (`training`). Without a gradient none of them builds a
+Var: each returns plain arrays. `backward` runs the tape once per step.
 
 A node's gradient is the first array handed to it, then the sum `grad + g`
 per further contribution, in tape order. No gradient is ever updated in
 place, so a backward fn may hand one array to several parents, or return a
-view of its upstream gradient, without a copy. `FlatParams` packs a
-model part's parameter tensors into one buffer, so optimizers and checks
-run once per buffer, and binds them to leaf Vars for a pass.
+view of its upstream gradient, without a copy.
+
+`pairwise_l2` and `pairwise_l2_grad` are the Euclidean distance table and
+its closed-form gradient, which both distance tables use. `FlatParams`
+packs a model part's parameter tensors into one buffer, so optimizers and
+checks run once per buffer, and closed-form backwards add into its
+`grad_buffer`. Values are float64 throughout.
 """
 from __future__ import annotations
 
@@ -24,10 +27,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 __all__ = [
-    "Var", "constant", "backward",
-    "matmul", "reshape", "transpose", "vsum", "vmean", "tanh", "softplus",
-    "pairwise_l2", "reduce_min", "where_select", "flat_views",
-    "FlatParams", "fan_in_uniform",
+    "Var", "backward", "pairwise_l2", "pairwise_l2_grad",
+    "flat_views", "FlatParams", "fan_in_uniform",
 ]
 
 
@@ -86,28 +87,10 @@ class FlatParams:
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite parameter tensor {name}")
 
-    def leaves(self, want_grad: bool) -> list[Var]:
-        """One leaf Var per stored tensor, over its view of `buffer`."""
-        return [Var(t, requires_grad=want_grad) for t in self.tensors]
-
-    def accumulate(self, leaves: list[Var]) -> None:
-        """Add the gradients of `leaves`' finished backward pass to `grad_buffer`."""
-        for grad, v in zip(self.tensor_grads, leaves, strict=True):
-            if v.grad is not None:
-                grad += v.grad
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum out axes that were broadcast so grad matches the original shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, size in enumerate(shape):
-        if size == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad.reshape(shape)
-
 
 class Var:
+    """A tape node: a value, the gradient handed to it, and a backward fn
+    from that gradient to one gradient per parent (None for no gradient)."""
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
@@ -124,90 +107,6 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return _add(self, _wrap(other))
-
-    def __mul__(self, other):
-        return _mul(self, _wrap(other))
-
-
-def constant(value) -> Var:
-    return Var(value, requires_grad=False)
-
-
-def _wrap(x) -> Var:
-    return x if isinstance(x, Var) else Var(x, requires_grad=False)
-
-
-def _node(value, parents, backward) -> Var:
-    rg = any(p.requires_grad for p in parents)
-    if not rg:
-        return Var(value, requires_grad=False)
-    return Var(value, requires_grad=True, parents=parents, backward=backward)
-
-
-def _add(a: Var, b: Var) -> Var:
-    def bk(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-    return _node(a.value + b.value, (a, b), bk)
-
-
-def _mul(a: Var, b: Var) -> Var:
-    def bk(g):
-        return _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)
-    return _node(a.value * b.value, (a, b), bk)
-
-
-def matmul(a: Var, b: Var) -> Var:
-    """Matrix product of (..., n, k) and (..., k, p) with broadcast batch axes."""
-    def bk(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
-    return _node(a.value @ b.value, (a, b), bk)
-
-
-def reshape(a: Var, shape) -> Var:
-    old = a.shape
-
-    def bk(g):
-        return (g.reshape(old),)
-    return _node(a.value.reshape(shape), (a,), bk)
-
-
-def transpose(a: Var, axes) -> Var:
-    inverse = np.argsort(axes)
-
-    def bk(g):
-        return (g.transpose(inverse),)
-    return _node(a.value.transpose(axes), (a,), bk)
-
-
-def vsum(a: Var, axis=None, keepdims=False) -> Var:
-    def bk(g):
-        if axis is None:
-            return (np.full_like(a.value, 1.0) * g,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), bk)
-
-
-def vmean(a: Var, axis: int, keepdims=False) -> Var:
-    count = a.shape[axis]
-
-    def bk(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy() / count,)
-    return _node(a.value.mean(axis=axis, keepdims=keepdims), (a,), bk)
-
-
-def tanh(a: Var) -> Var:
-    val = np.tanh(a.value)
-
-    def bk(g):
-        return (g * (1.0 - val * val),)
-    return _node(val, (a,), bk)
-
 
 def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Logistic function of x from z = exp(-|x|) <= 1, so neither branch overflows."""
@@ -216,87 +115,44 @@ def _sigmoid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def softplus(a: Var) -> Var:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow;
-    the backward's sigmoid reuses exp(-|x|)."""
-    x = a.value
-    z = np.exp(-np.abs(x))
-
-    def bk(g):
-        return (g * _sigmoid(x, z),)
-    return _node(np.maximum(x, 0.0) + np.log1p(z), (a,), bk)
-
-
 # `pairwise_l2` distances at most this many eps times |u| + |v| are rounding noise
 _ROUNDING = 64 * np.finfo(np.float64).eps
 
 
-def pairwise_l2(u: Var, v: Var, where: np.ndarray | None = None) -> Var:
+def pairwise_l2(u: np.ndarray, v: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     """All-pairs Euclidean distances, (..., m, d) x (p, d) -> (..., m, p).
 
-    Exact forward via explicit differences; the backward uses the closed
-    form dU = diag(W 1) u - W v with W = g / dist. W is 0, subgradient 0,
-    where dist <= 64 eps (|u| + |v|): there u - v is rounding noise, and
-    g / dist would send a unit-norm gradient along it. With a boolean
-    `where` shaped like the result, only the entries where it is true are
-    computed, gathered flat with the same arithmetic per entry, and every
-    other entry is +inf. Each computed entry is then bit-identical to the
-    full table's, and W = g / inf = 0 at the rest.
+    Exact, via explicit differences. With a boolean `where` shaped like the
+    result, only the entries where it is true are computed, gathered flat
+    with the same arithmetic per entry, and every other entry is +inf. Each
+    computed entry is then bit-identical to the full table's.
     """
     if where is None:
-        diff = u.value[..., :, None, :] - v.value
-        val = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
-    else:
-        p, d = v.shape
-        flat = np.flatnonzero(where)
-        row, col = np.divmod(flat, p)
-        diff = np.take(u.value.reshape(-1, d), row, axis=0)
-        diff -= np.take(v.value, col, axis=0)
-        val = np.full(where.shape, np.inf)
-        np.put(val, flat, np.sqrt(np.square(diff, out=diff).sum(axis=-1)))
-
-    def bk(g):
-        norm_u = np.sqrt(np.square(u.value).sum(axis=-1))[..., None]
-        noise = val <= _ROUNDING * (norm_u + np.sqrt(np.square(v.value).sum(axis=-1)))
-        w = np.where(noise, 0.0, g / np.where(noise, 1.0, val))
-        gu = w.sum(axis=-1)[..., None] * u.value - w @ v.value if u.requires_grad else None
-        gv = None
-        if v.requires_grad:
-            w2 = w.reshape(-1, w.shape[-1])
-            gv = w2.sum(axis=0)[:, None] * v.value - w2.T @ u.value.reshape(-1, v.shape[-1])
-        return gu, gv
-    return _node(val, (u, v), bk)
+        diff = u[..., :, None, :] - v
+        return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+    p, d = v.shape
+    flat = np.flatnonzero(where)
+    row, col = np.divmod(flat, p)
+    diff = np.take(u.reshape(-1, d), row, axis=0)
+    diff -= np.take(v, col, axis=0)
+    val = np.full(where.shape, np.inf)
+    np.put(val, flat, np.sqrt(np.square(diff, out=diff).sum(axis=-1)))
+    return val
 
 
-def reduce_min(a: Var, axis: int) -> Var:
-    """Min along an axis; gradient flows only to the recorded argmin slots.
+def pairwise_l2_grad(g: np.ndarray, dist: np.ndarray, u: np.ndarray,
+                     v: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. u of sum(g * dist), dist = `pairwise_l2(u, v)`.
 
-    An input that needs no gradient records no argmin: its minimum is
-    `min(axis)`, equal to the value at the argmin, NaN included, except that
-    a row holding both zeros may give -0.0 where the argmin gives +0.0, or
-    the reverse. No caller feeds -0.0: every one passes distances, square
-    roots of sums of squares."""
-    if not a.requires_grad:
-        return Var(a.value.min(axis=axis))
-    arg = a.value.argmin(axis=axis)
-    val = np.take_along_axis(a.value, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
-
-    def bk(g):
-        out = np.zeros_like(a.value)
-        np.put_along_axis(out, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
-        return (out,)
-    v = _node(val, (a,), bk)
-    return v
-
-
-def where_select(cond: np.ndarray, a: Var, b: Var) -> Var:
-    """Elementwise pick from a where cond else b; cond is a detached mask."""
-    cond = np.asarray(cond, dtype=bool)
-
-    def bk(g):
-        return (_unbroadcast(np.where(cond, g, 0.0), a.shape),
-                _unbroadcast(np.where(cond, 0.0, g), b.shape))
-    return _node(np.where(cond, a.value, b.value), (a, b), bk)
+    The closed form dU = diag(W 1) u - W v with W = g / dist. W is 0,
+    subgradient 0, where dist <= 64 eps (|u| + |v|): there u - v is rounding
+    noise, and g / dist would send a unit-norm gradient along it. An entry
+    left at +inf by `where` gets W = g / inf = 0.
+    """
+    norm_u = np.sqrt(np.square(u).sum(axis=-1))[..., None]
+    noise = dist <= _ROUNDING * (norm_u + np.sqrt(np.square(v).sum(axis=-1)))
+    w = np.where(noise, 0.0, g / np.where(noise, 1.0, dist))
+    return w.sum(axis=-1)[..., None] * u - w @ v
 
 
 def _toposort(root: Var) -> list[Var]:

@@ -32,6 +32,7 @@ endpoints. Both agree with the unfactored forms up to rounding.
 The encoder is one node of the autodiff tape. The forward runs in plain
 numpy and returns the (B, N, hidden) output as one Var with no parents;
 its backward fn adds every encoder gradient into `params.grad_buffer`.
+Without `want_grad` it returns the array and builds no Var.
 As generic tape ops the encoder took about 100 nodes per training step,
 each with a closure and a gradient array, and their backwards summed
 broadcast axes one at a time. With `want_grad` the forward keeps, per
@@ -215,7 +216,7 @@ class _Saved:
     z: np.ndarray | None = None          # (B, M, hidden): exp(-|x|)
 
 
-def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) -> Var:
+def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
     """Propagate a batch of same-size graphs through all attention layers.
 
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
@@ -223,8 +224,9 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
     concatenated (hidden) or averaged (final). f_ij starts as the edge
     weight; a hidden layer with the edge update refreshes it through a
     softplus, so it stays non-negative. Returns the final node embeddings,
-    (B, N, hidden) in input order, as one Var; with `want_grad` its backward
-    adds the gradient of every encoder tensor into `params.grad_buffer`.
+    (B, N, hidden) in input order: with `want_grad` as one Var, whose
+    backward adds the gradient of every encoder tensor into
+    `params.grad_buffer`, else as an array.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -305,7 +307,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True) 
             saved.append(keep)
 
     if not want_grad:
-        return ad.constant(h)
+        return h
 
     def bk(g):
         _backward(params, saved, g)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .graphs import ExplanationSubgraph, ViewGraph
 from .hed import hed, hed_values_multi
 from .proxies import ProxyGraph
@@ -90,14 +89,13 @@ def _subset_distances(graphs: list[ViewGraph], masks: list[np.ndarray],
     its class proxy; one masked table per (class, node count)."""
     if not graphs:
         raise ValueError("explanation set is empty")
-    bound = head.bind(False)
     out = np.empty((len(graphs), masks[0].shape[0]))
     for (label, _), rows in _rows_by((g.label, g.num_views) for g in graphs).items():
         target = proxies[label].node_centroids
-        table = hed_values_multi(ad.constant(np.stack([graphs[i].node_features for i in rows])),
-                                 ad.constant(target), target.shape[0], bound,
+        table = hed_values_multi(np.stack([graphs[i].node_features for i in rows]),
+                                 target, target.shape[0], head,
                                  keep=np.stack([masks[i] for i in rows]))
-        out[rows] = table.value[:, :, 0]
+        out[rows] = table[:, :, 0]
     return out
 
 

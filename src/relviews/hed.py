@@ -8,10 +8,24 @@ sums, which is what makes the value a lower bound on the exact edit
 distance with full substitution costs, the same deletion/insertion costs
 and the same 1/(2|V|) normalization.
 
-Gradients are subgradients through the recorded argmin structure: only the
-winning branch receives gradient, and a distance within rounding of zero,
-at most 64 eps (|u| + |v|), uses subgradient 0 (`autodiff.pairwise_l2`).
-Ties between deletion and substitution resolve to substitution.
+The table is plain numpy. Without a gradient `hed_values_multi` returns
+its values and keeps nothing. Over the encoder's output Var it returns one
+tape node, whose backward is the closed-form subgradient through the
+minima; the argmins are taken in the backward only, ties to the first
+index:
+- the upstream g is scaled by 1/(2|V|) (per kept row under a mask); a
+  node's term takes g of its class, summed over the rows that keep it, a
+  slot's term g of its row;
+- where deletion or insertion won, that gradient enters the cost head's
+  backward (softplus, then tanh), which adds the head's gradient into its
+  `grad_buffer` and gives the deletion costs' gradient w.r.t. u;
+- elsewhere g/2 goes to the winning entry of a (B*m, C*slots) weight
+  array G: the node's nearest slot of the class, the slot's nearest (kept)
+  node. With W = G / dist, 0 where dist <= 64 eps (|u| + |v|) (rounding
+  noise; `autodiff.pairwise_l2_grad`), the distances' share is
+  g_u = (W 1) * u - W V.
+The targets, the class proxies, are constants: no target gradient is
+computed. Ties between deletion and substitution resolve to substitution.
 
 `hed_values_multi` reads only two minima from its (B, m, C*slots) L2
 table: per node and class over slots, and per slot over nodes. Tables of at
@@ -73,24 +87,32 @@ class CostHead(ad.FlatParams):
     def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
         return list(zip(("cost.W1", "cost.b1", "cost.w2", "cost.b2"), arrays, strict=True))
 
-    def bind(self, want_grad: bool = False) -> "_BoundMlpHead":
-        return _BoundMlpHead(self, want_grad)
+    def forward(self, x: np.ndarray, want_grad: bool = False):
+        """One cost per row of x, shaped like x without its last axis, and
+        what `backward` reads: x, the tanh layer, the softplus input and its
+        exp(-|.|); None without `want_grad`."""
+        h = np.tanh(x @ self.W1 + self.b1)
+        logit = h @ self.w2 + self.b2
+        z = np.exp(-np.abs(logit))
+        costs = (np.maximum(logit, 0.0) + np.log1p(z)).reshape(x.shape[:-1])
+        return costs, ((x, h, logit, z) if want_grad else None)
 
-
-class _BoundMlpHead:
-    def __init__(self, head: CostHead, want_grad: bool):
-        self.head = head
-        self.leaves = head.leaves(want_grad)
-
-    def costs(self, x: Var) -> Var:
-        """One cost per row of x, shaped like x without its last axis."""
-        W1, b1, w2, b2 = self.leaves
-        h = ad.tanh(ad.matmul(x, W1) + b1)
-        out = ad.softplus(ad.matmul(h, w2) + b2)
-        return ad.reshape(out, x.shape[:-1])
-
-    def accumulate(self) -> None:
-        self.head.accumulate(self.leaves)
+    def backward(self, saved, g: np.ndarray) -> np.ndarray:
+        """Add the gradient of sum(g * costs) into `grad_buffer`, for the
+        upstream g shaped like the costs; returns its gradient w.r.t. x."""
+        x, h, logit, z = saved
+        hidden = h.shape[-1]
+        g_logit = ad._sigmoid(logit, z)                              # softplus
+        g_logit *= g[..., None]
+        g_pre = g_logit @ self.w2.T
+        g_pre *= 1.0 - h * h                                         # tanh
+        g_W1, g_b1, g_w2, g_b2 = self.tensor_grads
+        flat_logit, flat_pre = g_logit.reshape(-1, 1), g_pre.reshape(-1, hidden)
+        g_w2 += h.reshape(-1, hidden).T @ flat_logit
+        g_b2 += flat_logit.sum(axis=0)
+        g_W1 += x.reshape(-1, x.shape[-1]).T @ flat_pre
+        g_b1 += flat_pre.sum(axis=0)
+        return g_pre @ self.W1.T
 
 
 # ----------------------------------------------------------------- distance
@@ -126,21 +148,25 @@ def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
     return ~far.reshape(b, m, -1)                                 # NaN is never far
 
 
-def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head,
-                     keep: np.ndarray | None = None) -> Var:
-    """Distances of a batch of node sets to several same-size targets in one chain.
+def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
+                     keep: np.ndarray | None = None):
+    """Distances of a batch of node sets to several same-size targets in one table.
 
-    `u_var` is (B, m, d) and `stacked_targets` (C * slots, d); returns the
-    (B, C) Var of HED values. The targets' insertion costs are computed once
-    for the whole batch. Used by the trainer and `evaluate` to score
-    instances against every class proxy.
+    `u` is (B, m, d) and `stacked_targets` (C * slots, d); returns the (B, C)
+    HED values. The targets' insertion costs are computed once for the
+    whole batch. Used by the trainer and `evaluate` to score instances
+    against every class proxy. For an array `u` the result is an array; for
+    the encoder's output Var it is one Var, whose backward fn returns u's
+    gradient and adds the cost head's into `head.grad_buffer`.
 
     With a boolean `keep` (B, S, m), row s of instance b scores the node
     subset keep[b, s] instead, and the result is (B, S, C): the HED of the
     kept nodes alone, up to the order of summation. The explanation metrics
     score every subset of an instance this way from one table.
     """
-    b, m, d = u_var.shape
+    want_grad = isinstance(u, Var)
+    x = u.value if want_grad else u
+    b, m, d = x.shape
     rows = stacked_targets.shape[0]
     if stacked_targets.shape[1] != d:
         raise ConfigError(f"node dims differ: {d} vs {stacked_targets.shape[1]}")
@@ -154,34 +180,59 @@ def hed_values_multi(u_var: Var, stacked_targets: Var, slots: int, bound_head,
                 or not keep.any(axis=2).all()):
             raise ValueError(f"keep must be ({b}, S, {m}) with a kept node in every row")
     count = rows // slots
-    where = (_candidates(u_var.value, stacked_targets.value, slots)
+    where = (_candidates(x, stacked_targets, slots)
              if keep is None and b * m * rows >= SCREEN_MIN_ENTRIES else None)
-    dist = ad.pairwise_l2(u_var, stacked_targets, where)          # (B, m, C*slots)
-    by_class = ad.reshape(dist, (b, m, count, slots))
-    sub_u = ad.reduce_min(by_class, axis=3) * 0.5                 # (B, m, C)
-    del_u = ad.reshape(bound_head.costs(u_var), (b, m, 1))
-    ins_v = ad.reshape(bound_head.costs(stacked_targets), (count, slots))
-    take_del = del_u.value < sub_u.value                          # (B, m, C)
-    cost_u = ad.where_select(take_del, del_u, sub_u)
+    dist = ad.pairwise_l2(x, stacked_targets, where)             # (B, m, C*slots)
+    by_class = dist.reshape(b, m, count, slots)
+    sub_u = by_class.min(axis=3) * 0.5                           # (B, m, C)
+    del_u, del_saved = head.forward(x, want_grad)
+    ins_v, ins_saved = head.forward(stacked_targets, want_grad)
+    del_u, ins_v = del_u.reshape(b, m, 1), ins_v.reshape(count, slots)
+    take_del = del_u < sub_u                                     # (B, m, C)
+    cost_u = np.where(take_del, del_u, sub_u)
     if keep is None:
-        sub_v = ad.reduce_min(by_class, axis=1) * 0.5             # (B, C, slots)
-        sum_u = ad.vsum(cost_u, axis=1)                           # (B, C)
+        by_slot = by_class                                       # (B, m, C, slots)
+        sub_v = by_class.min(axis=1) * 0.5                       # (B, C, slots)
+        sum_u = cost_u.sum(axis=1)                               # (B, C)
         scale = 1.0 / (2.0 * m)
     else:
         # a node's term does not depend on the subset; the kept ones are
         # summed along a contiguous last axis, as `hed` sums them
-        by_node = ad.reshape(ad.transpose(cost_u, (0, 2, 1)), (b, 1, count, m))
-        sum_u = ad.vsum(ad.where_select(keep[:, :, None, :], by_node, ad.constant(0.0)),
-                        axis=3)                                   # (B, S, C)
+        by_node = cost_u.transpose(0, 2, 1).reshape(b, 1, count, m)
+        sum_u = np.where(keep[:, :, None, :], by_node, 0.0).sum(axis=3)    # (B, S, C)
         # a slot's term reads its minimum over the kept nodes only
-        kept = ad.where_select(keep[:, :, :, None, None],
-                               ad.reshape(by_class, (b, 1, m, count, slots)),
-                               ad.constant(np.inf))               # (B, S, m, C, slots)
-        sub_v = ad.reduce_min(kept, axis=2) * 0.5                 # (B, S, C, slots)
+        by_slot = np.where(keep[:, :, :, None, None], by_class.reshape(b, 1, m, count, slots),
+                           np.inf)                               # (B, S, m, C, slots)
+        sub_v = by_slot.min(axis=-3) * 0.5                       # (B, S, C, slots)
         scale = (1.0 / (2.0 * keep.sum(axis=2)))[:, :, None]
-    take_ins = ins_v.value < sub_v.value                          # (B, [S,] C, slots)
-    cost_v = ad.where_select(take_ins, ins_v, sub_v)
-    return (sum_u + ad.vsum(cost_v, axis=-1)) * scale
+    take_ins = ins_v < sub_v                                     # (B, [S,] C, slots)
+    cost_v = np.where(take_ins, ins_v, sub_v)
+    value = (sum_u + cost_v.sum(axis=-1)) * scale
+    if not want_grad:
+        return value
+
+    def bk(g):
+        g = g * scale
+        # each node's term takes the upstream of every row that keeps the node
+        g_u = (np.broadcast_to(g[:, None], (b, m, count)) if keep is None
+               else keep.transpose(0, 2, 1).astype(np.float64) @ g)        # (B, m, C)
+        g_v = np.broadcast_to(g[..., None], take_ins.shape)
+        # a won substitution sends g / 2 to its winning entry of the flat
+        # (B*m, C*slots) table: each node's nearest slot per class, and each
+        # slot's nearest (kept) node
+        row_win = np.arange(b * m * count) * slots + by_class.argmin(axis=3).ravel()
+        node = np.arange(b).reshape((b,) + (1,) * (g_v.ndim - 1)) * m + by_slot.argmin(axis=-3)
+        col_win = node * rows + np.arange(rows).reshape(count, slots)
+        weights = np.concatenate([np.where(take_del, 0.0, g_u).ravel(),
+                                  np.where(take_ins, 0.0, g_v).ravel()]) * 0.5
+        w = np.bincount(np.concatenate([row_win, col_win.ravel()]), weights,
+                        minlength=b * m * rows).reshape(b * m, rows)
+        grad = ad.pairwise_l2_grad(w, dist.reshape(b * m, rows), x.reshape(b * m, d),
+                                   stacked_targets).reshape(b, m, d)
+        grad += head.backward(del_saved, np.where(take_del, g_u, 0.0).sum(axis=2))
+        head.backward(ins_saved, np.where(take_ins, g_v, 0.0).reshape(-1, rows).sum(axis=0))
+        return (grad,)
+    return Var(value, requires_grad=True, parents=(u,), backward=bk)
 
 
 def hed(gs, gp, head) -> HedResult:
@@ -190,18 +241,16 @@ def hed(gs, gp, head) -> HedResult:
     v = _nodes(gp)
     if u.shape[1] != v.shape[1]:
         raise ConfigError(f"node dims differ: {u.shape[1]} vs {v.shape[1]}")
-    head = head.bind(False)
-    u_var, v_var = ad.constant(u), ad.constant(v)
-    dist = ad.pairwise_l2(u_var, v_var)               # (m, p)
-    sub_u = ad.reduce_min(dist, axis=1) * 0.5
-    sub_v = ad.reduce_min(dist, axis=0) * 0.5
-    del_u = head.costs(u_var)
-    ins_v = head.costs(v_var)
-    take_del = del_u.value < sub_u.value              # ties keep substitution
-    take_ins = ins_v.value < sub_v.value
-    cost_u = ad.where_select(take_del, del_u, sub_u)
-    cost_v = ad.where_select(take_ins, ins_v, sub_v)
-    value = (ad.vsum(cost_u) + ad.vsum(cost_v)) * (1.0 / (2.0 * u.shape[0]))
-    return HedResult(float(value.value),
-                     np.where(take_del, -1, dist.value.argmin(axis=1)),
-                     np.where(take_ins, -1, dist.value.argmin(axis=0)))
+    dist = ad.pairwise_l2(u, v)                       # (m, p)
+    sub_u = dist.min(axis=1) * 0.5
+    sub_v = dist.min(axis=0) * 0.5
+    del_u = head.forward(u)[0]
+    ins_v = head.forward(v)[0]
+    take_del = del_u < sub_u                          # ties keep substitution
+    take_ins = ins_v < sub_v
+    cost_u = np.where(take_del, del_u, sub_u)
+    cost_v = np.where(take_ins, ins_v, sub_v)
+    value = (cost_u.sum() + cost_v.sum()) * (1.0 / (2.0 * u.shape[0]))
+    return HedResult(float(value),
+                     np.where(take_del, -1, dist.argmin(axis=1)),
+                     np.where(take_ins, -1, dist.argmin(axis=0)))

@@ -176,33 +176,25 @@ def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,
     if pos_cols.size == 0:
         raise ValueError("batch contains no positive pairs")
 
+    # one (C, B) pass per term over every class: a positive term sums the
+    # class's members, a negative term its non-members; a class with no such
+    # instance has all-zero weights and the log-sum log(1) = 0
     s, delta = cfg.scale, cfg.margin
-    grad = np.zeros_like(h)
-    loss = 0.0
-
-    def logsum_softmax(expo: np.ndarray):
-        """log(1 + sum exp(expo)) and softmax-like weights exp/(1+sum exp)."""
-        mx = max(0.0, float(expo.max()))
-        ex = np.exp(expo - mx)
-        z = np.exp(-mx) + ex.sum()
-        return mx + np.log(z), ex / z
-
-    n_pos_proxies = pos_cols.size
-    for c in pos_cols:
-        rows = np.flatnonzero(pos_mask[:, c])
-        expo = s * (h[rows, c] + delta)      # -s*(sim - delta), sim = -h
-        lval, w = logsum_softmax(expo)
-        loss += lval / n_pos_proxies
-        grad[rows, c] += s * w / n_pos_proxies
-
-    n_proxies = h.shape[1]
-    for c in range(n_proxies):
-        rows = np.flatnonzero(~pos_mask[:, c])
-        if rows.size == 0:
-            continue
-        expo = -s * (h[rows, c] - delta)     # s*(sim + delta)
-        lval, w = logsum_softmax(expo)
-        loss += lval / n_proxies
-        grad[rows, c] += -s * w / n_proxies
-
+    pos_loss, pos_w = _logsum_softmax(s * (h.T + delta), pos_mask.T)
+    neg_loss, neg_w = _logsum_softmax(-s * (h.T - delta), ~pos_mask.T)
+    n_pos_proxies, n_proxies = pos_cols.size, h.shape[1]
+    # a running total over the terms, positive then negative, in class order
+    loss = np.cumsum(np.concatenate([pos_loss / n_pos_proxies, neg_loss / n_proxies]))[-1]
+    grad = (s * pos_w / n_pos_proxies + -s * neg_w / n_proxies).T
     return float(loss), grad
+
+
+def _logsum_softmax(expo: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, log(1 + sum exp(expo)) over the masked entries, and the
+    softmax-like weights exp / (1 + sum exp), 0 off the mask; shifted by
+    max(0, row max) so no exp overflows."""
+    expo = np.where(mask, expo, -np.inf)
+    mx = np.maximum(expo.max(axis=1), 0.0)
+    ex = np.exp(expo - mx[:, None])
+    z = np.exp(-mx) + ex.sum(axis=1)
+    return mx + np.log(z), ex / z[:, None]

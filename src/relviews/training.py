@@ -212,20 +212,20 @@ class TrainedModel:
         src = self.proxies if self.config.ablations.proxy_as_graph else self.proxy_vectors
         return sorted(src)
 
-    def distance_table(self, nodes: Var, bound_head) -> Var:
-        """(B, C) distances of encoded node sets (B, N, d) to every class, id order."""
+    def distance_table(self, nodes):
+        """(B, C) distances of encoded node sets (B, N, d) to every class, id
+        order: an array, or over the encoder's output Var one tape node."""
         ab = self.config.ablations
         ids = self.class_ids()
-        targets = ad.constant(_proxy_targets(self, ids))
+        targets = _proxy_targets(self, ids)
         if ab.proxy_as_graph and ab.transitivity_recovery:
-            return hed_values_multi(nodes, targets, self.proxies[ids[0]].num_slots, bound_head)
-        return ad.pairwise_l2(ad.vmean(nodes, axis=1), targets)
+            return hed_values_multi(nodes, targets, self.proxies[ids[0]].num_slots,
+                                    self.cost_head)
+        return _mean_pool_table(nodes, targets)
 
     def distances(self, srg: ViewGraph) -> np.ndarray:
         """Distance of one encoded instance to every known class, id order."""
-        table = self.distance_table(ad.constant(srg.node_features[None]),
-                                    self.cost_head.bind(False))
-        return table.value[0]
+        return self.distance_table(srg.node_features[None])[0]
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
@@ -326,13 +326,25 @@ class Adam:
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
-        for i, (buf, grad) in enumerate(zip(self.buffers, grads, strict=True)):
-            g = grad + self.weight_decay * buf
-            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
-            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
-            mhat = self.m[i] / b1c
-            vhat = self.v[i] / b2c
-            buf -= lr * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+        # in place, two temporary arrays per buffer; every product and sum
+        # keeps its operands of the textbook form, so the values do not change
+        for buf, grad, m, v in zip(self.buffers, grads, self.m, self.v, strict=True):
+            g = self.weight_decay * buf
+            g += grad
+            t = np.multiply(1.0 - _BETA1, g)
+            m *= _BETA1
+            m += t
+            np.multiply(1.0 - _BETA2, g, out=t)
+            t *= g
+            v *= _BETA2
+            v += t
+            np.divide(v, b2c, out=t)
+            np.sqrt(t, out=t)
+            t += _ADAM_EPS
+            np.divide(m, b1c, out=g)
+            g *= lr
+            g /= t
+            buf -= g
 
 
 def _anchor_loss_var(table: Var, labels, class_ids, cfg: ProxyAnchorConfig) -> Var:
@@ -343,6 +355,22 @@ def _anchor_loss_var(table: Var, labels, class_ids, cfg: ProxyAnchorConfig) -> V
         return (g * dh,)
     return Var(np.asarray(loss), requires_grad=table.requires_grad,
                parents=(table,), backward=bk)
+
+
+def _mean_pool_table(nodes, targets: np.ndarray):
+    """(B, C) distances of each node set's mean to each target, the matching
+    of the TR-off and PD-off ablations: an array, or over a Var one tape
+    node whose backward spreads the mean's closed-form gradient evenly."""
+    x = nodes.value if isinstance(nodes, Var) else nodes
+    mean = x.mean(axis=1)
+    dist = ad.pairwise_l2(mean, targets)
+    if not isinstance(nodes, Var):
+        return dist
+
+    def bk(g):
+        g_mean = ad.pairwise_l2_grad(g, dist, mean, targets)
+        return (np.broadcast_to(g_mean[:, None], x.shape) / x.shape[1],)
+    return Var(dist, requires_grad=True, parents=(nodes,), backward=bk)
 
 
 def _proxy_targets(model: TrainedModel, class_ids: list[int]) -> np.ndarray:
@@ -418,8 +446,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             converged += _update_proxies(model, unseen, cfg, 0.0)
             class_ids = model.class_ids()
 
-            bound = head.bind(True)
-            table = model.distance_table(nodes, bound)
+            table = model.distance_table(nodes)
             loss_var = _anchor_loss_var(table, batch_labels, class_ids, cfg.anchor)
             if not np.isfinite(loss_var.value):
                 raise NumericError(f"loss diverged at epoch {epoch}")
@@ -428,7 +455,6 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
             params.zero_grads()
             head.zero_grads()
             ad.backward(loss_var, np.asarray(1.0))
-            bound.accumulate()
             opt.step([params.grad_buffer, head.grad_buffer], lr)
             params.check_finite()
             head.check_finite()
@@ -466,7 +492,7 @@ def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
 
 
 def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
-    """The (B, N, hidden) node embedding Var of each batch_size chunk, in order."""
+    """The (B, N, hidden) node embeddings of each batch_size chunk, in order."""
     step = model.config.batch_size
     for start in range(0, len(graphs), step):
         yield enc.forward(model.params, graphs[start:start + step], False)
@@ -476,15 +502,14 @@ def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph
     """Relevance graphs for every instance, in dataset order: node embeddings
     and their `midpoint_weights`."""
     graphs = _input_graphs(model.config, dataset)
-    nodes = [x for chunk in _encoded_chunks(model, graphs) for x in chunk.value]
+    nodes = [x for chunk in _encoded_chunks(model, graphs) for x in chunk]
     return [ViewGraph(x, midpoint_weights(x), label=g.label) for x, g in zip(nodes, graphs)]
 
 
 def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:
     """Fraction of input graphs whose nearest proxy matches their label."""
     ids = np.asarray(model.class_ids())
-    bound = model.cost_head.bind(False)
-    preds = [ids[model.distance_table(nodes, bound).value.argmin(axis=1)]
+    preds = [ids[model.distance_table(nodes).argmin(axis=1)]
              for nodes in _encoded_chunks(model, graphs)]
     return int((np.concatenate(preds) == labels).sum()) / len(labels)
 

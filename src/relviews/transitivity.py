@@ -32,18 +32,26 @@ class TransitivityConfig:
             raise ConfigError("gamma_quantile must lie in (0, 1)")
 
     def resolve(self, scores) -> float:
-        if self.gamma is not None:
-            return float(self.gamma)
-        return float(np.quantile(np.asarray(scores, dtype=np.float64),
-                                 self.gamma_quantile))
+        return float(self.resolve_rows(np.ravel(scores)[None])[0])
 
     def resolve_rows(self, scores) -> np.ndarray:
-        """`resolve` of each row of a (B, P) array, bit-identical to B calls:
-        the quantile along an axis interpolates each row the same way."""
+        """The threshold of each row of a (B, P) array: `gamma`, or each row's
+        `gamma_quantile` quantile, bit-identical to numpy's linear method.
+        Like `np.quantile`, it sorts the row, interpolates between the two
+        order statistics around (P - 1) q as a + (b - a) t, or from t = 0.5
+        as b - (b - a)(1 - t), and gives NaN for a row holding a NaN."""
         scores = np.asarray(scores, dtype=np.float64)
         if self.gamma is not None:
             return np.full(scores.shape[0], float(self.gamma))
-        return np.quantile(scores, self.gamma_quantile, axis=1)
+        ranked = np.sort(scores, axis=1)
+        last = ranked.shape[1] - 1
+        pos = last * self.gamma_quantile
+        lo = int(pos)
+        # past the last order statistic numpy's weight is pos + 1 on a == b
+        t = pos - lo if lo < last else pos + 1.0
+        a, b = ranked[:, lo], ranked[:, min(lo + 1, last)]
+        out = a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
+        return np.where(np.isnan(ranked[:, last]), ranked[:, last], out)
 
 
 def emergence_scores(g: ViewGraph) -> np.ndarray:

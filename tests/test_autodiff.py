@@ -1,5 +1,6 @@
-"""Finite-difference checks for every tape primitive, and for the tape ops in
-`tests.helpers` that only the reference encoder uses."""
+"""Checks of the tape's backward and the shared closed forms, and
+finite-difference checks of the generic tape ops in `tests.helpers` that
+the tape oracles use."""
 import warnings
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from relviews import autodiff as ad
 from tests.conftest import central_diff, rel_error
-from tests.helpers import (argmin_min, concat, div, exp, gathered_pair_matrix, leaky_relu,
-                           onehot_take_grad, pair_matrix, sqrt, square, sub, take)
+from tests.helpers import (add, argmin_min, concat, constant, div, exp, gathered_pair_matrix,
+                           leaky_relu, matmul, mul, onehot_take_grad, pair_matrix, pairwise_l2,
+                           reduce_min, reshape, softplus, sqrt, square, sub, take, tanh, vmean,
+                           vsum, where_select)
 
 
 def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
@@ -26,7 +29,7 @@ def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
             def fn(x, ai=ai, idx=idx):
                 vals = [a.copy() for a in arrays]
                 vals[ai] = x
-                return float(build([ad.constant(v) for v in vals]).value)
+                return float(build([constant(v) for v in vals]).value)
 
             fd = central_diff(fn, arr, idx, step)
             an = leaves[ai].grad[idx]
@@ -34,35 +37,35 @@ def check_grad(build, shapes, seed=0, coords=6, step=1e-6, tol=1e-5):
 
 
 def test_add_mul_broadcast():
-    check_grad(lambda vs: ad.vsum(vs[0] * vs[1] + vs[0]), [(3, 4), (4,)])
+    check_grad(lambda vs: vsum(add(mul(vs[0], vs[1]), vs[0])), [(3, 4), (4,)])
 
 
 def test_sub_div():
-    check_grad(lambda vs: ad.vsum(sub(div(vs[0], vs[1] * vs[1] + 2.0), vs[1])),
+    check_grad(lambda vs: vsum(sub(div(vs[0], add(mul(vs[1], vs[1]), 2.0)), vs[1])),
                [(5,), (5,)])
 
 
 def test_matmul():
-    check_grad(lambda vs: ad.vsum(ad.matmul(vs[0], vs[1])), [(3, 4), (4, 2)])
+    check_grad(lambda vs: vsum(matmul(vs[0], vs[1])), [(3, 4), (4, 2)])
 
 
 def test_reshape_concat_gather():
     def build(vs):
         c = concat([vs[0], vs[1]], axis=1)
         g = take(c, np.array([2, 0, 1, 2]))
-        return ad.vsum(ad.reshape(g, (4 * 5,)))
+        return vsum(reshape(g, (4 * 5,)))
     check_grad(build, [(3, 2), (3, 3)])
 
 
 def test_sum_mean_axes():
-    check_grad(lambda vs: ad.vsum(ad.vmean(vs[0], axis=0, keepdims=True) * vs[1]),
+    check_grad(lambda vs: vsum(mul(vmean(vs[0], axis=0, keepdims=True), vs[1])),
                [(4, 3), (1, 3)])
 
 
 def test_elementwise_nonlinearities():
-    check_grad(lambda vs: ad.vsum(exp(vs[0]) + ad.tanh(vs[0]) + ad.softplus(vs[0])),
+    check_grad(lambda vs: vsum(add(add(exp(vs[0]), tanh(vs[0])), softplus(vs[0]))),
                [(7,)])
-    check_grad(lambda vs: ad.vsum(sqrt(square(vs[0]) + 1.0)), [(6,)])
+    check_grad(lambda vs: vsum(sqrt(add(square(vs[0]), 1.0))), [(6,)])
 
 
 EXTREMES = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -710.0, 800.0, -800.0])
@@ -72,7 +75,7 @@ def test_softplus_matches_logaddexp_at_extremes():
     x = np.concatenate([EXTREMES, np.random.default_rng(1).normal(scale=20.0, size=200)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        y = ad.softplus(ad.constant(x)).value
+        y = softplus(constant(x)).value
     np.testing.assert_array_max_ulp(y, np.logaddexp(0.0, x), maxulp=2)
 
 
@@ -99,13 +102,13 @@ def test_softplus_backward_is_the_mask_form_sigmoid():
     x_var = ad.Var(x.copy(), requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ad.backward(ad.softplus(x_var), np.ones_like(x))
+        ad.backward(softplus(x_var), np.ones_like(x))
     assert np.array_equal(x_var.grad, mask_sigmoid(x))
 
 
 def test_leaky_relu_slope():
     x = ad.Var(np.array([-2.0, -0.5, 0.5, 3.0]), requires_grad=True)
-    y = ad.vsum(leaky_relu(x, 0.2))
+    y = vsum(leaky_relu(x, 0.2))
     ad.backward(y)
     assert np.allclose(x.grad, [0.2, 0.2, 1.0, 1.0])
 
@@ -113,7 +116,7 @@ def test_leaky_relu_slope():
 def test_reduce_min_routes_to_argmin():
     vals = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, 0.5]])
     x = ad.Var(vals.copy(), requires_grad=True)
-    y = ad.vsum(ad.reduce_min(x, axis=1))
+    y = vsum(reduce_min(x, axis=1))
     ad.backward(y)
     expect = np.zeros_like(vals)
     expect[0, 1] = 1.0
@@ -136,7 +139,7 @@ def test_no_grad_reduce_min_equals_argmin_form(axis):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, value in cases.items():
-            out = ad.reduce_min(ad.constant(value), axis)
+            out = reduce_min(constant(value), axis)
             expect = argmin_min(value, axis)
             assert not out.requires_grad, name
             np.testing.assert_array_equal(out.value, expect, err_msg=name)
@@ -147,7 +150,7 @@ def test_where_select_routes_by_mask():
     a = ad.Var(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     b = ad.Var(np.array([10.0, 20.0, 30.0]), requires_grad=True)
     cond = np.array([True, False, True])
-    y = ad.vsum(ad.where_select(cond, a, b))
+    y = vsum(where_select(cond, a, b))
     ad.backward(y)
     assert np.array_equal(a.grad, [1.0, 0.0, 1.0])
     assert np.array_equal(b.grad, [0.0, 1.0, 0.0])
@@ -155,15 +158,15 @@ def test_where_select_routes_by_mask():
 
 def test_grad_accumulates_over_reuse():
     x = ad.Var(np.array([2.0]), requires_grad=True)
-    y = x * x + x * 3.0
+    y = add(mul(x, x), mul(x, 3.0))
     ad.backward(y)
     assert np.allclose(x.grad, [2 * 2.0 + 3.0])
 
 
 def test_constants_get_no_grad():
-    c = ad.constant(np.ones(3))
+    c = constant(np.ones(3))
     x = ad.Var(np.ones(3), requires_grad=True)
-    y = ad.vsum(c * x)
+    y = vsum(mul(c, x))
     ad.backward(y)
     assert c.grad is None
     assert np.allclose(x.grad, 1.0)
@@ -171,7 +174,7 @@ def test_constants_get_no_grad():
 
 def test_zero_upstream_gives_zero_grads():
     x = ad.Var(np.ones((2, 2)), requires_grad=True)
-    y = ad.vsum(exp(x))
+    y = vsum(exp(x))
     ad.backward(y, np.asarray(0.0))
     assert np.all(x.grad == 0.0)
 
@@ -213,9 +216,9 @@ def test_pair_matrix_equals_gathered_form(n):
 
 @pytest.mark.parametrize("build, grad_a, grad_b", [
     # y's backward hands one array to a and b, whose grads then grow again
-    (lambda a, b: (a + b) * a + (a + b) * b, [3.5, 2.0], [3.5, 2.0]),
+    (lambda a, b: add(mul(add(a, b), a), mul(add(a, b), b)), [3.5, 2.0], [3.5, 2.0]),
     # z's backward hands one array to y and a as their first grads
-    (lambda a, b: (a + b) + a, [2.0, 2.0], [1.0, 1.0]),
+    (lambda a, b: add(add(a, b), a), [2.0, 2.0], [1.0, 1.0]),
 ], ids=["shared_then_summed", "shared_first_grad"])
 def test_shared_gradient_arrays_accumulate_exactly(build, grad_a, grad_b):
     a = ad.Var(np.array([1.5, -2.0]), requires_grad=True)
@@ -241,7 +244,10 @@ def test_pairwise_l2_gradient_rows_stay_bounded_near_zero(gap):
     grads = []
     for seed in (g, g0):
         u_var, v_var = ad.Var(u.copy(), requires_grad=True), ad.Var(v.copy(), requires_grad=True)
-        ad.backward(ad.pairwise_l2(u_var, v_var), seed)
+        dist = pairwise_l2(u_var, v_var)
+        ad.backward(dist, seed)
+        # the tables' closed form is the tape's u gradient
+        assert np.array_equal(ad.pairwise_l2_grad(seed, dist.value, u, v), u_var.grad)
         grads.append((u_var.grad, v_var.grad))
     (gu, gv), (gu0, gv0) = grads
     assert np.all(np.linalg.norm(gu, axis=1) <= np.abs(g).sum(axis=1) * (1 + 1e-9))

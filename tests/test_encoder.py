@@ -3,7 +3,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from relviews import autodiff as ad
 from relviews import checkpoint as ckpt
 from relviews import encoder as enc
 from relviews.encoder import EncoderConfig, distinguishability, init_params
@@ -11,8 +10,9 @@ from relviews.errors import ConfigError, NumericError
 from relviews.graphs import ViewGraph, midpoint_weights, num_pairs, upper_pairs
 from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
-from tests.helpers import (concat, div, encoder_backward, exp, gathered_pair_matrix, graphnorm,
-                           leaky_relu, sub, tape_output, take)
+from tests.helpers import (add, concat, constant, div, encoder_backward, exp,
+                           gathered_pair_matrix, graphnorm, leaky_relu, matmul, mul, param_leaves,
+                           reshape, softplus, sub, tape_output, take, transpose, vsum)
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
@@ -187,38 +187,38 @@ def concat_forward(params, graphs):
     n, b, heads = graphs[0].num_views, len(graphs), cfg.heads_per_layer
     idx_i, idx_j = upper_pairs(n)
     offdiag, diag_neg = 1.0 - np.eye(n), np.where(np.eye(n) > 0, enc._NEG, 0.0)
-    pvars = params.by_layer(params.leaves(True))
-    h = ad.constant(np.stack([g.node_features for g in graphs]))
+    pvars = params.by_layer(param_leaves(params))
+    h = constant(np.stack([g.node_features for g in graphs]))
     weights = np.stack([g.edge_weights for g in graphs])
-    e = ad.constant(np.repeat(weights[..., None], params.in_dim, axis=2))
+    e = constant(np.repeat(weights[..., None], params.in_dim, axis=2))
     for li, (node_in, head_dim, edge_in, updates) in enumerate(
             enc._layer_dims(cfg, params.in_dim)):
         pv = pvars[li]
-        Wh = ad.matmul(ad.reshape(h, (b, 1, n, node_in)), pv["W"])
+        Wh = matmul(reshape(h, (b, 1, n, node_in)), pv["W"])
         a_src, a_dst, a_edge = (
-            ad.reshape(take(pv["a"], np.arange(k * head_dim, (k + 1) * head_dim), axis=1),
+            reshape(take(pv["a"], np.arange(k * head_dim, (k + 1) * head_dim), axis=1),
                        (heads, head_dim, 1)) for k in range(3))
-        s = ad.matmul(Wh, a_src)
-        t = ad.reshape(ad.matmul(Wh, a_dst), (b, heads, 1, n))
-        eP = ad.matmul(ad.reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
-        u_pair = ad.matmul(eP, a_edge)
+        s = matmul(Wh, a_src)
+        t = reshape(matmul(Wh, a_dst), (b, heads, 1, n))
+        eP = matmul(reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
+        u_pair = matmul(eP, a_edge)
         u_mat = gathered_pair_matrix(u_pair, n)
-        logits = leaky_relu(s + t + u_mat, cfg.leaky_slope) + diag_neg
-        ex = exp(sub(logits, logits.value.max(axis=-1, keepdims=True))) * offdiag
-        alpha = div(ex, ad.vsum(ex, axis=-1, keepdims=True))
-        head_out = ad.matmul(alpha, Wh)
+        logits = add(leaky_relu(add(add(s, t), u_mat), cfg.leaky_slope), diag_neg)
+        ex = mul(exp(sub(logits, logits.value.max(axis=-1, keepdims=True))), offdiag)
+        alpha = div(ex, vsum(ex, axis=-1, keepdims=True))
+        head_out = matmul(alpha, Wh)
         if li == cfg.num_layers - 1:
-            h = ad.vsum(head_out, axis=1) * (1.0 / heads)
+            h = mul(vsum(head_out, axis=1), 1.0 / heads)
         else:
-            h = ad.reshape(ad.transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
+            h = reshape(transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
             h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
                           pv["norm_shift"], cfg.norm_eps)
         if updates:
             zi = take(h, idx_i, axis=1)
             zj = take(h, idx_j, axis=1)
-            fwd_ord = ad.matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
-            rev_ord = ad.matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
-            e = ad.softplus((fwd_ord + rev_ord) * 0.5)
+            fwd_ord = matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
+            rev_ord = matmul(concat([zj, zi, e], axis=2), pv["edge_U"])
+            e = softplus(mul(add(fwd_ord, rev_ord), 0.5))
     return tape_output(params, pvars, h, True)
 
 

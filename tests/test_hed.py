@@ -7,7 +7,7 @@ from relviews import autodiff as ad
 from relviews.errors import ConfigError
 from relviews.hed import CostHead, hed, hed_values_multi
 from tests.conftest import central_diff, rel_error
-from tests.helpers import ConstantCostHead, LinearCostHead, exact_ged
+from tests.helpers import (ConstantCostHead, LinearCostHead, exact_ged, tape_hed, tape_table)
 
 # the module, not the `relviews.hed` function the package exports
 hed_module = importlib.import_module("relviews.hed")
@@ -62,7 +62,7 @@ def test_value_recomputable_from_assignments():
     v = rng.standard_normal((5, 6))
     head = CostHead(6, seed=3)
     res = hed(u, v, head)
-    du, iv = (head.bind(False).costs(ad.constant(x)).value for x in (u, v))
+    du, iv = (head.forward(x)[0] for x in (u, v))
     total = 0.0
     for i, a in enumerate(res.forward_assignment):
         total += du[i] if a < 0 else np.linalg.norm(u[i] - v[a]) / 2.0
@@ -105,7 +105,7 @@ def test_added_nodes_raise_the_unnormalized_distance_by_at_most_their_deletion_c
         head = CostHead(d, hidden=int(rng.integers(1, 8)), seed=draw)
         before = 2 * m * hed(g, proxy, head).value
         after = 2 * (m + k) * hed(np.vstack([g, extra]), proxy, head).value
-        bound = before + head.bind(False).costs(ad.constant(extra)).value.sum()
+        bound = before + head.forward(extra)[0].sum()
         assert after - bound <= 1e-12 * bound, draw
 
 
@@ -157,25 +157,29 @@ def test_dim_mismatch_and_empty_errors():
         hed(np.zeros((0, 3)), np.zeros((2, 3)), ConstantCostHead(1.0))
 
 
-def multi_grads(u, targets, slots, head, seed):
-    """hed_values_multi table and the gradients of sum(seed * table) w.r.t. the
-    instances, the stacked targets and, for a CostHead, its tensors."""
+def multi_grads(u, targets, slots, head, seed, table=tape_table):
+    """A distance table and the gradients of sum(seed * table) w.r.t. the
+    instances, the stacked targets (the tape oracle alone computes them;
+    None for the closed form) and, for a CostHead, its tensors."""
     u_var = ad.Var(u.copy(), requires_grad=True)
     t_var = ad.Var(targets.copy(), requires_grad=True)
-    bound = head.bind(True)
-    table = hed_values_multi(u_var, t_var, slots, bound)
-    ad.backward(table, seed)
-    head_grads = {}
     if isinstance(head, CostHead):
         head.zero_grads()
-        bound.accumulate()
+    out = table(u_var, t_var if table is tape_table else targets.copy(), slots, head)
+    ad.backward(out, seed)
+    head_grads = {}
+    if isinstance(head, CostHead):
         head_grads = {name: g.copy() for name, g in head.grads.items()}
-    return table.value, u_var.grad, t_var.grad, head_grads
+    return out.value, u_var.grad, t_var.grad, head_grads
+
+
+def closed_grads(u, targets, slots, head, seed):
+    """`multi_grads` of `hed_values_multi`, which computes no target gradient."""
+    return multi_grads(u, targets, slots, head, seed, hed_values_multi)
 
 
 def multi_value(u, targets, slots, head, seed):
-    table = hed_values_multi(ad.constant(u), ad.constant(targets), slots, head.bind(False))
-    return float((seed * table.value).sum())
+    return float((seed * hed_values_multi(u, targets, slots, head)).sum())
 
 
 def test_backward_zero_for_identical_graphs():
@@ -185,10 +189,11 @@ def test_backward_zero_for_identical_graphs():
     targets = rng.standard_normal((2 * slots, 5))
     u = np.stack([targets[c * slots + np.array([0, 1, 2, 0, 1])] for c in range(2)])
     head = CostHead(5, seed=12)
-    table, du, dt, hg = multi_grads(u, targets, slots, head, np.eye(2))
-    assert table[0, 0] == 0.0 and table[1, 1] == 0.0
-    assert np.all(du == 0.0) and np.all(dt == 0.0)
-    assert all(np.all(g == 0.0) for g in hg.values())
+    for grads in (multi_grads, closed_grads):
+        table, du, dt, hg = grads(u, targets, slots, head, np.eye(2))
+        assert table[0, 0] == 0.0 and table[1, 1] == 0.0
+        assert np.all(du == 0.0) and (dt is None or np.all(dt == 0.0))
+        assert all(np.all(g == 0.0) for g in hg.values())
 
 
 def test_backward_single_substitution_hand_derivative():
@@ -211,6 +216,8 @@ def test_backward_single_substitution_hand_derivative():
                 expect_t[2 * c + j] -= weight * direction
     np.testing.assert_allclose(du, expect_u, atol=1e-12)
     np.testing.assert_allclose(dt, expect_t, atol=1e-12)
+    _, du, _, _ = closed_grads(u, targets, 2, ConstantCostHead(1e6), np.ones((2, 2)))
+    np.testing.assert_allclose(du, expect_u, atol=1e-12)
 
 
 def test_backward_matches_finite_differences():
@@ -221,9 +228,15 @@ def test_backward_matches_finite_differences():
     head = CostHead(5, seed=14)
     seed = rng.standard_normal((2, 2))
     table, du, dt, hg = multi_grads(u, targets, slots, head, seed)
+    # the closed form agrees with the oracle that the differences check
+    table_c, du_c, _, hg_c = closed_grads(u, targets, slots, head, seed)
+    assert np.array_equal(table_c, table)
+    assert np.abs(du_c - du).max() <= 1e-12 * np.abs(du).max()
+    for name, g in hg.items():
+        assert np.abs(hg_c[name] - g).max() <= 1e-12 * np.abs(g).max(), name
     # both branches occur, so the cost head gets a gradient
     dist = np.linalg.norm(u[:, :, None] - targets[None, None], axis=-1).reshape(2, 4, 2, slots)
-    del_cost = head.bind(False).costs(ad.constant(u.reshape(-1, 5))).value.reshape(2, 4, 1)
+    del_cost = head.forward(u.reshape(-1, 5))[0].reshape(2, 4, 1)
     take_del = del_cost < 0.5 * dist.min(axis=3)
     assert take_del.any() and not take_del.all()
 
@@ -267,23 +280,31 @@ def test_upstream_scales_gradients():
     _, du3, dt3, _ = multi_grads(u, targets, 2, head, 3.0 * seed)
     np.testing.assert_allclose(du3, 3.0 * du1, atol=1e-12)
     np.testing.assert_allclose(dt3, 3.0 * dt1, atol=1e-12)
+    _, du1, _, _ = closed_grads(u, targets, 2, head, seed)
+    _, du3, _, _ = closed_grads(u, targets, 2, head, 3.0 * seed)
+    np.testing.assert_allclose(du3, 3.0 * du1, atol=1e-12)
 
 
 # ------------------------------------------------------ screened distance table
 
 def assert_paths_equal(monkeypatch, u, targets, slots, head, seed):
-    """`multi_grads` agrees bit for bit with every table screened and with
-    every table full; returns the table."""
-    screened, full = [], []
-    for limit, out in ((0, screened), (np.inf, full)):
-        monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
-        out.extend(multi_grads(u, targets, slots, head, seed))
-    for a, b in zip(screened[:3], full[:3]):
-        assert np.array_equal(a, b, equal_nan=True)
-    assert screened[3].keys() == full[3].keys()
-    for name in full[3]:
-        assert np.array_equal(screened[3][name], full[3][name], equal_nan=True), name
-    return full[0]
+    """`multi_grads` of the oracle and of the closed form each agree bit for
+    bit with every table screened and with every table full, and the two
+    tables are equal; returns the table."""
+    tables = []
+    for grads in (multi_grads, closed_grads):
+        screened, full = [], []
+        for limit, out in ((0, screened), (np.inf, full)):
+            monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
+            out.extend(grads(u, targets, slots, head, seed))
+        for a, b in zip(screened[:3], full[:3]):
+            assert (a is b is None) or np.array_equal(a, b, equal_nan=True)
+        assert screened[3].keys() == full[3].keys()
+        for name in full[3]:
+            assert np.array_equal(screened[3][name], full[3][name], equal_nan=True), name
+        tables.append(full[0])
+    assert np.array_equal(tables[0], tables[1], equal_nan=True)
+    return tables[1]
 
 
 def screen_inputs():
@@ -371,32 +392,29 @@ def test_dispatch_on_table_size(monkeypatch, batch, expect_screen):
     calls = []
     screen = hed_module._candidates
     monkeypatch.setattr(hed_module, "_candidates", lambda *a: calls.append(1) or screen(*a))
-    table = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
-                             CostHead(5, seed=25).bind(False))
+    table = hed_values_multi(u, targets, slots, CostHead(5, seed=25))
     assert len(calls) == expect_screen
     monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", np.inf)
-    full = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
-                            CostHead(5, seed=25).bind(False))
-    assert np.array_equal(table.value, full.value)
+    full = hed_values_multi(u, targets, slots, CostHead(5, seed=25))
+    assert np.array_equal(table, full)
 
 
 def test_multi_refuses_bad_targets():
-    head = ConstantCostHead(1.0).bind(False)
-    u = ad.constant(np.zeros((2, 3, 4)))
+    head = ConstantCostHead(1.0)
+    u = np.zeros((2, 3, 4))
     with pytest.raises(ConfigError, match="node dims differ"):
-        hed_values_multi(u, ad.constant(np.zeros((6, 5))), 3, head)
+        hed_values_multi(u, np.zeros((6, 5)), 3, head)
     with pytest.raises(ValueError, match="slots"):
-        hed_values_multi(u, ad.constant(np.zeros((7, 4))), 3, head)
+        hed_values_multi(u, np.zeros((7, 4)), 3, head)
     with pytest.raises(ValueError):
-        hed_values_multi(u, ad.constant(np.zeros((0, 4))), 3, head)
+        hed_values_multi(u, np.zeros((0, 4)), 3, head)
 
 
 # ------------------------------------------------------------ masked subsets
 
 def kept_rows_table(u, targets, slots, head, keep):
     """Reference for a masked table: one unmasked table per kept node set."""
-    return np.stack([[hed_values_multi(ad.constant(u[b, row][None]), ad.constant(targets),
-                                       slots, head.bind(False)).value[0]
+    return np.stack([[hed_values_multi(u[b, row][None], targets, slots, head)[0]
                       for row in keep[b]] for b in range(u.shape[0])])
 
 
@@ -416,8 +434,7 @@ def test_masked_rows_equal_tables_of_kept_rows(m):
     keep[:, 1:3, 0] = True
     keep[:, 3] = True                                # every node
     for head in (CostHead(4, hidden=5, seed=31), ConstantCostHead(0.3)):
-        table = hed_values_multi(ad.constant(u), ad.constant(targets), 5,
-                                 head.bind(False), keep).value
+        table = hed_values_multi(u, targets, 5, head, keep)
         expect = kept_rows_table(u, targets, 5, head, keep)
         assert table.shape == (3, 4, 3)
         np.testing.assert_allclose(table, expect, rtol=0, atol=1e-12)
@@ -433,8 +450,7 @@ def test_masked_all_node_row_equals_hed():
         targets = rng.standard_normal((6, 4))
         keep = np.ones((2, 1, m), dtype=bool)
         for head in (ConstantCostHead(0.3), CostHead(4, hidden=5, seed=33)):
-            table = hed_values_multi(ad.constant(u), ad.constant(targets), 6,
-                                     head.bind(False), keep).value[:, 0, 0]
+            table = hed_values_multi(u, targets, 6, head, keep)[:, 0, 0]
             expect = [hed(x, targets, head).value for x in u]
             if isinstance(head, ConstantCostHead):   # the same sums, in the same order
                 assert table.tolist() == expect
@@ -455,17 +471,90 @@ def test_masked_table_is_never_screened():
     keep = np.zeros((b, 1, m), dtype=bool)
     keep[:, 0, [0, 2]] = True                        # node 1 dropped
     for head in (ConstantCostHead(1e3), CostHead(d, hidden=4, seed=35)):
-        table = hed_values_multi(ad.constant(u), ad.constant(targets), slots,
-                                 head.bind(False), keep).value
+        table = hed_values_multi(u, targets, slots, head, keep)
         expect = kept_rows_table(u, targets, slots, head, keep)
         np.testing.assert_allclose(table, expect, rtol=0, atol=1e-12)
 
 
 def test_masked_table_refuses_bad_masks():
-    head = ConstantCostHead(1.0).bind(False)
-    u = ad.constant(np.zeros((2, 3, 4)))
-    targets = ad.constant(np.zeros((6, 4)))
+    head = ConstantCostHead(1.0)
+    u = np.zeros((2, 3, 4))
+    targets = np.zeros((6, 4))
     for keep in (np.ones((2, 3), dtype=bool), np.ones((2, 1, 4), dtype=bool),
                  np.ones((1, 1, 3), dtype=bool), np.zeros((2, 1, 3), dtype=bool)):
         with pytest.raises(ValueError, match="keep"):
             hed_values_multi(u, targets, 3, head, keep)
+
+
+# ------------------------------------------------------- the tape oracle
+
+def oracle_cases():
+    """(instances (B, m, d), stacked targets (C*slots, d), slots, head): small
+    and screened tables, ties, repeated nodes and each kind of head."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for draw in range(40):
+        b, m, count, slots, d = (int(rng.integers(1, n)) for n in (9, 9, 6, 9, 7))
+        targets = rng.standard_normal((count * slots, d))
+        u = rng.standard_normal((b, m, d)) * rng.choice([0.3, 1.0, 3.0])
+        if draw % 4 == 1:       # instances seeded from the targets: zero distances
+            u = targets[rng.integers(0, count * slots, (b, m))].copy()
+        if draw % 4 == 2:       # rounded: ties between slots and between nodes
+            u, targets = np.round(u, 0), np.round(targets, 0)
+        head = (CostHead(d, hidden=int(rng.integers(1, 6)), seed=draw), ConstantCostHead(0.7),
+                LinearCostHead(rng.standard_normal(d)))[draw % 3]
+        cases.append((u, targets, slots, head))
+    big = np.random.default_rng(41).standard_normal((8, 8, 5))
+    cases.append((big, big[:4].reshape(-1, 5), 8, CostHead(5, hidden=4, seed=42)))
+    assert 8 * 8 * 32 >= hed_module.SCREEN_MIN_ENTRIES
+    return cases
+
+
+def test_tables_and_pair_values_equal_the_tape_oracle_bit_for_bit():
+    # the same numpy operations in the same order: unmasked, masked and
+    # single-pair values equal the tape forms exactly
+    rng = np.random.default_rng(43)
+    for i, (u, targets, slots, head) in enumerate(oracle_cases()):
+        assert np.array_equal(hed_values_multi(u, targets, slots, head),
+                              tape_table(u, targets, slots, head)), i
+        keep = rng.random((u.shape[0], 3, u.shape[1])) < 0.5
+        keep[:, :, 0] |= ~keep.any(axis=2)
+        assert np.array_equal(hed_values_multi(u, targets, slots, head, keep),
+                              tape_table(u, targets, slots, head, keep)), i
+        res, ref = hed(u[0], targets[:slots], head), tape_hed(u[0], targets[:slots], head)
+        assert res.value == ref.value, i
+        assert np.array_equal(res.forward_assignment, ref.forward_assignment), i
+        assert np.array_equal(res.backward_assignment, ref.backward_assignment), i
+
+
+def test_closed_form_gradients_equal_the_tape_oracle():
+    # instance and cost-head gradients of sum(seed * table), masked and
+    # unmasked, within 1e-12 of the largest oracle entry
+    rng = np.random.default_rng(44)
+    for i, (u, targets, slots, head) in enumerate(oracle_cases()):
+        keep = rng.random((u.shape[0], 3, u.shape[1])) < 0.5
+        keep[:, :, 0] |= ~keep.any(axis=2)
+        for mask in (None, keep):
+            shape = (u.shape[0], targets.shape[0] // slots) if mask is None else keep.shape[:2] + (
+                targets.shape[0] // slots,)
+            seed = rng.standard_normal(shape)
+            grads = []
+            for table in (hed_values_multi, tape_table):
+                u_var = ad.Var(u.copy(), requires_grad=True)
+                if isinstance(head, CostHead):
+                    head.zero_grads()
+                out = table(u_var, targets, slots, head, mask)
+                ad.backward(out, seed)
+                grads.append((out.value, u_var.grad,
+                              head.grad_buffer.copy() if isinstance(head, CostHead) else None))
+            (val, gu, gh), (ref_val, ref_gu, ref_gh) = grads
+            assert np.array_equal(val, ref_val), i
+            assert np.abs(gu - ref_gu).max() <= 1e-12 * np.abs(ref_gu).max(initial=0.0), i
+            if gh is not None:
+                assert np.abs(gh - ref_gh).max() <= 1e-12 * np.abs(ref_gh).max(initial=0.0), i
+
+
+def test_no_grad_table_returns_an_array():
+    u, targets, slots, head = oracle_cases()[0]
+    assert type(hed_values_multi(u, targets, slots, head)) is np.ndarray
+    assert isinstance(hed_values_multi(ad.Var(u), targets, slots, head), ad.Var)

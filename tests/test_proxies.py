@@ -12,7 +12,7 @@ from relviews.proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, pro
                               sinkhorn, update_proxies)
 from relviews.training import TrainConfig, TrainedModel
 from tests.conftest import rel_error
-from tests.helpers import ConstantCostHead, loop_sinkhorn
+from tests.helpers import ConstantCostHead, loop_anchor_loss, loop_sinkhorn
 
 
 def scfg(**kw):
@@ -285,6 +285,25 @@ def test_anchor_stability_large_exponents():
     assert np.isfinite(loss) and np.isfinite(grad).all()
     # positive exponent 32*(50+0.1) dominates: log term approx equals it
     assert loss == pytest.approx(32.0 * 50.1 / 1.0, rel=1e-3)
+
+
+def test_anchor_loss_equals_the_per_class_loop_form():
+    # the (C, B) passes sum a class's exponentials with zeros in the rows it
+    # skips, which from 8 rows regroups numpy's pairwise sum: the loss stays
+    # within rounding, and the gradient too
+    rng = np.random.default_rng(17)
+    cfg = ProxyAnchorConfig()
+    same = 0
+    for draw in range(500):
+        b, c = int(rng.integers(1, 13)), int(rng.integers(2, 17))
+        h = rng.random((b, c)) * rng.choice([0.1, 1.0, 10.0])
+        labels = rng.integers(0, c, size=b)
+        loss, grad = proxy_anchor_loss(h, labels, range(c), cfg)
+        ref_loss, ref_grad = loop_anchor_loss(h, labels, range(c), cfg)
+        assert abs(loss - ref_loss) <= 1e-15 * ref_loss, draw
+        assert np.abs(grad - ref_grad).max() <= 1e-15 * np.abs(ref_grad).max(), draw
+        same += loss == ref_loss
+    assert same >= 490
 
 
 def test_anchor_domain_errors():

@@ -12,12 +12,14 @@ from relviews.cli import main
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
 from relviews.errors import ConfigError, NumericError
+from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
+                              top_k_explanation)
 from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead, hed
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
 from tests.helpers import (PerTensorAdam, assert_steps_agree, encoder_backward, one_step,
-                           tape_forward)
+                           tape_distance_table, tape_forward)
 
 TINY_SYNTH = synth.SynthConfig(num_classes=3, instances_per_class=20, views_per_instance=4,
                                feature_dim=8, concept_count_per_class=2, seed=0)
@@ -40,9 +42,9 @@ def tiny_split(noise_rate=0.0):
 def test_batch_outputs_bit_identical_to_batch_of_one():
     params = init_params(EncoderConfig(), 8, seed=1)
     graphs = random_batch(8, seed=2)
-    nodes = enc.forward(params, graphs, want_grad=False).value
+    nodes = enc.forward(params, graphs, want_grad=False)
     for b, g in enumerate(graphs):
-        one = enc.forward(params, [g], want_grad=False).value
+        one = enc.forward(params, [g], want_grad=False)
         assert np.array_equal(nodes[b], one[0])
 
 
@@ -98,7 +100,7 @@ def harness_case(setting: str, ablation: str, seed: int):
     model = TrainedModel(cfg, ds.config.feature_dim, params, head)
     order = rng.permutation(len(graphs))
     first, batch = order[:4], order[4:12]
-    nodes = enc.forward(params, [graphs[i] for i in first], False).value
+    nodes = enc.forward(params, [graphs[i] for i in first], False)
     training._update_proxies(model, {int(c): nodes[labels[first] == c]
                                      for c in np.unique(labels[first])}, cfg, 0.0)
     return model, [graphs[i] for i in batch], labels[batch].tolist()
@@ -112,10 +114,25 @@ def test_one_step_matches_the_tape_encoder(setting, ablation):
     # gradient buffers and proxies within 1e-12 relative
     for seed in range(5):
         model, graphs, labels = harness_case(setting, ablation, seed)
-        assert np.array_equal(enc.forward(model.params, graphs, False).value,
-                              tape_forward(model.params, graphs, False).value)
+        assert np.array_equal(enc.forward(model.params, graphs, False),
+                              tape_forward(model.params, graphs, False))
         ref = one_step(model, graphs, labels, tape_forward)
         assert_steps_agree(one_step(model, graphs, labels), ref)
+
+
+@pytest.mark.parametrize("ablation", list(HARNESS_ABLATIONS))
+@pytest.mark.parametrize("setting", list(HARNESS_SETTINGS))
+def test_one_step_matches_the_tape_table(setting, ablation):
+    # the closed-form distance tables (HED, or the mean-pool matching under
+    # TR or PD off) against the tables as tape ops, over 20 seeds: the same
+    # table and loss, the same decisions, and gradient buffers and proxies
+    # within 1e-12 relative
+    for seed in range(20):
+        model, graphs, labels = harness_case(setting, ablation, seed)
+        ref = one_step(model, graphs, labels, table=tape_distance_table)
+        got = one_step(model, graphs, labels)
+        assert np.array_equal(got["table"], ref["table"]) and got["loss"] == ref["loss"]
+        assert_steps_agree(got, ref)
 
 
 def test_one_step_harness_flags_a_gradient_off_by_1e_9():
@@ -128,6 +145,36 @@ def test_one_step_harness_flags_a_gradient_off_by_1e_9():
     ref = one_step(model, graphs, labels)
     with pytest.raises(AssertionError, match="grad encoder"):
         assert_steps_agree(one_step(model, graphs, labels, skewed), ref)
+
+
+@pytest.mark.parametrize("ablations", list(HARNESS_ABLATIONS.values()),
+                         ids=list(HARNESS_ABLATIONS))
+def test_only_training_steps_build_tape_nodes_three_per_step(monkeypatch, ablations):
+    # a step's tape is the encoder, the distance table and the anchor loss;
+    # evaluation and the explanation metrics compute without a tape
+    train_ds, test_ds = tiny_split(noise_rate=0.5)
+    built, at_backward = [0], []
+    init, backward = ad.Var.__init__, ad.backward
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def stamped(*args, **kwargs):
+        at_backward.append(built[0])
+        return backward(*args, **kwargs)
+    monkeypatch.setattr(ad.Var, "__init__", counted)
+    monkeypatch.setattr(ad, "backward", stamped)
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=2, ablations=ablations))
+    assert len(at_backward) > 2 and set(np.diff(at_backward)) == {3}
+    built[0] = 0
+    training.evaluate(model, test_ds)
+    srgs = training.encode_dataset(model, test_ds)
+    if ablations.proxy_as_graph:
+        expls = ExplanationSet([top_k_explanation(g, 2) for g in srgs], model.proxies)
+        fidelity(expls, model.cost_head)
+        fidelity_sparsity_curve(srgs, model.proxies, model.cost_head, [1, 2])
+    assert built[0] == 0
 
 
 def test_mixed_node_counts_are_refused():
@@ -277,8 +324,7 @@ def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
     for limit in (0, np.inf):
         monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
         report, model = training.train(train_ds, TINY_TRAIN, test_dataset=test_ds)
-        bound = model.cost_head.bind(False)
-        tables = [model.distance_table(nodes, bound).value
+        tables = [model.distance_table(nodes)
                   for nodes in training._encoded_chunks(
                       model, training._input_graphs(model.config, test_ds))]
         runs.append((report, model, np.concatenate(tables)))

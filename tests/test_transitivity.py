@@ -90,6 +90,21 @@ def test_resolve_rows_equals_resolve_per_row(rng):
         assert np.array_equal(cfg.resolve_rows(scores), [cfg.resolve(r) for r in scores])
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.75, 0.999])
+def test_resolve_rows_is_bit_identical_to_np_quantile(q):
+    # 20,000 rows, widths 1-140, half of them rounded so that rows hold ties
+    rng = np.random.default_rng(int(q * 1000))
+    cfg = TransitivityConfig(gamma_quantile=q)
+    for width in range(1, 141):
+        rows = rng.normal(size=(143, width)) * 10.0 ** rng.integers(-3, 3, size=(143, 1))
+        rows[::2] = np.round(rows[::2], 1)
+        expect = np.quantile(rows, q, axis=1)
+        assert np.array_equal(cfg.resolve_rows(rows), expect), width
+        assert cfg.resolve(rows[0]) == expect[0]
+    nan_row = np.array([[0.5, np.nan, 0.25, 1.0]])
+    assert np.isnan(cfg.resolve_rows(nan_row)).all() and np.isnan(np.quantile(nan_row, q))
+
+
 def test_clique_count_monotone_in_gamma(rng):
     g = random_weight_graph(9, rng)
     gammas = np.linspace(0.0, 1.0, 11)
