@@ -5,6 +5,17 @@ small set of unit "concept" vectors, clean local views are perturbed
 concepts, and the global view is the normalized mean of the instance's clean
 concept assignments. Because the generative model is known, emergence has an
 analytic ground truth, and noise can be injected under three protocols.
+
+Draw order: `generate` takes every random number from one
+`np.random.default_rng(cfg.seed)` stream, in this order. First the concept
+vectors, class by class. Then, per instance (class 0..C-1, then index): the
+concept assignment of each local view; the noise pick (one uniform draw per
+view, or a permutation of the views); a random anchor for the global view
+when every local view is noisy; then the Gaussian noise of the global view
+and of each local view in turn, where a causal donor view draws its donor
+class and concept index just before its own noise. This order is part of
+the dataset's definition: moving any draw changes every generated dataset,
+and with it every result measured on one.
 """
 from __future__ import annotations
 
@@ -85,57 +96,76 @@ class SynthDataset:
         return sorted({inst.label for inst in self.instances})
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    return v if norm == 0 else v / norm
-
-
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _unit(rng.standard_normal(n))
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of `x` over its Euclidean norm; an all-zero row stays as it
+    is. The norm is `sqrt` of a stacked (1, n) @ (n, 1) product, the same dot
+    product `np.linalg.norm` takes for one vector, so a row comes out as it
+    would alone."""
+    norm = np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    norm[norm == 0] = 1.0
+    return x / norm
 
 
 def generate(cfg: SynthConfig) -> SynthDataset:
-    """Deterministic per seed; instances ordered class 0..C-1, then index."""
+    """Deterministic per seed; instances ordered class 0..C-1, then index.
+
+    One pass per class draws that class's random numbers in the stream
+    order the module docstring fixes; the arithmetic then runs on the whole
+    class at once, and each instance gets its own copies of its arrays."""
     rng = np.random.default_rng(cfg.seed)
-    n, k = cfg.feature_dim, cfg.views_per_instance
-    concepts = [
-        np.stack([_random_unit(rng, n) for _ in range(cfg.concept_count_per_class)])
-        for _ in range(cfg.num_classes)
-    ]
+    n, k, m = cfg.feature_dim, cfg.views_per_instance, cfg.instances_per_class
+    concepts = _unit_rows(rng.standard_normal((cfg.num_classes * cfg.concept_count_per_class, n)))
+    concepts = concepts.reshape(cfg.num_classes, cfg.concept_count_per_class, n)
     noisy_count = k - round((1.0 - cfg.noise_rate) * k)
+    uniform = cfg.noise_model is NoiseModel.UNIFORM_WHOLE_IMAGE
+    swap = cfg.noise_model is NoiseModel.CAUSAL_INTERVENTION and cfg.num_classes > 1
 
     instances = []
     for c in range(cfg.num_classes):
-        for _ in range(cfg.instances_per_class):
-            assign = rng.integers(0, cfg.concept_count_per_class, size=k)
-            if cfg.noise_model is NoiseModel.UNIFORM_WHOLE_IMAGE:
-                noisy = rng.random(k) < cfg.noise_rate
-            else:
-                noisy = np.zeros(k, dtype=bool)
-                noisy[rng.permutation(k)[:noisy_count]] = True
-            clean = ~noisy
+        others = [d for d in range(cfg.num_classes) if d != c]
+        concept_idx = np.empty((m, k), dtype=int)
+        picks = []                          # uniform draws, or a view permutation
+        anchors = np.zeros((m, n))
+        noise = np.empty((m, k + 1, n))     # row 0 perturbs the global view
+        source = np.full((m, k), c, dtype=int)
+        for i in range(m):
+            concept_idx[i] = rng.integers(0, cfg.concept_count_per_class, size=k)
+            pick = rng.random(k) if uniform else rng.permutation(k)
+            picks.append(pick)
+            all_noisy = pick.max() < cfg.noise_rate if uniform else noisy_count == k
+            if all_noisy:
+                anchors[i] = rng.standard_normal(n)   # eta = 1: no clean anchor
+            row = 0
+            if swap:
+                # a donor view's class and concept are drawn just before its noise
+                for v in np.sort(pick[:noisy_count]):
+                    rng.standard_normal(out=noise[i, row:v + 1])
+                    source[i, v] = others[rng.integers(0, len(others))]
+                    concept_idx[i, v] = rng.integers(0, cfg.concept_count_per_class)
+                    row = v + 1
+            rng.standard_normal(out=noise[i, row:])
+        picks = np.array(picks)
+        if uniform:
+            noisy = picks < cfg.noise_rate
+        else:
+            noisy = np.zeros((m, k), dtype=bool)
+            np.put_along_axis(noisy, picks[:, :noisy_count], True, axis=1)
+        if not swap:
+            source[noisy] = -1
 
-            if clean.any():
-                g_dir = _unit(concepts[c][assign[clean]].mean(axis=0))
-            else:
-                g_dir = _random_unit(rng, n)   # eta = 1: no clean anchor
-            z_g = g_dir + cfg.noise_scale * rng.standard_normal(n)
-
-            locals_ = np.empty((k, n))
-            source = np.full(k, c, dtype=int)
-            for v in range(k):
-                if clean[v]:
-                    locals_[v] = concepts[c][assign[v]] + cfg.noise_scale * rng.standard_normal(n)
-                elif cfg.noise_model is NoiseModel.CAUSAL_INTERVENTION and cfg.num_classes > 1:
-                    others = [d for d in range(cfg.num_classes) if d != c]
-                    donor = others[rng.integers(0, len(others))]
-                    didx = rng.integers(0, cfg.concept_count_per_class)
-                    locals_[v] = concepts[donor][didx] + cfg.noise_scale * rng.standard_normal(n)
-                    source[v] = donor
-                else:
-                    locals_[v] = _random_unit(rng, n)
-                    source[v] = -1
-            instances.append(SynthInstance(c, z_g, locals_, clean, source))
+        clean = ~noisy
+        base = concepts[source, concept_idx]          # rows of classless noise unused
+        counts = clean.sum(axis=1)
+        # a noisy view adds an exact zero; an instance without clean views
+        # divides by 1, and its mean is replaced by its anchor
+        means = (base * clean[:, :, None]).sum(axis=1) / np.maximum(counts, 1)[:, None]
+        g_dir = _unit_rows(np.where(counts[:, None] > 0, means, anchors))
+        global_ = g_dir + cfg.noise_scale * noise[:, 0]
+        locals_ = base + cfg.noise_scale * noise[:, 1:]
+        classless = source == -1
+        locals_[classless] = _unit_rows(noise[:, 1:][classless])
+        instances += [SynthInstance(c, global_[i].copy(), locals_[i].copy(),
+                                    clean[i].copy(), source[i].copy()) for i in range(m)]
     return SynthDataset(cfg, instances)
 
 
@@ -160,24 +190,29 @@ def split_dataset(ds: SynthDataset, test_fraction: float
                   ) -> tuple[SynthDataset, SynthDataset]:
     """Deterministic stratified split: the last round(fraction * m) instances
     of each class become the test side. Both halves share the generator's
-    class concepts, unlike datasets generated under different seeds."""
+    class concepts, unlike datasets generated under different seeds. Every
+    class must hold the same number m >= 2 of instances."""
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must lie in (0, 1)")
     per_class: dict[int, list[SynthInstance]] = {}
     for inst in ds.instances:
         per_class.setdefault(inst.label, []).append(inst)
+    first = min(per_class)
+    m = len(per_class[first])
+    cut = min(max(round(test_fraction * m), 1), m - 1)
     train_insts, test_insts = [], []
-    n_test = None
     for label in sorted(per_class):
         group = per_class[label]
-        cut = round(test_fraction * len(group))
-        cut = min(max(cut, 1), len(group) - 1)
+        if len(group) < 2:
+            raise ConfigError(f"class {label} has {len(group)} instance; "
+                              "a stratified split needs at least 2 per class")
+        if len(group) != m:
+            raise ConfigError(f"class {label} has {len(group)} instances, class {first} "
+                              f"has {m}; a stratified split needs classes of equal size")
         train_insts.extend(group[:-cut])
         test_insts.extend(group[-cut:])
-        n_test = cut
-    train_cfg = SynthConfig(**{**ds.config.__dict__,
-                               "instances_per_class": ds.config.instances_per_class - n_test})
-    test_cfg = SynthConfig(**{**ds.config.__dict__, "instances_per_class": n_test})
+    train_cfg = SynthConfig(**{**ds.config.__dict__, "instances_per_class": m - cut})
+    test_cfg = SynthConfig(**{**ds.config.__dict__, "instances_per_class": cut})
     return SynthDataset(train_cfg, train_insts), SynthDataset(test_cfg, test_insts)
 
 
@@ -228,18 +263,24 @@ def _parse_header(line: str) -> SynthConfig:
                           for key, (attr, parse, _) in _HEADER_KEYS.items()})
 
 
-def _parse_record(line: str, k: int, n: int) -> SynthInstance:
+def _parse_record(line: str, cfg: SynthConfig) -> SynthInstance:
+    k, n, classes = cfg.views_per_instance, cfg.feature_dim, cfg.num_classes
     toks = line.split()
     expect = 2 + k + (k + 1) * n
     if len(toks) != expect:
         raise ConfigError(f"malformed record: expected {expect} tokens, got {len(toks)}")
     label = int(toks[0])
+    if not 0 <= label < classes:
+        raise ConfigError(f"label {label} outside 0..{classes - 1}")
     if set(toks[1]) - {"0", "1"}:
         raise ConfigError(f"clean mask {toks[1]!r} holds a character other than 0 or 1")
     mask = np.array([ch == "1" for ch in toks[1]], dtype=bool)
     if mask.shape[0] != k:
         raise ConfigError("clean mask length does not match view count")
     src = np.array([int(t) for t in toks[2:2 + k]], dtype=int)
+    bad = src[(src < -1) | (src >= classes)]
+    if bad.size:
+        raise ConfigError(f"source class {bad[0]} outside -1..{classes - 1}")
     emb = np.array([float(t) for t in toks[2 + k:]]).reshape(k + 1, n)
     if not np.isfinite(emb).all():
         raise ConfigError("non-finite embedding value")
@@ -258,10 +299,9 @@ def load(path) -> SynthDataset:
     no, line = lines[0]
     try:
         cfg = _parse_header(line)
-        k, n = cfg.views_per_instance, cfg.feature_dim
         instances = []
         for no, line in lines[1:]:
-            instances.append(_parse_record(line, k, n))
+            instances.append(_parse_record(line, cfg))
     except ValueError as err:
         raise ConfigError(f"{path}: line {no}: {err}") from None
     return SynthDataset(cfg, instances)

@@ -3,7 +3,7 @@ that `relviews` no longer uses, the encoder and the distance tables as tape
 ops (the oracles of their closed-form backwards), the one-step harness that
 compares two encoder or table paths, the `concat` op of the concat-form
 encoder, and the earlier forms that the tape, Adam, the input-graph build,
-the no-grad minimum and Sinkhorn replaced."""
+the no-grad minimum, Sinkhorn and the dataset generator replaced."""
 import importlib
 import itertools
 from contextlib import contextmanager
@@ -14,6 +14,7 @@ import numpy as np
 from relviews import autodiff as ad
 from relviews import encoder as enc
 from relviews import proxies, training
+from relviews.synth import NoiseModel, SynthConfig, SynthDataset, SynthInstance
 from relviews.autodiff import Var
 from relviews.errors import ConfigError
 from relviews.graphs import ViewGraph, num_pairs, upper_pairs
@@ -790,3 +791,58 @@ def loop_anchor_loss(distances, labels, class_ids, cfg) -> tuple[float, np.ndarr
         loss += lval / h.shape[1]
         grad[rows, c] += -s * w / h.shape[1]
     return float(loss), grad
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    return v if norm == 0 else v / norm
+
+
+def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _unit(rng.standard_normal(n))
+
+
+def loop_generate(cfg: SynthConfig) -> SynthDataset:
+    """`synth.generate` one view at a time: every draw followed by its own
+    arithmetic."""
+    rng = np.random.default_rng(cfg.seed)
+    n, k = cfg.feature_dim, cfg.views_per_instance
+    concepts = [
+        np.stack([_random_unit(rng, n) for _ in range(cfg.concept_count_per_class)])
+        for _ in range(cfg.num_classes)
+    ]
+    noisy_count = k - round((1.0 - cfg.noise_rate) * k)
+
+    instances = []
+    for c in range(cfg.num_classes):
+        for _ in range(cfg.instances_per_class):
+            assign = rng.integers(0, cfg.concept_count_per_class, size=k)
+            if cfg.noise_model is NoiseModel.UNIFORM_WHOLE_IMAGE:
+                noisy = rng.random(k) < cfg.noise_rate
+            else:
+                noisy = np.zeros(k, dtype=bool)
+                noisy[rng.permutation(k)[:noisy_count]] = True
+            clean = ~noisy
+
+            if clean.any():
+                g_dir = _unit(concepts[c][assign[clean]].mean(axis=0))
+            else:
+                g_dir = _random_unit(rng, n)
+            z_g = g_dir + cfg.noise_scale * rng.standard_normal(n)
+
+            locals_ = np.empty((k, n))
+            source = np.full(k, c, dtype=int)
+            for v in range(k):
+                if clean[v]:
+                    locals_[v] = concepts[c][assign[v]] + cfg.noise_scale * rng.standard_normal(n)
+                elif cfg.noise_model is NoiseModel.CAUSAL_INTERVENTION and cfg.num_classes > 1:
+                    others = [d for d in range(cfg.num_classes) if d != c]
+                    donor = others[rng.integers(0, len(others))]
+                    didx = rng.integers(0, cfg.concept_count_per_class)
+                    locals_[v] = concepts[donor][didx] + cfg.noise_scale * rng.standard_normal(n)
+                    source[v] = donor
+                else:
+                    locals_[v] = _random_unit(rng, n)
+                    source[v] = -1
+            instances.append(SynthInstance(c, z_g, locals_, clean, source))
+    return SynthDataset(cfg, instances)

@@ -240,6 +240,13 @@ def _mask_token(mask):
     return edit
 
 
+def _source_token(token):
+    def edit(lines):
+        label, mask, _, rest = lines[1].split(" ", 3)
+        return [lines[0], f"{label} {mask} {token} {rest}", *lines[2:]]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_last_token("abc"), "line 2: could not convert string to float: 'abc'"),
     (_last_token("nan"), "line 2: non-finite embedding value"),
@@ -254,8 +261,11 @@ def _mask_token(mask):
      "line 1: noise_scale must be finite and non-negative"),
     (_edit_header(" seed=", " bogus=1 seed="), "line 1: unknown header key 'bogus'"),
     (lambda lines: [lines[0] + " seed=9", *lines[1:]], "line 1: duplicate header key 'seed'"),
+    (lambda lines: [lines[0], "9" + lines[1][1:], *lines[2:]], "line 2: label 9 outside 0..2"),
+    (_source_token("-7"), "line 2: source class -7 outside -1..2"),
 ], ids=["record_token", "embedding_nan", "embedding_inf", "header_token", "model",
-        "missing_key", "mask", "sigma_nan", "unknown_key", "duplicate_key"])
+        "missing_key", "mask", "sigma_nan", "unknown_key", "duplicate_key", "label",
+        "source"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"
@@ -323,6 +333,18 @@ def _data_with(tmp_path, name, key, value):
     data = tmp_path / f"{name}.txt"
     assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
     return data
+
+
+def test_sweep_on_a_class_of_one_exits_two(tmp_path, capsys):
+    config = tmp_path / "one.cfg"
+    config.write_text(TINY_CONFIG.replace("synth.instances_per_class = 6",
+                                          "synth.instances_per_class = 1"))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: class 0 has 1 instance; a stratified split "
+                                       "needs at least 2 per class\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("views", [2, 6])

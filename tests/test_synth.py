@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from relviews.errors import ConfigError
-from relviews.synth import (NoiseModel, SynthConfig, generate,
-                            ground_truth_emergence, load, save)
+from relviews.synth import (NoiseModel, SynthConfig, SynthDataset, generate,
+                            ground_truth_emergence, load, save, split_dataset)
+from tests.helpers import loop_generate
 
 
 def cfg(**kw):
@@ -170,3 +173,58 @@ def test_save_deterministic_bytes(tmp_path):
     save(ds, p1)
     save(generate(cfg()), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# (views, dim, concepts): the default, as many concepts as views, a single
+# feature, and the tiny shape of the benchmark's own tests
+SHAPES = [(16, 32, 4), (5, 6, 5), (16, 1, 4), (4, 8, 2)]
+
+
+def assert_same_dataset(got, ref):
+    assert got.config == ref.config and len(got) == len(ref)
+    for a, b in zip(got.instances, ref.instances):
+        assert type(a.label) is type(b.label) and a.label == b.label
+        for name in ("global_embedding", "local_embeddings", "clean_mask",
+                     "source_class_per_view"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name    # -0.0 and 0.0 differ here
+            assert x.flags.owndata, name
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("classes", [1, 4])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("model", list(NoiseModel), ids=lambda m: m.value)
+def test_generate_matches_loop_oracle(model, eta, classes, sigma):
+    for seed, (views, dim, concepts) in enumerate(SHAPES):
+        config = SynthConfig(num_classes=classes, instances_per_class=3,
+                             views_per_instance=views, feature_dim=dim,
+                             concept_count_per_class=concepts, noise_rate=eta,
+                             noise_model=model, noise_scale=sigma, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = generate(config)
+        assert_same_dataset(got, loop_generate(config))
+
+
+@pytest.mark.parametrize("model", list(NoiseModel), ids=lambda m: m.value)
+def test_save_writes_the_loop_oracle_bytes(tmp_path, model):
+    config = cfg(noise_rate=0.5, noise_model=model)
+    save(generate(config), tmp_path / "bulk.txt")
+    save(loop_generate(config), tmp_path / "loop.txt")
+    assert (tmp_path / "bulk.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
+def test_split_refuses_a_class_of_one():
+    with pytest.raises(ConfigError, match="^class 0 has 1 instance; a stratified split "
+                                          "needs at least 2 per class$"):
+        split_dataset(generate(SynthConfig(instances_per_class=1)), 0.2)
+
+
+def test_split_refuses_classes_of_unequal_size():
+    ds = generate(cfg(num_classes=3, instances_per_class=5))
+    uneven = SynthDataset(ds.config, ds.instances[:12])    # 5, 5 and 2 instances
+    with pytest.raises(ConfigError, match="^class 2 has 2 instances, class 0 has 5; "
+                                          "a stratified split needs classes of equal size$"):
+        split_dataset(uneven, 0.2)
