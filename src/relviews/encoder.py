@@ -32,15 +32,13 @@ endpoints. Both agree with the unfactored forms up to rounding.
 The encoder is one node of the autodiff tape. The forward runs in plain
 numpy and returns the (B, N, hidden) output as one Var with no parents;
 its backward fn adds every encoder gradient into `params.grad_buffer`.
-Without `want_grad` it returns the array and builds no Var.
-As generic tape ops the encoder took about 100 nodes per training step,
-each with a closure and a gradient array, and their backwards summed
-broadcast axes one at a time. With `want_grad` the forward keeps, per
-layer, the arrays its backward reads (`_Saved`): the node and edge
-inputs, W h, P a_edge, the LeakyReLU's sign mask, the attention α, the
-GraphNorm mean, standard deviation and normalized nodes, and the edge
-update's layer output, softplus input x and exp(-|x|). The backward runs
-the layers in reverse with these closed forms:
+Without `want_grad` it returns the array and builds no Var. With
+`want_grad` the forward keeps, per layer, the arrays its backward reads
+(`_Saved`): the node and edge inputs, W h, P a_edge, the LeakyReLU's sign
+mask, the attention α, the GraphNorm mean, standard deviation and
+normalized nodes, and the edge update's layer output, softplus input x
+and exp(-|x|). The backward runs the layers in reverse with these closed
+forms:
 - edge update: g_x = g_e σ(x), σ from the stored exp(-|x|); S takes g_x at
   both endpoints through one (N, M) incidence product, and U's row blocks
   take h^T g_S / 2 (U_src, U_dst) and e^T g_x (U_edge);

@@ -13,8 +13,9 @@ scores each kept set and the full graph in the same table, and the
 fidelity-sparsity curve scores every requested size of a graph's nested
 top-k sets there. A row equals the `hed` of the induced subgraph within
 rounding: numpy sums the zero terms of dropped nodes along with the kept
-ones, and BLAS may round the cost head's products for a stack of graphs
-differently than for one.
+ones. No row depends on how many graphs share the table, but one class's
+values, here and in `hed`, can differ in the last bit from its column of
+a many-class table, whose node terms numpy sums in order, not pairwise.
 """
 from __future__ import annotations
 
@@ -146,7 +147,7 @@ def curve_csv(rows: list[tuple[int, float, float]]) -> str:
 
 
 def _thresholds(graphs: list[ViewGraph], cfg: TransitivityConfig) -> np.ndarray:
-    """cfg.resolve of each graph's own edge weights, one call per graph size."""
+    """Each graph's `resolve_rows` threshold of its own edge weights, one call per size."""
     out = np.empty(len(graphs))
     for rows in _rows_by(g.num_views for g in graphs).values():
         out[rows] = cfg.resolve_rows(np.stack([graphs[i].edge_weights for i in rows]))

@@ -8,48 +8,49 @@ sums, which is what makes the value a lower bound on the exact edit
 distance with full substitution costs, the same deletion/insertion costs
 and the same 1/(2|V|) normalization.
 
-The table is plain numpy. Without a gradient `hed_values_multi` returns
-its values and keeps nothing. Over the encoder's output Var it returns one
-tape node, whose backward is the closed-form subgradient through the
-minima; the argmins are taken in the backward only, ties to the first
-index:
-- the upstream g is scaled by 1/(2|V|) (per kept row under a mask); a
-  node's term takes g of its class, summed over the rows that keep it, a
-  slot's term g of its row;
+Every HED value in the package comes from one plain-numpy forward, the
+table of `hed_values_multi`; `hed` is its one-instance, one-target case,
+whose assignments are the table's argmins, -1 where deletion or insertion
+won. Without a gradient the forward keeps nothing. Over the encoder's
+output Var it is one tape node, whose backward is the closed-form
+subgradient through the minima (argmins tie to the first index):
+- the upstream g is scaled by 1/(2|V|); a node's term takes g of its
+  class, a slot's term g of its row;
 - where deletion or insertion won, that gradient enters the cost head's
   backward (softplus, then tanh), which adds the head's gradient into its
   `grad_buffer` and gives the deletion costs' gradient w.r.t. u;
 - elsewhere g/2 goes to the winning entry of a (B*m, C*slots) weight
-  array G: the node's nearest slot of the class, the slot's nearest (kept)
-  node. With W = G / dist, 0 where dist <= 64 eps (|u| + |v|) (rounding
-  noise; `autodiff.pairwise_l2_grad`), the distances' share is
+  array G: the node's nearest slot of the class, the slot's nearest node.
+  With W = G / dist, 0 where dist <= 64 eps (|u| + |v|) (rounding noise;
+  `autodiff.pairwise_l2_grad`), the distances' share is
   g_u = (W 1) * u - W V.
 The targets, the class proxies, are constants: no target gradient is
 computed. Ties between deletion and substitution resolve to substitution.
 
-`hed_values_multi` reads only two minima from its (B, m, C*slots) L2
-table: per node and class over slots, and per slot over nodes. Tables of at
-least `SCREEN_MIN_ENTRIES` entries are therefore screened first. Squared
-distances in Gram form, |u|^2 + |v|^2 - 2 u.v, cost one matrix product;
-an entry stays a candidate when it lies within a rounding bound of its row
-or column minimum, and only candidates get the exact explicit-difference
-distance, the rest +inf. The bound, (8d + 32) eps (max|u|^2 + max|v|^2)
-plus the smallest normal number for underflow, covers the Gram form's
-error, the explicit form's own error and two values that round to the
-same square root, so every entry that ties the exact minimum is a
-candidate: the minima, their argmins and the gradients equal the full
-table's bit for bit. NaN compares as a candidate, and an input
-whose squared norms overflow keeps every entry. Smaller tables lose more
-to the screen's fixed cost than they save and compute the full table.
+The forward reads only two minima from its (B, m, C*slots) L2 table: per
+node and class over slots, and per slot over nodes. Tables of at least
+`SCREEN_MIN_ENTRIES` entries, large `hed` pairs included, are therefore
+screened first. Squared distances in Gram form, |u|^2 + |v|^2 - 2 u.v,
+cost one matrix product; an entry stays a candidate when it lies within a
+rounding bound of its row or column minimum, and only candidates get the
+exact explicit-difference distance, the rest +inf. The bound,
+(8d + 32) eps (max|u|^2 + max|v|^2) plus the smallest normal number for
+underflow, covers the Gram form's error, the explicit form's own error and
+two values that round to the same square root, so every entry that ties
+the exact minimum is a candidate: the minima, their argmins and the
+gradients equal the full table's bit for bit. NaN compares as a
+candidate, and an input whose squared norms overflow keeps every entry.
+Smaller tables lose more to the screen's fixed cost than they save and
+compute the full table.
 
 The same table scores node subsets. A kept node's term reads only its own
 row minimum over a class's slots, and a slot's term reads only its column
 minimum over the kept nodes, so with a boolean `keep` mask (B, S, m)
 `hed_values_multi` returns the (B, S, C) distances of S subsets of each
-instance from one (B, m, C*slots) table. Masked tables are never
-screened: the screen keeps only entries that can be a row minimum or a
-column minimum over all nodes, and a subset's column minimum can fall on
-an entry it drops once the node holding the all-node minimum is dropped.
+instance from one (B, m, C*slots) table. No caller trains on a mask, so
+masked tables are value-only. Nor are they screened: a subset's column
+minimum can fall on an entry that is neither a row minimum nor a column
+minimum over all nodes, once the node holding the latter is dropped.
 """
 from __future__ import annotations
 
@@ -148,24 +149,11 @@ def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
     return ~far.reshape(b, m, -1)                                 # NaN is never far
 
 
-def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
-                     keep: np.ndarray | None = None):
-    """Distances of a batch of node sets to several same-size targets in one table.
-
-    `u` is (B, m, d) and `stacked_targets` (C * slots, d); returns the (B, C)
-    HED values. The targets' insertion costs are computed once for the
-    whole batch. Used by the trainer and `evaluate` to score instances
-    against every class proxy. For an array `u` the result is an array; for
-    the encoder's output Var it is one Var, whose backward fn returns u's
-    gradient and adds the cost head's into `head.grad_buffer`.
-
-    With a boolean `keep` (B, S, m), row s of instance b scores the node
-    subset keep[b, s] instead, and the result is (B, S, C): the HED of the
-    kept nodes alone, up to the order of summation. The explanation metrics
-    score every subset of an instance this way from one table.
-    """
-    want_grad = isinstance(u, Var)
-    x = u.value if want_grad else u
+def _forward(x: np.ndarray, stacked_targets: np.ndarray, slots: int, head,
+             want_grad: bool = False, keep: np.ndarray | None = None):
+    """`hed_values_multi` over an array x: the values, a function giving an
+    unmasked table's take_del, take_ins and argmins over slots and over
+    nodes, and with `want_grad` that table's backward."""
     b, m, d = x.shape
     rows = stacked_targets.shape[0]
     if stacked_targets.shape[1] != d:
@@ -191,37 +179,35 @@ def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
     take_del = del_u < sub_u                                     # (B, m, C)
     cost_u = np.where(take_del, del_u, sub_u)
     if keep is None:
-        by_slot = by_class                                       # (B, m, C, slots)
         sub_v = by_class.min(axis=1) * 0.5                       # (B, C, slots)
         sum_u = cost_u.sum(axis=1)                               # (B, C)
         scale = 1.0 / (2.0 * m)
     else:
         # a node's term does not depend on the subset; the kept ones are
-        # summed along a contiguous last axis, as `hed` sums them
+        # summed along a contiguous last axis, as an unmasked table sums them
         by_node = cost_u.transpose(0, 2, 1).reshape(b, 1, count, m)
         sum_u = np.where(keep[:, :, None, :], by_node, 0.0).sum(axis=3)    # (B, S, C)
         # a slot's term reads its minimum over the kept nodes only
-        by_slot = np.where(keep[:, :, :, None, None], by_class.reshape(b, 1, m, count, slots),
-                           np.inf)                               # (B, S, m, C, slots)
-        sub_v = by_slot.min(axis=-3) * 0.5                       # (B, S, C, slots)
+        sub_v = np.where(keep[:, :, :, None, None], by_class.reshape(b, 1, m, count, slots),
+                         np.inf).min(axis=2) * 0.5               # (B, S, C, slots)
         scale = (1.0 / (2.0 * keep.sum(axis=2)))[:, :, None]
     take_ins = ins_v < sub_v                                     # (B, [S,] C, slots)
     cost_v = np.where(take_ins, ins_v, sub_v)
     value = (sum_u + cost_v.sum(axis=-1)) * scale
-    if not want_grad:
-        return value
+
+    def decisions():
+        return take_del, take_ins, by_class.argmin(axis=3), by_class.argmin(axis=1)
 
     def bk(g):
         g = g * scale
-        # each node's term takes the upstream of every row that keeps the node
-        g_u = (np.broadcast_to(g[:, None], (b, m, count)) if keep is None
-               else keep.transpose(0, 2, 1).astype(np.float64) @ g)        # (B, m, C)
-        g_v = np.broadcast_to(g[..., None], take_ins.shape)
+        _, _, to_slot, to_node = decisions()
+        g_u = np.broadcast_to(g[:, None], (b, m, count))
+        g_v = np.broadcast_to(g[..., None], (b, count, slots))
         # a won substitution sends g / 2 to its winning entry of the flat
         # (B*m, C*slots) table: each node's nearest slot per class, and each
-        # slot's nearest (kept) node
-        row_win = np.arange(b * m * count) * slots + by_class.argmin(axis=3).ravel()
-        node = np.arange(b).reshape((b,) + (1,) * (g_v.ndim - 1)) * m + by_slot.argmin(axis=-3)
+        # slot's nearest node
+        row_win = np.arange(b * m * count) * slots + to_slot.ravel()
+        node = np.arange(b)[:, None, None] * m + to_node        # (B, C, slots)
         col_win = node * rows + np.arange(rows).reshape(count, slots)
         weights = np.concatenate([np.where(take_del, 0.0, g_u).ravel(),
                                   np.where(take_ins, 0.0, g_v).ravel()]) * 0.5
@@ -232,25 +218,35 @@ def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
         grad += head.backward(del_saved, np.where(take_del, g_u, 0.0).sum(axis=2))
         head.backward(ins_saved, np.where(take_ins, g_v, 0.0).reshape(-1, rows).sum(axis=0))
         return (grad,)
+    return value, decisions, bk
+
+
+def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
+                     keep: np.ndarray | None = None):
+    """Distances of a batch of node sets to several same-size targets in one table.
+
+    `u` is (B, m, d) and `stacked_targets` (C * slots, d); returns the (B, C)
+    HED values, an array for an array `u`. For the encoder's output Var it
+    is one Var, whose backward fn returns u's gradient and adds the cost
+    head's into `head.grad_buffer`.
+
+    With a boolean `keep` (B, S, m), row s of instance b scores the node
+    subset keep[b, s] instead, and the result is the (B, S, C) HED of the
+    kept nodes alone, up to the order of summation. Masked tables are
+    value-only: `keep` with a Var raises ValueError.
+    """
+    if not isinstance(u, Var):
+        return _forward(u, stacked_targets, slots, head, keep=keep)[0]
+    if keep is not None:
+        raise ValueError("masked tables are value-only: pass an array with keep")
+    value, _, bk = _forward(u.value, stacked_targets, slots, head, want_grad=True)
     return Var(value, requires_grad=True, parents=(u,), backward=bk)
 
 
 def hed(gs, gp, head) -> HedResult:
-    """Hausdorff edit distance with learned deletion/insertion costs."""
-    u = _nodes(gs)
-    v = _nodes(gp)
-    if u.shape[1] != v.shape[1]:
-        raise ConfigError(f"node dims differ: {u.shape[1]} vs {v.shape[1]}")
-    dist = ad.pairwise_l2(u, v)                       # (m, p)
-    sub_u = dist.min(axis=1) * 0.5
-    sub_v = dist.min(axis=0) * 0.5
-    del_u = head.forward(u)[0]
-    ins_v = head.forward(v)[0]
-    take_del = del_u < sub_u                          # ties keep substitution
-    take_ins = ins_v < sub_v
-    cost_u = np.where(take_del, del_u, sub_u)
-    cost_v = np.where(take_ins, ins_v, sub_v)
-    value = (cost_u.sum() + cost_v.sum()) * (1.0 / (2.0 * u.shape[0]))
-    return HedResult(float(value),
-                     np.where(take_del, -1, dist.argmin(axis=1)),
-                     np.where(take_ins, -1, dist.argmin(axis=0)))
+    """The HED of one pair and its assignments: a one-row `hed_values_multi` table."""
+    u, v = _nodes(gs), _nodes(gp)
+    value, decisions, _ = _forward(u[None], v, v.shape[0], head)
+    take_del, take_ins, to_slot, to_node = decisions()
+    return HedResult(float(value[0, 0]), np.where(take_del, -1, to_slot)[0, :, 0],
+                     np.where(take_ins, -1, to_node)[0, 0])

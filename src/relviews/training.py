@@ -255,6 +255,8 @@ class TrainedModel:
                 raise ConfigError(f"missing config key {key!r}")
         try:
             in_dim = _parse_int(config.pop("in_dim"))
+            if in_dim < 1:
+                raise ConfigError(f"expected a positive integer, got {in_dim}")
         except ConfigError as err:
             raise ConfigError(f"in_dim: {err}") from None
         _, cfg = build_configs({key: parse_value(key, raw) for key, raw in config.items()})
@@ -298,9 +300,13 @@ class TrainedModel:
             raise ConfigError(f"missing tensor proxy{orphans[0]}.nodes")
         for cid in sorted(stash["nodes"]):
             try:
-                model.proxies[cid] = ProxyGraph(cid, stash["nodes"][cid])
+                model.proxies[cid] = proxy = ProxyGraph(cid, stash["nodes"][cid])
             except ValueError as err:
                 raise ConfigError(f"proxy{cid}: {err}") from None
+            first = model.proxies[min(model.proxies)]   # one table stacks all classes' slots
+            if proxy.num_slots != first.num_slots:
+                raise ConfigError(f"tensor proxy{cid}.nodes: {proxy.num_slots} slots, but "
+                                  f"proxy{first.class_id}.nodes has {first.num_slots}")
         return model
 
 

@@ -31,9 +31,6 @@ class TransitivityConfig:
         if self.gamma is None and not 0.0 < self.gamma_quantile < 1.0:
             raise ConfigError("gamma_quantile must lie in (0, 1)")
 
-    def resolve(self, scores) -> float:
-        return float(self.resolve_rows(np.ravel(scores)[None])[0])
-
     def resolve_rows(self, scores) -> np.ndarray:
         """The threshold of each row of a (B, P) array: `gamma`, or each row's
         `gamma_quantile` quantile, bit-identical to numpy's linear method.

@@ -427,7 +427,8 @@ def tape_table(u, stacked_targets, slots: int, head, keep=None):
 
 
 def tape_hed(gs, gp, head) -> HedResult:
-    """`hed.hed` as generic tape ops: the oracle of its values."""
+    """`hed.hed` as generic tape ops, never screened: the oracle of its values
+    and assignments."""
     u = gs.node_features if isinstance(gs, ViewGraph) else np.asarray(gs, dtype=np.float64)
     v = gp.node_features if isinstance(gp, ViewGraph) else np.asarray(gp, dtype=np.float64)
     bound = TapeHead(head, False)

@@ -240,8 +240,9 @@ def test_macs_equals_per_explanation_thresholds(rng):
             per_class = {}
             for ex in expls.entries:
                 sub = ex.as_graph()
+                gamma = cfg.resolve_rows(sub.edge_weights[None])[0]
                 per_class.setdefault(ex.parent.label, []).append(
-                    count_k_cliques_with_global(sub, k, cfg.resolve(sub.edge_weights)))
+                    count_k_cliques_with_global(sub, k, gamma))
             return {c: np.mean(v) for c, v in per_class.items()}
         ca, cb = class_counts(a), class_counts(b)
         diffs = [0.0 if max(ca[c], cb[c]) == 0 else abs(ca[c] - cb[c]) / max(ca[c], cb[c])

@@ -381,6 +381,33 @@ def test_screen_keeps_nan_and_propagates_it(monkeypatch):
     assert np.isnan(table[:, 1]).all() and np.isfinite(table[:, 0]).all()
 
 
+def test_screened_pair_equals_the_tape_oracle(monkeypatch):
+    """`hed` is the one-row table, so a pair of at least `SCREEN_MIN_ENTRIES`
+    entries is screened; values and assignments still equal the unscreened
+    tape form bit for bit, tied and near-tied slots included."""
+    calls = []
+    screen = hed_module._candidates
+    monkeypatch.setattr(hed_module, "_candidates", lambda *a: calls.append(1) or screen(*a))
+    rng = np.random.default_rng(27)
+    slots = rng.standard_normal((40, 6))
+    slots[1] = slots[0]
+    slots[3] = np.nextafter(slots[2], np.inf)
+    pairs = [(u.reshape(-1, u.shape[-1]), targets) for _, u, targets in screen_inputs()]
+    pairs.append((slots[rng.integers(0, 40, 40)] + 1e-15 * rng.standard_normal((40, 6)), slots))
+    assert 40 * 40 >= hed_module.SCREEN_MIN_ENTRIES
+    for limit in (hed_module.SCREEN_MIN_ENTRIES, 0):
+        monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
+        for i, (u, targets) in enumerate(pairs):
+            for head in (CostHead(6, hidden=4, seed=28), ConstantCostHead(0.05),
+                         ConstantCostHead(1e9)):
+                calls.clear()
+                res, ref = hed(u, targets, head), tape_hed(u, targets, head)
+                assert len(calls) == (limit == 0 or i == len(pairs) - 1)
+                assert res.value == ref.value, i
+                assert np.array_equal(res.forward_assignment, ref.forward_assignment), i
+                assert np.array_equal(res.backward_assignment, ref.backward_assignment), i
+
+
 @pytest.mark.parametrize("batch, expect_screen", [(1, False), (60, True)])
 def test_dispatch_on_table_size(monkeypatch, batch, expect_screen):
     rng = np.random.default_rng(24)
@@ -528,30 +555,29 @@ def test_tables_and_pair_values_equal_the_tape_oracle_bit_for_bit():
 
 
 def test_closed_form_gradients_equal_the_tape_oracle():
-    # instance and cost-head gradients of sum(seed * table), masked and
-    # unmasked, within 1e-12 of the largest oracle entry
+    # instance and cost-head gradients of sum(seed * table) within 1e-12 of
+    # the largest oracle entry; a masked table is value-only and refuses a Var
     rng = np.random.default_rng(44)
     for i, (u, targets, slots, head) in enumerate(oracle_cases()):
         keep = rng.random((u.shape[0], 3, u.shape[1])) < 0.5
         keep[:, :, 0] |= ~keep.any(axis=2)
-        for mask in (None, keep):
-            shape = (u.shape[0], targets.shape[0] // slots) if mask is None else keep.shape[:2] + (
-                targets.shape[0] // slots,)
-            seed = rng.standard_normal(shape)
-            grads = []
-            for table in (hed_values_multi, tape_table):
-                u_var = ad.Var(u.copy(), requires_grad=True)
-                if isinstance(head, CostHead):
-                    head.zero_grads()
-                out = table(u_var, targets, slots, head, mask)
-                ad.backward(out, seed)
-                grads.append((out.value, u_var.grad,
-                              head.grad_buffer.copy() if isinstance(head, CostHead) else None))
-            (val, gu, gh), (ref_val, ref_gu, ref_gh) = grads
-            assert np.array_equal(val, ref_val), i
-            assert np.abs(gu - ref_gu).max() <= 1e-12 * np.abs(ref_gu).max(initial=0.0), i
-            if gh is not None:
-                assert np.abs(gh - ref_gh).max() <= 1e-12 * np.abs(ref_gh).max(initial=0.0), i
+        with pytest.raises(ValueError, match="value-only"):
+            hed_values_multi(ad.Var(u.copy(), requires_grad=True), targets, slots, head, keep)
+        seed = rng.standard_normal((u.shape[0], targets.shape[0] // slots))
+        grads = []
+        for table in (hed_values_multi, tape_table):
+            u_var = ad.Var(u.copy(), requires_grad=True)
+            if isinstance(head, CostHead):
+                head.zero_grads()
+            out = table(u_var, targets, slots, head)
+            ad.backward(out, seed)
+            grads.append((out.value, u_var.grad,
+                          head.grad_buffer.copy() if isinstance(head, CostHead) else None))
+        (val, gu, gh), (ref_val, ref_gu, ref_gh) = grads
+        assert np.array_equal(val, ref_val), i
+        assert np.abs(gu - ref_gu).max() <= 1e-12 * np.abs(ref_gu).max(initial=0.0), i
+        if gh is not None:
+            assert np.abs(gh - ref_gh).max() <= 1e-12 * np.abs(ref_gh).max(initial=0.0), i
 
 
 def test_no_grad_table_returns_an_array():

@@ -502,6 +502,31 @@ def test_checkpoint_refuses_a_final_edge_update_of_another_shape(tmp_path, capsy
     assert "shape mismatch for layer0.edge_update" in capsys.readouterr().err
 
 
+def test_checkpoint_refuses_proxies_of_different_slot_counts(tmp_path, capsys):
+    # one distance table stacks every class's slots, so eval could not score it
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_CHECKPOINT.replace("tensor proxy1.nodes 3,2\n-0.5 0.25 2 1 1 -1.5",
+                                          "tensor proxy1.nodes 2,2\n-0.5 0.25 2 1"))
+    with pytest.raises(ConfigError, match=r"v1\.ckpt: tensor proxy1\.nodes: 2 slots, "
+                                          r"but proxy0\.nodes has 3$"):
+        TrainedModel.load(path)
+    data = str(tmp_path / "none.txt")
+    for args in (["eval"], ["metrics", "--out", str(tmp_path / "out")]):
+        assert main([*args, "--checkpoint", str(path), "--data", data]) == 2
+        assert "tensor proxy1.nodes: 2 slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("in_dim", ["-1", "0"])
+def test_checkpoint_refuses_a_non_positive_in_dim(tmp_path, capsys, in_dim):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V1_CHECKPOINT.replace("config in_dim=2", f"config in_dim={in_dim}"))
+    with pytest.raises(ConfigError, match=rf"v1\.ckpt: in_dim: expected a positive integer, "
+                                          rf"got {in_dim}$"):
+        TrainedModel.load(path)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
+    assert "in_dim: expected a positive integer" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def default_run():
     """One default-config epoch: its report and the encoder gradients of its first step."""

@@ -87,7 +87,8 @@ def test_resolve_rows_equals_resolve_per_row(rng):
     scores = np.round(rng.random((9, 36)), 2)   # rounded: ties in every row
     for cfg in (TransitivityConfig(), TransitivityConfig(gamma_quantile=0.3),
                 TransitivityConfig(gamma=0.4)):
-        assert np.array_equal(cfg.resolve_rows(scores), [cfg.resolve(r) for r in scores])
+        per_row = [cfg.resolve_rows(r[None])[0] for r in scores]
+        assert np.array_equal(cfg.resolve_rows(scores), per_row)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.75, 0.999])
@@ -100,7 +101,7 @@ def test_resolve_rows_is_bit_identical_to_np_quantile(q):
         rows[::2] = np.round(rows[::2], 1)
         expect = np.quantile(rows, q, axis=1)
         assert np.array_equal(cfg.resolve_rows(rows), expect), width
-        assert cfg.resolve(rows[0]) == expect[0]
+        assert cfg.resolve_rows(rows[:1])[0] == expect[0]
     nan_row = np.array([[0.5, np.nan, 0.25, 1.0]])
     assert np.isnan(cfg.resolve_rows(nan_row)).all() and np.isnan(np.quantile(nan_row, q))
 
@@ -115,9 +116,9 @@ def test_clique_count_monotone_in_gamma(rng):
 def test_quantile_threshold_resolution():
     cfg = TransitivityConfig()
     vals = np.arange(101, dtype=float)
-    assert cfg.resolve(vals) == pytest.approx(75.0)
+    assert cfg.resolve_rows(vals[None])[0] == pytest.approx(75.0)
     fixed = TransitivityConfig(gamma=3.5)
-    assert fixed.resolve(vals) == 3.5
+    assert fixed.resolve_rows(vals[None])[0] == 3.5
 
 
 # ------------------------------------------------------------- calculators
