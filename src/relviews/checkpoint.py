@@ -1,14 +1,16 @@
 """Text checkpoint container shared by the encoder, cost head, and proxies.
 
-Layout: a version line, one `config` line per key=value pair, then per
-tensor a `tensor <name> <dim0,dim1,...>` line followed by one line of
-space-separated values at 17 significant digits (bit-comparable float64
-round trips). Tensor order is fixed by the writer and preserved on read.
-Every malformed or repeated line, and every NaN or infinite tensor value,
-raises a ConfigError that names the file and, for a config key or a
-tensor, the key or the tensor. The config keys and their value parsers
-are defined once, in `training.CONFIG_KEYS`; `TrainedModel.save`/`load`
-write and check them.
+Layout: the format line `relviews-checkpoint 2`, one `config` line per
+key=value pair, then per tensor a `tensor <name> <dim0,dim1,...>` line
+followed by one line of space-separated values at 17 significant digits
+(bit-comparable float64 round trips). Tensor order is fixed by the writer
+and preserved on read. Every malformed or repeated line, and every NaN or
+infinite tensor value, raises a ConfigError that names the file and, for a
+config key or a tensor, the key or the tensor. A file of another format is
+refused by its format line: format 1 stored an edge map in the final
+encoder layer and edge tensors in the proxies, and its models have to be
+trained again. The config keys and their value parsers are defined once,
+in `training.CONFIG_KEYS`; `TrainedModel.save`/`load` write and check them.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
-_HEADER = "relviews-checkpoint 1"
+_HEADER = "relviews-checkpoint 2"
 
 
 def write_checkpoint(path, config: dict[str, str],
@@ -36,8 +38,10 @@ def write_checkpoint(path, config: dict[str, str],
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, "checkpoint").splitlines()
+    if lines and lines[0] != _HEADER and lines[0].startswith("relviews-checkpoint "):
+        raise ConfigError(f"{path}: checkpoint format {lines[0]!r} is not read by this "
+                          f"version, which reads {_HEADER!r}; train the model again")
     if not lines or lines[0] != _HEADER:
         raise ConfigError(f"not a checkpoint file: {path}")
     config: dict[str, str] = {}

@@ -19,7 +19,7 @@ from .errors import ConfigError, NumericError
 from .graphs import export_dot
 from .runconfig import load_config
 from .synth import NoiseModel
-from .transitivity import (TransitivityConfig, sample_complexity_noisy,
+from .transitivity import (MAX_CLIQUE_NODES, TransitivityConfig, sample_complexity_noisy,
                            sample_complexity_transitive, topology_count,
                            turan_edge_bound)
 
@@ -126,6 +126,10 @@ def cmd_metrics(args) -> int:
         raise ConfigError("metrics need a checkpoint with graph proxies")
     ds = synth.load(args.data)
     training.check_classes(model.proxies, ds, str(args.checkpoint))
+    nodes = min(max(ks), ds.config.views_per_instance) + 1  # global view + min(k, views) locals
+    if args.macs and nodes > MAX_CLIQUE_NODES:
+        raise ConfigError(f"--macs: explanations of {nodes} nodes exceed the {MAX_CLIQUE_NODES} "
+                          "nodes that clique counting takes; lower --top-k-list")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)

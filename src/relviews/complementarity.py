@@ -4,8 +4,9 @@
 training, in stacked chunks of instances: each chunk is one pass of
 whole-array operations, and an instance's graph does not depend on the
 chunk it falls in. The global view, row 0 of `SynthInstance.embeddings()`,
-becomes node 0. A local-local edge weighs 1/|z_i . z_j| (capped); edges
-incident to the global view weigh 1, so no local-to-global prior is baked in.
+becomes node 0. Views are scaled to unit norm. A local-local edge weighs
+1/|z_i . z_j| (capped); edges incident to the global view weigh 1, so no
+local-to-global prior is baked in.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .synth import SynthDataset
 @dataclass(frozen=True)
 class ComplementarityConfig:
     weight_cap: float = 1e4        # bound for 1/|dot| when views are orthogonal
-    normalize_embeddings: bool = True
 
     def __post_init__(self):
         if self.weight_cap <= 0:
@@ -31,10 +31,9 @@ class ComplementarityConfig:
 def _build_stack(emb: np.ndarray, cfg: ComplementarityConfig,
                  labels: list, uniform: bool) -> list[ViewGraph]:
     """Graphs of a (B, N, d) stack of instances whose global view is row 0."""
-    if cfg.normalize_embeddings:
-        # a norm along the contiguous last axis reduces each row as a 2-D call does
-        norms = np.linalg.norm(emb, axis=2, keepdims=True)
-        emb = emb / np.where(norms == 0, 1.0, norms)
+    # a norm along the contiguous last axis reduces each row as a 2-D call does
+    norms = np.linalg.norm(emb, axis=2, keepdims=True)
+    emb = emb / np.where(norms == 0, 1.0, norms)
 
     b, n_nodes, _ = emb.shape
     weight = np.ones((b, num_pairs(n_nodes)))

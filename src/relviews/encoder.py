@@ -2,7 +2,7 @@
 
 Multi-head attention over the complete graph with an edge channel in the
 logits, graph-level normalization between layers, and a learned edge update
-in the hidden layers; the final layer outputs node embeddings only.
+in every hidden layer; the final layer outputs node embeddings only.
 
 Hidden layers concatenate heads; the final layer averages full-width heads
 and is left unnormalized so its output scale is free to contract.
@@ -72,7 +72,6 @@ class EncoderConfig:
     heads_per_layer: int = 4
     hidden_dim: int = 32
     leaky_slope: float = 0.2
-    edge_update: bool = True
     norm_eps: float = 1e-5
 
     def __post_init__(self):
@@ -143,17 +142,14 @@ class GatParams(ad.FlatParams):
 
 
 def _layer_dims(cfg: EncoderConfig, in_dim: int):
-    """Per layer: (node_in, head_dim, edge_in, updates_edges)."""
+    """Per layer: (node_in, head_dim, edge_in); hidden layers output hidden_dim-wide edges."""
     dims = []
     node_in, edge_in = in_dim, in_dim
     for li in range(cfg.num_layers):
         final = li == cfg.num_layers - 1
         head_dim = cfg.hidden_dim if final else cfg.hidden_dim // cfg.heads_per_layer
-        updates = not final and cfg.edge_update
-        dims.append((node_in, head_dim, edge_in, updates))
-        node_in = cfg.hidden_dim
-        if updates:
-            edge_in = cfg.hidden_dim
+        dims.append((node_in, head_dim, edge_in))
+        node_in = edge_in = cfg.hidden_dim
     return dims
 
 
@@ -161,16 +157,14 @@ def init_params(cfg: EncoderConfig, in_dim: int, seed: int = 0) -> GatParams:
     """Uniform init scaled by 1/sqrt(fan_in); norm scales start at identity."""
     rng = np.random.default_rng(seed)
     layers = []
-    for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, in_dim)):
-        final = li == cfg.num_layers - 1
+    for li, (node_in, head_dim, edge_in) in enumerate(_layer_dims(cfg, in_dim)):
         W, a, P = (np.stack([ad.fan_in_uniform(rng, shape) for _ in range(cfg.heads_per_layer)])
                    for shape in ((node_in, head_dim), (3 * head_dim,), (edge_in, head_dim)))
         layer = LayerParams(W=W, a=a, P=P)
-        if not final:
+        if li < cfg.num_layers - 1:
             layer.norm_mean_scale = np.ones(cfg.hidden_dim)
             layer.norm_scale = np.ones(cfg.hidden_dim)
             layer.norm_shift = np.zeros(cfg.hidden_dim)
-        if updates:
             layer.edge_U = ad.fan_in_uniform(rng, (2 * cfg.hidden_dim + edge_in, cfg.hidden_dim))
         layers.append(layer)
     return GatParams(cfg, in_dim, layers)
@@ -220,11 +214,11 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
     Per layer and head: logits from [W h_i || W h_j || P f_ij] through a
     LeakyReLU, softmax over the other nodes, weighted aggregation; heads are
     concatenated (hidden) or averaged (final). f_ij starts as the edge
-    weight; a hidden layer with the edge update refreshes it through a
-    softplus, so it stays non-negative. Returns the final node embeddings,
-    (B, N, hidden) in input order: with `want_grad` as one Var, whose
-    backward adds the gradient of every encoder tensor into
-    `params.grad_buffer`, else as an array.
+    weight; each hidden layer refreshes it through a softplus, so it stays
+    non-negative. Returns the final node embeddings, (B, N, hidden) in
+    input order: with `want_grad` as one Var, whose backward adds the
+    gradient of every encoder tensor into `params.grad_buffer`, else as an
+    array.
     """
     cfg = params.config
     n = graphs[0].num_views
@@ -246,7 +240,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
     # contiguous row w * 1, so P, edge_U and their BLAS calls keep their shapes
     e = np.repeat(weights[..., None], params.in_dim, axis=2)        # (B, M, d_e)
 
-    for li, (node_in, head_dim, edge_in, updates) in enumerate(_layer_dims(cfg, params.in_dim)):
+    for li, (node_in, head_dim, edge_in) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
         lp = params.layers[li]
         Wh = h.reshape(b, 1, n, node_in) @ lp.W                      # (B, H, N, hd)
@@ -283,7 +277,7 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
         if not np.isfinite(h).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
-        if updates:
+        if not final:
             # [z_i || z_j || e] U averaged over both endpoint orders, so the
             # update is well defined on unordered pairs (keeps permutation
             # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
@@ -324,8 +318,8 @@ def _backward(params: GatParams, saved: list[_Saved], g_h: np.ndarray) -> None:
         sv, lp, grad = saved[li], params.layers[li], grads[li]
         b, _, n, hd = sv.Wh.shape
         node_in, edge_in = sv.h_in.shape[2], sv.e_in.shape[2]
-        # the edge input carries a gradient when an earlier layer updated it
-        edge_grad = li > 0 and cfg.edge_update
+        # every edge input but layer 0's, the input weights, is a hidden layer's output
+        edge_grad = li > 0
         g_e_in = None
 
         if sv.x is not None:

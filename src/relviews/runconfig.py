@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .synth import SynthConfig
 from .training import TrainConfig, build_configs, parse_value
 
@@ -46,8 +46,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path, "config")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     return parse_config_text(text, source=str(path))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 
 class NoiseModel(str, enum.Enum):
@@ -290,8 +290,8 @@ def _parse_record(line: str, cfg: SynthConfig) -> SynthInstance:
 def load(path) -> SynthDataset:
     """Read a `save` file; every malformed line raises a ConfigError that
     names the file and the line."""
-    with open(path) as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(read_text(path, "dataset").split("\n"), 1)
+             if ln.strip()]
     if not lines or not lines[0][1].startswith(_HEADER):
         raise ConfigError(f"not a dataset file: {path}")
     if len(lines) == 1:

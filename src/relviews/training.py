@@ -122,7 +122,6 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "encoder.heads": ("encoder", "heads_per_layer", _parse_int),
     "encoder.hidden_dim": ("encoder", "hidden_dim", _parse_int),
     "encoder.leaky_slope": ("encoder", "leaky_slope", _parse_float),
-    "encoder.edge_update": ("encoder", "edge_update", _parse_bool),
     "encoder.norm_eps": ("encoder", "norm_eps", _parse_float),
     "sinkhorn.epsilon": ("sinkhorn", "entropic_regularizer", _parse_float),
     "sinkhorn.max_iters": ("sinkhorn", "max_iters", _parse_int),
@@ -130,7 +129,6 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "anchor.margin": ("anchor", "margin", _parse_float),
     "anchor.scale": ("anchor", "scale", _parse_float),
     "comp.weight_cap": ("comp", "weight_cap", _parse_float),
-    "comp.normalize": ("comp", "normalize_embeddings", _parse_bool),
     "train.epochs": ("train", "epochs", _parse_int),
     "train.lr": ("train", "learning_rate", _parse_float),
     "train.lr_decay": ("train", "lr_decay", _parse_float),
@@ -266,19 +264,10 @@ class TrainedModel:
         width = cfg.encoder.hidden_dim
         pd = cfg.ablations.proxy_as_graph
         unread = {name: store for store in (params, head) for name, _ in store.named_tensors()}
-        # `proxyN.edges`, written by earlier versions, pass the checks of the
-        # nodes and are then dropped: no distance reads them
-        stash: dict[str, dict[int, np.ndarray]] = {
-            "nodes": {}, "edges": {}, "vector": model.proxy_vectors}
+        stash: dict[str, dict[int, np.ndarray]] = {"nodes": {}, "vector": model.proxy_vectors}
         for name, arr in tensors:
             if name in unread:
                 unread.pop(name).set_tensor(name, arr)
-                continue
-            if name == f"layer{cfg.encoder.num_layers - 1}.edge_update":
-                # the final layer's edge map of earlier versions: checked, dropped
-                shape = (2 * width + enc._layer_dims(cfg.encoder, in_dim)[-1][2], width)
-                if arr.shape != shape:
-                    raise ConfigError(f"shape mismatch for {name}: {shape} vs {arr.shape}")
                 continue
             slot, _, kind = name.partition(".")
             cid = slot[len("proxy"):]
@@ -295,9 +284,6 @@ class TrainedModel:
             stash[kind][int(cid)] = arr
         if unread:
             raise ConfigError(f"missing tensor {next(iter(unread))}")
-        orphans = sorted(stash["edges"].keys() - stash["nodes"].keys())
-        if orphans:
-            raise ConfigError(f"missing tensor proxy{orphans[0]}.nodes")
         for cid in sorted(stash["nodes"]):
             try:
                 model.proxies[cid] = proxy = ProxyGraph(cid, stash["nodes"][cid])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import ViewGraph
 
-_MAX_CLIQUE_NODES = 64
+MAX_CLIQUE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def count_k_cliques_with_global(g: ViewGraph, k: int, gamma: float) -> int:
     if k == 1:
         return 1  # the global view alone
     n = g.num_views
-    if n > _MAX_CLIQUE_NODES:
-        raise ValueError(f"clique counting refused above {_MAX_CLIQUE_NODES} nodes")
+    if n > MAX_CLIQUE_NODES:
+        raise ValueError(f"clique counting refused above {MAX_CLIQUE_NODES} nodes")
     above = g.weight_matrix() > gamma
     return _count_cliques(above, np.flatnonzero(above[0, 1:]) + 1, k - 1)
 

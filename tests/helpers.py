@@ -527,8 +527,7 @@ def tape_forward(params, graphs, want_grad: bool = True):
     h = constant(np.stack([g.node_features for g in graphs]))
     weights = np.stack([g.edge_weights for g in graphs])
     e = constant(np.repeat(weights[..., None], params.in_dim, axis=2))
-    for li, (node_in, head_dim, edge_in, updates) in enumerate(
-            enc._layer_dims(cfg, params.in_dim)):
+    for li, (node_in, head_dim, edge_in) in enumerate(enc._layer_dims(cfg, params.in_dim)):
         pv = pvars[li]
         Wh = matmul(reshape(h, (b, 1, n, node_in)), pv["W"])
         a_src, a_dst, a_edge = (
@@ -549,7 +548,6 @@ def tape_forward(params, graphs, want_grad: bool = True):
             h = reshape(transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
             h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"], pv["norm_shift"],
                           cfg.norm_eps)
-        if updates:
             hd = cfg.hidden_dim
             u_src, u_dst, u_edge = (
                 take(pv["edge_U"], np.arange(lo, hi), axis=0)
@@ -711,9 +709,8 @@ def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
     """`complementarity.build_dataset` one instance at a time: a 2-D norm
     and one (1, d) @ (d, 1) product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    if cfg.normalize_embeddings:
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.where(norms == 0, 1.0, norms)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    emb = emb / np.where(norms == 0, 1.0, norms)
     weights = np.ones(num_pairs(emb.shape[0]))
     if not uniform:
         i, j = upper_pairs(emb.shape[0])

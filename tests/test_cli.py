@@ -144,11 +144,11 @@ def trained(tiny, capsys):
      "duplicate tensor cost.b2"),
     (_first_value("tensor cost.W1 ", "nan"), "tensor cost.W1: non-finite value"),
     (_first_value("tensor proxy1.nodes ", "-inf"), "tensor proxy1.nodes: non-finite value"),
-    # earlier versions wrote proxy edge tensors: still checked, needing their nodes
+    # format 1 wrote proxy edge tensors; format 2 knows no such tensor
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,8", " ".join("0" * 80)], count=2),
-     "missing tensor proxy1.nodes"),
+     "unknown tensor proxy1.edges"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,2", " ".join("0" * 20)], count=0),
-     "tensor proxy1.edges: shape (10, 2) does not fit hidden_dim 8"),
+     "unknown tensor proxy1.edges"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.vector 8", " ".join("0" * 8)], count=0),
      "tensor proxy1.vector does not belong to a checkpoint with ablate.pd=true"),
     (_splice("config ablate.pd=", ["config ablate.pd=false"]),
@@ -210,6 +210,20 @@ def test_unreadable_checkpoint_exits_two(trained, capsys):
     assert main(["eval", "--checkpoint", str(ckpt.parent), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(ckpt.parent) in err
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset", "config"])
+def test_file_that_is_not_utf8_text_exits_two(trained, capsys, kind):
+    ckpt, data = trained
+    binary = ckpt.with_name("binary")
+    binary.write_bytes(b"relviews \xff\xfe\x00\x01\n")
+    argv = {"checkpoint": ["eval", "--checkpoint", str(binary), "--data", str(data)],
+            "dataset": ["eval", "--checkpoint", str(ckpt), "--data", str(binary)],
+            "config": ["train", "--config", str(binary), "--data", str(data),
+                       "--out", str(ckpt.parent / "again")]}[kind]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {binary}: not a {kind} file: byte 9 is not "
+                                       "UTF-8 text\n")
 
 
 def test_data_file_without_records_exits_two(trained, capsys):
@@ -365,6 +379,22 @@ def test_metrics_on_a_class_without_proxy_exits_two(trained, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {ckpt} has no proxy for class 3\n"
     assert not out.exists()
+
+
+def test_macs_on_explanations_above_the_clique_limit_exits_two(trained, capsys):
+    # 64 views: k = 64 keeps 65 nodes, past the 64 that clique counting takes
+    ckpt, _ = trained
+    data = _data_with(ckpt.parent.parent, "views64", "synth.views", 64)
+    capsys.readouterr()
+    out = ckpt.parent / "metrics"
+    assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data), "--macs",
+                 "--top-k-list", "2,64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --macs: explanations of 65 nodes exceed the 64 "
+                                       "nodes that clique counting takes; lower --top-k-list\n")
+    assert not out.exists()
+    assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data), "--macs",
+                 "--top-k-list", "63", "--out", str(out)]) == 0
+    assert (out / "macs.csv").read_text().startswith("k,macs\n63,")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -56,12 +56,10 @@ def test_monotone_in_absolute_dot():
         prev = w
 
 
-def test_normalization_flag():
-    a = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0]])
-    g_norm = build_one(a, ComplementarityConfig(normalize_embeddings=True))
-    assert np.allclose(np.linalg.norm(g_norm.node_features, axis=1), 1.0)
-    g_raw = build_one(a, ComplementarityConfig(normalize_embeddings=False))
-    assert np.array_equal(g_raw.node_features, a)
+def test_views_are_scaled_to_unit_norm():
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 5.0], [0.0, 0.0]])
+    g = build_one(a, ComplementarityConfig())
+    assert np.array_equal(g.node_features, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def test_uniform_ablation_edges():
@@ -92,9 +90,8 @@ def test_dataset_build_deterministic():
 def loop_build(embeddings, cfg, uniform=False):
     """Per-pair reference for `build_one`: one Python dot product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    if cfg.normalize_embeddings:
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.where(norms == 0, 1.0, norms)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    emb = emb / np.where(norms == 0, 1.0, norms)
     weights = np.ones(num_pairs(emb.shape[0]))
     if not uniform:
         for r, (i, j) in enumerate(combinations(range(emb.shape[0]), 2)):
@@ -105,10 +102,9 @@ def loop_build(embeddings, cfg, uniform=False):
     return emb, weights
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-def test_build_equals_per_pair_loop(normalize):
+def test_build_equals_per_pair_loop():
     rng = np.random.default_rng(20)
-    cfg = ComplementarityConfig(weight_cap=50.0, normalize_embeddings=normalize)
+    cfg = ComplementarityConfig(weight_cap=50.0)
     cases = []
     for _ in range(200):
         n, dim = int(rng.integers(2, 18)), int(rng.integers(1, 40))
@@ -133,7 +129,7 @@ def planted_dataset(count: int) -> SynthDataset:
                               feature_dim=5, seed=7))
     eye = np.eye(5)
     planted = [np.stack([eye[0], eye[1], eye[2], eye[3]]),
-               np.stack([np.ones(5), eye[0], 0.5 * eye[0] + eye[1], eye[2]]),
+               np.stack([np.ones(5), eye[0], np.ones(5) - eye[4], eye[2]]),
                np.stack([np.ones(5), eye[0], np.zeros(5), eye[1]]),
                1e150 * np.stack([np.ones(5), eye[0], eye[0] + eye[1], eye[2]])]
     instances = list(ds.instances)
@@ -142,12 +138,12 @@ def planted_dataset(count: int) -> SynthDataset:
     return SynthDataset(ds.config, instances[:count])
 
 
-@pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("count, chunk", [(15, 4), (13, 8), (15, 1), (3, 16)])
-def test_batched_build_equals_per_instance_build(normalize, uniform, count, chunk):
-    # weight cap 2 = 1/|0.5|: the planted 0.5 dot product lands exactly on the cap
-    cfg = ComplementarityConfig(weight_cap=2.0, normalize_embeddings=normalize)
+def test_batched_build_equals_per_instance_build(uniform, count, chunk):
+    # weight cap 2 = 1/|0.5|: the planted unit views e0 and (1, 1, 1, 1, 0) / 2
+    # have the dot product 0.5, which lands exactly on the cap
+    cfg = ComplementarityConfig(weight_cap=2.0)
     ds = planted_dataset(count)
     graphs = build_dataset(ds, cfg, uniform=uniform, chunk_size=chunk)
     assert len(graphs) == count
@@ -157,6 +153,6 @@ def test_batched_build_equals_per_instance_build(normalize, uniform, count, chun
         assert np.array_equal(g.node_features, ref.node_features)
         assert np.array_equal(g.edge_weights, ref.edge_weights)
     assert graphs[1].edge_weights[pair_rows(1, 2, 5)] == (1.0 if uniform else 2.0)  # orthogonal
-    if count > 6 and not (normalize or uniform):
+    if count > 6 and not uniform:
         assert graphs[6].edge_weights[pair_rows(2, 3, 5)] == 2.0   # 1/0.5, at the cap
 

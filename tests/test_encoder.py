@@ -191,8 +191,7 @@ def concat_forward(params, graphs):
     h = constant(np.stack([g.node_features for g in graphs]))
     weights = np.stack([g.edge_weights for g in graphs])
     e = constant(np.repeat(weights[..., None], params.in_dim, axis=2))
-    for li, (node_in, head_dim, edge_in, updates) in enumerate(
-            enc._layer_dims(cfg, params.in_dim)):
+    for li, (node_in, head_dim, edge_in) in enumerate(enc._layer_dims(cfg, params.in_dim)):
         pv = pvars[li]
         Wh = matmul(reshape(h, (b, 1, n, node_in)), pv["W"])
         a_src, a_dst, a_edge = (
@@ -213,7 +212,6 @@ def concat_forward(params, graphs):
             h = reshape(transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
             h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
                           pv["norm_shift"], cfg.norm_eps)
-        if updates:
             zi = take(h, idx_i, axis=1)
             zj = take(h, idx_j, axis=1)
             fwd_ord = matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
@@ -229,10 +227,8 @@ def assert_close_rel(actual, expect, rtol):
 @pytest.mark.parametrize("cfg, in_dim", [
     (EncoderConfig(), 32),
     (EncoderConfig(num_layers=3), 32),
-    (EncoderConfig(edge_update=False), 32),
-    (EncoderConfig(num_layers=3, edge_update=False), 12),
     (EncoderConfig(), 12),
-], ids=["default", "three_layers", "no_edge_update", "no_edge_update_narrow", "narrow_input"])
+], ids=["default", "three_layers", "narrow_input"])
 def test_forward_and_gradients_match_concat_form(cfg, in_dim):
     params = init_params(cfg, in_dim, seed=22)
     graphs = [random_graph(6, in_dim, seed=23 + k) for k in range(3)]

@@ -14,7 +14,7 @@ from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig
 
 
 @pytest.mark.parametrize("text, message", [
-    ("comp.normalize = maybe\n", "comp.normalize: expected a boolean, got 'maybe'"),
+    ("ablate.cg = maybe\n", "ablate.cg: expected a boolean, got 'maybe'"),
     ("train.epochs = 2.5\n", "train.epochs: expected an integer, got '2.5'"),
     ("train.lr = fast\n", "train.lr: expected a number, got 'fast'"),
     ("synth.noise_model = gaussian\n", "synth.noise_model: unknown noise model 'gaussian'"),
@@ -32,6 +32,9 @@ def test_bad_values_name_the_key(text, message):
 @pytest.mark.parametrize("text, message", [
     ("# header\ntrain.epochs 3\n", "run.cfg:2: expected key=value"),
     ("train.epochs = 3\ntrain.no_such_key = 1\n", "run.cfg:2: unknown key 'train.no_such_key'"),
+    # switches of earlier versions: every hidden layer updates the edges, every view is normalized
+    ("encoder.edge_update = false\n", "run.cfg:1: unknown key 'encoder.edge_update'"),
+    ("comp.normalize = true\n", "run.cfg:1: unknown key 'comp.normalize'"),
     ("train.epochs = 3\n\ntrain.epochs = 4\n", "run.cfg:3: duplicate key 'train.epochs'"),
     ("comp.weight_cap = -1\n", "run.cfg: weight_cap must be positive"),
     ("train.proxy_momentum = 1.5\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
@@ -55,9 +58,9 @@ def test_unreadable_file(tmp_path):
 
 
 def test_valid_values_reach_the_configs():
-    run = parse_config_text("comp.normalize = off\ntrain.epochs = 7\n"
+    run = parse_config_text("ablate.cg = off\ntrain.epochs = 7\n"
                             "synth.noise_model = outside_global_fraction  # trailing\n")
-    assert run.train.comp.normalize_embeddings is False
+    assert run.train.ablations.use_complementarity_graph is False
     assert run.train.epochs == 7
     assert run.synth.noise_model.value == "outside_global_fraction"
 

@@ -1,5 +1,6 @@
 """Batched encoder and trainer: equivalence, determinism and persistence."""
 import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,7 +73,6 @@ HARNESS_SETTINGS = {
     "default": ({}, EncoderConfig()),
     "classes16": ({"num_classes": 16}, EncoderConfig()),
     "layers3": ({}, EncoderConfig(num_layers=3)),
-    "no_edge_update": ({}, EncoderConfig(edge_update=False)),
     "in_dim12": ({"feature_dim": 12}, EncoderConfig()),
 }
 HARNESS_ABLATIONS = {
@@ -349,16 +349,16 @@ def test_sweeps_test_on_held_out_instances_of_the_same_classes():
 def test_save_load_round_trips_every_checkpoint_key(tmp_path):
     cfg = TrainConfig(
         encoder=EncoderConfig(num_layers=1, heads_per_layer=2, hidden_dim=4, leaky_slope=0.3,
-                              edge_update=False, norm_eps=1e-4),
+                              norm_eps=1e-4),
         sinkhorn=SinkhornConfig(entropic_regularizer=0.1, max_iters=50, marginal_tol=1e-5),
         anchor=ProxyAnchorConfig(margin=0.2, scale=16.0),
-        comp=ComplementarityConfig(weight_cap=100.0, normalize_embeddings=False),
+        comp=ComplementarityConfig(weight_cap=100.0),
         ablations=AblationConfig(use_complementarity_graph=False, proxy_as_graph=False,
                                  transitivity_recovery=False),
         epochs=3, learning_rate=0.01, lr_decay=0.5, lr_decay_every=7, weight_decay=1e-3,
         batch_size=5, proxy_momentum=0.8, cost_head_hidden=3, seed=9)
     written, default = format_config(cfg), format_config(TrainConfig())
-    assert written.keys() == default.keys() and len(written) == 25
+    assert written.keys() == default.keys() and len(written) == 23
     assert all(written[key] != default[key] for key in written)
     model = TrainedModel(cfg, 6, init_params(cfg.encoder, 6, seed=1), CostHead(4, 3, seed=2),
                          proxy_vectors={0: np.arange(4.0), 3: -np.arange(4.0)})
@@ -374,15 +374,14 @@ def test_save_load_round_trips_every_checkpoint_key(tmp_path):
         TrainedModel.load(bad)
 
 
-# Written by the first checkpoint writer, `relviews-checkpoint 1`.
-V1_CHECKPOINT = """\
-relviews-checkpoint 1
+# A one-layer model with graph proxies, as `relviews-checkpoint 2` stores it.
+V2_CHECKPOINT = """\
+relviews-checkpoint 2
 config in_dim=2
 config encoder.layers=1
 config encoder.heads=1
 config encoder.hidden_dim=2
 config encoder.leaky_slope=0.2
-config encoder.edge_update=true
 config encoder.norm_eps=1e-05
 config sinkhorn.epsilon=0.05
 config sinkhorn.max_iters=1000
@@ -390,7 +389,6 @@ config sinkhorn.tol=1e-06
 config anchor.margin=0.1
 config anchor.scale=32.0
 config comp.weight_cap=10000.0
-config comp.normalize=true
 config train.epochs=3
 config train.lr=0.005
 config train.lr_decay=0.1
@@ -409,9 +407,6 @@ tensor layer0.head0.a 6
 -0.16 0.31 -0.40000000000000002 0.26000000000000001 0.23999999999999999 -0.029999999999999999
 tensor layer0.head0.P 2,2
 -0.28000000000000003 -0.31 -0.34999999999999998 -0.080000000000000002
-tensor layer0.edge_update 6,2
-0 0.040000000000000001 0.40000000000000002 0.23999999999999999 0.10000000000000001 \
-0.40000000000000002 -0.23000000000000001 -0.28000000000000003 0.089999999999999997 -0.37 -0.38 0.01
 tensor cost.W1 2,1
 -0.23999999999999999 0.68999999999999995
 tensor cost.b1 1
@@ -422,21 +417,14 @@ tensor cost.b2 1
 0
 tensor proxy0.nodes 3,2
 0.5 -0.25 1 0 0 1.5
-tensor proxy0.edges 3,2
-0.10000000000000001 0.20000000000000001 0.29999999999999999 0.40000000000000002 0.5 \
-0.59999999999999998
 tensor proxy1.nodes 3,2
 -0.5 0.25 2 1 1 -1.5
-tensor proxy1.edges 3,2
-0 0 1 1 2 2
 """
 
 
-def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
-    # the proxies' edge tensors and the final layer's edge update of V1 text
-    # enter no distance: they are checked on load, dropped, and not written back
-    path = tmp_path / "v1.ckpt"
-    path.write_text(V1_CHECKPOINT)
+def test_v2_checkpoint_text_loads_and_writes_back(tmp_path):
+    path = tmp_path / "v2.ckpt"
+    path.write_text(V2_CHECKPOINT)
     model = TrainedModel.load(path)
     assert model.in_dim == 2
     assert model.config == TrainConfig(
@@ -448,12 +436,23 @@ def test_v1_checkpoint_text_loads_and_writes_back_without_proxy_edges(tmp_path):
     distances = model.distances(ViewGraph(model.proxies[0].node_centroids, np.zeros(3)))
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
-    lines = V1_CHECKPOINT.splitlines()
-    edges = [i for i, line in enumerate(lines) if line.startswith("tensor ")
-             and line.split()[1].endswith((".edges", ".edge_update"))]
-    assert len(edges) == 3
-    kept = [line for i, line in enumerate(lines) if i not in {j + k for j in edges for k in (0, 1)}]
-    assert (tmp_path / "again.ckpt").read_text() == "\n".join(kept) + "\n"
+    assert (tmp_path / "again.ckpt").read_text() == V2_CHECKPOINT
+
+
+def test_format_1_checkpoints_are_refused_by_name(tmp_path, capsys):
+    # format 1 stored an edge map in the final layer and edge tensors in the
+    # proxies; its files are refused whole, before any key or tensor is read
+    path = tmp_path / "v2.ckpt"
+    path.write_text(V2_CHECKPOINT.replace("relviews-checkpoint 2", "relviews-checkpoint 1"))
+    message = (f"{path}: checkpoint format 'relviews-checkpoint 1' is not read by this "
+               "version, which reads 'relviews-checkpoint 2'; train the model again")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        TrainedModel.load(path)
+    data, out = str(tmp_path / "none.txt"), tmp_path / "out"
+    for args in (["eval"], ["explain", "--out", str(out)], ["metrics", "--out", str(out)]):
+        assert main([*args, "--checkpoint", str(path), "--data", data]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_adam_over_buffers_equals_per_tensor_adam():
@@ -479,8 +478,8 @@ def test_adam_over_buffers_equals_per_tensor_adam():
 
 
 def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
-    path = tmp_path / "v1.ckpt"
-    path.write_text(V1_CHECKPOINT)
+    path = tmp_path / "v2.ckpt"
+    path.write_text(V2_CHECKPOINT)
     model = TrainedModel.load(path)
     for owner in (model.params, model.cost_head):
         tensors = owner.named_tensors()
@@ -491,23 +490,12 @@ def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
     assert np.array_equal(model.cost_head.buffer, [-0.24, 0.69, 0.0, -0.36, 0.0])
 
 
-def test_checkpoint_refuses_a_final_edge_update_of_another_shape(tmp_path, capsys):
-    path = tmp_path / "v1.ckpt"
-    path.write_text(V1_CHECKPOINT.replace("tensor layer0.edge_update 6,2",
-                                          "tensor layer0.edge_update 4,3"))
-    with pytest.raises(ConfigError, match=r"v1\.ckpt: shape mismatch for layer0\.edge_update: "
-                                          r"\(6, 2\) vs \(4, 3\)$"):
-        TrainedModel.load(path)
-    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
-    assert "shape mismatch for layer0.edge_update" in capsys.readouterr().err
-
-
 def test_checkpoint_refuses_proxies_of_different_slot_counts(tmp_path, capsys):
     # one distance table stacks every class's slots, so eval could not score it
-    path = tmp_path / "v1.ckpt"
-    path.write_text(V1_CHECKPOINT.replace("tensor proxy1.nodes 3,2\n-0.5 0.25 2 1 1 -1.5",
+    path = tmp_path / "v2.ckpt"
+    path.write_text(V2_CHECKPOINT.replace("tensor proxy1.nodes 3,2\n-0.5 0.25 2 1 1 -1.5",
                                           "tensor proxy1.nodes 2,2\n-0.5 0.25 2 1"))
-    with pytest.raises(ConfigError, match=r"v1\.ckpt: tensor proxy1\.nodes: 2 slots, "
+    with pytest.raises(ConfigError, match=r"v2\.ckpt: tensor proxy1\.nodes: 2 slots, "
                                           r"but proxy0\.nodes has 3$"):
         TrainedModel.load(path)
     data = str(tmp_path / "none.txt")
@@ -518,9 +506,9 @@ def test_checkpoint_refuses_proxies_of_different_slot_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("in_dim", ["-1", "0"])
 def test_checkpoint_refuses_a_non_positive_in_dim(tmp_path, capsys, in_dim):
-    path = tmp_path / "v1.ckpt"
-    path.write_text(V1_CHECKPOINT.replace("config in_dim=2", f"config in_dim={in_dim}"))
-    with pytest.raises(ConfigError, match=rf"v1\.ckpt: in_dim: expected a positive integer, "
+    path = tmp_path / "v2.ckpt"
+    path.write_text(V2_CHECKPOINT.replace("config in_dim=2", f"config in_dim={in_dim}"))
+    with pytest.raises(ConfigError, match=rf"v2\.ckpt: in_dim: expected a positive integer, "
                                           rf"got {in_dim}$"):
         TrainedModel.load(path)
     assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
