@@ -9,8 +9,8 @@ infinite tensor value, raises a ConfigError that names the file and, for a
 config key or a tensor, the key or the tensor. A file of another format is
 refused by its format line: format 1 stored an edge map in the final
 encoder layer and edge tensors in the proxies, and its models have to be
-trained again. The config keys and their value parsers are defined once,
-in `training.CONFIG_KEYS`; `TrainedModel.save`/`load` write and check them.
+trained again (`errors.check_format`). The config keys are `training.CONFIG_KEYS`,
+their parsers `errors`'; `TrainedModel.save`/`load` write and check them.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, check_format, read_text
 
 _HEADER = "relviews-checkpoint 2"
 
@@ -39,11 +39,7 @@ def write_checkpoint(path, config: dict[str, str],
 
 def read_checkpoint(path) -> tuple[dict[str, str], list[tuple[str, np.ndarray]]]:
     lines = read_text(path, "checkpoint").splitlines()
-    if lines and lines[0] != _HEADER and lines[0].startswith("relviews-checkpoint "):
-        raise ConfigError(f"{path}: checkpoint format {lines[0]!r} is not read by this "
-                          f"version, which reads {_HEADER!r}; train the model again")
-    if not lines or lines[0] != _HEADER:
-        raise ConfigError(f"not a checkpoint file: {path}")
+    check_format(path, lines[0] if lines else "", _HEADER, "checkpoint", "train the model again")
     config: dict[str, str] = {}
     tensors: list[tuple[str, np.ndarray]] = []
     names: set[str] = set()

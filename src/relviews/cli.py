@@ -15,7 +15,7 @@ import numpy as np
 
 from . import explain as ex
 from . import synth, training
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, parse_float, parse_int, parse_named
 from .graphs import export_dot
 from .runconfig import load_config
 from .synth import NoiseModel
@@ -33,10 +33,7 @@ def _write_text(path, text: str) -> None:
 def _list_option(raw: str, option: str, parse) -> list:
     """Comma-separated values of one option; a bad token or an empty list is
     a ConfigError that names the option."""
-    try:
-        values = [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
-    except ValueError as err:
-        raise ConfigError(f"{option}: {err}") from None
+    values = [parse_named(option, parse, tok.strip()) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ConfigError(f"{option}: no values given")
     return values
@@ -46,6 +43,13 @@ def _size(k: int, option: str) -> int:
     if k < 0:
         raise ConfigError(f"{option}: explanation size must be non-negative, got {k}")
     return k
+
+
+def _model_and_data(args):
+    """The `--checkpoint` model and `--data` dataset, refused unless the data fits."""
+    model, ds = training.TrainedModel.load(args.checkpoint), synth.load(args.data)
+    training.check_fits(ds, model.class_ids(), model.in_dim, str(args.data), str(args.checkpoint))
+    return model, ds
 
 
 def cmd_generate(args) -> int:
@@ -77,8 +81,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = training.TrainedModel.load(args.checkpoint)
-    ds = synth.load(args.data)
+    model, ds = _model_and_data(args)
     acc = training.evaluate(model, ds)
     print(f"accuracy {acc:.6f}")
     return 0
@@ -86,8 +89,7 @@ def cmd_eval(args) -> int:
 
 def cmd_explain(args) -> int:
     top_k = _size(args.top_k, "--top-k")
-    model = training.TrainedModel.load(args.checkpoint)
-    ds = synth.load(args.data)
+    model, ds = _model_and_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     srgs = training.encode_dataset(model, ds)
@@ -101,7 +103,7 @@ def cmd_explain(args) -> int:
 def cmd_sweep_noise(args) -> int:
     run = load_config(args.config)
     models = _list_option(args.models, "--models", synth.parse_noise_model)
-    etas = _list_option(args.eta_list, "--eta-list", float)
+    etas = _list_option(args.eta_list, "--eta-list", parse_float)
     rows = training.sweep_noise(run.train, run.synth, etas, models,
                                 log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.noise_csv(rows))
@@ -112,7 +114,7 @@ def cmd_sweep_noise(args) -> int:
 def cmd_sweep_depth(args) -> int:
     run = load_config(args.config)
     rows = training.sweep_depth(run.train, run.synth,
-                                _list_option(args.depth_list, "--depth-list", int),
+                                _list_option(args.depth_list, "--depth-list", parse_int),
                                 log=lambda msg: print(msg, file=sys.stderr))
     _write_text(args.out, training.depth_csv(rows))
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -120,12 +122,11 @@ def cmd_sweep_depth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ks = [_size(k, "--top-k-list") for k in _list_option(args.top_k_list, "--top-k-list", int)]
-    model = training.TrainedModel.load(args.checkpoint)
+    ks = [_size(k, "--top-k-list")
+          for k in _list_option(args.top_k_list, "--top-k-list", parse_int)]
+    model, ds = _model_and_data(args)
     if not model.proxies:
         raise ConfigError("metrics need a checkpoint with graph proxies")
-    ds = synth.load(args.data)
-    training.check_classes(model.proxies, ds, str(args.checkpoint))
     nodes = min(max(ks), ds.config.views_per_instance) + 1  # global view + min(k, views) locals
     if args.macs and nodes > MAX_CLIQUE_NODES:
         raise ConfigError(f"--macs: explanations of {nodes} nodes exceed the {MAX_CLIQUE_NODES} "
@@ -163,22 +164,24 @@ def cmd_calc(args) -> int:
     name, vals = args.formula, args.args
     if name not in _CALC_ARGS:
         raise ConfigError(f"unknown formula {name!r} (one of: {_CALC_USAGE})")
-    if len(vals) != len(_CALC_ARGS[name].split()):
+    names = _CALC_ARGS[name].split()
+    if len(vals) != len(names):
         raise ConfigError(f"{name} takes {_CALC_ARGS[name]}, got {len(vals)} arguments")
+    parse = parse_int if name in ("topology-count", "turan") else parse_float
+    x = [parse_named(arg, parse, raw) for arg, raw in zip(names, vals)]
     try:
         if name == "topology-count":
-            n = int(vals[0])
-            if n > _TOPOLOGY_MAX_N:
+            if x[0] > _TOPOLOGY_MAX_N:
                 raise ConfigError(f"n must be at most {_TOPOLOGY_MAX_N}; "
                                   "larger counts exceed Python's default limit of 4300 "
                                   "digits for printing an integer")
-            print(topology_count(n))
+            print(topology_count(x[0]))
         elif name == "turan":
-            print(f"{turan_edge_bound(int(vals[0]), int(vals[1])):.6g}")
+            print(f"{turan_edge_bound(*x):.6g}")
         elif name == "mstar":
-            print(f"{sample_complexity_transitive(float(vals[0]), float(vals[2]), float(vals[1])):.6g}")
+            print(f"{sample_complexity_transitive(x[0], x[2], x[1]):.6g}")
         else:
-            print(f"{sample_complexity_noisy(float(vals[0]), float(vals[2]), float(vals[1])):.6g}")
+            print(f"{sample_complexity_noisy(x[0], x[2], x[1]):.6g}")
     except ValueError as err:
         raise ConfigError(str(err)) from None
     return 0

@@ -1,8 +1,8 @@
 """Flat key=value run configuration files.
 
 Keys carry dotted prefixes mirroring the component configs (synth.eta,
-encoder.layers, ...). Every key, its config field and its value parser are
-defined once, in `training.CONFIG_KEYS`; this module only reads lines.
+encoder.layers, ...). Each is defined once, in `training.CONFIG_KEYS` (the
+`synth.*` ones in `synth.SYNTH_KEYS`), with its parser from `errors`.
 Unknown and duplicate keys are rejected and every value is validated
 before any work starts.
 """
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, read_text
+from .errors import ConfigError, parse_named, read_text
 from .synth import SynthConfig
-from .training import TrainConfig, build_configs, parse_value
+from .training import CONFIG_KEYS, TrainConfig, build_configs
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, raw = key.strip(), raw.strip()
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = parse_value(key, raw)
-        except ConfigError as err:
-            raise ConfigError(f"{source}:{lineno}: {err}") from None
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        values[key] = parse_named(f"{source}:{lineno}: {key}", CONFIG_KEYS[key][2], raw)
     try:
         synth, train = build_configs(values)
     except ConfigError as err:

@@ -16,6 +16,12 @@ and of each local view in turn, where a causal donor view draws its donor
 class and concept index just before its own noise. This order is part of
 the dataset's definition: moving any draw changes every generated dataset,
 and with it every result measured on one.
+
+File format 2 (`save`/`load`): line 1 is `relviews-synth 2` and a `key=value`
+token per `SYNTH_KEYS` entry, floats in full `repr`, so the config reads back
+equal. Each further line holds an instance's label, clean mask (a 0/1 string),
+k source classes and (k + 1) x n embeddings, global view first, at 9
+significant digits. `load` refuses any other `relviews-synth N` by name.
 """
 from __future__ import annotations
 
@@ -24,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, read_text
+from .errors import (ConfigError, check_format, check_keys, parse_float, parse_int,
+                     parse_named, read_text)
 
 
 class NoiseModel(str, enum.Enum):
@@ -169,23 +176,6 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     return SynthDataset(cfg, instances)
 
 
-def ground_truth_emergence(inst: SynthInstance, subset) -> float:
-    """Cosine of the global view with the subset mean, mapped to [0, 1].
-
-    A monotone surrogate from the known generative model, not a calibrated
-    mutual-information value.
-    """
-    idx = sorted(set(int(v) for v in subset))
-    if not idx:
-        raise ValueError("subset must be non-empty")
-    if idx[0] < 0 or idx[-1] >= inst.local_embeddings.shape[0]:
-        raise IndexError("subset index out of range")
-    m = inst.local_embeddings[idx].mean(axis=0)
-    denom = np.linalg.norm(m) * np.linalg.norm(inst.global_embedding)
-    cos = 0.0 if denom == 0 else float(inst.global_embedding @ m / denom)
-    return 0.5 * (1.0 + cos)
-
-
 def split_dataset(ds: SynthDataset, test_fraction: float
                   ) -> tuple[SynthDataset, SynthDataset]:
     """Deterministic stratified split: the last round(fraction * m) instances
@@ -216,25 +206,25 @@ def split_dataset(ds: SynthDataset, test_fraction: float
     return SynthDataset(train_cfg, train_insts), SynthDataset(test_cfg, test_insts)
 
 
-_HEADER = "relviews-synth 1"
+_HEADER = "relviews-synth 2"
 
-# Header key -> (SynthConfig field, parser, formatter), in the order `save`
-# writes them.
-_HEADER_KEYS = {
-    "classes": ("num_classes", int, str), "per_class": ("instances_per_class", int, str),
-    "views": ("views_per_instance", int, str), "dim": ("feature_dim", int, str),
-    "eta": ("noise_rate", float, "{:.9g}".format),
-    "model": ("noise_model", parse_noise_model, lambda model: model.value),
-    "concepts": ("concept_count_per_class", int, str),
-    "sigma": ("noise_scale", float, "{:.9g}".format), "seed": ("seed", int, str),
+# The run config's `synth.*` keys without the prefix, and the data header's:
+# key -> (SynthConfig field, parser), in the order `save` writes them.
+SYNTH_KEYS = {
+    "classes": ("num_classes", parse_int),
+    "instances_per_class": ("instances_per_class", parse_int),
+    "views": ("views_per_instance", parse_int), "dim": ("feature_dim", parse_int),
+    "eta": ("noise_rate", parse_float), "noise_model": ("noise_model", parse_noise_model),
+    "concepts_per_class": ("concept_count_per_class", parse_int),
+    "sigma": ("noise_scale", parse_float), "seed": ("seed", parse_int),
 }
 
 
 def save(ds: SynthDataset, path) -> None:
-    """Line-oriented text format, 9 significant digits, LF endings."""
-    cfg = ds.config
-    lines = [" ".join([_HEADER] + [f"{key}={fmt(getattr(cfg, attr))}"
-                                   for key, (attr, _, fmt) in _HEADER_KEYS.items()])]
+    """Line-oriented text format (see the module docstring), LF endings."""
+    values = [getattr(ds.config, attr) for attr, _ in SYNTH_KEYS.values()]
+    lines = [" ".join([_HEADER] + [f"{key}={v.value if isinstance(v, NoiseModel) else v}"
+                                   for key, v in zip(SYNTH_KEYS, values)])]
     for inst in ds.instances:
         bits = "".join("1" if b else "0" for b in inst.clean_mask)
         src = " ".join(str(int(s)) for s in inst.source_class_per_view)
@@ -244,23 +234,18 @@ def save(ds: SynthDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str) -> SynthConfig:
+def _parse_header(tokens: list[str]) -> SynthConfig:
     fields = {}
-    for tok in line.split()[2:]:
+    for tok in tokens:
         key, eq, value = tok.partition("=")
         if not eq:
             raise ConfigError(f"header token {tok!r} is not key=value")
         if key in fields:
             raise ConfigError(f"duplicate header key {key!r}")
         fields[key] = value
-    for key in _HEADER_KEYS:
-        if key not in fields:
-            raise ConfigError(f"missing header key {key!r}")
-    for key in fields:
-        if key not in _HEADER_KEYS:
-            raise ConfigError(f"unknown header key {key!r}")
-    return SynthConfig(**{attr: parse(fields[key])
-                          for key, (attr, parse, _) in _HEADER_KEYS.items()})
+    check_keys(fields, SYNTH_KEYS, "header")
+    return SynthConfig(**{attr: parse_named(key, parse, fields[key])
+                          for key, (attr, parse) in SYNTH_KEYS.items()})
 
 
 def _parse_record(line: str, cfg: SynthConfig) -> SynthInstance:
@@ -292,13 +277,13 @@ def load(path) -> SynthDataset:
     names the file and the line."""
     lines = [(no, ln) for no, ln in enumerate(read_text(path, "dataset").split("\n"), 1)
              if ln.strip()]
-    if not lines or not lines[0][1].startswith(_HEADER):
-        raise ConfigError(f"not a dataset file: {path}")
+    tokens = lines[0][1].split() if lines else []
+    check_format(path, " ".join(tokens[:2]), _HEADER, "dataset", "generate the data again")
     if len(lines) == 1:
         raise ConfigError(f"{path}: dataset file has no records")
-    no, line = lines[0]
+    no = lines[0][0]
     try:
-        cfg = _parse_header(line)
+        cfg = _parse_header(tokens[2:])
         instances = []
         for no, line in lines[1:]:
             instances.append(_parse_record(line, cfg))

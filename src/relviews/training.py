@@ -11,6 +11,8 @@ instances, so a prediction never depends on the chunk an instance falls in;
 `encode_dataset` derives the explanations' relevance graphs from the same
 node embeddings. Three ablation switches cover the input-graph edge rule
 (CG), graph-valued proxies (PD), and graph-space matching (TR).
+`CONFIG_KEYS` takes its `synth.*` keys from `synth.SYNTH_KEYS` and its value
+parsers from `errors`.
 """
 from __future__ import annotations
 
@@ -26,17 +28,21 @@ from .autodiff import Var
 from .checkpoint import read_checkpoint, write_checkpoint
 from .complementarity import ComplementarityConfig, build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
-from .errors import ConfigError, NumericError
+from .errors import (ConfigError, NumericError, check_keys, parse_bool, parse_float,
+                     parse_int, parse_named)
 from .graphs import ViewGraph, midpoint_weights
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
                       update_proxies)
-from .synth import SynthConfig, SynthDataset, generate, parse_noise_model, split_dataset
+from .synth import SYNTH_KEYS, SynthConfig, SynthDataset, generate, split_dataset
 
 # Share of each generated dataset the sweeps hold out for testing.
 SWEEP_TEST_FRACTION = 0.2
 
 
+# TR acts only with PD on: with PD off, `distance_table` and `_proxy_targets`
+# match mean-pooled nodes against `proxy_vectors` whatever TR is, so TR on and
+# off train the same model, and `sweep_noise` compares a model with itself.
 @dataclass(frozen=True)
 class AblationConfig:
     use_complementarity_graph: bool = True   # CG: 1/|dot| local edge weights vs 1
@@ -79,68 +85,34 @@ class TrainConfig:
         return self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {raw!r}")
-    return value
-
-
 # The one schema of run-config and checkpoint keys: key -> (component,
 # dataclass field, parser). "train" names TrainConfig's own scalars; every
 # other component but "synth" is the TrainConfig field of that name.
 CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
-    "synth.classes": ("synth", "num_classes", _parse_int),
-    "synth.instances_per_class": ("synth", "instances_per_class", _parse_int),
-    "synth.views": ("synth", "views_per_instance", _parse_int),
-    "synth.dim": ("synth", "feature_dim", _parse_int),
-    "synth.eta": ("synth", "noise_rate", _parse_float),
-    "synth.noise_model": ("synth", "noise_model", parse_noise_model),
-    "synth.concepts_per_class": ("synth", "concept_count_per_class", _parse_int),
-    "synth.sigma": ("synth", "noise_scale", _parse_float),
-    "synth.seed": ("synth", "seed", _parse_int),
-    "encoder.layers": ("encoder", "num_layers", _parse_int),
-    "encoder.heads": ("encoder", "heads_per_layer", _parse_int),
-    "encoder.hidden_dim": ("encoder", "hidden_dim", _parse_int),
-    "encoder.leaky_slope": ("encoder", "leaky_slope", _parse_float),
-    "encoder.norm_eps": ("encoder", "norm_eps", _parse_float),
-    "sinkhorn.epsilon": ("sinkhorn", "entropic_regularizer", _parse_float),
-    "sinkhorn.max_iters": ("sinkhorn", "max_iters", _parse_int),
-    "sinkhorn.tol": ("sinkhorn", "marginal_tol", _parse_float),
-    "anchor.margin": ("anchor", "margin", _parse_float),
-    "anchor.scale": ("anchor", "scale", _parse_float),
-    "comp.weight_cap": ("comp", "weight_cap", _parse_float),
-    "train.epochs": ("train", "epochs", _parse_int),
-    "train.lr": ("train", "learning_rate", _parse_float),
-    "train.lr_decay": ("train", "lr_decay", _parse_float),
-    "train.lr_decay_every": ("train", "lr_decay_every", _parse_int),
-    "train.weight_decay": ("train", "weight_decay", _parse_float),
-    "train.batch_size": ("train", "batch_size", _parse_int),
-    "train.proxy_momentum": ("train", "proxy_momentum", _parse_float),
-    "train.cost_hidden": ("train", "cost_head_hidden", _parse_int),
-    "train.seed": ("train", "seed", _parse_int),
-    "ablate.cg": ("ablations", "use_complementarity_graph", _parse_bool),
-    "ablate.pd": ("ablations", "proxy_as_graph", _parse_bool),
-    "ablate.tr": ("ablations", "transitivity_recovery", _parse_bool),
+    **{f"synth.{key}": ("synth", attr, parse) for key, (attr, parse) in SYNTH_KEYS.items()},
+    "encoder.layers": ("encoder", "num_layers", parse_int),
+    "encoder.heads": ("encoder", "heads_per_layer", parse_int),
+    "encoder.hidden_dim": ("encoder", "hidden_dim", parse_int),
+    "encoder.leaky_slope": ("encoder", "leaky_slope", parse_float),
+    "encoder.norm_eps": ("encoder", "norm_eps", parse_float),
+    "sinkhorn.epsilon": ("sinkhorn", "entropic_regularizer", parse_float),
+    "sinkhorn.max_iters": ("sinkhorn", "max_iters", parse_int),
+    "sinkhorn.tol": ("sinkhorn", "marginal_tol", parse_float),
+    "anchor.margin": ("anchor", "margin", parse_float),
+    "anchor.scale": ("anchor", "scale", parse_float),
+    "comp.weight_cap": ("comp", "weight_cap", parse_float),
+    "train.epochs": ("train", "epochs", parse_int),
+    "train.lr": ("train", "learning_rate", parse_float),
+    "train.lr_decay": ("train", "lr_decay", parse_float),
+    "train.lr_decay_every": ("train", "lr_decay_every", parse_int),
+    "train.weight_decay": ("train", "weight_decay", parse_float),
+    "train.batch_size": ("train", "batch_size", parse_int),
+    "train.proxy_momentum": ("train", "proxy_momentum", parse_float),
+    "train.cost_hidden": ("train", "cost_head_hidden", parse_int),
+    "train.seed": ("train", "seed", parse_int),
+    "ablate.cg": ("ablations", "use_complementarity_graph", parse_bool),
+    "ablate.pd": ("ablations", "proxy_as_graph", parse_bool),
+    "ablate.tr": ("ablations", "transitivity_recovery", parse_bool),
 }
 
 # Checkpoints write and require every key but the synth ones, in table order.
@@ -149,16 +121,6 @@ _CHECKPOINT_KEYS = [key for key, (part, _, _) in CONFIG_KEYS.items() if part != 
 _COMPONENTS = {"synth": SynthConfig, "encoder": EncoderConfig, "sinkhorn": SinkhornConfig,
                "anchor": ProxyAnchorConfig, "comp": ComplementarityConfig,
                "ablations": AblationConfig}
-
-
-def parse_value(key: str, raw: str) -> object:
-    """The value of one config key; the ConfigError names the key."""
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"unknown key {key!r}")
-    try:
-        return CONFIG_KEYS[key][2](raw)
-    except ConfigError as err:
-        raise ConfigError(f"{key}: {err}") from None
 
 
 def build_configs(values: dict[str, object]) -> tuple[SynthConfig, TrainConfig]:
@@ -245,19 +207,12 @@ class TrainedModel:
 
     @classmethod
     def _from_checkpoint(cls, config: dict[str, str], tensors) -> "TrainedModel":
-        for key in config:
-            if key != "in_dim" and key not in _CHECKPOINT_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-        for key in ("in_dim", *_CHECKPOINT_KEYS):
-            if key not in config:
-                raise ConfigError(f"missing config key {key!r}")
-        try:
-            in_dim = _parse_int(config.pop("in_dim"))
-            if in_dim < 1:
-                raise ConfigError(f"expected a positive integer, got {in_dim}")
-        except ConfigError as err:
-            raise ConfigError(f"in_dim: {err}") from None
-        _, cfg = build_configs({key: parse_value(key, raw) for key, raw in config.items()})
+        check_keys(config, ("in_dim", *_CHECKPOINT_KEYS), "config")
+        in_dim = parse_named("in_dim", parse_int, config.pop("in_dim"))
+        if in_dim < 1:
+            raise ConfigError(f"in_dim: expected a positive integer, got {in_dim}")
+        _, cfg = build_configs({key: parse_named(key, CONFIG_KEYS[key][2], raw)
+                                for key, raw in config.items()})
         params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
         head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
         model = cls(cfg, in_dim, params, head)
@@ -405,10 +360,8 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     in_dim = dataset.config.feature_dim
 
     if test_dataset is not None:
-        check_classes(dataset.class_ids, test_dataset, "the model being trained")
-        if test_dataset.config.feature_dim != in_dim:
-            raise ConfigError(f"test data feature dim {test_dataset.config.feature_dim} "
-                              f"!= training data feature dim {in_dim}")
+        check_fits(test_dataset, dataset.class_ids, in_dim, "the test data",
+                   "the model being trained")
     graphs = _input_graphs(cfg, dataset)
     labels = [inst.label for inst in dataset.instances]
 
@@ -468,13 +421,17 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
     return report, model
 
 
-def check_classes(class_ids, dataset: SynthDataset, owner: str) -> None:
-    """Refuse a dataset with a class outside `class_ids`: no instance of it
-    could be predicted right. The ConfigError names every such class."""
+def check_fits(dataset: SynthDataset, class_ids, in_dim: int,
+               data: str = "the data", model: str = "the model") -> None:
+    """Refuse a dataset of a class outside `class_ids` or a feature dim other than
+    `in_dim`, which the model cannot score; the ConfigError names both."""
     missing = sorted(set(dataset.class_ids) - set(class_ids))
     if missing:
-        raise ConfigError(f"{owner} has no proxy for class "
-                          + ", ".join(str(c) for c in missing))
+        raise ConfigError(f"{model} has no proxy for class "
+                          + ", ".join(str(c) for c in missing) + f" of {data}")
+    if dataset.config.feature_dim != in_dim:
+        raise ConfigError(f"{data} has feature dim {dataset.config.feature_dim}, "
+                          f"but {model} takes {in_dim}")
 
 
 def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
@@ -509,11 +466,11 @@ def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:
 def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     """Fraction of instances whose nearest proxy matches their label.
 
-    A ConfigError refuses a dataset with no instances, or with a class the
-    model has no proxy for."""
+    A ConfigError refuses a dataset with no instances, or one that
+    `check_fits` refuses."""
     if not dataset.instances:
         raise ConfigError("cannot evaluate a dataset with no instances")
-    check_classes(model.class_ids(), dataset, "the model")
+    check_fits(dataset, model.class_ids(), model.in_dim)
     return _accuracy(model, _input_graphs(model.config, dataset),
                      [inst.label for inst in dataset.instances])
 

@@ -3,7 +3,8 @@ that `relviews` no longer uses, the encoder and the distance tables as tape
 ops (the oracles of their closed-form backwards), the one-step harness that
 compares two encoder or table paths, the `concat` op of the concat-form
 encoder, and the earlier forms that the tape, Adam, the input-graph build,
-the no-grad minimum, Sinkhorn and the dataset generator replaced."""
+the no-grad minimum, Sinkhorn and the dataset generator replaced. Also the
+generator's emergence surrogate, which no library code reads."""
 import importlib
 import itertools
 from contextlib import contextmanager
@@ -844,3 +845,20 @@ def loop_generate(cfg: SynthConfig) -> SynthDataset:
                     source[v] = -1
             instances.append(SynthInstance(c, z_g, locals_, clean, source))
     return SynthDataset(cfg, instances)
+
+
+def ground_truth_emergence(inst: SynthInstance, subset) -> float:
+    """Cosine of the global view with the subset mean, mapped to [0, 1].
+
+    A monotone surrogate from the known generative model, not a calibrated
+    mutual-information value.
+    """
+    idx = sorted(set(int(v) for v in subset))
+    if not idx:
+        raise ValueError("subset must be non-empty")
+    if idx[0] < 0 or idx[-1] >= inst.local_embeddings.shape[0]:
+        raise IndexError("subset index out of range")
+    m = inst.local_embeddings[idx].mean(axis=0)
+    denom = np.linalg.norm(m) * np.linalg.norm(inst.global_embedding)
+    cos = 0.0 if denom == 0 else float(inst.global_embedding @ m / denom)
+    return 0.5 * (1.0 + cos)

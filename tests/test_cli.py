@@ -234,6 +234,24 @@ def test_data_file_without_records_exits_two(trained, capsys):
     assert capsys.readouterr().err == f"error: {empty}: dataset file has no records\n"
 
 
+@pytest.mark.parametrize("found, message", [
+    ("relviews-synth 1", "dataset format 'relviews-synth 1' is not read by this version, "
+                         "which reads 'relviews-synth 2'; generate the data again"),
+    ("relviews-synth 12", "dataset format 'relviews-synth 12' is not read by this version, "
+                          "which reads 'relviews-synth 2'; generate the data again"),
+    ("relviews-checkpoint 2", None),
+], ids=["format_1", "format_12", "checkpoint"])
+def test_data_file_of_another_format_exits_two(trained, capsys, found, message):
+    # the header keys that follow the format line are the format-2 keys
+    ckpt, data = trained
+    bad = data.with_name("other.txt")
+    head, rest = data.read_text().split(" ", 2)[2].split("\n", 1)
+    bad.write_text(f"{found} {head}\n{rest}")
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)]) == 2
+    expect = f"{bad}: {message}" if message else f"not a dataset file: {bad}"
+    assert capsys.readouterr().err == f"error: {expect}\n"
+
+
 def _edit_header(old, new):
     def edit(lines):
         assert old in lines[0]
@@ -266,20 +284,25 @@ def _source_token(token):
     (_last_token("nan"), "line 2: non-finite embedding value"),
     (_last_token("inf"), "line 2: non-finite embedding value"),
     (_edit_header(" classes=", " junk classes="), "line 1: header token 'junk' is not key=value"),
-    (_edit_header("model=outside_global_fraction", "model=nosuch"),
-     "line 1: unknown noise model 'nosuch' (one of: uniform_whole_image, "
+    (_edit_header(" noise_model=outside_global_fraction", " noise_model=nosuch"),
+     "line 1: noise_model: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
     (_edit_header(" sigma=", " no_sigma="), "line 1: missing header key 'sigma'"),
     (_mask_token("1x2?"), "line 2: clean mask '1x2?' holds a character other than 0 or 1"),
     (_edit_header(" sigma=0.1 ", " sigma=nan "),
+     "line 1: sigma: expected a finite number, got 'nan'"),
+    (_edit_header(" sigma=0.1 ", " sigma=-0.1 "),
      "line 1: noise_scale must be finite and non-negative"),
+    (_edit_header(" classes=3 ", " classes=3.0 "),
+     "line 1: classes: expected an integer, got '3.0'"),
+    (_edit_header(" eta=0.0 ", " eta=low "), "line 1: eta: expected a number, got 'low'"),
     (_edit_header(" seed=", " bogus=1 seed="), "line 1: unknown header key 'bogus'"),
     (lambda lines: [lines[0] + " seed=9", *lines[1:]], "line 1: duplicate header key 'seed'"),
     (lambda lines: [lines[0], "9" + lines[1][1:], *lines[2:]], "line 2: label 9 outside 0..2"),
     (_source_token("-7"), "line 2: source class -7 outside -1..2"),
 ], ids=["record_token", "embedding_nan", "embedding_inf", "header_token", "model",
-        "missing_key", "mask", "sigma_nan", "unknown_key", "duplicate_key", "label",
-        "source"])
+        "missing_key", "mask", "sigma_nan", "sigma_negative", "classes_token", "eta_token",
+        "unknown_key", "duplicate_key", "label", "source"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"
@@ -292,12 +315,12 @@ def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["sweep-noise", "--eta-list", "0.1,abc"],
-     "--eta-list: could not convert string to float: 'abc'"),
+     "--eta-list: expected a number, got 'abc'"),
     (["sweep-noise", "--eta-list", "0.1", "--models", "nosuch"],
      "--models: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
     (["sweep-depth", "--depth-list", "2,x"],
-     "--depth-list: invalid literal for int() with base 10: 'x'"),
+     "--depth-list: expected an integer, got 'x'"),
     (["sweep-noise", "--eta-list", ""], "--eta-list: no values given"),
     (["sweep-noise", "--eta-list", "0.5", "--models", " , "], "--models: no values given"),
     (["sweep-depth", "--depth-list", ","], "--depth-list: no values given"),
@@ -314,7 +337,7 @@ def test_bad_sweep_list_exits_two(tiny, capsys, argv, message):
 def test_bad_top_k_list_exits_two(trained, capsys):
     ckpt, data = trained
     out = ckpt.parent / "metrics"
-    for raw, message in (("2,x", "invalid literal for int() with base 10: 'x'"),
+    for raw, message in (("2,x", "expected an integer, got 'x'"),
                          ("", "no values given")):
         assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
                      "--top-k-list", raw, "--out", str(out)]) == 2
@@ -377,7 +400,7 @@ def test_metrics_on_a_class_without_proxy_exits_two(trained, capsys):
     out = ckpt.parent / "metrics"
     assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {ckpt} has no proxy for class 3\n"
+    assert capsys.readouterr().err == f"error: {ckpt} has no proxy for class 3 of {data}\n"
     assert not out.exists()
 
 
@@ -395,6 +418,18 @@ def test_macs_on_explanations_above_the_clique_limit_exits_two(trained, capsys):
     assert main(["metrics", "--checkpoint", str(ckpt), "--data", str(data), "--macs",
                  "--top-k-list", "63", "--out", str(out)]) == 0
     assert (out / "macs.csv").read_text().startswith("k,macs\n63,")
+
+
+@pytest.mark.parametrize("command", ["eval", "explain", "metrics"])
+def test_data_of_another_feature_dim_exits_two_and_names_both_files(trained, capsys, command):
+    ckpt, _ = trained
+    data = _data_with(ckpt.parent.parent, "dim6", "synth.dim", 6)
+    capsys.readouterr()
+    out = ckpt.parent / "out"
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(data)]
+    assert main(argv if command == "eval" else [*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {data} has feature dim 6, but {ckpt} takes 8\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -417,7 +452,7 @@ def test_eval_on_a_class_without_proxy_exits_two(trained, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the model has no proxy for class 3\n"
+    assert captured.err == f"error: {ckpt} has no proxy for class 3 of {data}\n"
 
 
 def test_train_with_test_data_of_an_unseen_class_exits_two(tiny, capsys):
@@ -429,7 +464,8 @@ def test_train_with_test_data_of_an_unseen_class_exits_two(tiny, capsys):
                  "--test-data", str(test_data), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the model being trained has no proxy for class 3\n"
+    assert captured.err == ("error: the model being trained has no proxy for class 3 of the "
+                            "test data\n")
     assert not (out / "checkpoint.txt").exists()
 
 
@@ -442,7 +478,8 @@ def test_train_with_test_data_of_another_feature_dim_exits_two(tiny, capsys):
                  "--test-data", str(test_data), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: test data feature dim 6 != training data feature dim 8\n"
+    assert captured.err == ("error: the test data has feature dim 6, but the model being "
+                            "trained takes 8\n")
     assert not (out / "checkpoint.txt").exists()
 
 
@@ -469,10 +506,10 @@ def test_calc_prints_each_formula_and_names_its_arguments(capsys, formula, args,
 
 
 @pytest.mark.parametrize("formula, args, message", [
-    ("mstar", ["nan", "0.5", "1"], "need finite n > 0, finite epsilon > 0, 0 < delta <= 1"),
-    ("mstar", ["8", "0.5", "inf"], "need finite n > 0, finite epsilon > 0, 0 < delta <= 1"),
-    ("meta", ["inf", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
-    ("meta", ["nan", "0.5", "1"], "need finite eta >= 0, finite epsilon > 0, 0 < delta <= 1"),
+    ("mstar", ["nan", "0.5", "1"], "n: expected a finite number, got 'nan'"),
+    ("mstar", ["8", "0.5", "inf"], "epsilon: expected a finite number, got 'inf'"),
+    ("meta", ["inf", "0.5", "1"], "eta: expected a finite number, got 'inf'"),
+    ("meta", ["nan", "0.5", "1"], "eta: expected a finite number, got 'nan'"),
     ("mstar", ["8", "1", "1e-320"], "sample complexity overflows to infinity"),
     ("meta", ["3", "1", "1e-200"], "sample complexity overflows to infinity"),
 ], ids=["mstar_nan_n", "mstar_inf_epsilon", "meta_inf_eta", "meta_nan_eta", "mstar_overflow",

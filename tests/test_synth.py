@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from relviews.errors import ConfigError
-from relviews.synth import (NoiseModel, SynthConfig, SynthDataset, generate,
-                            ground_truth_emergence, load, save, split_dataset)
-from tests.helpers import loop_generate
+from relviews.synth import (NoiseModel, SynthConfig, SynthDataset, generate, load, save,
+                            split_dataset)
+from relviews.training import CONFIG_KEYS
+from tests.helpers import ground_truth_emergence, loop_generate
 
 
 def cfg(**kw):
@@ -165,6 +166,25 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(a.clean_mask, b.clean_mask)
         assert np.array_equal(a.source_class_per_view, b.source_class_per_view)
         np.testing.assert_allclose(a.embeddings(), b.embeddings(), rtol=1e-8)
+
+
+@pytest.mark.parametrize("model", list(NoiseModel), ids=lambda m: m.value)
+def test_save_load_returns_an_equal_config(tmp_path, model):
+    # floats are written in full, so no digit of eta or sigma is lost
+    config = cfg(noise_rate=0.1234567891, noise_scale=1 / 3, noise_model=model,
+                 instances_per_class=2)
+    save(generate(config), tmp_path / "data.txt")
+    assert load(tmp_path / "data.txt").config == config
+
+
+def test_header_keys_are_the_run_config_synth_keys(tmp_path):
+    save(generate(cfg(instances_per_class=1, noise_rate=0.5)), tmp_path / "data.txt")
+    header = (tmp_path / "data.txt").read_text().split("\n", 1)[0]
+    assert header == ("relviews-synth 2 classes=4 instances_per_class=1 views=16 dim=32 "
+                      "eta=0.5 noise_model=outside_global_fraction concepts_per_class=4 "
+                      "sigma=0.1 seed=7")
+    keys = [tok.partition("=")[0] for tok in header.split()[2:]]
+    assert keys == [key[len("synth."):] for key in CONFIG_KEYS if key.startswith("synth.")]
 
 
 def test_save_deterministic_bytes(tmp_path):

@@ -215,7 +215,7 @@ def test_evaluate_refuses_a_class_without_proxy():
     two = synth.SynthDataset(train_ds.config,
                              [inst for inst in train_ds.instances if inst.label < 2])
     _, model = training.train(two, replace(TINY_TRAIN, epochs=1))
-    with pytest.raises(ConfigError, match=r"^the model has no proxy for class 2$"):
+    with pytest.raises(ConfigError, match=r"^the model has no proxy for class 2 of the data$"):
         training.evaluate(model, train_ds)
 
 
@@ -268,7 +268,8 @@ def test_train_refuses_test_data_with_an_unseen_class_before_training(monkeypatc
     def no_forward(*args, **kwargs):
         raise AssertionError("training started")
     monkeypatch.setattr(enc, "forward", no_forward)
-    with pytest.raises(ConfigError, match=r"^the model being trained has no proxy for class 1$"):
+    with pytest.raises(ConfigError, match=r"^the model being trained has no proxy for class 1 "
+                                          r"of the test data$"):
         training.train(two, TINY_TRAIN, test_dataset=test_ds)
 
 
