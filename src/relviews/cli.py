@@ -67,16 +67,19 @@ def cmd_train(args) -> int:
     cfg = run.train if args.seed is None else replace(run.train, seed=args.seed)
     train_ds = synth.load(args.data)
     test_ds = synth.load(args.test_data) if args.test_data else None
+    if test_ds is not None:
+        training.check_fits(test_ds, train_ds.class_ids, train_ds.config.feature_dim,
+                            str(args.test_data), f"a model trained on {args.data}")
+    report, model = training.train(train_ds, cfg, test_dataset=test_ds,
+                                   log=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, _ = training.train(train_ds, cfg, test_dataset=test_ds,
-                               checkpoint_path=out / "checkpoint.txt",
-                               log=lambda msg: print(msg, file=sys.stderr))
+    model.save(out / "checkpoint.txt")
     _write_text(out / "report.csv", report.losses_csv())
     print(f"train accuracy {report.final_train_accuracy:.6f}")
     if report.final_test_accuracy is not None:
         print(f"test accuracy {report.final_test_accuracy:.6f}")
-    print(f"checkpoint {report.checkpoint_path}")
+    print(f"checkpoint {out / 'checkpoint.txt'}")
     return 0
 
 
@@ -95,7 +98,7 @@ def cmd_explain(args) -> int:
     srgs = training.encode_dataset(model, ds)
     for i, srg in enumerate(srgs):
         sub = ex.top_k_explanation(srg, top_k).as_graph()
-        _write_text(out / f"instance_{i:04d}.dot", export_dot(sub, weights_as_labels=True))
+        _write_text(out / f"instance_{i:04d}.dot", export_dot(sub))
     print(f"wrote {len(srgs)} instance graphs to {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Shared exception types, and the readers of files, format lines and values."""
+"""Shared exception types, and the readers of text files, key sets and values."""
 import math
 
 
@@ -20,24 +20,14 @@ def read_text(path, kind: str) -> str:
             from None
 
 
-def check_format(path, found: str, header: str, kind: str, remedy: str) -> None:
-    """Refuse a file whose format `found` is not exactly `header` ("<name>
-    <version>"): another version by name, with `remedy`; else as not a `kind` file."""
-    if found != header and found.startswith(header.split()[0] + " "):
-        raise ConfigError(f"{path}: {kind} format {found!r} is not read by this version, "
-                          f"which reads {header!r}; {remedy}")
-    if found != header:
-        raise ConfigError(f"not a {kind} file: {path}")
-
-
-def check_keys(found, expected, kind: str) -> None:
-    """Refuse `found` keys unless they are the `expected` ones, a missing key first."""
+def check_keys(found, expected, what: str) -> None:
+    """Refuse `found` keys unless they are the `expected` ones, a missing `what` first."""
     for key in expected:
         if key not in found:
-            raise ConfigError(f"missing {kind} key {key!r}")
+            raise ConfigError(f"missing {what} {key!r}")
     for key in found:
         if key not in expected:
-            raise ConfigError(f"unknown {kind} key {key!r}")
+            raise ConfigError(f"unknown {what} {key!r}")
 
 
 def parse_bool(raw: str) -> bool:

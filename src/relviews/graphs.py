@@ -105,14 +105,13 @@ def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
     return ViewGraph(g.node_features[subset], weights, label=g.label)
 
 
-def export_dot(g: ViewGraph, weights_as_labels: bool = False) -> str:
-    """Render as DOT text; deterministic node order, LF endings."""
+def export_dot(g: ViewGraph) -> str:
+    """Render as DOT text with weight-labelled edges; deterministic node order, LF endings."""
     lines = ["graph view_graph {", '  v0 [shape=doublecircle, label="g"];']
     lines += [f'  v{i} [shape=circle, label="{i}"];' for i in range(1, g.num_views)]
     pairs = zip(*(ends.tolist() for ends in upper_pairs(g.num_views)))
-    for (i, j), w in zip(pairs, g.edge_weights):
-        label = f' [label="{w:.3f}"]' if weights_as_labels else ""
-        lines.append(f"  v{i} -- v{j}{label};")
+    lines += [f'  v{i} -- v{j} [label="{w:.3f}"];'
+              for (i, j), w in zip(pairs, g.edge_weights)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,11 +17,13 @@ class and concept index just before its own noise. This order is part of
 the dataset's definition: moving any draw changes every generated dataset,
 and with it every result measured on one.
 
-File format 2 (`save`/`load`): line 1 is `relviews-synth 2` and a `key=value`
-token per `SYNTH_KEYS` entry, floats in full `repr`, so the config reads back
-equal. Each further line holds an instance's label, clean mask (a 0/1 string),
-k source classes and (k + 1) x n embeddings, global view first, at 9
-significant digits. `load` refuses any other `relviews-synth N` by name.
+File format 3 (`save`/`load`) is the text container of `checkpoint.py`
+under the format line `relviews-synth 3`: a `config` line per `SYNTH_KEYS`
+entry, floats in full `repr`, so the config reads back equal; then four
+tensors at 17 significant digits, so the instances read back bit for bit:
+`labels` (n,), `clean` (n, k) of 0 and 1, `sources` (n, k) and `embeddings`
+(n, k + 1, d), global view first. `load` refuses any other `relviews-synth N`
+by name.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, check_format, check_keys, parse_float, parse_int,
-                     parse_named, read_text)
+from .checkpoint import read_container, write_container
+from .errors import ConfigError, check_keys, parse_float, parse_int, parse_named
 
 
 class NoiseModel(str, enum.Enum):
@@ -206,9 +208,9 @@ def split_dataset(ds: SynthDataset, test_fraction: float
     return SynthDataset(train_cfg, train_insts), SynthDataset(test_cfg, test_insts)
 
 
-_HEADER = "relviews-synth 2"
+_FORMAT = "relviews-synth 3"
 
-# The run config's `synth.*` keys without the prefix, and the data header's:
+# The run config's `synth.*` keys without the prefix, and a data file's config lines:
 # key -> (SynthConfig field, parser), in the order `save` writes them.
 SYNTH_KEYS = {
     "classes": ("num_classes", parse_int),
@@ -221,72 +223,52 @@ SYNTH_KEYS = {
 
 
 def save(ds: SynthDataset, path) -> None:
-    """Line-oriented text format (see the module docstring), LF endings."""
-    values = [getattr(ds.config, attr) for attr, _ in SYNTH_KEYS.values()]
-    lines = [" ".join([_HEADER] + [f"{key}={v.value if isinstance(v, NoiseModel) else v}"
-                                   for key, v in zip(SYNTH_KEYS, values)])]
-    for inst in ds.instances:
-        bits = "".join("1" if b else "0" for b in inst.clean_mask)
-        src = " ".join(str(int(s)) for s in inst.source_class_per_view)
-        emb = " ".join(f"{x:.9g}" for x in inst.embeddings().ravel())
-        lines.append(f"{inst.label} {bits} {src} {emb}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_header(tokens: list[str]) -> SynthConfig:
-    fields = {}
-    for tok in tokens:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise ConfigError(f"header token {tok!r} is not key=value")
-        if key in fields:
-            raise ConfigError(f"duplicate header key {key!r}")
-        fields[key] = value
-    check_keys(fields, SYNTH_KEYS, "header")
-    return SynthConfig(**{attr: parse_named(key, parse, fields[key])
-                          for key, (attr, parse) in SYNTH_KEYS.items()})
-
-
-def _parse_record(line: str, cfg: SynthConfig) -> SynthInstance:
-    k, n, classes = cfg.views_per_instance, cfg.feature_dim, cfg.num_classes
-    toks = line.split()
-    expect = 2 + k + (k + 1) * n
-    if len(toks) != expect:
-        raise ConfigError(f"malformed record: expected {expect} tokens, got {len(toks)}")
-    label = int(toks[0])
-    if not 0 <= label < classes:
-        raise ConfigError(f"label {label} outside 0..{classes - 1}")
-    if set(toks[1]) - {"0", "1"}:
-        raise ConfigError(f"clean mask {toks[1]!r} holds a character other than 0 or 1")
-    mask = np.array([ch == "1" for ch in toks[1]], dtype=bool)
-    if mask.shape[0] != k:
-        raise ConfigError("clean mask length does not match view count")
-    src = np.array([int(t) for t in toks[2:2 + k]], dtype=int)
-    bad = src[(src < -1) | (src >= classes)]
-    if bad.size:
-        raise ConfigError(f"source class {bad[0]} outside -1..{classes - 1}")
-    emb = np.array([float(t) for t in toks[2 + k:]]).reshape(k + 1, n)
-    if not np.isfinite(emb).all():
-        raise ConfigError("non-finite embedding value")
-    return SynthInstance(label, emb[0], emb[1:], mask, src)
+    """The dataset in the text container (see the module docstring)."""
+    insts, cfg = ds.instances, ds.config
+    n, k, d = len(insts), cfg.views_per_instance, cfg.feature_dim
+    config = {}
+    for key, (attr, _) in SYNTH_KEYS.items():
+        value = getattr(cfg, attr)
+        config[key] = value.value if isinstance(value, NoiseModel) else str(value)
+    write_container(path, _FORMAT, config, [
+        ("labels", np.reshape([inst.label for inst in insts], n)),
+        ("clean", np.reshape([inst.clean_mask for inst in insts], (n, k))),
+        ("sources", np.reshape([inst.source_class_per_view for inst in insts], (n, k))),
+        ("embeddings", np.reshape([inst.embeddings() for inst in insts], (n, k + 1, d)))])
 
 
 def load(path) -> SynthDataset:
-    """Read a `save` file; every malformed line raises a ConfigError that
-    names the file and the line."""
-    lines = [(no, ln) for no, ln in enumerate(read_text(path, "dataset").split("\n"), 1)
-             if ln.strip()]
-    tokens = lines[0][1].split() if lines else []
-    check_format(path, " ".join(tokens[:2]), _HEADER, "dataset", "generate the data again")
-    if len(lines) == 1:
-        raise ConfigError(f"{path}: dataset file has no records")
-    no = lines[0][0]
+    """Read a `save` file; a file that does not hold a dataset of its config
+    raises a ConfigError that names the file and the key or tensor at fault."""
+    config, tensors = read_container(path, _FORMAT, "dataset", "generate the data again")
     try:
-        cfg = _parse_header(tokens[2:])
-        instances = []
-        for no, line in lines[1:]:
-            instances.append(_parse_record(line, cfg))
-    except ValueError as err:
-        raise ConfigError(f"{path}: line {no}: {err}") from None
-    return SynthDataset(cfg, instances)
+        return _dataset(config, tensors)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _dataset(config: dict[str, str], tensors: dict[str, np.ndarray]) -> SynthDataset:
+    check_keys(config, SYNTH_KEYS, "config key")
+    cfg = SynthConfig(**{attr: parse_named(key, parse, config[key])
+                         for key, (attr, parse) in SYNTH_KEYS.items()})
+    check_keys(tensors, ("labels", "clean", "sources", "embeddings"), "tensor")
+    n, k, d = len(tensors["labels"]), cfg.views_per_instance, cfg.feature_dim
+    shapes = {"labels": (n,), "clean": (n, k), "sources": (n, k), "embeddings": (n, k + 1, d)}
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise ConfigError(f"tensor {name}: shape {tensors[name].shape}, but {n} instances "
+                              f"of views={k} and dim={d} take {shape}")
+    if n == 0:
+        raise ConfigError("dataset file has no instances")
+    top = cfg.num_classes - 1
+    for name, low, high in (("labels", 0, top), ("clean", 0, 1), ("sources", -1, top)):
+        arr = tensors[name]
+        bad = arr[(arr != np.round(arr)) | (arr < low) | (arr > high)]
+        if bad.size:
+            raise ConfigError(f"tensor {name}: value {bad[0]:g} is not an integer "
+                              f"in {low}..{high}")
+    labels, emb = tensors["labels"], tensors["embeddings"]
+    clean, sources = tensors["clean"].astype(bool), tensors["sources"].astype(int)
+    return SynthDataset(cfg, [SynthInstance(int(labels[i]), emb[i, 0].copy(), emb[i, 1:].copy(),
+                                            clean[i].copy(), sources[i].copy())
+                              for i in range(n)])

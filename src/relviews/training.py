@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Var
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import read_container, write_container
 from .complementarity import ComplementarityConfig, build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
 from .errors import (ConfigError, NumericError, check_keys, parse_bool, parse_float,
@@ -42,7 +42,7 @@ SWEEP_TEST_FRACTION = 0.2
 
 # TR acts only with PD on: with PD off, `distance_table` and `_proxy_targets`
 # match mean-pooled nodes against `proxy_vectors` whatever TR is, so TR on and
-# off train the same model, and `sweep_noise` compares a model with itself.
+# off train the same model, and `sweep_noise` refuses to compare them.
 @dataclass(frozen=True)
 class AblationConfig:
     use_complementarity_graph: bool = True   # CG: 1/|dot| local edge weights vs 1
@@ -115,7 +115,9 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "ablate.tr": ("ablations", "transitivity_recovery", parse_bool),
 }
 
-# Checkpoints write and require every key but the synth ones, in table order.
+# A checkpoint's format line, and the keys it writes and requires: every key
+# but the synth ones, in table order.
+_CHECKPOINT_FORMAT = "relviews-checkpoint 2"
 _CHECKPOINT_KEYS = [key for key, (part, _, _) in CONFIG_KEYS.items() if part != "synth"]
 
 _COMPONENTS = {"synth": SynthConfig, "encoder": EncoderConfig, "sinkhorn": SinkhornConfig,
@@ -150,7 +152,6 @@ class TrainReport:
     final_train_accuracy: float
     final_test_accuracy: float | None
     sinkhorn_nonconverged: int           # proxy updates whose transport missed its tolerance
-    checkpoint_path: str | None = None
 
     def losses_csv(self) -> str:
         lines = ["epoch,loss"]
@@ -194,12 +195,13 @@ class TrainedModel:
             tensors.append((f"proxy{cid}.nodes", self.proxies[cid].node_centroids))
         for cid in sorted(self.proxy_vectors):
             tensors.append((f"proxy{cid}.vector", self.proxy_vectors[cid]))
-        write_checkpoint(path, {"in_dim": str(self.in_dim), **format_config(self.config)},
-                         tensors)
+        write_container(path, _CHECKPOINT_FORMAT,
+                        {"in_dim": str(self.in_dim), **format_config(self.config)}, tensors)
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        config, tensors = read_checkpoint(path)
+        config, tensors = read_container(path, _CHECKPOINT_FORMAT, "checkpoint",
+                                         "train the model again")
         try:
             return cls._from_checkpoint(config, tensors)
         except ConfigError as err:
@@ -207,7 +209,7 @@ class TrainedModel:
 
     @classmethod
     def _from_checkpoint(cls, config: dict[str, str], tensors) -> "TrainedModel":
-        check_keys(config, ("in_dim", *_CHECKPOINT_KEYS), "config")
+        check_keys(config, ("in_dim", *_CHECKPOINT_KEYS), "config key")
         in_dim = parse_named("in_dim", parse_int, config.pop("in_dim"))
         if in_dim < 1:
             raise ConfigError(f"in_dim: expected a positive integer, got {in_dim}")
@@ -220,7 +222,7 @@ class TrainedModel:
         pd = cfg.ablations.proxy_as_graph
         unread = {name: store for store in (params, head) for name, _ in store.named_tensors()}
         stash: dict[str, dict[int, np.ndarray]] = {"nodes": {}, "vector": model.proxy_vectors}
-        for name, arr in tensors:
+        for name, arr in tensors.items():
             if name in unread:
                 unread.pop(name).set_tensor(name, arr)
                 continue
@@ -351,7 +353,7 @@ def _update_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
 
 def train(dataset: SynthDataset, cfg: TrainConfig,
           test_dataset: SynthDataset | None = None,
-          checkpoint_path=None, log=None) -> tuple[TrainReport, TrainedModel]:
+          log=None) -> tuple[TrainReport, TrainedModel]:
     """Deterministic per config+seed; raises NumericError if the loss diverges
     or if no graph proxy update's transport converges."""
     if len(dataset.class_ids) < 2:
@@ -414,11 +416,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
 
     train_acc = _accuracy(model, graphs, labels)
     test_acc = evaluate(model, test_dataset) if test_dataset else None
-    report = TrainReport(epoch_losses, train_acc, test_acc, converged.count(False))
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
-        report.checkpoint_path = str(checkpoint_path)
-    return report, model
+    return TrainReport(epoch_losses, train_acc, test_acc, converged.count(False)), model
 
 
 def check_fits(dataset: SynthDataset, class_ids, in_dim: int,
@@ -480,7 +478,13 @@ def sweep_noise(base_cfg: TrainConfig, synth_cfg, eta_list, models,
     """Train the full model and the matching-ablation baseline per (model, eta).
 
     Each point trains on one generated dataset and tests on its stratified
-    hold-out, which shares the training data's class concepts."""
+    hold-out, which shares the training data's class concepts. A base config
+    with PD or TR off, whose baseline is the full model, is a ConfigError."""
+    ab = base_cfg.ablations
+    for key, on in (("ablate.pd", ab.proxy_as_graph), ("ablate.tr", ab.transitivity_recovery)):
+        if not on:
+            raise ConfigError(f"{key}: sweep-noise compares TR on with TR off, which train "
+                              f"the same model under {key} = false")
     rows = []
     for model_name in models:
         name = getattr(model_name, "value", str(model_name))

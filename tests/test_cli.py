@@ -43,6 +43,20 @@ def test_generate_train_eval_exit_zero(tiny, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("accuracy ")
 
 
+def test_generate_then_train_writes_the_library_run(tiny, capsys):
+    # the data file holds `generate(cfg)` bit for bit, so the CLI trains the same model
+    tmp_path, config, data = tiny
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(out)]) == 0
+    run = load_config(config)
+    report, model = training.train(synth.generate(run.synth), run.train)
+    model.save(tmp_path / "library.txt")
+    assert (out / "report.csv").read_text() == report.losses_csv()
+    assert (out / "checkpoint.txt").read_bytes() == (tmp_path / "library.txt").read_bytes()
+    assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint {out / 'checkpoint.txt'}"
+
+
 def test_metrics_with_macs_writes_the_library_values(tiny):
     tmp_path, config, data = tiny
     out = tmp_path / "run"
@@ -128,8 +142,9 @@ def trained(tiny, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     (_splice("tensor cost.W1 ", ["0.5 x1"], offset=1),
-     "tensor cost.W1: could not convert string to float: 'x1'"),
-    (_splice("tensor cost.W1 ", ["tensor cost.W1 4,x"]), "tensor cost.W1: bad dims '4,x'"),
+     "checkpoint tensor cost.W1: could not convert string to float: 'x1'"),
+    (_splice("tensor cost.W1 ", ["tensor cost.W1 4,x"]),
+     "checkpoint tensor cost.W1: bad dims '4,x'"),
     (_splice("tensor cost.b2 ", [], count=2), "missing tensor cost.b2"),
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.nodes 1,2", "0 0"], count=2),
      "tensor proxy1.nodes: shape (1, 2) does not fit hidden_dim 8"),
@@ -139,11 +154,12 @@ def trained(tiny, capsys):
     (_splice("config train.seed=", ["config train.no_such_key=1"], count=0),
      "unknown config key 'train.no_such_key'"),
     (_splice("config train.seed=", ["config train.seed=6"], offset=1, count=0),
-     "duplicate config key 'train.seed'"),
+     "duplicate checkpoint config key 'train.seed'"),
     (_splice("tensor cost.b2 ", ["tensor cost.b2 1", "0"], offset=2, count=0),
-     "duplicate tensor cost.b2"),
-    (_first_value("tensor cost.W1 ", "nan"), "tensor cost.W1: non-finite value"),
-    (_first_value("tensor proxy1.nodes ", "-inf"), "tensor proxy1.nodes: non-finite value"),
+     "duplicate checkpoint tensor cost.b2"),
+    (_first_value("tensor cost.W1 ", "nan"), "checkpoint tensor cost.W1: non-finite value"),
+    (_first_value("tensor proxy1.nodes ", "-inf"),
+     "checkpoint tensor proxy1.nodes: non-finite value"),
     # format 1 wrote proxy edge tensors; format 2 knows no such tensor
     (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,8", " ".join("0" * 80)], count=2),
      "unknown tensor proxy1.edges"),
@@ -229,80 +245,82 @@ def test_file_that_is_not_utf8_text_exits_two(trained, capsys, kind):
 def test_data_file_without_records_exits_two(trained, capsys):
     ckpt, data = trained
     empty = data.with_name("empty.txt")
-    empty.write_text(data.read_text().splitlines()[0] + "\n")
+    synth.save(synth.SynthDataset(synth.load(data).config, []), empty)
+    assert "tensor embeddings 0,5,8\n\n" in empty.read_text()
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(empty)]) == 2
-    assert capsys.readouterr().err == f"error: {empty}: dataset file has no records\n"
+    assert capsys.readouterr().err == f"error: {empty}: dataset file has no instances\n"
 
 
-@pytest.mark.parametrize("found, message", [
+# The start of the tiny config's data file as format 2 wrote it: the config
+# as key=value tokens after the format line, then one record per instance.
+FORMAT_2_DATA = """\
+relviews-synth 2 classes=3 instances_per_class=6 views=4 dim=8 eta=0.0 \
+noise_model=outside_global_fraction concepts_per_class=2 sigma=0.1 seed=0
+0 1111 0 0 0 0 -0.00720603858 -0.144304162 0.157333806 0.101913516 -0.504537871
+"""
+
+
+@pytest.mark.parametrize("first, message", [
     ("relviews-synth 1", "dataset format 'relviews-synth 1' is not read by this version, "
-                         "which reads 'relviews-synth 2'; generate the data again"),
+                         "which reads 'relviews-synth 3'; generate the data again"),
     ("relviews-synth 12", "dataset format 'relviews-synth 12' is not read by this version, "
-                          "which reads 'relviews-synth 2'; generate the data again"),
+                          "which reads 'relviews-synth 3'; generate the data again"),
     ("relviews-checkpoint 2", None),
-], ids=["format_1", "format_12", "checkpoint"])
-def test_data_file_of_another_format_exits_two(trained, capsys, found, message):
-    # the header keys that follow the format line are the format-2 keys
+    (None, "dataset format 'relviews-synth 2' is not read by this version, "
+           "which reads 'relviews-synth 3'; generate the data again"),
+], ids=["format_1", "format_12", "checkpoint", "format_2"])
+def test_data_file_of_another_format_exits_two(trained, capsys, first, message):
+    # the config lines and tensors that follow the format line are format 3's
     ckpt, data = trained
     bad = data.with_name("other.txt")
-    head, rest = data.read_text().split(" ", 2)[2].split("\n", 1)
-    bad.write_text(f"{found} {head}\n{rest}")
+    if first is None:
+        bad.write_text(FORMAT_2_DATA)
+    else:
+        bad.write_text(data.read_text().replace("relviews-synth 3\n", f"{first}\n", 1))
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)]) == 2
     expect = f"{bad}: {message}" if message else f"not a dataset file: {bad}"
     assert capsys.readouterr().err == f"error: {expect}\n"
 
 
-def _edit_header(old, new):
-    def edit(lines):
-        assert old in lines[0]
-        return [lines[0].replace(old, new), *lines[1:]]
-    return edit
-
-
-def _last_token(token):
-    def edit(lines):
-        return [lines[0], lines[1].rsplit(" ", 1)[0] + f" {token}", *lines[2:]]
-    return edit
-
-
-def _mask_token(mask):
-    def edit(lines):
-        label, _, rest = lines[1].split(" ", 2)
-        return [lines[0], f"{label} {mask} {rest}", *lines[2:]]
-    return edit
-
-
-def _source_token(token):
-    def edit(lines):
-        label, mask, _, rest = lines[1].split(" ", 3)
-        return [lines[0], f"{label} {mask} {token} {rest}", *lines[2:]]
-    return edit
+def _config_line(key, value):
+    return _splice(f"config {key}=", [f"config {key}={value}"])
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_last_token("abc"), "line 2: could not convert string to float: 'abc'"),
-    (_last_token("nan"), "line 2: non-finite embedding value"),
-    (_last_token("inf"), "line 2: non-finite embedding value"),
-    (_edit_header(" classes=", " junk classes="), "line 1: header token 'junk' is not key=value"),
-    (_edit_header(" noise_model=outside_global_fraction", " noise_model=nosuch"),
-     "line 1: noise_model: unknown noise model 'nosuch' (one of: uniform_whole_image, "
+    (_first_value("tensor embeddings ", "abc"),
+     "dataset tensor embeddings: could not convert string to float: 'abc'"),
+    (_first_value("tensor embeddings ", "nan"), "dataset tensor embeddings: non-finite value"),
+    (_first_value("tensor embeddings ", "inf"), "dataset tensor embeddings: non-finite value"),
+    (_splice("config classes=", ["junk"], count=0), "unrecognized dataset line: 'junk'"),
+    (_config_line("noise_model", "nosuch"),
+     "noise_model: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
-    (_edit_header(" sigma=", " no_sigma="), "line 1: missing header key 'sigma'"),
-    (_mask_token("1x2?"), "line 2: clean mask '1x2?' holds a character other than 0 or 1"),
-    (_edit_header(" sigma=0.1 ", " sigma=nan "),
-     "line 1: sigma: expected a finite number, got 'nan'"),
-    (_edit_header(" sigma=0.1 ", " sigma=-0.1 "),
-     "line 1: noise_scale must be finite and non-negative"),
-    (_edit_header(" classes=3 ", " classes=3.0 "),
-     "line 1: classes: expected an integer, got '3.0'"),
-    (_edit_header(" eta=0.0 ", " eta=low "), "line 1: eta: expected a number, got 'low'"),
-    (_edit_header(" seed=", " bogus=1 seed="), "line 1: unknown header key 'bogus'"),
-    (lambda lines: [lines[0] + " seed=9", *lines[1:]], "line 1: duplicate header key 'seed'"),
-    (lambda lines: [lines[0], "9" + lines[1][1:], *lines[2:]], "line 2: label 9 outside 0..2"),
-    (_source_token("-7"), "line 2: source class -7 outside -1..2"),
+    (_splice("config sigma=", []), "missing config key 'sigma'"),
+    (_first_value("tensor clean ", "1x2?"),
+     "dataset tensor clean: could not convert string to float: '1x2?'"),
+    (_config_line("sigma", "nan"), "sigma: expected a finite number, got 'nan'"),
+    (_config_line("sigma", "-0.1"), "noise_scale must be finite and non-negative"),
+    (_config_line("classes", "3.0"), "classes: expected an integer, got '3.0'"),
+    (_config_line("eta", "low"), "eta: expected a number, got 'low'"),
+    (_splice("config seed=", ["config bogus=1"], count=0), "unknown config key 'bogus'"),
+    (_splice("config seed=", ["config seed=9"], offset=1, count=0),
+     "duplicate dataset config key 'seed'"),
+    (_first_value("tensor labels ", "9"), "tensor labels: value 9 is not an integer in 0..2"),
+    (_first_value("tensor sources ", "-7"),
+     "tensor sources: value -7 is not an integer in -1..2"),
+    (_first_value("tensor labels ", "1.5"),
+     "tensor labels: value 1.5 is not an integer in 0..2"),
+    (_first_value("tensor clean ", "2"), "tensor clean: value 2 is not an integer in 0..1"),
+    (_splice("tensor embeddings ", ["tensor embeddings 18,8,5"]),
+     "tensor embeddings: shape (18, 8, 5), but 18 instances of views=4 and dim=8 take "
+     "(18, 5, 8)"),
+    (_splice("tensor sources ", [], count=2), "missing tensor 'sources'"),
+    (_splice("tensor labels ", ["tensor weights 1", "0.5"], count=0),
+     "unknown tensor 'weights'"),
 ], ids=["record_token", "embedding_nan", "embedding_inf", "header_token", "model",
         "missing_key", "mask", "sigma_nan", "sigma_negative", "classes_token", "eta_token",
-        "unknown_key", "duplicate_key", "label", "source"])
+        "unknown_key", "duplicate_key", "label", "source", "fractional_label", "clean_two",
+        "embeddings_shape", "missing_tensor", "unknown_tensor"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"
@@ -311,6 +329,7 @@ def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     assert main(["train", "--config", str(config), "--data", str(bad),
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -370,6 +389,24 @@ def _data_with(tmp_path, name, key, value):
     data = tmp_path / f"{name}.txt"
     assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
     return data
+
+
+@pytest.mark.parametrize("key", ["ablate.pd", "ablate.tr"])
+def test_sweep_noise_without_graph_matching_exits_two_before_training(
+        tmp_path, capsys, monkeypatch, key):
+    # with PD or TR off, the TR-off baseline is the full model trained again
+    config = tmp_path / "off.cfg"
+    config.write_text(TINY_CONFIG + f"{key} = false\n")
+    out = tmp_path / "rows.csv"
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(training, "train", no_train)
+    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {key}: sweep-noise compares TR on with TR "
+                                       f"off, which train the same model under {key} = false\n")
+    assert not out.exists()
 
 
 def test_sweep_on_a_class_of_one_exits_two(tmp_path, capsys):
@@ -464,9 +501,9 @@ def test_train_with_test_data_of_an_unseen_class_exits_two(tiny, capsys):
                  "--test-data", str(test_data), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: the model being trained has no proxy for class 3 of the "
-                            "test data\n")
-    assert not (out / "checkpoint.txt").exists()
+    assert captured.err == (f"error: a model trained on {data} has no proxy for class 3 of "
+                            f"{test_data}\n")
+    assert not out.exists()
 
 
 def test_train_with_test_data_of_another_feature_dim_exits_two(tiny, capsys):
@@ -478,9 +515,9 @@ def test_train_with_test_data_of_another_feature_dim_exits_two(tiny, capsys):
                  "--test-data", str(test_data), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: the test data has feature dim 6, but the model being "
-                            "trained takes 8\n")
-    assert not (out / "checkpoint.txt").exists()
+    assert captured.err == (f"error: {test_data} has feature dim 6, but a model trained on "
+                            f"{data} takes 8\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("formula, args, out", [

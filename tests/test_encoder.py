@@ -163,10 +163,10 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     cfg = EncoderConfig(num_layers=2, heads_per_layer=2, hidden_dim=8)
     params = init_params(cfg, 6, seed=19)
     path = tmp_path / "enc.txt"
-    ckpt.write_checkpoint(path, {"kind": "encoder"}, params.named_tensors())
-    config, tensors = ckpt.read_checkpoint(path)
+    ckpt.write_container(path, "test-encoder 1", {"kind": "encoder"}, params.named_tensors())
+    config, tensors = ckpt.read_container(path, "test-encoder 1", "encoder", "save it again")
     assert config == {"kind": "encoder"}
-    for (name, arr), (name2, arr2) in zip(params.named_tensors(), tensors):
+    for (name, arr), (name2, arr2) in zip(params.named_tensors(), tensors.items(), strict=True):
         assert name == name2
         assert np.array_equal(arr, arr2)
 

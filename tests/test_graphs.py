@@ -100,17 +100,18 @@ def test_induced_idempotent():
 def test_dot_two_nodes_single_edge_line():
     g = make_graph(2)
     text = export_dot(g)
-    assert sum(1 for ln in text.splitlines() if "--" in ln) == 1
+    assert [ln for ln in text.splitlines() if "--" in ln] == \
+        [f'  v0 -- v1 [label="{g.edge_weights[0]:.3f}"];']
 
 
 def test_dot_deterministic():
     g = make_graph(5, seed=9)
-    assert export_dot(g, weights_as_labels=True) == export_dot(g, weights_as_labels=True)
+    assert export_dot(g) == export_dot(g)
 
 
 def test_dot_four_nodes_six_edges_and_styles():
     g = make_graph(4)
-    text = export_dot(g, weights_as_labels=True)
+    text = export_dot(g)
     lines = text.splitlines()
     assert sum(1 for ln in lines if "--" in ln) == 6
     assert any("doublecircle" in ln and "v0" in ln for ln in lines)

@@ -155,17 +155,11 @@ def test_config_validation():
 
 
 def test_save_load_roundtrip(tmp_path):
-    ds = generate(cfg(noise_rate=0.25, noise_model=NoiseModel.CAUSAL_INTERVENTION))
-    path = tmp_path / "data.txt"
-    save(ds, path)
-    back = load(path)
-    assert back.config == ds.config
-    assert len(back) == len(ds)
-    for a, b in zip(ds.instances, back.instances):
-        assert a.label == b.label
-        assert np.array_equal(a.clean_mask, b.clean_mask)
-        assert np.array_equal(a.source_class_per_view, b.source_class_per_view)
-        np.testing.assert_allclose(a.embeddings(), b.embeddings(), rtol=1e-8)
+    # 17 significant digits: every value reads back bit for bit
+    for model in NoiseModel:
+        ds = generate(cfg(noise_rate=0.25, noise_model=model))
+        save(ds, tmp_path / f"{model.value}.txt")
+        assert_same_dataset(load(tmp_path / f"{model.value}.txt"), ds)
 
 
 @pytest.mark.parametrize("model", list(NoiseModel), ids=lambda m: m.value)
@@ -179,12 +173,16 @@ def test_save_load_returns_an_equal_config(tmp_path, model):
 
 def test_header_keys_are_the_run_config_synth_keys(tmp_path):
     save(generate(cfg(instances_per_class=1, noise_rate=0.5)), tmp_path / "data.txt")
-    header = (tmp_path / "data.txt").read_text().split("\n", 1)[0]
-    assert header == ("relviews-synth 2 classes=4 instances_per_class=1 views=16 dim=32 "
-                      "eta=0.5 noise_model=outside_global_fraction concepts_per_class=4 "
-                      "sigma=0.1 seed=7")
-    keys = [tok.partition("=")[0] for tok in header.split()[2:]]
+    lines = (tmp_path / "data.txt").read_text().splitlines()
+    assert lines[:10] == ["relviews-synth 3", "config classes=4", "config instances_per_class=1",
+                          "config views=16", "config dim=32", "config eta=0.5",
+                          "config noise_model=outside_global_fraction",
+                          "config concepts_per_class=4", "config sigma=0.1", "config seed=7"]
+    keys = [line[len("config "):].partition("=")[0] for line in lines[1:10]]
     assert keys == [key[len("synth."):] for key in CONFIG_KEYS if key.startswith("synth.")]
+    assert lines[10::2] == ["tensor labels 4", "tensor clean 4,16", "tensor sources 4,16",
+                            "tensor embeddings 4,17,32"]
+    assert lines[11] == "0 1 2 3"
 
 
 def test_save_deterministic_bytes(tmp_path):
