@@ -85,6 +85,8 @@ class EncoderConfig:
             raise ConfigError("hidden_dim must be divisible by heads_per_layer")
         if self.norm_eps <= 0:
             raise ConfigError("norm_eps must be positive")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ConfigError("leaky_slope must lie in [0, 1]")
 
 
 @dataclass
@@ -180,6 +182,18 @@ def _diag_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
+def _pair_of_cell(n: int) -> np.ndarray:
+    """(N*N,) pair row of each cell of an (N, N) matrix, both orders of a
+    pair alike, read-only; the diagonal points at row M, one past the pairs."""
+    idx_i, idx_j = upper_pairs(n)
+    rows = np.full((n, n), num_pairs(n), dtype=np.intp)
+    rows[idx_i, idx_j] = rows[idx_j, idx_i] = np.arange(num_pairs(n))
+    rows = rows.ravel()
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=128)
 def _incidence(n: int) -> np.ndarray:
     """(N, M) endpoint incidence of the pairs of N nodes, read-only: column r
     holds ones at both endpoints of pair r."""
@@ -249,14 +263,16 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
         s = Wh @ a_src                                               # (B, H, N, 1)
         t = (Wh @ a_dst).reshape(b, heads, 1, n)                     # (B, H, 1, N)
         pa = lp.P @ a_edge                                           # (H, d_e, 1)
-        u_pair = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]          # (B, H, M)
+        u_pair = np.zeros((b, heads, m + 1))                         # (B, H, M + 1)
+        u_pair[..., :m] = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]
         pre = s + t                                                  # (B, H, N, N)
-        pre[..., idx_i, idx_j] += u_pair
-        pre[..., idx_j, idx_i] += u_pair
+        # each pair's edge logit at both of its cells, +0.0 on the diagonal
+        pre += np.take(u_pair, _pair_of_cell(n), axis=-1).reshape(b, heads, n, n)
         positive = pre > 0
-        # the logits and the softmax are updated in place: fewer fresh arrays
+        # the logits and the softmax are updated in place: fewer fresh arrays;
+        # with a slope in [0, 1] the LeakyReLU is max(slope x, x)
         logits = cfg.leaky_slope * pre
-        np.copyto(logits, pre, where=positive)
+        np.maximum(logits, pre, out=logits)
         logits += diag_neg
         logits -= logits.max(axis=-1, keepdims=True)
         alpha = np.exp(logits, out=logits)

@@ -72,8 +72,8 @@ def top_k_explanation(graph: ViewGraph, top_k: int) -> ExplanationSubgraph:
 def random_explanation(graph: ViewGraph, size: int, rng: np.random.Generator
                        ) -> ExplanationSubgraph:
     _check_size(size)
-    keep = rng.permutation(graph.local_indices)[:size]
-    return ExplanationSubgraph(graph, frozenset(int(v) for v in keep) | {0})
+    keep = rng.permutation(np.arange(1, graph.num_views))[:size]
+    return ExplanationSubgraph(graph, frozenset(keep.tolist()) | {0})
 
 
 def _rows_by(keys) -> dict:
@@ -175,8 +175,9 @@ def macs_at_k(expls_a: ExplanationSet, expls_b: ExplanationSet, k: int,
               for sub, gamma in zip(subs, _thresholds(subs, cfg))]
     n = len(expls_a)
     class_rows = _rows_by(labels_a)   # the labels of expls_b are the same
-    acc_a = {c: float(np.mean([counts[i] for i in rows])) for c, rows in class_rows.items()}
-    acc_b = {c: float(np.mean([counts[n + i] for i in rows])) for c, rows in class_rows.items()}
+    # the counts are integers, so sum / len is the mean np.mean would give
+    acc_a = {c: sum(counts[i] for i in rows) / len(rows) for c, rows in class_rows.items()}
+    acc_b = {c: sum(counts[n + i] for i in rows) / len(rows) for c, rows in class_rows.items()}
     diffs = []
     for c in sorted(acc_a):
         hi = max(acc_a[c], acc_b[c])

@@ -65,10 +65,6 @@ class ViewGraph:
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
 
-    @property
-    def local_indices(self) -> list[int]:
-        return list(range(1, self.num_views))
-
     def weight_matrix(self) -> np.ndarray:
         """Symmetric (N, N) matrix of edge weights with zero diagonal."""
         n = self.num_views
@@ -93,7 +89,7 @@ def induced_subgraph(g: ViewGraph, nodes) -> ViewGraph:
 
     The global view must be part of the subset, so it stays node 0.
     """
-    subset = np.array(sorted(set(int(v) for v in nodes)), dtype=np.intp)
+    subset = np.array(sorted(set(map(int, nodes))), dtype=np.intp)
     if not subset.size:
         raise ValueError("node subset must be non-empty")
     if subset[0] < 0 or subset[-1] >= g.num_views:
@@ -124,11 +120,11 @@ class ExplanationSubgraph:
     node_subset: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        subset = frozenset(int(v) for v in self.node_subset)
+        subset = frozenset(map(int, self.node_subset))
         object.__setattr__(self, "node_subset", subset)
         if not subset:
             raise ValueError("explanation must contain at least one node")
-        if any(v < 0 or v >= self.parent.num_views for v in subset):
+        if min(subset) < 0 or max(subset) >= self.parent.num_views:
             raise IndexError("explanation node out of range")
         if 0 not in subset:
             raise ValueError("explanation must contain the global view")

@@ -132,6 +132,13 @@ def _nodes(g) -> np.ndarray:
     return x
 
 
+def _slot_min(table: np.ndarray) -> np.ndarray:
+    """Minimum of a (..., slots) table over its last axis. A short last axis
+    reduces slowly, so it reads a slot-major copy; a minimum is exact in
+    any order."""
+    return np.ascontiguousarray(np.moveaxis(table, -1, 0)).min(axis=0)
+
+
 def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
     """(B, m, C*slots) mask of the L2 table entries that can be a row minimum
     over a class's slots or a column minimum over nodes; see the module notes."""
@@ -143,9 +150,7 @@ def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
         scale = nu.max() + nv.max()
         tol = (8 * d + 32) * _EPS * scale + _TINY if 4.0 * scale < np.inf else np.inf
         sq = (nu[:, None] + nv - 2.0 * (rows @ v.T)).reshape(b, m, -1, slots)
-        # a short last axis reduces slowly, so the slot minimum reads a slot-major copy
-        slot_min = np.ascontiguousarray(np.moveaxis(sq, 3, 0)).min(axis=0)
-        far = (sq > slot_min[..., None] + tol) & (sq > sq.min(axis=1, keepdims=True) + tol)
+        far = (sq > _slot_min(sq)[..., None] + tol) & (sq > sq.min(axis=1, keepdims=True) + tol)
     return ~far.reshape(b, m, -1)                                 # NaN is never far
 
 
@@ -172,7 +177,7 @@ def _forward(x: np.ndarray, stacked_targets: np.ndarray, slots: int, head,
              if keep is None and b * m * rows >= SCREEN_MIN_ENTRIES else None)
     dist = ad.pairwise_l2(x, stacked_targets, where)             # (B, m, C*slots)
     by_class = dist.reshape(b, m, count, slots)
-    sub_u = by_class.min(axis=3) * 0.5                           # (B, m, C)
+    sub_u = _slot_min(by_class) * 0.5                            # (B, m, C)
     del_u, del_saved = head.forward(x, want_grad)
     ins_v, ins_saved = head.forward(stacked_targets, want_grad)
     del_u, ins_v = del_u.reshape(b, m, 1), ins_v.reshape(count, slots)

@@ -132,15 +132,16 @@ def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,
 
     nodes = nodes.reshape(-1, d)                                 # (B*n, d)
     m = nodes.shape[0]
-    cost = np.square(nodes[:, None, :] - proxy.node_centroids[None, :, :]).sum(-1) / d
     local = np.ones(m, dtype=bool)
     local[::slots] = False    # each instance's global view, node 0
     # the global rows are forced onto the global slot (cost 0 there, forbidden
     # elsewhere); their mass saturates that slot's marginal exactly, so the
-    # equivalent reduced problem transports only the locals onto slots 1..
+    # equivalent reduced problem transports only the locals onto slots 1..,
+    # and only their costs are computed
+    cost = np.square(nodes[local][:, None, :] - proxy.node_centroids[None, 1:, :]).sum(-1) / d
     plan = np.zeros((m, slots))
     plan[~local, 0] = 1.0 / m
-    transport = sinkhorn(cost[local, 1:], np.full(m - batch, 1.0 / m),
+    transport = sinkhorn(cost, np.full(m - batch, 1.0 / m),
                          np.full(slots - 1, 1.0 / slots), cfg)
     plan[local, 1:] = transport.plan
 

@@ -6,11 +6,13 @@ backpropagates the anchor loss through the table, cost head and encoder in
 one backward pass, takes an Adam step with a stepped learning-rate
 schedule, and then refreshes the touched proxies by online clustering of
 its node embeddings, counting the updates whose transport did not converge.
-`evaluate` runs the same encoder and table over chunks of `batch_size`
-instances, so a prediction never depends on the chunk an instance falls in;
-`encode_dataset` derives the explanations' relevance graphs from the same
-node embeddings. Three ablation switches cover the input-graph edge rule
-(CG), graph-valued proxies (PD), and graph-space matching (TR).
+`evaluate` runs the same encoder and table over chunks of
+`_INFERENCE_CHUNK` instances, not `batch_size`; every instance gets the
+same values in any chunk, so a prediction never depends on the chunk it
+falls in. `encode_dataset` derives the explanations' relevance graphs
+from the same node embeddings. Three ablation switches cover the
+input-graph edge rule (CG), graph-valued proxies (PD), and graph-space
+matching (TR).
 `CONFIG_KEYS` takes its `synth.*` keys from `synth.SYNTH_KEYS` and its value
 parsers from `errors`.
 """
@@ -38,6 +40,12 @@ from .synth import SYNTH_KEYS, SynthConfig, SynthDataset, generate, split_datase
 
 # Share of each generated dataset the sweeps hold out for testing.
 SWEEP_TEST_FRACTION = 0.2
+
+# Instances per input-graph build, encoder pass and distance table outside
+# training; each pass pays a fixed numpy overhead. On a 2-vCPU x86_64 host
+# the per-instance cost was flat from 16 to 32 instances and rose at 64;
+# 24 keeps the peak RSS about 4 MB above 8-instance chunks.
+_INFERENCE_CHUNK = 24
 
 
 # TR acts only with PD on: with PD off, `distance_table` and `_proxy_targets`
@@ -433,16 +441,15 @@ def check_fits(dataset: SynthDataset, class_ids, in_dim: int,
 
 
 def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
-    """Input graphs of every instance, built `batch_size` instances per stacked pass."""
+    """Input graphs of every instance, built `_INFERENCE_CHUNK` instances per stacked pass."""
     return build_dataset(dataset, cfg.comp, uniform=not cfg.ablations.use_complementarity_graph,
-                         chunk_size=cfg.batch_size)
+                         chunk_size=_INFERENCE_CHUNK)
 
 
 def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
-    """The (B, N, hidden) node embeddings of each batch_size chunk, in order."""
-    step = model.config.batch_size
-    for start in range(0, len(graphs), step):
-        yield enc.forward(model.params, graphs[start:start + step], False)
+    """The (B, N, hidden) node embeddings of each `_INFERENCE_CHUNK` chunk, in order."""
+    for start in range(0, len(graphs), _INFERENCE_CHUNK):
+        yield enc.forward(model.params, graphs[start:start + _INFERENCE_CHUNK], False)
 
 
 def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph]:

@@ -43,6 +43,8 @@ def test_bad_values_name_the_key(text, message):
     ("train.cost_hidden = 0\n", "run.cfg: cost_head_hidden must be >= 1"),
     ("encoder.hidden_dim = 0\n", "run.cfg: hidden_dim must be >= 1"),
     ("encoder.hidden_dim = -4\n", "run.cfg: hidden_dim must be >= 1"),
+    ("encoder.leaky_slope = 1.5\n", "run.cfg: leaky_slope must lie in [0, 1]"),
+    ("encoder.leaky_slope = -0.2\n", "run.cfg: leaky_slope must lie in [0, 1]"),
 ])
 def test_bad_lines_and_refused_values_name_the_source(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):

@@ -185,8 +185,7 @@ def test_mixed_node_counts_are_refused():
 
 def test_evaluate_matches_argmin_of_distances():
     train_ds, test_ds = tiny_split(noise_rate=0.5)
-    cfg = replace(TINY_TRAIN, epochs=1, batch_size=5)   # chunks of 5 leave a remainder
-    _, model = training.train(train_ds, cfg)
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
     ids = model.class_ids()
     preds = [ids[int(np.argmin(model.distances(g)))]
              for g in training.encode_dataset(model, test_ds)]
@@ -197,17 +196,39 @@ def test_evaluate_matches_argmin_of_distances():
 
 def test_evaluate_over_two_chunks_and_a_remainder_matches_argmin_of_distances():
     train_ds, _ = tiny_split(noise_rate=0.5)
-    cfg = replace(TINY_TRAIN, epochs=1, batch_size=4)
-    _, model = training.train(train_ds, cfg)
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
     held = synth.generate(replace(TINY_SYNTH, noise_rate=0.5, seed=9))
-    ds = synth.SynthDataset(held.config, held.instances[::5][:2 * cfg.batch_size + 3])
-    assert len(ds) == 11 and set(ds.class_ids) == set(model.class_ids())
+    ds = synth.SynthDataset(held.config, held.instances[:2 * training._INFERENCE_CHUNK + 3])
+    assert len(ds) == 51 and set(ds.class_ids) == set(model.class_ids())
     ids = model.class_ids()
     preds = [ids[int(np.argmin(model.distances(g)))]
              for g in training.encode_dataset(model, ds)]
     expect = float(np.mean([p == inst.label for p, inst in zip(preds, ds.instances)]))
     assert 0.0 < expect < 1.0
     assert training.evaluate(model, ds) == expect
+
+
+def test_inference_chunk_size_changes_no_value(monkeypatch, tmp_path):
+    # evaluate, encode_dataset and train's input graphs and final accuracies
+    # run in inference chunks; no value may depend on their size
+    train_ds, test_ds = tiny_split(noise_rate=0.5)
+    default = training._INFERENCE_CHUNK
+    assert len(train_ds) == 2 * default
+    runs = []
+    for chunk in (default, 1, 1000):
+        monkeypatch.setattr(training, "_INFERENCE_CHUNK", chunk)
+        report, model = training.train(train_ds, replace(TINY_TRAIN, epochs=2),
+                                       test_dataset=test_ds)
+        model.save(tmp_path / "model.ckpt")
+        srgs = training.encode_dataset(model, train_ds)
+        runs.append((report, (tmp_path / "model.ckpt").read_bytes(),
+                     training.evaluate(model, train_ds),
+                     np.stack([g.node_features for g in srgs]),
+                     np.stack([g.edge_weights for g in srgs])))
+    (report, ckpt, acc, nodes, weights), *others = runs
+    for other_report, other_ckpt, other_acc, other_nodes, other_weights in others:
+        assert other_report == report and other_ckpt == ckpt and other_acc == acc
+        assert np.array_equal(other_nodes, nodes) and np.array_equal(other_weights, weights)
 
 
 def test_evaluate_refuses_a_class_without_proxy():
