@@ -29,7 +29,8 @@ def write_container(path, header: str, config: dict[str, str],
     for name, arr in tensors:
         arr = np.asarray(arr, dtype=np.float64)
         lines.append(f"tensor {name} {','.join(str(d) for d in arr.shape)}")
-        lines.append(" ".join(f"{x:.17g}" for x in arr.ravel()))
+        # Python floats format faster than numpy scalars, to the same text
+        lines.append(" ".join(f"{x:.17g}" for x in arr.ravel().tolist()))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

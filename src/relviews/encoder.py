@@ -32,7 +32,10 @@ endpoints. Both agree with the unfactored forms up to rounding.
 The encoder is one node of the autodiff tape. The forward runs in plain
 numpy and returns the (B, N, hidden) output as one Var with no parents;
 its backward fn adds every encoder gradient into `params.grad_buffer`.
-Without `want_grad` it returns the array and builds no Var. With
+Without `want_grad` it returns the array and builds no Var; that pass
+drops a hidden layer's input edges once the edge update has read them and
+runs the softplus in place on its own x and exp(-|x|), so a hidden layer
+makes no fresh (B, M, hidden) output array. With
 `want_grad` the forward keeps, per layer, the arrays its backward reads
 (`_Saved`): the node and edge inputs, W h, P a_edge, the LeakyReLU's sign
 mask, the attention α, the GraphNorm mean, standard deviation and
@@ -280,6 +283,8 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
         alpha /= alpha.sum(axis=-1, keepdims=True)                   # (B, H, N, N)
         head_out = alpha @ Wh                                        # (B, H, N, hd)
         keep = _Saved(h, e, Wh, pa, positive, alpha)
+        if want_grad:
+            saved.append(keep)
 
         if final:
             h = head_out.sum(axis=1) * (1.0 / heads)
@@ -302,17 +307,21 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
             keep.h_out = h
             # (B, M, hidden) arrays are updated in place: each fresh one of
             # that size can cost a round of page faults
-            keep.x = x = np.take(S, idx_i, axis=1)
+            x = np.take(S, idx_i, axis=1)
             x += np.take(S, idx_j, axis=1)
             x += e @ lp.edge_U[2 * hd:]
-            keep.z = z = np.abs(x)
+            if not want_grad:
+                keep = e = None          # nothing reads the input edges again
+            z = np.abs(x)
             np.exp(np.negative(z, out=z), out=z)
-            e = np.maximum(x, 0.0)
-            e += np.log1p(z)                                         # softplus
+            if want_grad:
+                keep.x, keep.z = x, z
+            # softplus; without a backward it overwrites x and z, which
+            # nothing reads again
+            e = np.maximum(x, 0.0, out=None if want_grad else x)
+            e += np.log1p(z, out=None if want_grad else z)
             if not np.isfinite(e).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
-        if want_grad:
-            saved.append(keep)
 
     if not want_grad:
         return h

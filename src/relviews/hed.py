@@ -33,7 +33,9 @@ node and class over slots, and per slot over nodes. Tables of at least
 screened first. Squared distances in Gram form, |u|^2 + |v|^2 - 2 u.v,
 cost one matrix product; an entry stays a candidate when it lies within a
 rounding bound of its row or column minimum, and only candidates get the
-exact explicit-difference distance, the rest +inf. The bound,
+exact explicit-difference distance, the rest +inf. `autodiff.pairwise_l2`
+computes the candidates in blocks of a fixed count, so its gathers do not
+grow with the class count. The bound,
 (8d + 32) eps (max|u|^2 + max|v|^2) plus the smallest normal number for
 underflow, covers the Gram form's error, the explicit form's own error and
 two values that round to the same square root, so every entry that ties

@@ -75,6 +75,11 @@ def sinkhorn(cost: np.ndarray, row_marginals, col_marginals,
     The per-row minimum of the cost is subtracted before exponentiation;
     row scalings absorb the offset exactly, it only guards the exp from
     underflow. Rows or columns with zero marginal are excluded from scaling.
+
+    Both marginals are checked before the first update. After a column
+    update the columns hold up to rounding, so the residual is then
+    max|u * (K v) - a|, from the K v that the next row update reads. The
+    plan is built once, at the end.
     """
     cost = np.asarray(cost, dtype=np.float64)
     a = np.asarray(row_marginals, dtype=np.float64)
@@ -93,21 +98,17 @@ def sinkhorn(cost: np.ndarray, row_marginals, col_marginals,
     u = np.where(rows_on, 1.0, 0.0)
     v = np.where(cols_on, 1.0, 0.0)
 
-    def plan_residual(u, v):
-        plan = u[:, None] * k * v[None, :]
-        return plan, max(np.abs(plan.sum(axis=1) - a).max(),
-                         np.abs(plan.sum(axis=0) - b).max())
-
     it = 0
-    plan, res = plan_residual(u, v)
+    kv = k @ v
+    res = max(np.abs(u * kv - a).max(), np.abs(v * (k.T @ u) - b).max())
     while res > cfg.marginal_tol and it < cfg.max_iters:
-        kv = k @ v
         u = np.where(rows_on, a / np.where(kv > 0, kv, 1.0), 0.0)
         ku = k.T @ u
         v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
         it += 1
-        plan, res = plan_residual(u, v)
-    return SinkhornResult(plan, it, float(res), res <= cfg.marginal_tol)
+        kv = k @ v
+        res = np.abs(u * kv - a).max()
+    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), res <= cfg.marginal_tol)
 
 
 def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,

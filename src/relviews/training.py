@@ -363,13 +363,17 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
           test_dataset: SynthDataset | None = None,
           log=None) -> tuple[TrainReport, TrainedModel]:
     """Deterministic per config+seed; raises NumericError if the loss diverges
-    or if no graph proxy update's transport converges."""
+    or if no graph proxy update's transport converges, and ConfigError,
+    before training, for a `test_dataset` with no instances or one the
+    model could not score."""
     if len(dataset.class_ids) < 2:
         raise ConfigError("training needs at least two classes")
     rng = np.random.default_rng(cfg.seed)
     in_dim = dataset.config.feature_dim
 
     if test_dataset is not None:
+        if not test_dataset.instances:
+            raise ConfigError("the test data has no instances to evaluate")
         check_fits(test_dataset, dataset.class_ids, in_dim, "the test data",
                    "the model being trained")
     graphs = _input_graphs(cfg, dataset)
@@ -423,7 +427,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
         raise NumericError(f"none of {len(converged)} proxy updates converged")
 
     train_acc = _accuracy(model, graphs, labels)
-    test_acc = evaluate(model, test_dataset) if test_dataset else None
+    test_acc = None if test_dataset is None else evaluate(model, test_dataset)
     return TrainReport(epoch_losses, train_acc, test_acc, converged.count(False)), model
 
 

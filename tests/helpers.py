@@ -729,8 +729,10 @@ def argmin_min(value: np.ndarray, axis: int) -> np.ndarray:
 
 
 def loop_sinkhorn(cost, row_marginals, col_marginals, cfg) -> SinkhornResult:
-    """`proxies.sinkhorn` building the plan once for each residual and once
-    more for the result."""
+    """`proxies.sinkhorn` building the plan at every residual and returning
+    the last one, with K v computed afresh for each residual and each row
+    update. The stop rule is the same: both marginals before the first
+    update, then the rows' max|u * (K v) - a|."""
     cost = np.asarray(cost, dtype=np.float64)
     a = np.asarray(row_marginals, dtype=np.float64)
     b = np.asarray(col_marginals, dtype=np.float64)
@@ -741,21 +743,23 @@ def loop_sinkhorn(cost, row_marginals, col_marginals, cfg) -> SinkhornResult:
     u = np.where(rows_on, 1.0, 0.0)
     v = np.where(cols_on, 1.0, 0.0)
 
-    def residual(u, v):
+    def residual(u, v, both):
         plan = u[:, None] * k * v[None, :]
-        return max(np.abs(plan.sum(axis=1) - a).max(),
-                   np.abs(plan.sum(axis=0) - b).max())
+        res = np.abs(u * (k @ v) - a).max()
+        if both:
+            res = max(res, np.abs(v * (k.T @ u) - b).max())
+        return res, plan
 
     it = 0
-    res = residual(u, v)
+    res, plan = residual(u, v, True)
     while res > cfg.marginal_tol and it < cfg.max_iters:
         kv = k @ v
         u = np.where(rows_on, a / np.where(kv > 0, kv, 1.0), 0.0)
         ku = k.T @ u
         v = np.where(cols_on, b / np.where(ku > 0, ku, 1.0), 0.0)
         it += 1
-        res = residual(u, v)
-    return SinkhornResult(u[:, None] * k * v[None, :], it, float(res), res <= cfg.marginal_tol)
+        res, plan = residual(u, v, False)
+    return SinkhornResult(plan, it, float(res), res <= cfg.marginal_tol)
 
 
 def loop_anchor_loss(distances, labels, class_ids, cfg) -> tuple[float, np.ndarray]:

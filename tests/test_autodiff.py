@@ -260,3 +260,20 @@ def test_pairwise_l2_gradient_rows_stay_bounded_near_zero(gap):
         unit = g[1, 2] * (u[1] - v[2]) / dist
         np.testing.assert_allclose(gu[1] - gu0[1], unit, rtol=0, atol=1e-6 * abs(g[1, 2]))
         np.testing.assert_allclose(gv0[2] - gv[2], unit, rtol=0, atol=1e-6 * abs(g[1, 2]))
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 7)])
+def test_pairwise_l2_candidate_blocks_equal_one_block(monkeypatch, blocks, extra):
+    # 0, 1, block - 1, block, block + 1 and 2 block + 7 candidates: every
+    # entry equals the one-block pass's bit for bit, the full table's where
+    # computed, and every other entry is +inf
+    count = blocks * ad._CANDIDATE_BLOCK + extra
+    rng = np.random.default_rng(43)
+    u, v = rng.standard_normal((3, 40, 8)), rng.standard_normal((50, 8))
+    where = np.zeros((3, 40, 50), dtype=bool)
+    where.flat[rng.choice(where.size, count, replace=False)] = True
+    blocked = ad.pairwise_l2(u, v, where)
+    monkeypatch.setattr(ad, "_CANDIDATE_BLOCK", where.size)
+    assert np.array_equal(blocked, ad.pairwise_l2(u, v, where))
+    assert np.array_equal(blocked[where], ad.pairwise_l2(u, v)[where])
+    assert (blocked[~where] == np.inf).all()

@@ -286,3 +286,17 @@ def test_check_finite_names_the_tensor():
         field[0] = bad
         with pytest.raises(NumericError, match=f"^non-finite parameter tensor {name}$"):
             store.check_finite()
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_gradient_free_forward_equals_the_grad_forward_and_keeps_its_inputs(layers):
+    # the pass without a backward frees and overwrites its own arrays only:
+    # the same output bit for bit, and the graphs' arrays untouched
+    params = init_params(EncoderConfig(num_layers=layers, heads_per_layer=2, hidden_dim=8),
+                         8, seed=7)
+    graphs = [random_graph(6, 8, seed=s) for s in range(5)]
+    before = [(g.node_features.copy(), g.edge_weights.copy()) for g in graphs]
+    plain = enc.forward(params, graphs, False)
+    for g, (nodes, weights) in zip(graphs, before):
+        assert np.array_equal(g.node_features, nodes) and np.array_equal(g.edge_weights, weights)
+    assert np.array_equal(plain, enc.forward(params, graphs, True).value)

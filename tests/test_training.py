@@ -1,6 +1,7 @@
 """Batched encoder and trainer: equivalence, determinism and persistence."""
 import importlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -247,6 +248,37 @@ def test_evaluate_refuses_an_empty_dataset():
     empty = synth.SynthDataset(synth.generate(TINY_SYNTH).config, [])
     with pytest.raises(ConfigError, match=r"^cannot evaluate a dataset with no instances$"):
         training.evaluate(model, empty)
+
+
+def test_train_refuses_an_empty_test_set_before_training(monkeypatch):
+    train_ds, test_ds = tiny_split()
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(enc, "forward", no_forward)
+    with pytest.raises(ConfigError, match=r"^the test data has no instances to evaluate$"):
+        training.train(train_ds, TINY_TRAIN, test_dataset=synth.SynthDataset(test_ds.config, []))
+
+
+def test_one_inference_chunk_of_a_16_class_model_allocates_at_most_5_mb():
+    # the benchmark's eval_many_classes shapes: 16 classes of 16 views, 32
+    # features and hidden dims; the candidate distances are computed in
+    # blocks and the encoder pass without a backward runs in place, so no
+    # transient array grows with the class count
+    cfg = synth.SynthConfig(num_classes=16, instances_per_class=4, views_per_instance=16,
+                            feature_dim=32, noise_rate=0.0, seed=5)
+    train_ds, held = synth.split_dataset(synth.generate(cfg), 0.5)
+    _, model = training.train(train_ds, TrainConfig(epochs=1, seed=5))
+    chunk = synth.SynthDataset(held.config, held.instances[:training._INFERENCE_CHUNK])
+    assert len(chunk) == 24 and len(model.class_ids()) == 16
+    training.evaluate(model, chunk)          # fills the per-size caches
+    tracemalloc.start()
+    try:
+        training.evaluate(model, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_train_builds_its_input_graphs_once(monkeypatch):
