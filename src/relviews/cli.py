@@ -1,8 +1,8 @@
 """Batch experimentation command line.
 
-Subcommands: generate, train, eval, explain, sweep-noise, sweep-depth,
-metrics, calc. Exit codes: 0 success, 2 configuration or usage error,
-3 numeric failure. All outputs are deterministic given config + seed.
+Subcommands: generate, train, eval, explain, sweep, metrics, calc. Exit
+codes: 0 success, 2 configuration or usage error, 3 numeric failure. All
+outputs are deterministic given config + seed.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ import numpy as np
 
 from . import explain as ex
 from . import synth, training
-from .errors import ConfigError, NumericError, parse_float, parse_int, parse_named
+from .errors import ConfigError, NumericError, format_value, parse_float, parse_int, parse_named
 from .graphs import export_dot
 from .runconfig import load_config
-from .synth import NoiseModel
 from .transitivity import (MAX_CLIQUE_NODES, TransitivityConfig, sample_complexity_noisy,
                            sample_complexity_transitive, topology_count,
                            turan_edge_bound)
@@ -103,23 +102,29 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_sweep_noise(args) -> int:
-    run = load_config(args.config)
-    models = _list_option(args.models, "--models", synth.parse_noise_model)
-    etas = _list_option(args.eta_list, "--eta-list", parse_float)
-    rows = training.sweep_noise(run.train, run.synth, etas, models,
-                                log=lambda msg: print(msg, file=sys.stderr))
-    _write_text(args.out, training.noise_csv(rows))
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+def _vary_options(raws: list[str]) -> dict[str, list]:
+    """Each `--vary key=v1,v2,...` as key -> values parsed by the key's own parser;
+    a ConfigError names the key at fault."""
+    vary = {}
+    for raw in raws:
+        key, eq, values = raw.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"--vary {key}: expected key=v1,v2,...")
+        if key not in training.CONFIG_KEYS:
+            raise ConfigError(f"--vary {key}: unknown key")
+        if key in vary:
+            raise ConfigError(f"--vary {key}: key given twice")
+        vary[key] = _list_option(values, f"--vary {key}", training.CONFIG_KEYS[key][2])
+    return vary
 
 
-def cmd_sweep_depth(args) -> int:
+def cmd_sweep(args) -> int:
+    vary = _vary_options(args.vary)
     run = load_config(args.config)
-    rows = training.sweep_depth(run.train, run.synth,
-                                _list_option(args.depth_list, "--depth-list", parse_int),
-                                log=lambda msg: print(msg, file=sys.stderr))
-    _write_text(args.out, training.depth_csv(rows))
+    rows = training.sweep(vary, run.synth, run.train, log=lambda msg: print(msg, file=sys.stderr))
+    lines = [",".join(rows[0])] + [",".join(map(format_value, row.values())) for row in rows]
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -224,18 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_explain)
 
-    p = sub.add_parser("sweep-noise", help="accuracy vs noise rate and model")
+    p = sub.add_parser("sweep", help="train and test once per point of a product of "
+                                     "config values; one CSV row per point")
     p.add_argument("--config", required=True)
-    p.add_argument("--eta-list", required=True)
-    p.add_argument("--models", default=",".join(m.value for m in NoiseModel))
+    p.add_argument("--vary", action="append", required=True, metavar="KEY=V1,V2,...",
+                   help="a run-config key and its values; repeat for a product, the "
+                        "first key outermost. Noise rates and models, TR on and off: "
+                        "--vary synth.noise_model=uniform_whole_image,causal_intervention "
+                        "--vary synth.eta=0.25,0.5 --vary ablate.tr=true,false. "
+                        "Encoder depth: --vary encoder.layers=1,2,3. "
+                        "Data seeds: --vary synth.seed=3,4,5")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_sweep_noise)
-
-    p = sub.add_parser("sweep-depth", help="accuracy and distinguishability vs depth")
-    p.add_argument("--config", required=True)
-    p.add_argument("--depth-list", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_sweep_depth)
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("metrics", help="fidelity/sparsity curve and clique similarity")
     p.add_argument("--checkpoint", required=True)

@@ -1,4 +1,6 @@
-"""Shared exception types, and the readers of text files, key sets and values."""
+"""Shared exception types, the readers of text files, key sets and values, and
+the one writer of values that those parsers read back."""
+import enum
 import math
 
 
@@ -54,6 +56,17 @@ def parse_float(raw: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {raw!r}")
     return value
+
+
+def format_value(value) -> str:
+    """A config value as the parsers read it back: a bool as true/false, an
+    enum member such as a `NoiseModel` by the name config files use (its
+    value), anything else by `repr`."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return repr(value)
 
 
 def parse_named(name: str, parse, raw: str):

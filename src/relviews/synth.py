@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import read_container, write_container
-from .errors import ConfigError, check_keys, parse_float, parse_int, parse_named
+from .errors import (ConfigError, check_keys, format_value, parse_float, parse_int,
+                     parse_named)
 
 
 class NoiseModel(str, enum.Enum):
@@ -226,10 +227,7 @@ def save(ds: SynthDataset, path) -> None:
     """The dataset in the text container (see the module docstring)."""
     insts, cfg = ds.instances, ds.config
     n, k, d = len(insts), cfg.views_per_instance, cfg.feature_dim
-    config = {}
-    for key, (attr, _) in SYNTH_KEYS.items():
-        value = getattr(cfg, attr)
-        config[key] = value.value if isinstance(value, NoiseModel) else str(value)
+    config = {key: format_value(getattr(cfg, attr)) for key, (attr, _) in SYNTH_KEYS.items()}
     write_container(path, _FORMAT, config, [
         ("labels", np.reshape([inst.label for inst in insts], n)),
         ("clean", np.reshape([inst.clean_mask for inst in insts], (n, k))),

@@ -12,12 +12,14 @@ same values in any chunk, so a prediction never depends on the chunk it
 falls in. `encode_dataset` derives the explanations' relevance graphs
 from the same node embeddings. Three ablation switches cover the
 input-graph edge rule (CG), graph-valued proxies (PD), and graph-space
-matching (TR).
+matching (TR). `sweep` trains and tests once per point of a product of
+config values.
 `CONFIG_KEYS` takes its `synth.*` keys from `synth.SYNTH_KEYS` and its value
 parsers from `errors`.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -30,15 +32,15 @@ from .autodiff import Var
 from .checkpoint import read_container, write_container
 from .complementarity import ComplementarityConfig, build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
-from .errors import (ConfigError, NumericError, check_keys, parse_bool, parse_float,
-                     parse_int, parse_named)
+from .errors import (ConfigError, NumericError, check_keys, format_value, parse_bool,
+                     parse_float, parse_int, parse_named)
 from .graphs import ViewGraph, midpoint_weights
 from .hed import CostHead, hed_values_multi
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
                       update_proxies)
 from .synth import SYNTH_KEYS, SynthConfig, SynthDataset, generate, split_dataset
 
-# Share of each generated dataset the sweeps hold out for testing.
+# Share of each generated dataset a sweep holds out for testing.
 SWEEP_TEST_FRACTION = 0.2
 
 # Instances per input-graph build, encoder pass and distance table outside
@@ -48,9 +50,7 @@ SWEEP_TEST_FRACTION = 0.2
 _INFERENCE_CHUNK = 24
 
 
-# TR acts only with PD on: with PD off, `distance_table` and `_proxy_targets`
-# match mean-pooled nodes against `proxy_vectors` whatever TR is, so TR on and
-# off train the same model, and `sweep_noise` refuses to compare them.
+# TR acts only with PD on; `sweep` refuses to vary TR where PD is off.
 @dataclass(frozen=True)
 class AblationConfig:
     use_complementarity_graph: bool = True   # CG: 1/|dot| local edge weights vs 1
@@ -128,29 +128,28 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
 _CHECKPOINT_FORMAT = "relviews-checkpoint 2"
 _CHECKPOINT_KEYS = [key for key, (part, _, _) in CONFIG_KEYS.items() if part != "synth"]
 
-_COMPONENTS = {"synth": SynthConfig, "encoder": EncoderConfig, "sinkhorn": SinkhornConfig,
-               "anchor": ProxyAnchorConfig, "comp": ComplementarityConfig,
-               "ablations": AblationConfig}
 
-
-def build_configs(values: dict[str, object]) -> tuple[SynthConfig, TrainConfig]:
-    """Component configs from parsed key values; absent keys keep their defaults."""
-    kwargs: dict[str, dict[str, object]] = {part: {} for part in (*_COMPONENTS, "train")}
+def build_configs(values: dict[str, object], synth: SynthConfig = SynthConfig(),
+                  cfg: TrainConfig = TrainConfig()) -> tuple[SynthConfig, TrainConfig]:
+    """`synth` and `cfg` with parsed key values applied; absent keys keep their
+    base values. Each component is rebuilt by `dataclasses.replace`, which
+    runs its checks again, so an invalid value raises a ConfigError."""
+    changes: dict[str, dict[str, object]] = {}
     for key, value in values.items():
         part, attr, _ = CONFIG_KEYS[key]
-        kwargs[part][attr] = value
-    parts = {part: cls(**kwargs[part]) for part, cls in _COMPONENTS.items()}
-    synth = parts.pop("synth")
-    return synth, TrainConfig(**parts, **kwargs["train"])
+        changes.setdefault(part, {})[attr] = value
+    synth = replace(synth, **changes.pop("synth", {}))
+    train = changes.pop("train", {})
+    parts = {part: replace(getattr(cfg, part), **attrs) for part, attrs in changes.items()}
+    return synth, replace(cfg, **parts, **train)
 
 
 def format_config(cfg: TrainConfig) -> dict[str, str]:
-    """Checkpoint text of every non-synth key: booleans as true/false, else repr."""
+    """Checkpoint text of every non-synth key, by `errors.format_value`."""
     out = {}
     for key in _CHECKPOINT_KEYS:
         part, attr, _ = CONFIG_KEYS[key]
-        value = getattr(cfg if part == "train" else getattr(cfg, part), attr)
-        out[key] = str(value).lower() if isinstance(value, bool) else repr(value)
+        out[key] = format_value(getattr(cfg if part == "train" else getattr(cfg, part), attr))
     return out
 
 
@@ -484,64 +483,46 @@ def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
                      [inst.label for inst in dataset.instances])
 
 
-def sweep_noise(base_cfg: TrainConfig, synth_cfg, eta_list, models,
-                log=None) -> list[dict]:
-    """Train the full model and the matching-ablation baseline per (model, eta).
+def sweep(vary: dict[str, list], synth: SynthConfig, cfg: TrainConfig,
+          log=None) -> list[dict]:
+    """One row per point of the product of the `vary` value lists, the first
+    key outermost: the point's values, then `train_accuracy`, `test_accuracy`,
+    `sinkhorn_nonconverged` and the hold-out's mean `distinguishability`.
 
-    Each point trains on one generated dataset and tests on its stratified
-    hold-out, which shares the training data's class concepts. A base config
-    with PD or TR off, whose baseline is the full model, is a ConfigError."""
-    ab = base_cfg.ablations
-    for key, on in (("ablate.pd", ab.proxy_as_graph), ("ablate.tr", ab.transitivity_recovery)):
-        if not on:
-            raise ConfigError(f"{key}: sweep-noise compares TR on with TR off, which train "
-                              f"the same model under {key} = false")
+    Each point applies its values to `synth` and `cfg` by `build_configs`,
+    generates its data, holds out `SWEEP_TEST_FRACTION` of each class, whose
+    instances share the training data's class concepts, and trains with that
+    hold-out as `test_dataset`. Every point's configs are built before the
+    first dataset is generated, so an invalid point is a ConfigError that
+    names its values before any work starts."""
+    points = [dict(zip(vary, combo)) for combo in itertools.product(*vary.values())]
+    configs = []
+    for values in points:
+        try:
+            configs.append(build_configs(values, synth, cfg))
+        except ConfigError as err:
+            raise ConfigError(f"{_point_text(values)}: {err}") from None
+    # TR acts only with PD on: with PD off, `distance_table` and `_proxy_targets`
+    # match mean-pooled nodes against `proxy_vectors` whatever TR is, so TR on and
+    # off would train the same model.
+    if "ablate.tr" in vary and not all(c.ablations.proxy_as_graph for _, c in configs):
+        raise ConfigError("ablate.tr: varying TR compares TR on with TR off, which train "
+                          "the same model under ablate.pd = false")
     rows = []
-    for model_name in models:
-        name = getattr(model_name, "value", str(model_name))
-        for eta in eta_list:
-            scfg = replace(synth_cfg, noise_rate=float(eta), noise_model=model_name)
-            train_ds, test_ds = split_dataset(generate(scfg), SWEEP_TEST_FRACTION)
-            _, full = train(train_ds, base_cfg)
-            acc = evaluate(full, test_ds)
-            ab_cfg = replace(base_cfg,
-                             ablations=replace(base_cfg.ablations,
-                                               transitivity_recovery=False))
-            _, ablated = train(train_ds, ab_cfg)
-            acc_off = evaluate(ablated, test_ds)
-            rows.append({"model": name, "eta": float(eta),
-                         "accuracy": acc, "accuracy_tr_off": acc_off})
-            if log is not None:
-                log(f"{name} eta={eta}: full {acc:.4f} vs matching-off {acc_off:.4f}")
-    return rows
-
-
-def noise_csv(rows: list[dict]) -> str:
-    lines = ["model,eta,accuracy,accuracy_tr_off"]
-    lines += [f"{r['model']},{r['eta']:.6g},{r['accuracy']:.6f},{r['accuracy_tr_off']:.6f}"
-              for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def sweep_depth(base_cfg: TrainConfig, synth_cfg, depth_list, log=None) -> list[dict]:
-    """Accuracy and output-node distinguishability per encoder depth, on the
-    stratified hold-out of one generated dataset."""
-    train_ds, test_ds = split_dataset(generate(synth_cfg), SWEEP_TEST_FRACTION)
-    rows = []
-    for depth in depth_list:
-        cfg = replace(base_cfg, encoder=replace(base_cfg.encoder, num_layers=int(depth)))
-        _, model = train(train_ds, cfg)
-        acc = evaluate(model, test_ds)
-        srgs = encode_dataset(model, test_ds)
-        dist = float(np.mean([enc.distinguishability(g.node_features) for g in srgs]))
-        rows.append({"depth": int(depth), "accuracy": acc, "distinguishability": dist})
+    for values, (synth_cfg, train_cfg) in zip(points, configs):
+        train_ds, test_ds = split_dataset(generate(synth_cfg), SWEEP_TEST_FRACTION)
+        report, model = train(train_ds, train_cfg, test_dataset=test_ds)
+        dist = float(np.mean([enc.distinguishability(g.node_features)
+                              for g in encode_dataset(model, test_ds)]))
+        rows.append({**values, "train_accuracy": report.final_train_accuracy,
+                     "test_accuracy": report.final_test_accuracy,
+                     "sinkhorn_nonconverged": report.sinkhorn_nonconverged,
+                     "distinguishability": dist})
         if log is not None:
-            log(f"depth {depth}: accuracy {acc:.4f} distinguishability {dist:.4f}")
+            log(f"{_point_text(values)}: test accuracy {report.final_test_accuracy:.4f} "
+                f"distinguishability {dist:.4f}")
     return rows
 
 
-def depth_csv(rows: list[dict]) -> str:
-    lines = ["depth,accuracy,distinguishability"]
-    lines += [f"{r['depth']},{r['accuracy']:.6f},{r['distinguishability']:.6f}"
-              for r in rows]
-    return "\n".join(lines) + "\n"
+def _point_text(values: dict[str, object]) -> str:
+    return ", ".join(f"{key}={format_value(value)}" for key, value in values.items())

@@ -5,8 +5,8 @@ import pytest
 from relviews import explain as ex
 from relviews import synth, training
 from relviews.cli import main
+from relviews.errors import format_value
 from relviews.runconfig import load_config
-from relviews.synth import NoiseModel
 from relviews.transitivity import TransitivityConfig
 
 TINY_CONFIG = """\
@@ -332,25 +332,47 @@ def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["sweep-noise", "--eta-list", "0.1,abc"],
-     "--eta-list: expected a number, got 'abc'"),
-    (["sweep-noise", "--eta-list", "0.1", "--models", "nosuch"],
-     "--models: unknown noise model 'nosuch' (one of: uniform_whole_image, "
+@pytest.mark.parametrize("vary, message", [
+    (["synth.eta=0.1,abc"], "--vary synth.eta: expected a number, got 'abc'"),
+    (["synth.noise_model=nosuch"],
+     "--vary synth.noise_model: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
-    (["sweep-depth", "--depth-list", "2,x"],
-     "--depth-list: expected an integer, got 'x'"),
-    (["sweep-noise", "--eta-list", ""], "--eta-list: no values given"),
-    (["sweep-noise", "--eta-list", "0.5", "--models", " , "], "--models: no values given"),
-    (["sweep-depth", "--depth-list", ","], "--depth-list: no values given"),
+    (["encoder.layers=2,x"], "--vary encoder.layers: expected an integer, got 'x'"),
+    (["synth.eta="], "--vary synth.eta: no values given"),
+    (["synth.noise_model= , "], "--vary synth.noise_model: no values given"),
+    (["encoder.layers=,"], "--vary encoder.layers: no values given"),
+    (["ablate.tr=true,maybe"], "--vary ablate.tr: expected a boolean, got 'maybe'"),
+    (["encoder.depth=1,2"], "--vary encoder.depth: unknown key"),
+    (["synth.eta=0.5", "synth.seed=1", "synth.eta=0.25"], "--vary synth.eta: key given twice"),
+    (["synth.eta"], "--vary synth.eta: expected key=v1,v2,..."),
+    # the first point is valid: the second is refused before any data is generated
+    (["train.batch_size=4,0"], "train.batch_size=0: epochs and batch_size must be >= 1"),
+    (["synth.eta=0.5,1.5", "ablate.cg=false"],
+     "synth.eta=1.5, ablate.cg=false: noise_rate must lie in [0, 1]"),
 ], ids=["eta_list", "models", "depth_list", "empty_eta_list", "empty_models",
-        "empty_depth_list"])
-def test_bad_sweep_list_exits_two(tiny, capsys, argv, message):
+        "empty_depth_list", "bool_token", "unknown_key", "duplicate_key", "missing_equals",
+        "invalid_point", "invalid_synth_point"])
+def test_bad_sweep_list_exits_two(tiny, capsys, monkeypatch, vary, message):
     tmp_path, config, _ = tiny
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated")
+    monkeypatch.setattr(training, "generate", no_data)
     capsys.readouterr()
-    assert main([*argv, "--config", str(config), "--out", str(tmp_path / "rows.csv")]) == 2
+    argv = [arg for key in vary for arg in ("--vary", key)]
+    assert main(["sweep", "--config", str(config), *argv,
+                 "--out", str(tmp_path / "rows.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-noise", "sweep-depth"])
+def test_deleted_sweep_commands_exit_two(tiny, capsys, command):
+    _, config, _ = tiny
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_bad_top_k_list_exits_two(trained, capsys):
@@ -364,20 +386,26 @@ def test_bad_top_k_list_exits_two(trained, capsys):
         assert not out.exists()
 
 
-def test_sweeps_write_the_library_rows(tiny, capsys):
+def test_sweep_writes_one_library_row_per_point_in_product_order(tiny, capsys):
     tmp_path, config, _ = tiny
+    argv = ["sweep", "--config", str(config), "--vary", "synth.seed=3,4",
+            "--vary", "synth.noise_model=causal_intervention", "--vary", "ablate.tr=true,false"]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main([*argv, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    header, *lines = first.read_text().splitlines()
+    assert header == ("synth.seed,synth.noise_model,ablate.tr,train_accuracy,test_accuracy,"
+                      "sinkhorn_nonconverged,distinguishability")
+    assert [line.split(",")[:3] for line in lines] == [
+        [seed, "causal_intervention", tr] for seed in ("3", "4") for tr in ("true", "false")]
     run = load_config(config)
-    noise, depth = tmp_path / "noise.csv", tmp_path / "depth.csv"
-    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
-                 "--models", "causal_intervention", "--out", str(noise)]) == 0
-    assert noise.read_text() == training.noise_csv(
-        training.sweep_noise(run.train, run.synth, [0.5], [NoiseModel.CAUSAL_INTERVENTION]))
-    assert main(["sweep-depth", "--config", str(config), "--depth-list", "1",
-                 "--out", str(depth)]) == 0
-    assert depth.read_text() == training.depth_csv(
-        training.sweep_depth(run.train, run.synth, [1]))
-    assert capsys.readouterr().out == (f"wrote 1 rows to {noise}\n"
-                                       f"wrote 1 rows to {depth}\n")
+    rows = training.sweep({"synth.seed": [3, 4],
+                           "synth.noise_model": [synth.NoiseModel.CAUSAL_INTERVENTION],
+                           "ablate.tr": [True, False]}, run.synth, run.train)
+    assert lines == [",".join(map(format_value, row.values())) for row in rows]
+    assert capsys.readouterr().out == (f"wrote 4 rows to {first}\n"
+                                       f"wrote 4 rows to {second}\n")
 
 
 def _data_with(tmp_path, name, key, value):
@@ -391,21 +419,25 @@ def _data_with(tmp_path, name, key, value):
     return data
 
 
-@pytest.mark.parametrize("key", ["ablate.pd", "ablate.tr"])
+@pytest.mark.parametrize("config_line, vary", [
+    ("ablate.pd = false\n", []),
+    ("", ["--vary", "ablate.pd=true,false"]),
+], ids=["ablate.pd", "varied_ablate.pd"])
 def test_sweep_noise_without_graph_matching_exits_two_before_training(
-        tmp_path, capsys, monkeypatch, key):
-    # with PD or TR off, the TR-off baseline is the full model trained again
+        tmp_path, capsys, monkeypatch, config_line, vary):
+    # with PD off, the TR-off point is the TR-on model trained again
     config = tmp_path / "off.cfg"
-    config.write_text(TINY_CONFIG + f"{key} = false\n")
+    config.write_text(TINY_CONFIG + config_line)
     out = tmp_path / "rows.csv"
 
-    def no_train(*args, **kwargs):
-        raise AssertionError("training started")
-    monkeypatch.setattr(training, "train", no_train)
-    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"error: {key}: sweep-noise compares TR on with TR "
-                                       f"off, which train the same model under {key} = false\n")
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generated")
+    monkeypatch.setattr(training, "generate", no_data)
+    assert main(["sweep", "--config", str(config), "--vary", "synth.eta=0.5", *vary,
+                 "--vary", "ablate.tr=true,false", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: ablate.tr: varying TR compares TR on with TR "
+                                       "off, which train the same model under "
+                                       "ablate.pd = false\n")
     assert not out.exists()
 
 
@@ -414,7 +446,7 @@ def test_sweep_on_a_class_of_one_exits_two(tmp_path, capsys):
     config.write_text(TINY_CONFIG.replace("synth.instances_per_class = 6",
                                           "synth.instances_per_class = 1"))
     out = tmp_path / "rows.csv"
-    assert main(["sweep-noise", "--config", str(config), "--eta-list", "0.5",
+    assert main(["sweep", "--config", str(config), "--vary", "synth.eta=0.5",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("error: class 0 has 1 instance; a stratified split "
                                        "needs at least 2 per class\n")

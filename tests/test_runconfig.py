@@ -1,16 +1,19 @@
 """Rejection paths of the run-configuration reader and the one key table."""
+import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig
-from relviews.errors import ConfigError
+from relviews.errors import ConfigError, format_value, parse_bool, parse_float, parse_int
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
 from relviews.runconfig import load_config, parse_config_text
-from relviews.synth import SynthConfig
-from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig
+from relviews.synth import NoiseModel, SynthConfig, parse_noise_model
+from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig, build_configs
 
 
 @pytest.mark.parametrize("text, message", [
@@ -79,3 +82,31 @@ def test_every_config_field_has_exactly_one_key(part, cls):
     assert sorted(keyed) == sorted(names)
     assert len(set(keyed)) == len(keyed)
 
+
+def test_build_configs_applies_values_to_the_given_base_configs():
+    base_synth = SynthConfig(num_classes=5)
+    base = TrainConfig(batch_size=5, encoder=EncoderConfig(hidden_dim=4))
+    synth, cfg = build_configs({"synth.eta": 0.5, "encoder.layers": 1, "train.epochs": 3},
+                               base_synth, base)
+    assert synth == replace(base_synth, noise_rate=0.5)
+    assert cfg == replace(base, epochs=3, encoder=EncoderConfig(hidden_dim=4, num_layers=1))
+    assert build_configs({}, base_synth, base) == (base_synth, base)
+    with pytest.raises(ConfigError, match="^hidden_dim must be >= 1$"):
+        build_configs({"encoder.hidden_dim": 0}, base_synth, base)
+
+
+# every value each parser can return
+_PARSED_VALUES = {parse_int: st.integers(),
+                  parse_float: st.floats(allow_nan=False, allow_infinity=False),
+                  parse_bool: st.booleans(), parse_noise_model: st.sampled_from(NoiseModel)}
+
+
+@settings(derandomize=True, database=None)
+@given(st.sampled_from(list(CONFIG_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), _PARSED_VALUES[CONFIG_KEYS[key][2]])))
+def test_format_value_reads_back_unchanged_for_every_key(key_value):
+    key, value = key_value
+    back = CONFIG_KEYS[key][2](format_value(value))
+    assert type(back) is type(value) and back == value
+    if isinstance(value, float):
+        assert math.copysign(1.0, back) == math.copysign(1.0, value)

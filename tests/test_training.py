@@ -389,14 +389,27 @@ def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
     assert rep_s.final_test_accuracy == rep_f.final_test_accuracy
 
 
-def test_sweeps_test_on_held_out_instances_of_the_same_classes():
-    # chance is 1/3; a test set drawn with fresh class concepts scores
-    # about that, a hold-out of the training classes close to 1
-    rows = training.sweep_noise(TINY_TRAIN, TINY_SYNTH, [0.0], ["outside_global_fraction"])
-    assert [(r["model"], r["eta"]) for r in rows] == [("outside_global_fraction", 0.0)]
-    assert rows[0]["accuracy"] >= 0.9
-    (depth_row,) = training.sweep_depth(TINY_TRAIN, TINY_SYNTH, [2])
-    assert depth_row["accuracy"] >= 0.9
+def test_sweep_rows_equal_the_direct_composition():
+    # each point generates its data, holds out the last fifth of each class and
+    # trains, as a direct call would; chance is 1/3, a test set drawn with fresh
+    # class concepts scores about that, a hold-out of the training classes close to 1
+    rows = training.sweep({"synth.seed": [0, 1], "ablate.tr": [True, False],
+                           "encoder.layers": [1, 2]}, TINY_SYNTH, TINY_TRAIN)
+    points = [(seed, tr, layers) for seed in (0, 1) for tr in (True, False) for layers in (1, 2)]
+    for row, (seed, tr, layers) in zip(rows, points, strict=True):
+        cfg = replace(TINY_TRAIN, encoder=replace(TINY_TRAIN.encoder, num_layers=layers),
+                      ablations=AblationConfig(transitivity_recovery=tr))
+        data = synth.generate(replace(TINY_SYNTH, seed=seed))
+        train_ds, test_ds = synth.split_dataset(data, 0.2)
+        report, model = training.train(train_ds, cfg)
+        dist = np.mean([enc.distinguishability(g.node_features)
+                        for g in training.encode_dataset(model, test_ds)])
+        assert row == {"synth.seed": seed, "ablate.tr": tr, "encoder.layers": layers,
+                       "train_accuracy": report.final_train_accuracy,
+                       "test_accuracy": training.evaluate(model, test_ds),
+                       "sinkhorn_nonconverged": report.sinkhorn_nonconverged,
+                       "distinguishability": dist}
+        assert row["test_accuracy"] >= 0.9
 
 
 def test_save_load_round_trips_every_checkpoint_key(tmp_path):
