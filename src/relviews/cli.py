@@ -69,15 +69,14 @@ def cmd_train(args) -> int:
     if test_ds is not None:
         training.check_fits(test_ds, train_ds.class_ids, train_ds.config.feature_dim,
                             str(args.test_data), f"a model trained on {args.data}")
-    report, model = training.train(train_ds, cfg, test_dataset=test_ds,
-                                   log=lambda msg: print(msg, file=sys.stderr))
+    report, model = training.train(train_ds, cfg, log=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.txt")
     _write_text(out / "report.csv", report.losses_csv())
-    print(f"train accuracy {report.final_train_accuracy:.6f}")
-    if report.final_test_accuracy is not None:
-        print(f"test accuracy {report.final_test_accuracy:.6f}")
+    print(f"train accuracy {training.evaluate(model, train_ds):.6f}")
+    if test_ds is not None:
+        print(f"test accuracy {training.evaluate(model, test_ds):.6f}")
     print(f"checkpoint {out / 'checkpoint.txt'}")
     return 0
 

@@ -32,10 +32,10 @@ endpoints. Both agree with the unfactored forms up to rounding.
 The encoder is one node of the autodiff tape. The forward runs in plain
 numpy and returns the (B, N, hidden) output as one Var with no parents;
 its backward fn adds every encoder gradient into `params.grad_buffer`.
-Without `want_grad` it returns the array and builds no Var; that pass
-drops a hidden layer's input edges once the edge update has read them and
-runs the softplus in place on its own x and exp(-|x|), so a hidden layer
-makes no fresh (B, M, hidden) output array. With
+Without `want_grad` it returns the array and keeps no `_Saved` record: a
+layer's attention arrays die with `_attend`'s frame before the edge update,
+whose input edges are dropped once read and whose softplus runs in place on
+its own x and exp(-|x|), so it makes no fresh (B, M, hidden) output. With
 `want_grad` the forward keeps, per layer, the arrays its backward reads
 (`_Saved`): the node and edge inputs, W h, P a_edge, the LeakyReLU's sign
 mask, the attention α, the GraphNorm mean, standard deviation and
@@ -249,52 +249,18 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
     if not (np.isfinite(h).all() and np.isfinite(weights).all()):
         raise NumericError("non-finite values in input graph (layer 0)")
 
-    b, heads, m = len(graphs), cfg.heads_per_layer, num_pairs(n)
     idx_i, idx_j = upper_pairs(n)
-    offdiag, diag_neg = _diag_masks(n)
     saved: list[_Saved] = []
     # each weight w enters layer 0's edge_in = in_dim wide channel as the
     # contiguous row w * 1, so P, edge_U and their BLAS calls keep their shapes
     e = np.repeat(weights[..., None], params.in_dim, axis=2)        # (B, M, d_e)
 
-    for li, (node_in, head_dim, edge_in) in enumerate(_layer_dims(cfg, params.in_dim)):
+    for li, (_, head_dim, _) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
         lp = params.layers[li]
-        Wh = h.reshape(b, 1, n, node_in) @ lp.W                      # (B, H, N, hd)
-        a_src, a_dst, a_edge = (lp.a[:, part * head_dim:(part + 1) * head_dim]
-                                .reshape(heads, head_dim, 1) for part in range(3))
-        s = Wh @ a_src                                               # (B, H, N, 1)
-        t = (Wh @ a_dst).reshape(b, heads, 1, n)                     # (B, H, 1, N)
-        pa = lp.P @ a_edge                                           # (H, d_e, 1)
-        u_pair = np.zeros((b, heads, m + 1))                         # (B, H, M + 1)
-        u_pair[..., :m] = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]
-        pre = s + t                                                  # (B, H, N, N)
-        # each pair's edge logit at both of its cells, +0.0 on the diagonal
-        pre += np.take(u_pair, _pair_of_cell(n), axis=-1).reshape(b, heads, n, n)
-        positive = pre > 0
-        # the logits and the softmax are updated in place: fewer fresh arrays;
-        # with a slope in [0, 1] the LeakyReLU is max(slope x, x)
-        logits = cfg.leaky_slope * pre
-        np.maximum(logits, pre, out=logits)
-        logits += diag_neg
-        logits -= logits.max(axis=-1, keepdims=True)
-        alpha = np.exp(logits, out=logits)
-        alpha *= offdiag
-        alpha /= alpha.sum(axis=-1, keepdims=True)                   # (B, H, N, N)
-        head_out = alpha @ Wh                                        # (B, H, N, hd)
-        keep = _Saved(h, e, Wh, pa, positive, alpha)
+        h, keep = _attend(cfg, lp, h, e, head_dim, final, want_grad)
         if want_grad:
             saved.append(keep)
-
-        if final:
-            h = head_out.sum(axis=1) * (1.0 / heads)
-        else:
-            h = head_out.transpose(0, 2, 1, 3).reshape(b, n, heads * head_dim)
-            keep.mu = h.mean(axis=1, keepdims=True)
-            shifted = h - keep.mu * lp.norm_mean_scale
-            keep.std = np.sqrt((shifted * shifted).mean(axis=1, keepdims=True) + cfg.norm_eps)
-            keep.xhat = shifted / keep.std
-            h = keep.xhat * lp.norm_scale + lp.norm_shift
         if not np.isfinite(h).all():
             raise NumericError(f"non-finite node features after layer {li}")
 
@@ -304,18 +270,16 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
             # equivariance): S_i + S_j + e U_edge with S = h (U_src + U_dst) / 2.
             hd = cfg.hidden_dim
             S = h @ ((lp.edge_U[:hd] + lp.edge_U[hd:2 * hd]) * 0.5)  # (B, N, hidden)
-            keep.h_out = h
             # (B, M, hidden) arrays are updated in place: each fresh one of
             # that size can cost a round of page faults
             x = np.take(S, idx_i, axis=1)
             x += np.take(S, idx_j, axis=1)
             x += e @ lp.edge_U[2 * hd:]
-            if not want_grad:
-                keep = e = None          # nothing reads the input edges again
+            e = None                     # read for the last time; a backward reads keep.e_in
             z = np.abs(x)
             np.exp(np.negative(z, out=z), out=z)
             if want_grad:
-                keep.x, keep.z = x, z
+                keep.h_out, keep.x, keep.z = h, x, z
             # softplus; without a backward it overwrites x and z, which
             # nothing reads again
             e = np.maximum(x, 0.0, out=None if want_grad else x)
@@ -330,6 +294,48 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
         _backward(params, saved, g)
         return ()
     return Var(h, requires_grad=True, backward=bk)
+
+
+def _attend(cfg: EncoderConfig, lp: LayerParams, h: np.ndarray, e: np.ndarray,
+            head_dim: int, final: bool, want_grad: bool):
+    """A layer's attention, then its heads' mean (final) or concatenation and
+    GraphNorm: (B, N, hidden) nodes, and the `_Saved` record or None."""
+    (b, n, node_in), (_, m, edge_in), heads = h.shape, e.shape, cfg.heads_per_layer
+    Wh = h.reshape(b, 1, n, node_in) @ lp.W                          # (B, H, N, hd)
+    a_src, a_dst, a_edge = (lp.a[:, part * head_dim:(part + 1) * head_dim]
+                            .reshape(heads, head_dim, 1) for part in range(3))
+    s = Wh @ a_src                                                   # (B, H, N, 1)
+    t = (Wh @ a_dst).reshape(b, heads, 1, n)                         # (B, H, 1, N)
+    pa = lp.P @ a_edge                                               # (H, d_e, 1)
+    u_pair = np.zeros((b, heads, m + 1))                             # (B, H, M + 1)
+    u_pair[..., :m] = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]
+    pre = s + t                                                      # (B, H, N, N)
+    # each pair's edge logit at both of its cells, +0.0 on the diagonal
+    pre += np.take(u_pair, _pair_of_cell(n), axis=-1).reshape(b, heads, n, n)
+    positive = pre > 0 if want_grad else None
+    # the logits and the softmax are updated in place: fewer fresh arrays;
+    # with a slope in [0, 1] the LeakyReLU is max(slope x, x)
+    logits = cfg.leaky_slope * pre
+    np.maximum(logits, pre, out=logits)
+    del pre
+    offdiag, diag_neg = _diag_masks(n)
+    logits += diag_neg
+    logits -= logits.max(axis=-1, keepdims=True)
+    alpha = np.exp(logits, out=logits)
+    alpha *= offdiag
+    alpha /= alpha.sum(axis=-1, keepdims=True)                       # (B, H, N, N)
+    head_out = alpha @ Wh                                            # (B, H, N, hd)
+    keep = _Saved(h, e, Wh, pa, positive, alpha) if want_grad else None
+    if final:
+        return head_out.sum(axis=1) * (1.0 / heads), keep
+    cat = head_out.transpose(0, 2, 1, 3).reshape(b, n, heads * head_dim)
+    mu = cat.mean(axis=1, keepdims=True)
+    shifted = cat - mu * lp.norm_mean_scale
+    std = np.sqrt((shifted * shifted).mean(axis=1, keepdims=True) + cfg.norm_eps)
+    xhat = shifted / std
+    if want_grad:
+        keep.mu, keep.std, keep.xhat = mu, std, xhat
+    return xhat * lp.norm_scale + lp.norm_shift, keep
 
 
 def _backward(params: GatParams, saved: list[_Saved], g_h: np.ndarray) -> None:

@@ -6,7 +6,9 @@ backpropagates the anchor loss through the table, cost head and encoder in
 one backward pass, takes an Adam step with a stepped learning-rate
 schedule, and then refreshes the touched proxies by online clustering of
 its node embeddings, counting the updates whose transport did not converge.
-`evaluate` runs the same encoder and table over chunks of
+`train` runs no inference pass: its report holds the epoch losses and that
+count, and every accuracy, on the training data or a hold-out, comes from
+`evaluate`. `evaluate` runs the same encoder and table over chunks of
 `_INFERENCE_CHUNK` instances, not `batch_size`; every instance gets the
 same values in any chunk, so a prediction never depends on the chunk it
 falls in. `encode_dataset` derives the explanations' relevance graphs
@@ -155,10 +157,10 @@ def format_config(cfg: TrainConfig) -> dict[str, str]:
 
 @dataclass
 class TrainReport:
+    """Each epoch's mean loss and the proxy updates whose transport missed its
+    tolerance; accuracies come from `evaluate`."""
     epoch_losses: list[float]
-    final_train_accuracy: float
-    final_test_accuracy: float | None
-    sinkhorn_nonconverged: int           # proxy updates whose transport missed its tolerance
+    sinkhorn_nonconverged: int
 
     def losses_csv(self) -> str:
         lines = ["epoch,loss"]
@@ -359,22 +361,15 @@ def _update_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
 
 
 def train(dataset: SynthDataset, cfg: TrainConfig,
-          test_dataset: SynthDataset | None = None,
           log=None) -> tuple[TrainReport, TrainedModel]:
-    """Deterministic per config+seed; raises NumericError if the loss diverges
-    or if no graph proxy update's transport converges, and ConfigError,
-    before training, for a `test_dataset` with no instances or one the
-    model could not score."""
+    """Train a model on `dataset`, with no inference pass: accuracies come from
+    `evaluate`. Deterministic per config+seed; raises NumericError if the loss
+    diverges or if no graph proxy update's transport converges."""
     if len(dataset.class_ids) < 2:
         raise ConfigError("training needs at least two classes")
     rng = np.random.default_rng(cfg.seed)
     in_dim = dataset.config.feature_dim
 
-    if test_dataset is not None:
-        if not test_dataset.instances:
-            raise ConfigError("the test data has no instances to evaluate")
-        check_fits(test_dataset, dataset.class_ids, in_dim, "the test data",
-                   "the model being trained")
     graphs = _input_graphs(cfg, dataset)
     labels = [inst.label for inst in dataset.instances]
 
@@ -424,10 +419,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
                 f"non-converged proxy updates {converged.count(False)}")
     if converged and not any(converged):
         raise NumericError(f"none of {len(converged)} proxy updates converged")
-
-    train_acc = _accuracy(model, graphs, labels)
-    test_acc = None if test_dataset is None else evaluate(model, test_dataset)
-    return TrainReport(epoch_losses, train_acc, test_acc, converged.count(False)), model
+    return TrainReport(epoch_losses, converged.count(False)), model
 
 
 def check_fits(dataset: SynthDataset, class_ids, in_dim: int,
@@ -463,14 +455,6 @@ def encode_dataset(model: TrainedModel, dataset: SynthDataset) -> list[ViewGraph
     return [ViewGraph(x, midpoint_weights(x), label=g.label) for x, g in zip(nodes, graphs)]
 
 
-def _accuracy(model: TrainedModel, graphs: list[ViewGraph], labels) -> float:
-    """Fraction of input graphs whose nearest proxy matches their label."""
-    ids = np.asarray(model.class_ids())
-    preds = [ids[model.distance_table(nodes).argmin(axis=1)]
-             for nodes in _encoded_chunks(model, graphs)]
-    return int((np.concatenate(preds) == labels).sum()) / len(labels)
-
-
 def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     """Fraction of instances whose nearest proxy matches their label.
 
@@ -479,8 +463,11 @@ def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     if not dataset.instances:
         raise ConfigError("cannot evaluate a dataset with no instances")
     check_fits(dataset, model.class_ids(), model.in_dim)
-    return _accuracy(model, _input_graphs(model.config, dataset),
-                     [inst.label for inst in dataset.instances])
+    ids = np.asarray(model.class_ids())
+    preds = [ids[model.distance_table(nodes).argmin(axis=1)]
+             for nodes in _encoded_chunks(model, _input_graphs(model.config, dataset))]
+    labels = [inst.label for inst in dataset.instances]
+    return int((np.concatenate(preds) == labels).sum()) / len(labels)
 
 
 def sweep(vary: dict[str, list], synth: SynthConfig, cfg: TrainConfig,
@@ -491,10 +478,10 @@ def sweep(vary: dict[str, list], synth: SynthConfig, cfg: TrainConfig,
 
     Each point applies its values to `synth` and `cfg` by `build_configs`,
     generates its data, holds out `SWEEP_TEST_FRACTION` of each class, whose
-    instances share the training data's class concepts, and trains with that
-    hold-out as `test_dataset`. Every point's configs are built before the
-    first dataset is generated, so an invalid point is a ConfigError that
-    names its values before any work starts."""
+    instances share the training data's class concepts, trains on the rest,
+    and takes both accuracies from `evaluate`. Every point's configs are
+    built before the first dataset is generated, so an invalid point is a
+    ConfigError that names its values before any work starts."""
     points = [dict(zip(vary, combo)) for combo in itertools.product(*vary.values())]
     configs = []
     for values in points:
@@ -511,15 +498,16 @@ def sweep(vary: dict[str, list], synth: SynthConfig, cfg: TrainConfig,
     rows = []
     for values, (synth_cfg, train_cfg) in zip(points, configs):
         train_ds, test_ds = split_dataset(generate(synth_cfg), SWEEP_TEST_FRACTION)
-        report, model = train(train_ds, train_cfg, test_dataset=test_ds)
+        report, model = train(train_ds, train_cfg)
+        test_acc = evaluate(model, test_ds)
         dist = float(np.mean([enc.distinguishability(g.node_features)
                               for g in encode_dataset(model, test_ds)]))
-        rows.append({**values, "train_accuracy": report.final_train_accuracy,
-                     "test_accuracy": report.final_test_accuracy,
+        rows.append({**values, "train_accuracy": evaluate(model, train_ds),
+                     "test_accuracy": test_acc,
                      "sinkhorn_nonconverged": report.sinkhorn_nonconverged,
                      "distinguishability": dist})
         if log is not None:
-            log(f"{_point_text(values)}: test accuracy {report.final_test_accuracy:.4f} "
+            log(f"{_point_text(values)}: test accuracy {test_acc:.4f} "
                 f"distinguishability {dist:.4f}")
     return rows
 

@@ -57,6 +57,27 @@ def test_generate_then_train_writes_the_library_run(tiny, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"checkpoint {out / 'checkpoint.txt'}"
 
 
+def test_train_accuracies_equal_eval_of_the_saved_checkpoint(tiny, capsys):
+    # train -> save -> load -> eval: the accuracies `relviews train` prints are
+    # those of its checkpoint on the training and the test file
+    tmp_path, config, data = tiny
+    test_data = tmp_path / "test.txt"
+    assert main(["generate", "--config", str(config), "--out", str(test_data),
+                 "--seed", "7"]) == 0
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--test-data", str(test_data), "--out", str(out)]) == 0
+    train_line, test_line, _ = capsys.readouterr().out.splitlines()
+    evals = []
+    for path in (data, test_data):
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"),
+                     "--data", str(path)]) == 0
+        evals.append(capsys.readouterr().out)
+    assert train_line == "train " + evals[0].rstrip("\n")
+    assert test_line == "test " + evals[1].rstrip("\n")
+
+
 def test_metrics_with_macs_writes_the_library_values(tiny):
     tmp_path, config, data = tiny
     out = tmp_path / "run"

@@ -2,7 +2,7 @@
 import importlib
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -210,25 +210,24 @@ def test_evaluate_over_two_chunks_and_a_remainder_matches_argmin_of_distances():
 
 
 def test_inference_chunk_size_changes_no_value(monkeypatch, tmp_path):
-    # evaluate, encode_dataset and train's input graphs and final accuracies
-    # run in inference chunks; no value may depend on their size
+    # evaluate, encode_dataset and train's input graphs run in inference
+    # chunks; no value may depend on their size
     train_ds, test_ds = tiny_split(noise_rate=0.5)
     default = training._INFERENCE_CHUNK
     assert len(train_ds) == 2 * default
     runs = []
     for chunk in (default, 1, 1000):
         monkeypatch.setattr(training, "_INFERENCE_CHUNK", chunk)
-        report, model = training.train(train_ds, replace(TINY_TRAIN, epochs=2),
-                                       test_dataset=test_ds)
+        report, model = training.train(train_ds, replace(TINY_TRAIN, epochs=2))
         model.save(tmp_path / "model.ckpt")
         srgs = training.encode_dataset(model, train_ds)
         runs.append((report, (tmp_path / "model.ckpt").read_bytes(),
-                     training.evaluate(model, train_ds),
+                     (training.evaluate(model, train_ds), training.evaluate(model, test_ds)),
                      np.stack([g.node_features for g in srgs]),
                      np.stack([g.edge_weights for g in srgs])))
-    (report, ckpt, acc, nodes, weights), *others = runs
-    for other_report, other_ckpt, other_acc, other_nodes, other_weights in others:
-        assert other_report == report and other_ckpt == ckpt and other_acc == acc
+    (report, ckpt, accs, nodes, weights), *others = runs
+    for other_report, other_ckpt, other_accs, other_nodes, other_weights in others:
+        assert other_report == report and other_ckpt == ckpt and other_accs == accs
         assert np.array_equal(other_nodes, nodes) and np.array_equal(other_weights, weights)
 
 
@@ -248,16 +247,6 @@ def test_evaluate_refuses_an_empty_dataset():
     empty = synth.SynthDataset(synth.generate(TINY_SYNTH).config, [])
     with pytest.raises(ConfigError, match=r"^cannot evaluate a dataset with no instances$"):
         training.evaluate(model, empty)
-
-
-def test_train_refuses_an_empty_test_set_before_training(monkeypatch):
-    train_ds, test_ds = tiny_split()
-
-    def no_forward(*args, **kwargs):
-        raise AssertionError("training started")
-    monkeypatch.setattr(enc, "forward", no_forward)
-    with pytest.raises(ConfigError, match=r"^the test data has no instances to evaluate$"):
-        training.train(train_ds, TINY_TRAIN, test_dataset=synth.SynthDataset(test_ds.config, []))
 
 
 def test_one_inference_chunk_of_a_16_class_model_allocates_at_most_5_mb():
@@ -282,7 +271,7 @@ def test_one_inference_chunk_of_a_16_class_model_allocates_at_most_5_mb():
 
 
 def test_train_builds_its_input_graphs_once(monkeypatch):
-    train_ds, _ = tiny_split()
+    train_ds, test_ds = tiny_split()
     calls = []
     build = training.build_dataset
 
@@ -290,8 +279,29 @@ def test_train_builds_its_input_graphs_once(monkeypatch):
         calls.append(len(ds))
         return build(ds, *args, **kwargs)
     monkeypatch.setattr(training, "build_dataset", counted)
-    report, _ = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
-    assert calls == [len(train_ds)] and report.final_test_accuracy is None
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
+    assert calls == [len(train_ds)]
+    training.evaluate(model, test_ds)
+    assert calls == [len(train_ds), len(test_ds)]
+
+
+def test_train_runs_only_training_passes(monkeypatch):
+    # every encoder pass of a train call is a training step's, taped for its
+    # backward; accuracies are `evaluate`'s, so the report holds none
+    train_ds, _ = tiny_split()
+    cfg = replace(TINY_TRAIN, epochs=2)
+    flags = []
+    forward = enc.forward
+
+    def recorded(params, graphs, want_grad=True):
+        flags.append(want_grad)
+        return forward(params, graphs, want_grad)
+    monkeypatch.setattr(enc, "forward", recorded)
+    report, _ = training.train(train_ds, cfg)
+    assert flags == [True] * (cfg.epochs * -(-len(train_ds) // cfg.batch_size))
+    assert [f.name for f in fields(training.TrainReport)] == ["epoch_losses",
+                                                              "sinkhorn_nonconverged"]
+    assert len(report.epoch_losses) == cfg.epochs
 
 
 @pytest.mark.parametrize("bad_step", ["first", "last"])
@@ -310,19 +320,6 @@ def test_train_refuses_a_non_finite_cost_head(monkeypatch, bad_step):
     monkeypatch.setattr(training.Adam, "step", nan_head_step)
     with pytest.raises(NumericError, match=r"^non-finite parameter tensor cost\.b2$"):
         training.train(train_ds, cfg)
-
-
-def test_train_refuses_test_data_with_an_unseen_class_before_training(monkeypatch):
-    train_ds, test_ds = tiny_split()
-    two = synth.SynthDataset(train_ds.config,
-                             [inst for inst in train_ds.instances if inst.label != 1])
-
-    def no_forward(*args, **kwargs):
-        raise AssertionError("training started")
-    monkeypatch.setattr(enc, "forward", no_forward)
-    with pytest.raises(ConfigError, match=r"^the model being trained has no proxy for class 1 "
-                                          r"of the test data$"):
-        training.train(two, TINY_TRAIN, test_dataset=test_ds)
 
 
 def test_distances_of_fewer_nodes_than_slots_equal_per_class_hed():
@@ -376,17 +373,17 @@ def test_screened_distance_tables_train_and_predict_bit_for_bit(monkeypatch):
     runs = []
     for limit in (0, np.inf):
         monkeypatch.setattr(hed_module, "SCREEN_MIN_ENTRIES", limit)
-        report, model = training.train(train_ds, TINY_TRAIN, test_dataset=test_ds)
+        report, model = training.train(train_ds, TINY_TRAIN)
         tables = [model.distance_table(nodes)
                   for nodes in training._encoded_chunks(
                       model, training._input_graphs(model.config, test_ds))]
-        runs.append((report, model, np.concatenate(tables)))
-    (rep_s, model_s, table_s), (rep_f, model_f, table_f) = runs
+        runs.append((report, model, np.concatenate(tables), training.evaluate(model, test_ds)))
+    (rep_s, model_s, table_s, acc_s), (rep_f, model_f, table_f, acc_f) = runs
     assert rep_s.epoch_losses == rep_f.epoch_losses
     for (name, a), (_, b) in zip(model_s.params.named_tensors(), model_f.params.named_tensors()):
         assert np.array_equal(a, b), name
     assert np.array_equal(table_s, table_f)
-    assert rep_s.final_test_accuracy == rep_f.final_test_accuracy
+    assert acc_s == acc_f
 
 
 def test_sweep_rows_equal_the_direct_composition():
@@ -405,7 +402,7 @@ def test_sweep_rows_equal_the_direct_composition():
         dist = np.mean([enc.distinguishability(g.node_features)
                         for g in training.encode_dataset(model, test_ds)])
         assert row == {"synth.seed": seed, "ablate.tr": tr, "encoder.layers": layers,
-                       "train_accuracy": report.final_train_accuracy,
+                       "train_accuracy": training.evaluate(model, train_ds),
                        "test_accuracy": training.evaluate(model, test_ds),
                        "sinkhorn_nonconverged": report.sinkhorn_nonconverged,
                        "distinguishability": dist}
