@@ -4,7 +4,6 @@ import ctypes
 import os
 import sys
 
-from .complementarity import ComplementarityConfig
 from .encoder import EncoderConfig, GatParams
 from .graphs import ExplanationSubgraph, ViewGraph, export_dot, induced_subgraph
 from .hed import CostHead, HedResult, hed
@@ -14,7 +13,7 @@ from .training import AblationConfig, TrainConfig, TrainedModel, TrainReport, ev
 from .transitivity import TransitivityConfig
 
 __all__ = [
-    "AblationConfig", "ComplementarityConfig", "CostHead", "EncoderConfig",
+    "AblationConfig", "CostHead", "EncoderConfig",
     "ExplanationSubgraph", "GatParams", "HedResult", "NoiseModel",
     "ProxyAnchorConfig", "ProxyGraph", "SinkhornConfig", "SynthConfig",
     "SynthDataset", "SynthInstance", "TrainConfig", "TrainReport", "TrainedModel",

@@ -16,9 +16,10 @@ view of its upstream gradient, without a copy.
 
 `pairwise_l2` and `pairwise_l2_grad` are the Euclidean distance table and
 its closed-form gradient, which both distance tables use. `FlatParams`
-packs a model part's parameter tensors into one buffer, so optimizers and
-checks run once per buffer, and closed-form backwards add into its
-`grad_buffer`. Values are float64 throughout.
+packs a model part's parameter tensors into one buffer, one name per
+tensor, the name a checkpoint stores it by, so optimizers and checks run
+once per buffer, and closed-form backwards add into its `grad_buffer`.
+Values are float64 throughout.
 """
 from __future__ import annotations
 
@@ -51,23 +52,20 @@ def fan_in_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 class FlatParams:
-    """Parameter tensors stored back to back in one float64 `buffer`.
+    """Named parameter tensors stored back to back in one float64 `buffer`.
 
-    `tensors` holds one view of `buffer` per stored tensor, `tensor_grads`
-    one of `grad_buffer`. A subclass's `_named` names such a list, and may
-    split a stored tensor into several named views; `grads` maps each name
-    to its gradient view."""
+    Takes one (name, array) pair per stored tensor. `tensors` holds one view
+    of `buffer` per tensor, `tensor_grads` one of `grad_buffer`, in the
+    given order; `grads` maps each name to its gradient view."""
 
-    def __init__(self, tensors: list[np.ndarray]):
-        self.buffer, self.tensors = flat_views(tensors)
-        self.grad_buffer, self.tensor_grads = flat_views([np.zeros(t.shape) for t in tensors])
-        self.grads = dict(self._named(self.tensor_grads))
-
-    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
-        raise NotImplementedError
+    def __init__(self, named: list[tuple[str, np.ndarray]]):
+        self.names = [name for name, _ in named]
+        self.buffer, self.tensors = flat_views([arr for _, arr in named])
+        self.grad_buffer, self.tensor_grads = flat_views([np.zeros(t.shape) for t in self.tensors])
+        self.grads = dict(zip(self.names, self.tensor_grads))
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return self._named(self.tensors)
+        return list(zip(self.names, self.tensors))
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
         arr = dict(self.named_tensors()).get(name)

@@ -1,6 +1,6 @@
 """The one text container of the repo's files: checkpoints and datasets.
 
-Layout: a format line (`relviews-checkpoint 2`, `relviews-synth 3`), one
+Layout: a format line (`relviews-checkpoint 3`, `relviews-synth 3`), one
 `config` line per key=value pair, then per tensor a `tensor <name>
 <dim0,dim1,...>` line and a line of its values at 17 significant digits, so
 float64 values read back bit for bit, in the writer's tensor order. Every
@@ -8,7 +8,9 @@ malformed or repeated line, and every NaN or infinite value, raises a
 ConfigError that names the file, its kind and the key or tensor. Another
 version of the format is refused by name, with the kind's remedy. Each kind's
 reader checks its keys and tensors: `TrainedModel.load` against
-`training.CONFIG_KEYS`, `synth.load` against `synth.SYNTH_KEYS` and its shapes.
+`training.CONFIG_KEYS`, the parameter stores' tensor names and one stack of
+class proxies under `proxies.ids` (see `TrainedModel.save`), `synth.load`
+against `synth.SYNTH_KEYS` and its shapes.
 """
 from __future__ import annotations
 

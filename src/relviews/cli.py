@@ -47,7 +47,8 @@ def _size(k: int, option: str) -> int:
 def _model_and_data(args):
     """The `--checkpoint` model and `--data` dataset, refused unless the data fits."""
     model, ds = training.TrainedModel.load(args.checkpoint), synth.load(args.data)
-    training.check_fits(ds, model.class_ids(), model.in_dim, str(args.data), str(args.checkpoint))
+    training.check_fits(ds, model.class_ids(), model.params.in_dim, str(args.data),
+                        str(args.checkpoint))
     return model, ds
 
 

@@ -13,7 +13,11 @@ W, a and P are stored stacked on a leading head axis, so one broadcasting
 matmul computes every graph's and head's W h, and the attention is one
 (B, H, N, N) softmax. Every graph of the batch gets exactly the values a
 batch of one would give it. `GatParams` is a flat parameter store
-(`autodiff.FlatParams`): each head-stacked tensor is one stored tensor.
+(`autodiff.FlatParams`): each head-stacked tensor is one stored tensor,
+named `layer<i>.<LayerParams field>`. The LeakyReLU slope of the logits
+and GraphNorm's variance epsilon are fixed constants, `LEAKY_SLOPE` and
+`NORM_EPS`, the values of GAT (Veličković et al., ICLR 2018) and GraphNorm
+(Cai et al., ICML 2021).
 
 Input edges are (M,) weights, M = N(N-1)/2, each copied across layer 0's
 `in_dim`-wide edge channel, so that channel is rank 1: layer 0's P rows and
@@ -35,7 +39,8 @@ its backward fn adds every encoder gradient into `params.grad_buffer`.
 Without `want_grad` it returns the array and keeps no `_Saved` record: a
 layer's attention arrays die with `_attend`'s frame before the edge update,
 whose input edges are dropped once read and whose softplus runs in place on
-its own x and exp(-|x|), so it makes no fresh (B, M, hidden) output. With
+its own x and exp(-|x|), so it makes no fresh (B, M, hidden) output; the
+final layer drops its input edges once their logits are taken. With
 `want_grad` the forward keeps, per layer, the arrays its backward reads
 (`_Saved`): the node and edge inputs, W h, P a_edge, the LeakyReLU's sign
 mask, the attention α, the GraphNorm mean, standard deviation and
@@ -67,6 +72,10 @@ from .errors import ConfigError, NumericError
 from .graphs import ViewGraph, num_pairs, upper_pairs
 
 _NEG = -1e30
+# the attention logits' LeakyReLU slope, in [0, 1] as `_attend`'s
+# max(slope x, x) needs, and GraphNorm's variance epsilon
+LEAKY_SLOPE = 0.2
+NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,6 @@ class EncoderConfig:
     num_layers: int = 2
     heads_per_layer: int = 4
     hidden_dim: int = 32
-    leaky_slope: float = 0.2
-    norm_eps: float = 1e-5
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -86,10 +93,6 @@ class EncoderConfig:
             raise ConfigError("hidden_dim must be >= 1")
         if self.hidden_dim % self.heads_per_layer != 0:
             raise ConfigError("hidden_dim must be divisible by heads_per_layer")
-        if self.norm_eps <= 0:
-            raise ConfigError("norm_eps must be positive")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ConfigError("leaky_slope must lie in [0, 1]")
 
 
 @dataclass
@@ -109,17 +112,16 @@ class LayerParams:
 class GatParams(ad.FlatParams):
     """Encoder tensors in one flat parameter store.
 
-    Each LayerParams field that is not None is one stored tensor, in layer
-    and field order, and the layers' fields are its views of `buffer`.
-    `named_tensors` and `grads` name one view per head of the head-stacked
-    W, a and P."""
+    Each LayerParams field that is not None is one stored tensor named
+    `layer<i>.<field>`, the head-stacked W, a and P as well, in layer and
+    field order, and the layers' fields are its views of `buffer`."""
     config: EncoderConfig
     in_dim: int
     layers: list[LayerParams]
 
     def __post_init__(self):
-        super().__init__([arr for layer in self.layers
-                          for arr in vars(layer).values() if arr is not None])
+        super().__init__([(f"layer{li}.{key}", arr) for li, layer in enumerate(self.layers)
+                          for key, arr in vars(layer).items() if arr is not None])
         for layer, views in zip(self.layers, self.by_layer(self.tensors)):
             vars(layer).update(views)
 
@@ -129,21 +131,6 @@ class GatParams(ad.FlatParams):
         items = iter(flat)
         return [{key: None if arr is None else next(items) for key, arr in vars(layer).items()}
                 for layer in self.layers]
-
-    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
-        """Fixed, documented order: per layer, per head W/a/P, then norm, then edge map."""
-        out = []
-        for li, layer in enumerate(self.by_layer(arrays)):
-            for hi in range(len(layer["W"])):
-                for key in ("W", "a", "P"):
-                    out.append((f"layer{li}.head{hi}.{key}", layer[key][hi]))
-            if layer["norm_scale"] is not None:
-                out.append((f"layer{li}.norm.mean_scale", layer["norm_mean_scale"]))
-                out.append((f"layer{li}.norm.scale", layer["norm_scale"]))
-                out.append((f"layer{li}.norm.shift", layer["norm_shift"]))
-            if layer["edge_U"] is not None:
-                out.append((f"layer{li}.edge_update", layer["edge_U"]))
-        return out
 
 
 def _layer_dims(cfg: EncoderConfig, in_dim: int):
@@ -213,10 +200,10 @@ class _Saved:
     """The arrays of one layer's forward that its backward reads."""
     h_in: np.ndarray                     # (B, N, node_in) node input
     e_in: np.ndarray                     # (B, M, edge_in) edge input
-    Wh: np.ndarray                       # (B, H, N, hd)
     pa: np.ndarray                       # (H, edge_in, 1): P a_edge
-    positive: np.ndarray                 # (B, H, N, N): LeakyReLU input > 0
-    alpha: np.ndarray                    # (B, H, N, N) attention
+    Wh: np.ndarray | None = None         # (B, H, N, hd)
+    positive: np.ndarray | None = None   # (B, H, N, N): LeakyReLU input > 0
+    alpha: np.ndarray | None = None      # (B, H, N, N) attention
     mu: np.ndarray | None = None         # GraphNorm (B, 1, hidden): node mean
     std: np.ndarray | None = None        # (B, 1, hidden): sqrt(var + eps)
     xhat: np.ndarray | None = None       # (B, N, hidden): normalized nodes
@@ -250,15 +237,23 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
         raise NumericError("non-finite values in input graph (layer 0)")
 
     idx_i, idx_j = upper_pairs(n)
+    (b, m), heads = weights.shape, cfg.heads_per_layer
     saved: list[_Saved] = []
     # each weight w enters layer 0's edge_in = in_dim wide channel as the
     # contiguous row w * 1, so P, edge_U and their BLAS calls keep their shapes
     e = np.repeat(weights[..., None], params.in_dim, axis=2)        # (B, M, d_e)
 
-    for li, (_, head_dim, _) in enumerate(_layer_dims(cfg, params.in_dim)):
+    for li, (_, head_dim, edge_in) in enumerate(_layer_dims(cfg, params.in_dim)):
         final = li == cfg.num_layers - 1
         lp = params.layers[li]
-        h, keep = _attend(cfg, lp, h, e, head_dim, final, want_grad)
+        # each pair's edge logit e (P a_edge) per head; row M is the diagonal's 0
+        pa = lp.P @ lp.a[:, 2 * head_dim:3 * head_dim].reshape(heads, head_dim, 1)
+        u_pair = np.zeros((b, heads, m + 1))                         # (B, H, M + 1)
+        u_pair[..., :m] = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]
+        keep = _Saved(h, e, pa) if want_grad else None
+        if final:
+            e = None                     # read for the last time; a backward reads keep.e_in
+        h = _attend(cfg, lp, h, u_pair, head_dim, final, keep)
         if want_grad:
             saved.append(keep)
         if not np.isfinite(h).all():
@@ -281,9 +276,11 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
             if want_grad:
                 keep.h_out, keep.x, keep.z = h, x, z
             # softplus; without a backward it overwrites x and z, which
-            # nothing reads again
+            # nothing reads again, and the names go, so the next layer can
+            # free e once it is read
             e = np.maximum(x, 0.0, out=None if want_grad else x)
             e += np.log1p(z, out=None if want_grad else z)
+            del x, z
             if not np.isfinite(e).all():
                 raise NumericError(f"non-finite edge features after layer {li}")
 
@@ -296,26 +293,25 @@ def forward(params: GatParams, graphs: list[ViewGraph], want_grad: bool = True):
     return Var(h, requires_grad=True, backward=bk)
 
 
-def _attend(cfg: EncoderConfig, lp: LayerParams, h: np.ndarray, e: np.ndarray,
-            head_dim: int, final: bool, want_grad: bool):
-    """A layer's attention, then its heads' mean (final) or concatenation and
-    GraphNorm: (B, N, hidden) nodes, and the `_Saved` record or None."""
-    (b, n, node_in), (_, m, edge_in), heads = h.shape, e.shape, cfg.heads_per_layer
+def _attend(cfg: EncoderConfig, lp: LayerParams, h: np.ndarray, u_pair: np.ndarray,
+            head_dim: int, final: bool, keep: _Saved | None) -> np.ndarray:
+    """A layer's attention over its (B, H, M + 1) edge logits `u_pair`, then
+    its heads' mean (final) or concatenation and GraphNorm: (B, N, hidden)
+    nodes. Records what the backward reads in `keep`, unless it is None."""
+    (b, n, node_in), heads = h.shape, cfg.heads_per_layer
     Wh = h.reshape(b, 1, n, node_in) @ lp.W                          # (B, H, N, hd)
-    a_src, a_dst, a_edge = (lp.a[:, part * head_dim:(part + 1) * head_dim]
-                            .reshape(heads, head_dim, 1) for part in range(3))
+    a_src, a_dst = (lp.a[:, part * head_dim:(part + 1) * head_dim]
+                    .reshape(heads, head_dim, 1) for part in range(2))
     s = Wh @ a_src                                                   # (B, H, N, 1)
     t = (Wh @ a_dst).reshape(b, heads, 1, n)                         # (B, H, 1, N)
-    pa = lp.P @ a_edge                                               # (H, d_e, 1)
-    u_pair = np.zeros((b, heads, m + 1))                             # (B, H, M + 1)
-    u_pair[..., :m] = (e.reshape(b, 1, m, edge_in) @ pa)[..., 0]
     pre = s + t                                                      # (B, H, N, N)
     # each pair's edge logit at both of its cells, +0.0 on the diagonal
     pre += np.take(u_pair, _pair_of_cell(n), axis=-1).reshape(b, heads, n, n)
-    positive = pre > 0 if want_grad else None
+    if keep is not None:
+        keep.Wh, keep.positive = Wh, pre > 0
     # the logits and the softmax are updated in place: fewer fresh arrays;
     # with a slope in [0, 1] the LeakyReLU is max(slope x, x)
-    logits = cfg.leaky_slope * pre
+    logits = LEAKY_SLOPE * pre
     np.maximum(logits, pre, out=logits)
     del pre
     offdiag, diag_neg = _diag_masks(n)
@@ -325,24 +321,25 @@ def _attend(cfg: EncoderConfig, lp: LayerParams, h: np.ndarray, e: np.ndarray,
     alpha *= offdiag
     alpha /= alpha.sum(axis=-1, keepdims=True)                       # (B, H, N, N)
     head_out = alpha @ Wh                                            # (B, H, N, hd)
-    keep = _Saved(h, e, Wh, pa, positive, alpha) if want_grad else None
+    if keep is not None:
+        keep.alpha = alpha
     if final:
-        return head_out.sum(axis=1) * (1.0 / heads), keep
+        return head_out.sum(axis=1) * (1.0 / heads)
     cat = head_out.transpose(0, 2, 1, 3).reshape(b, n, heads * head_dim)
     mu = cat.mean(axis=1, keepdims=True)
     shifted = cat - mu * lp.norm_mean_scale
-    std = np.sqrt((shifted * shifted).mean(axis=1, keepdims=True) + cfg.norm_eps)
+    std = np.sqrt((shifted * shifted).mean(axis=1, keepdims=True) + NORM_EPS)
     xhat = shifted / std
-    if want_grad:
+    if keep is not None:
         keep.mu, keep.std, keep.xhat = mu, std, xhat
-    return xhat * lp.norm_scale + lp.norm_shift, keep
+    return xhat * lp.norm_scale + lp.norm_shift
 
 
 def _backward(params: GatParams, saved: list[_Saved], g_h: np.ndarray) -> None:
     """Add the encoder's parameter gradients, from the upstream gradient
     `g_h` of its (B, N, hidden) output, into `params.grad_buffer`."""
     cfg = params.config
-    heads, slope, hid = cfg.heads_per_layer, cfg.leaky_slope, cfg.hidden_dim
+    heads, hid = cfg.heads_per_layer, cfg.hidden_dim
     grads = params.by_layer(params.tensor_grads)
     g_e = None                           # gradient of the layer's edge output
     for li in reversed(range(len(saved))):
@@ -385,7 +382,7 @@ def _backward(params: GatParams, saved: list[_Saved], g_h: np.ndarray) -> None:
         g_pre = g_alpha
         g_pre -= (g_alpha * sv.alpha).sum(axis=-1, keepdims=True)
         g_pre *= sv.alpha
-        np.multiply(g_pre, slope, out=g_pre, where=~sv.positive)
+        np.multiply(g_pre, LEAKY_SLOPE, out=g_pre, where=~sv.positive)
         # s_i + t_j + u_ij: s and t take row and column sums, u both orders of a pair
         idx_i, idx_j = upper_pairs(n)
         g_st = np.stack([g_pre.sum(axis=-1), g_pre.sum(axis=-2)], axis=-1)   # (B, H, N, 2)
@@ -418,7 +415,5 @@ def distinguishability(embeddings) -> float:
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two embeddings")
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.sqrt(np.square(diff).sum(axis=-1))
     iu = np.triu_indices(x.shape[0], k=1)
-    return float(d[iu].mean())
+    return float(ad.pairwise_l2(x, x)[iu].mean())

@@ -83,12 +83,11 @@ class CostHead(ad.FlatParams):
 
     def __init__(self, in_dim: int, hidden: int = 16, seed: int = 0):
         rng = np.random.default_rng(seed)
-        super().__init__([ad.fan_in_uniform(rng, (in_dim, hidden)), np.zeros(hidden),
-                          ad.fan_in_uniform(rng, (hidden, 1)), np.zeros(1)])
+        super().__init__([("cost.W1", ad.fan_in_uniform(rng, (in_dim, hidden))),
+                          ("cost.b1", np.zeros(hidden)),
+                          ("cost.w2", ad.fan_in_uniform(rng, (hidden, 1))),
+                          ("cost.b2", np.zeros(1))])
         self.W1, self.b1, self.w2, self.b2 = self.tensors
-
-    def _named(self, arrays: list[np.ndarray]) -> list[tuple[str, np.ndarray]]:
-        return list(zip(("cost.W1", "cost.b1", "cost.w2", "cost.b2"), arrays, strict=True))
 
     def forward(self, x: np.ndarray, want_grad: bool = False):
         """One cost per row of x, shaped like x without its last axis, and

@@ -22,7 +22,6 @@ parsers from `errors`.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Var
 from .checkpoint import read_container, write_container
-from .complementarity import ComplementarityConfig, build_dataset
+from .complementarity import build_dataset
 from .encoder import EncoderConfig, GatParams, init_params
 from .errors import (ConfigError, NumericError, check_keys, format_value, parse_bool,
                      parse_float, parse_int, parse_named)
@@ -65,7 +64,6 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     anchor: ProxyAnchorConfig = field(default_factory=ProxyAnchorConfig)
-    comp: ComplementarityConfig = field(default_factory=ComplementarityConfig)
     ablations: AblationConfig = field(default_factory=AblationConfig)
     epochs: int = 200
     learning_rate: float = 0.005
@@ -103,14 +101,11 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "encoder.layers": ("encoder", "num_layers", parse_int),
     "encoder.heads": ("encoder", "heads_per_layer", parse_int),
     "encoder.hidden_dim": ("encoder", "hidden_dim", parse_int),
-    "encoder.leaky_slope": ("encoder", "leaky_slope", parse_float),
-    "encoder.norm_eps": ("encoder", "norm_eps", parse_float),
     "sinkhorn.epsilon": ("sinkhorn", "entropic_regularizer", parse_float),
     "sinkhorn.max_iters": ("sinkhorn", "max_iters", parse_int),
     "sinkhorn.tol": ("sinkhorn", "marginal_tol", parse_float),
     "anchor.margin": ("anchor", "margin", parse_float),
     "anchor.scale": ("anchor", "scale", parse_float),
-    "comp.weight_cap": ("comp", "weight_cap", parse_float),
     "train.epochs": ("train", "epochs", parse_int),
     "train.lr": ("train", "learning_rate", parse_float),
     "train.lr_decay": ("train", "lr_decay", parse_float),
@@ -127,7 +122,7 @@ CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object]]] = {
 
 # A checkpoint's format line, and the keys it writes and requires: every key
 # but the synth ones, in table order.
-_CHECKPOINT_FORMAT = "relviews-checkpoint 2"
+_CHECKPOINT_FORMAT = "relviews-checkpoint 3"
 _CHECKPOINT_KEYS = [key for key, (part, _, _) in CONFIG_KEYS.items() if part != "synth"]
 
 
@@ -171,7 +166,6 @@ class TrainReport:
 @dataclass
 class TrainedModel:
     config: TrainConfig
-    in_dim: int
     params: GatParams
     cost_head: CostHead
     proxies: dict[int, ProxyGraph] = field(default_factory=dict)
@@ -199,13 +193,20 @@ class TrainedModel:
 
     # -- persistence -------------------------------------------------------
     def save(self, path) -> None:
-        tensors = list(self.params.named_tensors()) + list(self.cost_head.named_tensors())
-        for cid in sorted(self.proxies):
-            tensors.append((f"proxy{cid}.nodes", self.proxies[cid].node_centroids))
-        for cid in sorted(self.proxy_vectors):
-            tensors.append((f"proxy{cid}.vector", self.proxy_vectors[cid]))
+        """The config and `params.in_dim` as config lines; the encoder's and
+        the cost head's stored tensors by name; then the class ids in order,
+        `proxies.ids` (C,), and one stack of their proxies: `proxies.nodes`
+        (C, slots, hidden) with graph proxies, else `proxies.vectors`
+        (C, hidden)."""
+        ids = self.class_ids()
+        if self.config.ablations.proxy_as_graph:
+            stack = ("proxies.nodes", np.stack([self.proxies[c].node_centroids for c in ids]))
+        else:
+            stack = ("proxies.vectors", np.stack([self.proxy_vectors[c] for c in ids]))
         write_container(path, _CHECKPOINT_FORMAT,
-                        {"in_dim": str(self.in_dim), **format_config(self.config)}, tensors)
+                        {"in_dim": str(self.params.in_dim), **format_config(self.config)},
+                        [*self.params.named_tensors(), *self.cost_head.named_tensors(),
+                         ("proxies.ids", np.asarray(ids, dtype=np.float64)), stack])
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
@@ -226,39 +227,39 @@ class TrainedModel:
                                 for key, raw in config.items()})
         params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
         head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
-        model = cls(cfg, in_dim, params, head)
-        width = cfg.encoder.hidden_dim
+        model = cls(cfg, params, head)
         pd = cfg.ablations.proxy_as_graph
-        unread = {name: store for store in (params, head) for name, _ in store.named_tensors()}
-        stash: dict[str, dict[int, np.ndarray]] = {"nodes": {}, "vector": model.proxy_vectors}
-        for name, arr in tensors.items():
-            if name in unread:
-                unread.pop(name).set_tensor(name, arr)
-                continue
-            slot, _, kind = name.partition(".")
-            cid = slot[len("proxy"):]
-            # canonical ids only, as `save` writes them: no two names alias one class
-            if not (slot.startswith("proxy") and re.fullmatch("0|-?[1-9][0-9]*", cid)
-                    and kind in stash):
-                raise ConfigError(f"unknown tensor {name}")
-            if (kind == "vector") == pd:
-                raise ConfigError(f"tensor {name} does not belong to a checkpoint with "
-                                  f"ablate.pd={str(pd).lower()}")
-            if arr.shape[-1:] != (width,) or arr.ndim != (1 if kind == "vector" else 2):
-                raise ConfigError(f"tensor {name}: shape {arr.shape} does not fit "
-                                  f"hidden_dim {width}")
-            stash[kind][int(cid)] = arr
-        if unread:
-            raise ConfigError(f"missing tensor {next(iter(unread))}")
-        for cid in sorted(stash["nodes"]):
-            try:
-                model.proxies[cid] = proxy = ProxyGraph(cid, stash["nodes"][cid])
-            except ValueError as err:
-                raise ConfigError(f"proxy{cid}: {err}") from None
-            first = model.proxies[min(model.proxies)]   # one table stacks all classes' slots
-            if proxy.num_slots != first.num_slots:
-                raise ConfigError(f"tensor proxy{cid}.nodes: {proxy.num_slots} slots, but "
-                                  f"proxy{first.class_id}.nodes has {first.num_slots}")
+        kind, other = "proxies.nodes", "proxies.vectors"
+        if not pd:
+            kind, other = other, kind
+        if other in tensors:
+            raise ConfigError(f"tensor {other} does not belong to a checkpoint with "
+                              f"ablate.pd={str(pd).lower()}")
+        check_keys(tensors, (*params.names, *head.names, "proxies.ids", kind), "tensor")
+        for store in (params, head):
+            for name in store.names:
+                store.set_tensor(name, tensors[name])
+        # one id per proxy row, and equal slot counts by the stack's shape
+        ids, stack, width = tensors["proxies.ids"], tensors[kind], cfg.encoder.hidden_dim
+        if (ids.ndim, stack.ndim) != (1, 3 if pd else 2) or len(stack) != len(ids) \
+                or stack.shape[-1] != width:
+            raise ConfigError(f"tensor {kind}: shape {stack.shape} does not fit proxies.ids "
+                              f"of shape {ids.shape} and hidden_dim {width}")
+        seen = set()
+        for cid in ids.tolist():
+            if cid != int(cid):
+                raise ConfigError(f"tensor proxies.ids: class id {cid!r} is not an integer")
+            if cid in seen:
+                raise ConfigError(f"tensor proxies.ids: class id {int(cid)} appears twice")
+            seen.add(cid)
+        for cid, arr in zip(ids.tolist(), stack):
+            if pd:
+                try:
+                    model.proxies[int(cid)] = ProxyGraph(int(cid), arr)
+                except ValueError as err:
+                    raise ConfigError(f"tensor proxies.nodes: {err}") from None
+            else:
+                model.proxy_vectors[int(cid)] = arr
         return model
 
 
@@ -375,7 +376,7 @@ def train(dataset: SynthDataset, cfg: TrainConfig,
 
     params = init_params(cfg.encoder, in_dim, seed=cfg.seed)
     head = CostHead(cfg.encoder.hidden_dim, cfg.cost_head_hidden, seed=cfg.seed + 1)
-    model = TrainedModel(cfg, in_dim, params, head)
+    model = TrainedModel(cfg, params, head)
 
     opt = Adam([params.buffer, head.buffer], weight_decay=cfg.weight_decay)
 
@@ -437,8 +438,8 @@ def check_fits(dataset: SynthDataset, class_ids, in_dim: int,
 
 def _input_graphs(cfg: TrainConfig, dataset: SynthDataset) -> list[ViewGraph]:
     """Input graphs of every instance, built `_INFERENCE_CHUNK` instances per stacked pass."""
-    return build_dataset(dataset, cfg.comp, uniform=not cfg.ablations.use_complementarity_graph,
-                         chunk_size=_INFERENCE_CHUNK)
+    return build_dataset(dataset, _INFERENCE_CHUNK,
+                         uniform=not cfg.ablations.use_complementarity_graph)
 
 
 def _encoded_chunks(model: TrainedModel, graphs: list[ViewGraph]):
@@ -462,7 +463,7 @@ def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     `check_fits` refuses."""
     if not dataset.instances:
         raise ConfigError("cannot evaluate a dataset with no instances")
-    check_fits(dataset, model.class_ids(), model.in_dim)
+    check_fits(dataset, model.class_ids(), model.params.in_dim)
     ids = np.asarray(model.class_ids())
     preds = [ids[model.distance_table(nodes).argmin(axis=1)]
              for nodes in _encoded_chunks(model, _input_graphs(model.config, dataset))]

@@ -33,7 +33,9 @@ class TransitivityConfig:
 
     def resolve_rows(self, scores) -> np.ndarray:
         """The threshold of each row of a (B, P) array: `gamma`, or each row's
-        `gamma_quantile` quantile, bit-identical to numpy's linear method.
+        `gamma_quantile` quantile, bit-identical to numpy's linear method up
+        to the sign of a zero, which follows the order in which the sort
+        leaves 0.0 and -0.0.
         Like `np.quantile`, it sorts the row, interpolates between the two
         order statistics around (P - 1) q as a + (b - a) t, or from t = 0.5
         as b - (b - a)(1 - t), and gives NaN for a row holding a NaN."""

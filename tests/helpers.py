@@ -17,6 +17,7 @@ from relviews import encoder as enc
 from relviews import proxies, training
 from relviews.synth import NoiseModel, SynthConfig, SynthDataset, SynthInstance
 from relviews.autodiff import Var
+from relviews.complementarity import WEIGHT_CAP
 from relviews.errors import ConfigError
 from relviews.graphs import ViewGraph, num_pairs, upper_pairs
 from relviews.hed import CostHead, HedResult
@@ -539,7 +540,7 @@ def tape_forward(params, graphs, want_grad: bool = True):
         pa = matmul(pv["P"], a_edge)
         u_pair = matmul(reshape(e, (b, 1, num_pairs(n), edge_in)), pa)
         u_mat = pair_matrix(u_pair, idx_i, idx_j, n)
-        logits = add(leaky_relu(add(add(s, t), u_mat), cfg.leaky_slope), diag_neg)
+        logits = add(leaky_relu(add(add(s, t), u_mat), enc.LEAKY_SLOPE), diag_neg)
         ex = mul(exp(sub(logits, logits.value.max(axis=-1, keepdims=True))), offdiag)
         alpha = div(ex, vsum(ex, axis=-1, keepdims=True))
         head_out = matmul(alpha, Wh)
@@ -548,7 +549,7 @@ def tape_forward(params, graphs, want_grad: bool = True):
         else:
             h = reshape(transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
             h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"], pv["norm_shift"],
-                          cfg.norm_eps)
+                          enc.NORM_EPS)
             hd = cfg.hidden_dim
             u_src, u_dst, u_edge = (
                 take(pv["edge_U"], np.arange(lo, hi), axis=0)
@@ -706,7 +707,7 @@ class PerTensorAdam:
             arr -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
-def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
+def instance_build(embeddings, label=None, uniform=False) -> ViewGraph:
     """`complementarity.build_dataset` one instance at a time: a 2-D norm
     and one (1, d) @ (d, 1) product per local pair."""
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -718,7 +719,7 @@ def instance_build(embeddings, cfg, label=None, uniform=False) -> ViewGraph:
         local = i != 0
         dot = np.abs(np.matmul(emb[i[local], None, :], emb[j[local], :, None])[:, 0, 0])
         inv = np.divide(1.0, dot, out=np.full_like(dot, np.inf), where=dot != 0)
-        weights[local] = np.minimum(inv, cfg.weight_cap)
+        weights[local] = np.minimum(inv, WEIGHT_CAP)
     return ViewGraph(emb, weights, label=label)
 
 

@@ -166,9 +166,11 @@ def trained(tiny, capsys):
      "checkpoint tensor cost.W1: could not convert string to float: 'x1'"),
     (_splice("tensor cost.W1 ", ["tensor cost.W1 4,x"]),
      "checkpoint tensor cost.W1: bad dims '4,x'"),
-    (_splice("tensor cost.b2 ", [], count=2), "missing tensor cost.b2"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy1.nodes 1,2", "0 0"], count=2),
-     "tensor proxy1.nodes: shape (1, 2) does not fit hidden_dim 8"),
+    (_splice("tensor cost.b2 ", [], count=2), "missing tensor 'cost.b2'"),
+    (_splice("tensor proxies.nodes ", ["tensor proxies.nodes 3,5,2", " ".join("0" * 30)],
+             count=2),
+     "tensor proxies.nodes: shape (3, 5, 2) does not fit proxies.ids of shape (3,) and "
+     "hidden_dim 8"),
     (_splice("config encoder.heads=", []), "missing config key 'encoder.heads'"),
     (_splice("config encoder.layers=", ["config encoder.layers=two"]),
      "encoder.layers: expected an integer, got 'two'"),
@@ -179,35 +181,43 @@ def trained(tiny, capsys):
     (_splice("tensor cost.b2 ", ["tensor cost.b2 1", "0"], offset=2, count=0),
      "duplicate checkpoint tensor cost.b2"),
     (_first_value("tensor cost.W1 ", "nan"), "checkpoint tensor cost.W1: non-finite value"),
-    (_first_value("tensor proxy1.nodes ", "-inf"),
-     "checkpoint tensor proxy1.nodes: non-finite value"),
-    # format 1 wrote proxy edge tensors; format 2 knows no such tensor
-    (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,8", " ".join("0" * 80)], count=2),
-     "unknown tensor proxy1.edges"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy1.edges 10,2", " ".join("0" * 20)], count=0),
-     "unknown tensor proxy1.edges"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy1.vector 8", " ".join("0" * 8)], count=0),
-     "tensor proxy1.vector does not belong to a checkpoint with ablate.pd=true"),
+    (_first_value("tensor proxies.nodes ", "-inf"),
+     "checkpoint tensor proxies.nodes: non-finite value"),
+    # format 1 wrote proxy edge tensors; format 3 knows no such tensor
+    (_splice("tensor proxies.nodes ", ["tensor proxy1.edges 10,8", " ".join("0" * 80)],
+             count=2),
+     "missing tensor 'proxies.nodes'"),
+    (_splice("tensor proxies.nodes ", ["tensor proxy1.edges 10,2", " ".join("0" * 20)],
+             count=0),
+     "unknown tensor 'proxy1.edges'"),
+    (_splice("tensor proxies.nodes ", ["tensor proxies.vectors 3,8", " ".join("0" * 24)],
+             count=0),
+     "tensor proxies.vectors does not belong to a checkpoint with ablate.pd=true"),
     (_splice("config ablate.pd=", ["config ablate.pd=false"]),
-     "tensor proxy0.nodes does not belong to a checkpoint with ablate.pd=false"),
+     "tensor proxies.nodes does not belong to a checkpoint with ablate.pd=false"),
     (_splice("config train.proxy_momentum=", ["config train.proxy_momentum=1.5"]),
      "proxy_momentum must lie in [0, 1]"),
     (_splice("config sinkhorn.epsilon=", ["config sinkhorn.epsilon=nan"]),
      "sinkhorn.epsilon: expected a finite number, got 'nan'"),
-    # proxy ids must be ASCII integers as `save` writes them, so no two alias one class
-    (_splice("tensor proxy1.nodes ", ["tensor proxy--1.nodes 5,8"]),
-     "unknown tensor proxy--1.nodes"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy\u00b2.nodes 5,8"]),
-     "unknown tensor proxy\u00b2.nodes"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy01.nodes 5,8"]),
-     "unknown tensor proxy01.nodes"),
-    (_splice("tensor proxy1.nodes ", ["tensor proxy-0.nodes 5,8", " ".join("0" * 40)], count=0),
-     "unknown tensor proxy-0.nodes"),
+    # class ids are numbers, and no two spellings alias one class
+    (_first_value("tensor proxies.ids ", "--1"),
+     "checkpoint tensor proxies.ids: could not convert string to float: '--1'"),
+    (_first_value("tensor proxies.ids ", "\u00b2"),
+     "checkpoint tensor proxies.ids: could not convert string to float: '\u00b2'"),
+    (_splice("tensor proxies.ids ", ["0 01 1"], offset=1),
+     "tensor proxies.ids: class id 1 appears twice"),
+    (_splice("tensor proxies.ids ", ["-0 1 0"], offset=1),
+     "tensor proxies.ids: class id 0 appears twice"),
+    (_splice("tensor proxies.nodes ", ["tensor proxies.nodes 3,0,8", ""], count=2),
+     "tensor proxies.nodes: proxy centroids must be a non-empty (|V|, d) array"),
+    # fixed constants, no longer keys
+    (_splice("config train.seed=", ["config encoder.leaky_slope=0.2"], count=0),
+     "unknown config key 'encoder.leaky_slope'"),
 ], ids=["value_token", "dims", "cost_tensor", "proxy_width",
         "missing_key", "bad_int", "unknown_key", "duplicate_key", "duplicate_tensor",
         "nan_value", "inf_proxy", "proxy_nodes", "legacy_edge_width", "vector_in_graph_proxies",
         "graph_in_vector_proxies", "proxy_momentum", "nan_config_value", "double_minus_id",
-        "superscript_id", "leading_zero_id", "minus_zero_id"])
+        "superscript_id", "leading_zero_id", "minus_zero_id", "no_slots", "deleted_key"])
 def test_corrupt_checkpoint_exits_two(trained, capsys, edit, message):
     ckpt, data = trained
     bad = ckpt.with_name("bad.txt")
@@ -385,6 +395,25 @@ def test_bad_sweep_list_exits_two(tiny, capsys, monkeypatch, vary, message):
                  "--out", str(tmp_path / "rows.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("encoder.leaky_slope", "0.2"),
+                                        ("encoder.norm_eps", "1e-05"),
+                                        ("comp.weight_cap", "10000.0")])
+def test_fixed_constants_are_unknown_keys(tiny, capsys, key, value):
+    # the LeakyReLU slope, GraphNorm's epsilon and the edge weight cap are
+    # module constants: a run config or a --vary that names one exits 2
+    tmp_path, config, data = tiny
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + f"{key} = {value}\n")
+    line = TINY_CONFIG.count("\n") + 1
+    assert main(["train", "--config", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:{line}: unknown key '{key}'\n"
+    assert main(["sweep", "--config", str(config), "--vary", f"{key}={value}",
+                 "--out", str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == f"error: --vary {key}: unknown key\n"
+    assert not (tmp_path / "run").exists() and not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep-noise", "sweep-depth"])

@@ -93,7 +93,7 @@ def test_single_linear_layer_hand_gradient():
     for i in range(4):
         others = [j for j in range(4) if j != i]
         acc += np.outer(x[others].mean(axis=0), np.ones(3))
-    np.testing.assert_allclose(params.grads["layer0.head0.W"], acc, atol=1e-10)
+    np.testing.assert_allclose(params.grads["layer0.W"][0], acc, atol=1e-10)
 
 
 def test_gradients_match_finite_differences():
@@ -111,7 +111,7 @@ def test_gradients_match_finite_differences():
 
     checked = 0
     for name, arr in params.named_tensors():
-        for _ in range(8):
+        for _ in range(16):
             idx = np.unravel_index(rng.integers(0, arr.size), arr.shape)
             keep = arr[idx]
             arr[idx] = keep + 1e-5
@@ -203,7 +203,7 @@ def concat_forward(params, graphs):
         eP = matmul(reshape(e, (b, 1, num_pairs(n), edge_in)), pv["P"])
         u_pair = matmul(eP, a_edge)
         u_mat = gathered_pair_matrix(u_pair, n)
-        logits = add(leaky_relu(add(add(s, t), u_mat), cfg.leaky_slope), diag_neg)
+        logits = add(leaky_relu(add(add(s, t), u_mat), enc.LEAKY_SLOPE), diag_neg)
         ex = mul(exp(sub(logits, logits.value.max(axis=-1, keepdims=True))), offdiag)
         alpha = div(ex, vsum(ex, axis=-1, keepdims=True))
         head_out = matmul(alpha, Wh)
@@ -212,7 +212,7 @@ def concat_forward(params, graphs):
         else:
             h = reshape(transpose(head_out, (0, 2, 1, 3)), (b, n, heads * head_dim))
             h = graphnorm(h, pv["norm_mean_scale"], pv["norm_scale"],
-                          pv["norm_shift"], cfg.norm_eps)
+                          pv["norm_shift"], enc.NORM_EPS)
             zi = take(h, idx_i, axis=1)
             zj = take(h, idx_j, axis=1)
             fwd_ord = matmul(concat([zi, zj, e], axis=2), pv["edge_U"])
@@ -265,7 +265,7 @@ def test_tensors_and_grads_are_views_of_the_flat_buffers():
 def test_set_tensor_writes_through_to_the_buffer():
     params = init_params(EncoderConfig(heads_per_layer=2, hidden_dim=8), 6, seed=31)
     head = CostHead(6, hidden=4, seed=31)
-    for store, name, field in ((params, "layer1.head1.P", lambda: params.layers[1].P[1]),
+    for store, name, field in ((params, "layer1.P", lambda: params.layers[1].P),
                                (head, "cost.W1", lambda: head.W1)):
         value = np.full(field().shape, 0.25)
         store.set_tensor(name, value)
@@ -274,14 +274,14 @@ def test_set_tensor_writes_through_to_the_buffer():
         assert np.shares_memory(view, store.buffer) and np.array_equal(view, value)
         with pytest.raises(ConfigError, match=f"^shape mismatch for {name}"):
             store.set_tensor(name, value[:1])
-        with pytest.raises(ConfigError, match=r"^unknown tensor layer9\.head0\.W$"):
-            store.set_tensor("layer9.head0.W", value)
+        with pytest.raises(ConfigError, match=r"^unknown tensor layer9\.W$"):
+            store.set_tensor("layer9.W", value)
 
 
 def test_check_finite_names_the_tensor():
     params = init_params(EncoderConfig(), 6, seed=32)
     head = CostHead(6, hidden=4, seed=32)
-    for store, field, name, bad in ((params, params.layers[1].P[2], r"layer1\.head2\.P", np.nan),
+    for store, field, name, bad in ((params, params.layers[1].P[2], r"layer1\.P", np.nan),
                                     (head, head.b1, r"cost\.b1", -np.inf)):
         store.check_finite()
         field[0] = bad
@@ -303,11 +303,14 @@ def test_gradient_free_forward_equals_the_grad_forward_and_keeps_its_inputs(laye
     assert np.array_equal(plain, enc.forward(params, graphs, True).value)
 
 
-def test_gradient_free_forward_of_a_16_class_chunk_allocates_at_most_3_6_mb():
+def test_gradient_free_forward_of_a_16_class_chunk_allocates_at_most_3_0_mb():
     # one inference chunk at the benchmark's eval_many_classes shapes: 24
     # graphs of 16 views and the global one, 32 features, the default encoder.
-    # The attention arrays are freed before the edge update and no backward
-    # record is kept; with them alive until the edge update, the peak was 3.89 MB
+    # The attention arrays are freed before the edge update, the final layer
+    # frees its input edges once their logits are taken, and no backward
+    # record is kept. With the attention arrays alive until the edge update
+    # the peak was 3.89 MB; with the last edges alive through the final
+    # layer, 3.31 MB. It is 2.85 MB, at the hidden layer's edge update.
     params = init_params(EncoderConfig(), 32, seed=5)
     graphs = [random_graph(17, 32, seed=i) for i in range(24)]
     enc.forward(params, graphs, want_grad=False)         # fills the per-size caches
@@ -317,4 +320,4 @@ def test_gradient_free_forward_of_a_16_class_chunk_allocates_at_most_3_6_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.6e6, f"{peak / 1e6:.2f} MB"
+    assert peak <= 3.0e6, f"{peak / 1e6:.2f} MB"

@@ -317,7 +317,7 @@ def test_anchor_domain_errors():
 
 def proxy_model(proxies, head, hidden_dim=6, in_dim=8):
     cfg = TrainConfig(encoder=EncoderConfig(heads_per_layer=1, hidden_dim=hidden_dim))
-    return TrainedModel(cfg, in_dim, init_params(cfg.encoder, in_dim, seed=0), head,
+    return TrainedModel(cfg, init_params(cfg.encoder, in_dim, seed=0), head,
                         proxies=proxies)
 
 

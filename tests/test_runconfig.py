@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig
 from relviews.errors import ConfigError, format_value, parse_bool, parse_float, parse_int
 from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
@@ -24,8 +23,6 @@ from relviews.training import CONFIG_KEYS, AblationConfig, TrainConfig, build_co
     ("sinkhorn.epsilon = nan\n", "sinkhorn.epsilon: expected a finite number, got 'nan'"),
     ("sinkhorn.tol = NaN\n", "sinkhorn.tol: expected a finite number, got 'NaN'"),
     ("train.lr = inf\n", "train.lr: expected a finite number, got 'inf'"),
-    ("encoder.leaky_slope = -Infinity\n",
-     "encoder.leaky_slope: expected a finite number, got '-Infinity'"),
 ])
 def test_bad_values_name_the_key(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape("run.cfg:1: " + message)):
@@ -39,15 +36,18 @@ def test_bad_values_name_the_key(text, message):
     ("encoder.edge_update = false\n", "run.cfg:1: unknown key 'encoder.edge_update'"),
     ("comp.normalize = true\n", "run.cfg:1: unknown key 'comp.normalize'"),
     ("train.epochs = 3\n\ntrain.epochs = 4\n", "run.cfg:3: duplicate key 'train.epochs'"),
-    ("comp.weight_cap = -1\n", "run.cfg: weight_cap must be positive"),
+    # keys of earlier versions, now fixed constants: the edge weight cap,
+    # the LeakyReLU slope and GraphNorm's epsilon
+    ("comp.weight_cap = -1\n", "run.cfg:1: unknown key 'comp.weight_cap'"),
     ("train.proxy_momentum = 1.5\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
     ("train.proxy_momentum = -0.1\n", "run.cfg: proxy_momentum must lie in [0, 1]"),
     ("train.weight_decay = -1\n", "run.cfg: weight_decay must be non-negative"),
     ("train.cost_hidden = 0\n", "run.cfg: cost_head_hidden must be >= 1"),
     ("encoder.hidden_dim = 0\n", "run.cfg: hidden_dim must be >= 1"),
     ("encoder.hidden_dim = -4\n", "run.cfg: hidden_dim must be >= 1"),
-    ("encoder.leaky_slope = 1.5\n", "run.cfg: leaky_slope must lie in [0, 1]"),
-    ("encoder.leaky_slope = -0.2\n", "run.cfg: leaky_slope must lie in [0, 1]"),
+    ("encoder.leaky_slope = 1.5\n", "run.cfg:1: unknown key 'encoder.leaky_slope'"),
+    ("encoder.leaky_slope = -0.2\n", "run.cfg:1: unknown key 'encoder.leaky_slope'"),
+    ("encoder.norm_eps = 1e-5\n", "run.cfg:1: unknown key 'encoder.norm_eps'"),
 ])
 def test_bad_lines_and_refused_values_name_the_source(text, message):
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
@@ -72,11 +72,10 @@ def test_valid_values_reach_the_configs():
 
 @pytest.mark.parametrize("part, cls", [
     ("synth", SynthConfig), ("encoder", EncoderConfig), ("sinkhorn", SinkhornConfig),
-    ("anchor", ProxyAnchorConfig), ("comp", ComplementarityConfig),
-    ("ablations", AblationConfig), ("train", TrainConfig),
+    ("anchor", ProxyAnchorConfig), ("ablations", AblationConfig), ("train", TrainConfig),
 ])
 def test_every_config_field_has_exactly_one_key(part, cls):
-    components = ("encoder", "sinkhorn", "anchor", "comp", "ablations")
+    components = ("encoder", "sinkhorn", "anchor", "ablations")
     names = [f.name for f in fields(cls) if cls is not TrainConfig or f.name not in components]
     keyed = [attr for owner, attr, _ in CONFIG_KEYS.values() if owner == part]
     assert sorted(keyed) == sorted(names)

@@ -11,7 +11,6 @@ from relviews import autodiff as ad
 from relviews import encoder as enc
 from relviews import synth, training
 from relviews.cli import main
-from relviews.complementarity import ComplementarityConfig
 from relviews.encoder import EncoderConfig, init_params
 from relviews.errors import ConfigError, NumericError
 from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
@@ -98,7 +97,7 @@ def harness_case(setting: str, ablation: str, seed: int):
     rng = np.random.default_rng(seed)
     for store in (params, head):     # away from the initial values' symmetries
         store.buffer += rng.normal(scale=0.1, size=store.buffer.shape)
-    model = TrainedModel(cfg, ds.config.feature_dim, params, head)
+    model = TrainedModel(cfg, params, head)
     order = rng.permutation(len(graphs))
     first, batch = order[:4], order[4:12]
     nodes = enc.forward(params, [graphs[i] for i in first], False)
@@ -242,7 +241,7 @@ def test_evaluate_refuses_a_class_without_proxy():
 
 def test_evaluate_refuses_an_empty_dataset():
     cfg = replace(TINY_TRAIN, encoder=EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=4))
-    model = TrainedModel(cfg, 8, init_params(cfg.encoder, 8, seed=1), CostHead(4, 3, seed=2),
+    model = TrainedModel(cfg, init_params(cfg.encoder, 8, seed=1), CostHead(4, 3, seed=2),
                          proxy_vectors={0: np.zeros(4)})
     empty = synth.SynthDataset(synth.generate(TINY_SYNTH).config, [])
     with pytest.raises(ConfigError, match=r"^cannot evaluate a dataset with no instances$"):
@@ -411,48 +410,43 @@ def test_sweep_rows_equal_the_direct_composition():
 
 def test_save_load_round_trips_every_checkpoint_key(tmp_path):
     cfg = TrainConfig(
-        encoder=EncoderConfig(num_layers=1, heads_per_layer=2, hidden_dim=4, leaky_slope=0.3,
-                              norm_eps=1e-4),
+        encoder=EncoderConfig(num_layers=1, heads_per_layer=2, hidden_dim=4),
         sinkhorn=SinkhornConfig(entropic_regularizer=0.1, max_iters=50, marginal_tol=1e-5),
         anchor=ProxyAnchorConfig(margin=0.2, scale=16.0),
-        comp=ComplementarityConfig(weight_cap=100.0),
         ablations=AblationConfig(use_complementarity_graph=False, proxy_as_graph=False,
                                  transitivity_recovery=False),
         epochs=3, learning_rate=0.01, lr_decay=0.5, lr_decay_every=7, weight_decay=1e-3,
         batch_size=5, proxy_momentum=0.8, cost_head_hidden=3, seed=9)
     written, default = format_config(cfg), format_config(TrainConfig())
-    assert written.keys() == default.keys() and len(written) == 23
+    assert written.keys() == default.keys() and len(written) == 20
     assert all(written[key] != default[key] for key in written)
-    model = TrainedModel(cfg, 6, init_params(cfg.encoder, 6, seed=1), CostHead(4, 3, seed=2),
+    model = TrainedModel(cfg, init_params(cfg.encoder, 6, seed=1), CostHead(4, 3, seed=2),
                          proxy_vectors={0: np.arange(4.0), 3: -np.arange(4.0)})
     model.save(tmp_path / "a.ckpt")
     loaded = TrainedModel.load(tmp_path / "a.ckpt")
-    assert loaded.config == cfg and loaded.in_dim == 6
+    assert loaded.config == cfg and loaded.params.in_dim == 6
     loaded.save(tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     bad = tmp_path / "nan.ckpt"
     bad.write_text((tmp_path / "a.ckpt").read_text().replace(
-        "tensor proxy3.vector 4\n-0 -1", "tensor proxy3.vector 4\nnan -1"))
-    with pytest.raises(ConfigError, match=r"nan\.ckpt: checkpoint tensor proxy3\.vector: "
+        "tensor proxies.vectors 2,4\n0 1 2 3 -0", "tensor proxies.vectors 2,4\n0 1 2 3 nan"))
+    with pytest.raises(ConfigError, match=r"nan\.ckpt: checkpoint tensor proxies\.vectors: "
                                           r"non-finite value$"):
         TrainedModel.load(bad)
 
 
-# A one-layer model with graph proxies, as `relviews-checkpoint 2` stores it.
-V2_CHECKPOINT = """\
-relviews-checkpoint 2
+# A one-layer model with graph proxies, as `relviews-checkpoint 3` stores it.
+V3_CHECKPOINT = """\
+relviews-checkpoint 3
 config in_dim=2
 config encoder.layers=1
 config encoder.heads=1
 config encoder.hidden_dim=2
-config encoder.leaky_slope=0.2
-config encoder.norm_eps=1e-05
 config sinkhorn.epsilon=0.05
 config sinkhorn.max_iters=1000
 config sinkhorn.tol=1e-06
 config anchor.margin=0.1
 config anchor.scale=32.0
-config comp.weight_cap=10000.0
 config train.epochs=3
 config train.lr=0.005
 config train.lr_decay=0.1
@@ -465,11 +459,11 @@ config train.seed=7
 config ablate.cg=true
 config ablate.pd=true
 config ablate.tr=true
-tensor layer0.head0.W 2,2
+tensor layer0.W 1,2,2
 0.17999999999999999 0.56000000000000005 0.39000000000000001 -0.39000000000000001
-tensor layer0.head0.a 6
+tensor layer0.a 1,6
 -0.16 0.31 -0.40000000000000002 0.26000000000000001 0.23999999999999999 -0.029999999999999999
-tensor layer0.head0.P 2,2
+tensor layer0.P 1,2,2
 -0.28000000000000003 -0.31 -0.34999999999999998 -0.080000000000000002
 tensor cost.W1 2,1
 -0.23999999999999999 0.68999999999999995
@@ -479,18 +473,22 @@ tensor cost.w2 1,1
 -0.35999999999999999
 tensor cost.b2 1
 0
-tensor proxy0.nodes 3,2
-0.5 -0.25 1 0 0 1.5
-tensor proxy1.nodes 3,2
--0.5 0.25 2 1 1 -1.5
+tensor proxies.ids 2
+0 1
+tensor proxies.nodes 2,3,2
+0.5 -0.25 1 0 0 1.5 -0.5 0.25 2 1 1 -1.5
 """
+# The same model under ablate.pd = false: one vector per class.
+V3_VECTOR_CHECKPOINT = V3_CHECKPOINT.replace("config ablate.pd=true", "config ablate.pd=false") \
+    .replace("tensor proxies.nodes 2,3,2\n0.5 -0.25 1 0 0 1.5 -0.5 0.25 2 1 1 -1.5",
+             "tensor proxies.vectors 2,2\n0.5 -0.25 -0.5 0.25")
 
 
-def test_v2_checkpoint_text_loads_and_writes_back(tmp_path):
-    path = tmp_path / "v2.ckpt"
-    path.write_text(V2_CHECKPOINT)
+def test_v3_checkpoint_text_loads_and_writes_back(tmp_path):
+    path = tmp_path / "v3.ckpt"
+    path.write_text(V3_CHECKPOINT)
     model = TrainedModel.load(path)
-    assert model.in_dim == 2
+    assert model.params.in_dim == 2
     assert model.config == TrainConfig(
         encoder=EncoderConfig(num_layers=1, heads_per_layer=1, hidden_dim=2),
         cost_head_hidden=1, epochs=3, seed=7)
@@ -500,16 +498,22 @@ def test_v2_checkpoint_text_loads_and_writes_back(tmp_path):
     distances = model.distances(ViewGraph(model.proxies[0].node_centroids, np.zeros(3)))
     assert distances[0] == 0.0 < distances[1]
     model.save(tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_text() == V2_CHECKPOINT
+    assert (tmp_path / "again.ckpt").read_text() == V3_CHECKPOINT
+    path.write_text(V3_VECTOR_CHECKPOINT)
+    model = TrainedModel.load(path)
+    assert not model.proxies and sorted(model.proxy_vectors) == [0, 1]
+    assert np.array_equal(model.proxy_vectors[1], [-0.5, 0.25])
+    model.save(tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_text() == V3_VECTOR_CHECKPOINT
 
 
 def test_format_1_checkpoints_are_refused_by_name(tmp_path, capsys):
     # format 1 stored an edge map in the final layer and edge tensors in the
     # proxies; its files are refused whole, before any key or tensor is read
-    path = tmp_path / "v2.ckpt"
-    path.write_text(V2_CHECKPOINT.replace("relviews-checkpoint 2", "relviews-checkpoint 1"))
+    path = tmp_path / "v1.ckpt"
+    path.write_text(V3_CHECKPOINT.replace("relviews-checkpoint 3", "relviews-checkpoint 1"))
     message = (f"{path}: checkpoint format 'relviews-checkpoint 1' is not read by this "
-               "version, which reads 'relviews-checkpoint 2'; train the model again")
+               "version, which reads 'relviews-checkpoint 3'; train the model again")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         TrainedModel.load(path)
     data, out = str(tmp_path / "none.txt"), tmp_path / "out"
@@ -517,6 +521,68 @@ def test_format_1_checkpoints_are_refused_by_name(tmp_path, capsys):
         assert main([*args, "--checkpoint", str(path), "--data", data]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# The start of a format-2 checkpoint: three more config keys, one tensor per
+# head and one per class proxy.
+FORMAT_2_CHECKPOINT = """\
+relviews-checkpoint 2
+config in_dim=2
+config encoder.layers=1
+config encoder.heads=1
+config encoder.hidden_dim=2
+config encoder.leaky_slope=0.2
+config encoder.norm_eps=1e-05
+"""
+
+
+def test_format_2_checkpoints_are_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "v2.ckpt"
+    path.write_text(FORMAT_2_CHECKPOINT)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: checkpoint format 'relviews-checkpoint 2' is not read by this "
+        "version, which reads 'relviews-checkpoint 3'; train the model again\n")
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (V3_CHECKPOINT, "proxies.ids 2\n0 1", "proxies.ids 2\n0 0.5",
+     "tensor proxies.ids: class id 0.5 is not an integer"),
+    (V3_CHECKPOINT, "proxies.ids 2\n0 1", "proxies.ids 2\n1 1",
+     "tensor proxies.ids: class id 1 appears twice"),
+    (V3_CHECKPOINT, "proxies.ids 2\n0 1", "proxies.ids 3\n0 1 2",
+     "tensor proxies.nodes: shape (2, 3, 2) does not fit proxies.ids of shape (3,) and "
+     "hidden_dim 2"),
+    (V3_CHECKPOINT, "proxies.ids 2\n0 1", "proxies.ids 1,2\n0 1",
+     "tensor proxies.nodes: shape (2, 3, 2) does not fit proxies.ids of shape (1, 2) and "
+     "hidden_dim 2"),
+    (V3_CHECKPOINT, "proxies.nodes 2,3,2", "proxies.nodes 2,2,3",
+     "tensor proxies.nodes: shape (2, 2, 3) does not fit proxies.ids of shape (2,) and "
+     "hidden_dim 2"),
+    (V3_CHECKPOINT, "proxies.nodes 2,3,2", "proxies.nodes 6,2",
+     "tensor proxies.nodes: shape (6, 2) does not fit proxies.ids of shape (2,) and "
+     "hidden_dim 2"),
+    (V3_VECTOR_CHECKPOINT, "proxies.vectors 2,2", "proxies.nodes 2,2",
+     "tensor proxies.nodes does not belong to a checkpoint with ablate.pd=false"),
+    (V3_VECTOR_CHECKPOINT, "proxies.vectors 2,2", "proxies.vectors 1,4",
+     "tensor proxies.vectors: shape (1, 4) does not fit proxies.ids of shape (2,) and "
+     "hidden_dim 2"),
+    (V3_VECTOR_CHECKPOINT, "proxies.vectors 2,2", "proxies.vectors 4,1",
+     "tensor proxies.vectors: shape (4, 1) does not fit proxies.ids of shape (2,) and "
+     "hidden_dim 2"),
+    (V3_VECTOR_CHECKPOINT, "proxies.vectors 2,2", "proxies.vectors 2,1,2",
+     "tensor proxies.vectors: shape (2, 1, 2) does not fit proxies.ids of shape (2,) and "
+     "hidden_dim 2"),
+], ids=["non_integer_id", "repeated_id", "more_ids", "ids_2d", "width", "flat_nodes",
+        "nodes_without_pd", "fewer_vectors", "vector_width", "vectors_3d"])
+def test_checkpoint_refuses_proxies_that_do_not_fit(tmp_path, text, old, new, message):
+    # one id per proxy, each an integer and none repeated; one stack whose
+    # kind follows ablate.pd, one row per id and hidden_dim wide
+    path = tmp_path / "bad.ckpt"
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        TrainedModel.load(path)
 
 
 def test_adam_over_buffers_equals_per_tensor_adam():
@@ -542,8 +608,8 @@ def test_adam_over_buffers_equals_per_tensor_adam():
 
 
 def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
-    path = tmp_path / "v2.ckpt"
-    path.write_text(V2_CHECKPOINT)
+    path = tmp_path / "v3.ckpt"
+    path.write_text(V3_CHECKPOINT)
     model = TrainedModel.load(path)
     for owner in (model.params, model.cost_head):
         tensors = owner.named_tensors()
@@ -554,25 +620,11 @@ def test_loaded_tensors_are_views_of_the_buffers(tmp_path):
     assert np.array_equal(model.cost_head.buffer, [-0.24, 0.69, 0.0, -0.36, 0.0])
 
 
-def test_checkpoint_refuses_proxies_of_different_slot_counts(tmp_path, capsys):
-    # one distance table stacks every class's slots, so eval could not score it
-    path = tmp_path / "v2.ckpt"
-    path.write_text(V2_CHECKPOINT.replace("tensor proxy1.nodes 3,2\n-0.5 0.25 2 1 1 -1.5",
-                                          "tensor proxy1.nodes 2,2\n-0.5 0.25 2 1"))
-    with pytest.raises(ConfigError, match=r"v2\.ckpt: tensor proxy1\.nodes: 2 slots, "
-                                          r"but proxy0\.nodes has 3$"):
-        TrainedModel.load(path)
-    data = str(tmp_path / "none.txt")
-    for args in (["eval"], ["metrics", "--out", str(tmp_path / "out")]):
-        assert main([*args, "--checkpoint", str(path), "--data", data]) == 2
-        assert "tensor proxy1.nodes: 2 slots" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("in_dim", ["-1", "0"])
 def test_checkpoint_refuses_a_non_positive_in_dim(tmp_path, capsys, in_dim):
-    path = tmp_path / "v2.ckpt"
-    path.write_text(V2_CHECKPOINT.replace("config in_dim=2", f"config in_dim={in_dim}"))
-    with pytest.raises(ConfigError, match=rf"v2\.ckpt: in_dim: expected a positive integer, "
+    path = tmp_path / "v3.ckpt"
+    path.write_text(V3_CHECKPOINT.replace("config in_dim=2", f"config in_dim={in_dim}"))
+    with pytest.raises(ConfigError, match=rf"v3\.ckpt: in_dim: expected a positive integer, "
                                           rf"got {in_dim}$"):
         TrainedModel.load(path)
     assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "none.txt")]) == 2
@@ -600,7 +652,9 @@ def test_one_default_step_gives_every_encoder_tensor_a_gradient(default_run):
     _, model, grad_buffer = default_run
     model.params.grad_buffer[:] = grad_buffer
     for name, grad in model.params.grads.items():
-        assert np.any(grad != 0.0), name
+        # every head of the head-stacked W, a and P
+        for part in (grad if name.rsplit(".", 1)[1] in ("W", "a", "P") else [grad]):
+            assert np.any(part != 0.0), name
 
 
 def test_default_config_counts_no_nonconverged_proxy_update(default_run):
