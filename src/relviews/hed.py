@@ -45,6 +45,19 @@ candidate, and an input whose squared norms overflow keeps every entry.
 Smaller tables lose more to the screen's fixed cost than they save and
 compute the full table.
 
+Prediction reads only each instance's argmin over classes, which `nearest`
+takes from the screen's Gram table G (`_gram`): its sums T' are the exact
+sums T = 2m HED with sqrt(max(G, 0)) for each minimum distance. G lies
+within tol of the explicit squares, so each of the n = m + slots terms,
+1-Lipschitz in half a minimum distance, moves by at most sqrt(tol) / 2;
+rounding adds at most (2n + 2) sqrt(eps / 20) sqrt(tol) per term, as tol >=
+40 eps (max|u|^2 + max|v|^2), which fits in another sqrt(tol) / 2 below
+n = 10^7. So |T' - T| <= n sqrt(tol) with costs >= 0, and a row where one
+class alone lies within 2 n sqrt(tol) of the smallest T' is decided. Other
+rows (ties and near-ties between classes, NaN, tol = inf) take the exact
+table's argmin, so no prediction differs from the table's. A soft-min term
+is 1-Lipschitz in each distance too, so the bound would hold for it.
+
 The same table scores node subsets. A kept node's term reads only its own
 row minimum over a class's slots, and a slot's term reads only its column
 minimum over the kept nodes, so with a boolean `keep` mask (B, S, m)
@@ -140,19 +153,25 @@ def _slot_min(table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(table, -1, 0)).min(axis=0)
 
 
-def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
-    """(B, m, C*slots) mask of the L2 table entries that can be a row minimum
-    over a class's slots or a column minimum over nodes; see the module notes."""
-    b, m, d = u.shape
-    rows = u.reshape(b * m, d)
+def _gram(u: np.ndarray, v: np.ndarray, slots: int):
+    """(B, m, C, slots) Gram-form squared distances of u's nodes to v's rows,
+    and the bound tol on their error, inf where the squared norms overflow."""
+    rows = u.reshape(-1, u.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         nu = np.square(rows).sum(axis=1)
         nv = np.square(v).sum(axis=1)
         scale = nu.max() + nv.max()
-        tol = (8 * d + 32) * _EPS * scale + _TINY if 4.0 * scale < np.inf else np.inf
-        sq = (nu[:, None] + nv - 2.0 * (rows @ v.T)).reshape(b, m, -1, slots)
+        tol = (8 * u.shape[-1] + 32) * _EPS * scale + _TINY if 4.0 * scale < np.inf else np.inf
+        return (nu[:, None] + nv - 2.0 * (rows @ v.T)).reshape(*u.shape[:2], -1, slots), tol
+
+
+def _candidates(u: np.ndarray, v: np.ndarray, slots: int) -> np.ndarray:
+    """(B, m, C*slots) mask of the L2 table entries that can be a row minimum
+    over a class's slots or a column minimum over nodes; see the module notes."""
+    sq, tol = _gram(u, v, slots)
+    with np.errstate(invalid="ignore"):
         far = (sq > _slot_min(sq)[..., None] + tol) & (sq > sq.min(axis=1, keepdims=True) + tol)
-    return ~far.reshape(b, m, -1)                                 # NaN is never far
+    return ~far.reshape(u.shape[0], u.shape[1], -1)               # NaN is never far
 
 
 def _forward(x: np.ndarray, stacked_targets: np.ndarray, slots: int, head,
@@ -247,6 +266,24 @@ def hed_values_multi(u, stacked_targets: np.ndarray, slots: int, head,
         raise ValueError("masked tables are value-only: pass an array with keep")
     value, _, bk = _forward(u.value, stacked_targets, slots, head, want_grad=True)
     return Var(value, requires_grad=True, parents=(u,), backward=bk)
+
+
+def nearest(x: np.ndarray, stacked_targets: np.ndarray, slots: int, head) -> np.ndarray:
+    """`hed_values_multi(x, stacked_targets, slots, head).argmin(axis=1)`, index
+    for index: the Gram table's argmin where its bound decides, else the exact
+    table's; see the module notes."""
+    b, m, _ = x.shape
+    sq, tol = _gram(x, stacked_targets, slots)
+    del_u = head.forward(x)[0].reshape(b, m, 1)
+    ins_v = head.forward(stacked_targets)[0].reshape(-1, slots)
+    sub_u, sub_v = (np.sqrt(np.maximum(t, 0.0)) * 0.5 for t in (_slot_min(sq), sq.min(axis=1)))
+    total = (np.where(del_u < sub_u, del_u, sub_u).sum(axis=1)            # (B, C), 2m HED
+             + np.where(ins_v < sub_v, ins_v, sub_v).sum(axis=-1))
+    near = total <= total.min(axis=1, keepdims=True) + 2.0 * (m + slots) * np.sqrt(tol)
+    pick, undecided = total.argmin(axis=1), np.flatnonzero(near.sum(axis=1) != 1)
+    if undecided.size:
+        pick[undecided] = _forward(x[undecided], stacked_targets, slots, head)[0].argmin(axis=1)
+    return pick
 
 
 def hed(gs, gp, head) -> HedResult:

@@ -8,14 +8,14 @@ schedule, and then refreshes the touched proxies by online clustering of
 its node embeddings, counting the updates whose transport did not converge.
 `train` runs no inference pass: its report holds the epoch losses and that
 count, and every accuracy, on the training data or a hold-out, comes from
-`evaluate`. `evaluate` runs the same encoder and table over chunks of
-`_INFERENCE_CHUNK` instances, not `batch_size`; every instance gets the
-same values in any chunk, so a prediction never depends on the chunk it
-falls in. `encode_dataset` derives the explanations' relevance graphs
-from the same node embeddings. Three ablation switches cover the
-input-graph edge rule (CG), graph-valued proxies (PD), and graph-space
-matching (TR). `sweep` trains and tests once per point of a product of
-config values.
+`evaluate`. `evaluate` runs the same encoder over chunks of
+`_INFERENCE_CHUNK` instances, not `batch_size`, and takes the table's
+argmin from `TrainedModel.predict`; every instance gets the same values in
+any chunk, so a prediction never depends on the chunk it falls in.
+`encode_dataset` derives the explanations' relevance graphs from the same
+node embeddings. Three ablation switches cover the input-graph edge rule
+(CG), graph-valued proxies (PD), and graph-space matching (TR). `sweep`
+trains and tests once per point of a product of config values.
 `CONFIG_KEYS` takes its `synth.*` keys from `synth.SYNTH_KEYS` and its value
 parsers from `errors`.
 """
@@ -36,7 +36,7 @@ from .encoder import EncoderConfig, GatParams, init_params
 from .errors import (ConfigError, NumericError, check_keys, format_value, parse_bool,
                      parse_float, parse_int, parse_named)
 from .graphs import ViewGraph, midpoint_weights
-from .hed import CostHead, hed_values_multi
+from .hed import CostHead, hed_values_multi, nearest
 from .proxies import (ProxyAnchorConfig, ProxyGraph, SinkhornConfig, proxy_anchor_loss,
                       update_proxies)
 from .synth import SYNTH_KEYS, SynthConfig, SynthDataset, generate, split_dataset
@@ -186,6 +186,15 @@ class TrainedModel:
             return hed_values_multi(nodes, targets, self.proxies[ids[0]].num_slots,
                                     self.cost_head)
         return _mean_pool_table(nodes, targets)
+
+    def predict(self, nodes: np.ndarray) -> np.ndarray:
+        """Class id of each encoded node set's (B, N, d) nearest class, first in
+        id order on a tie: `distance_table`'s argmin, by `hed.nearest` under TR."""
+        ab, ids = self.config.ablations, self.class_ids()
+        if ab.proxy_as_graph and ab.transitivity_recovery:
+            return np.asarray(ids)[nearest(nodes, _proxy_targets(self, ids),
+                                           self.proxies[ids[0]].num_slots, self.cost_head)]
+        return np.asarray(ids)[self.distance_table(nodes).argmin(axis=1)]
 
     def distances(self, srg: ViewGraph) -> np.ndarray:
         """Distance of one encoded instance to every known class, id order."""
@@ -464,9 +473,7 @@ def evaluate(model: TrainedModel, dataset: SynthDataset) -> float:
     if not dataset.instances:
         raise ConfigError("cannot evaluate a dataset with no instances")
     check_fits(dataset, model.class_ids(), model.params.in_dim)
-    ids = np.asarray(model.class_ids())
-    preds = [ids[model.distance_table(nodes).argmin(axis=1)]
-             for nodes in _encoded_chunks(model, _input_graphs(model.config, dataset))]
+    preds = [model.predict(x) for x in _encoded_chunks(model, _input_graphs(model.config, dataset))]
     labels = [inst.label for inst in dataset.instances]
     return int((np.concatenate(preds) == labels).sum()) / len(labels)
 

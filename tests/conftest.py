@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,18 @@ import pytest
 if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
     _hypothesis_storage = tempfile.TemporaryDirectory(prefix="relviews-hypothesis-")
     os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _hypothesis_storage.name
+
+# hypothesis's pytest plugin imports this module, and through it libcst, to
+# write a patch for a failing property; libcst's import raises a
+# DeprecationWarning, which the warning filters turn into an error that
+# ends the run in INTERNALERROR before the failure is reported. Imported
+# here once, the later import finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def central_diff(fn, x: np.ndarray, idx: tuple, step: float = 1e-5) -> float:

@@ -381,6 +381,27 @@ def test_screen_keeps_nan_and_propagates_it(monkeypatch):
     assert np.isnan(table[:, 1]).all() and np.isfinite(table[:, 0]).all()
 
 
+def test_nearest_takes_the_exact_table_where_nan_or_overflow_leave_no_bound(monkeypatch):
+    # a NaN node, or squared norms that overflow, make the bound NaN or inf,
+    # so every row of the call takes the exact table's argmin, which is the
+    # first index in a NaN row
+    rng = np.random.default_rng(29)
+    u = rng.standard_normal((3, 4, 6))
+    targets = rng.standard_normal((10, 6))
+    nan_u = u.copy()
+    nan_u[1, 2, 3] = np.nan
+    forward, rows = hed_module._forward, []
+    monkeypatch.setattr(hed_module, "_forward",
+                        lambda x, *a, **kw: rows.append(len(x)) or forward(x, *a, **kw))
+    head = ConstantCostHead(1e9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, t in ((nan_u, targets), (1e200 * u, 1e200 * targets)):
+            exact = forward(x, t, 5, head)[0]
+            assert np.array_equal(hed_module.nearest(x, t, 5, head), exact.argmin(axis=1))
+    assert np.isnan(forward(nan_u, targets, 5, head)[0][1]).all()
+    assert rows == [3, 3]
+
+
 def test_screened_pair_equals_the_tape_oracle(monkeypatch):
     """`hed` is the one-row table, so a pair of at least `SCREEN_MIN_ENTRIES`
     entries is screened; values and assignments still equal the unscreened

@@ -3,6 +3,10 @@
 hypothesis runs derandomized and without its example database, so every
 run draws the same examples and no run replays an earlier run's failure;
 `tests/conftest.py` keeps its other files out of the checkout."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +17,13 @@ from relviews import autodiff as ad
 from relviews.checkpoint import read_container, write_container
 from relviews.hed import CostHead
 from relviews.transitivity import TransitivityConfig
-from tests.helpers import ConstantCostHead, hed_module
+from tests.helpers import ConstantCostHead, exact_ged, hed_module
 
 # tie edits of a drawn table: a duplicated target row, a node on a target
-# row, a node one ulp to either side of a target row, a zero node or row
+# row, a node one ulp to either side of a target row, a zero node or row, and
+# a class whose slots duplicate another class's, which ties the two classes
 _EDITS = ("duplicate_target", "node_on_target", "ulp_below", "ulp_above", "zero_node",
-          "zero_target")
+          "zero_target", "duplicate_class")
 
 
 @st.composite
@@ -55,6 +60,9 @@ def tables(draw):
             nodes[i] = np.nextafter(targets[j], np.inf)
         elif kind == "zero_node":
             nodes[i] = 0.0
+        elif kind == "duplicate_class":
+            src, dst = i % count * slots, j // slots * slots
+            targets[dst:dst + slots] = targets[src:src + slots]
         else:
             targets[j] = 0.0
     # a learned head, or one whose deletion never wins, so every value is a
@@ -82,6 +90,59 @@ def test_screened_table_equals_the_full_table_bit_for_bit(table):
     assert np.array_equal(value, full_value)
     for got, expect in zip(decisions, full_decisions, strict=True):
         assert np.array_equal(got, expect)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tables())
+def test_nearest_equals_the_exact_tables_argmin(table):
+    # rows the Gram table's bound cannot decide, exact ties between classes
+    # among them, take the exact table's argmin, so every index is its argmin
+    exact = hed_module._forward(*table)[0]
+    assert np.array_equal(hed_module.nearest(*table), exact.argmin(axis=1))
+
+
+@st.composite
+def small_pairs(draw):
+    """(g (m, d), p (q, d), head) with m and q at most 5, over six orders of
+    magnitude, some nodes of g repeated from p: either a learned head or a
+    constant deletion and insertion cost at the drawn scale."""
+    m, q, d = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    g, p = rng.standard_normal((m, d)) * scale, rng.standard_normal((q, d)) * scale
+    for i, j in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, q - 1)),
+                              max_size=3)):
+        g[i] = p[j]
+    head = (CostHead(d, hidden=3, seed=draw(st.integers(0, 99))) if draw(st.booleans())
+            else ConstantCostHead(scale * draw(st.floats(0.0, 4.0))))
+    return g, p, head
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_pairs())
+def test_hed_lies_between_zero_and_the_exact_edit_distance(pair):
+    g, p, head = pair
+    value, exact = hed_module.hed(g, p, head).value, exact_ged(g, p, head)
+    # exact_ged adds negative gains to its all-delete base, so its rounding
+    # is relative to that base and the matched distances, not to its value
+    base = (head.forward(g)[0].sum() + head.forward(p)[0].sum()
+            + min(len(g), len(p)) * (np.abs(g).sum() + np.abs(p).sum())) / (2 * len(g))
+    assert 0.0 <= value <= exact + 1e-12 * base
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_pairs(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_added_nodes_raise_the_distance_sum_by_at_most_their_deletion_costs(pair, k, seed):
+    # the robustness certificate: S(g) = 2|g| hed(g, p), and nodes X added to
+    # g keep g's node terms, add at most cost(x) each and can only lower a
+    # slot's term, so S(g + X) <= S(g) + sum of cost(X)
+    g, p, head = pair
+    extra = np.random.default_rng(seed).standard_normal((k, g.shape[1])) * np.abs(g).max()
+    before = 2 * len(g) * hed_module.hed(g, p, head).value
+    after = 2 * (len(g) + k) * hed_module.hed(np.vstack([g, extra]), p, head).value
+    bound = before + head.forward(extra)[0].sum()
+    # below the normal range rounding is absolute, and 2|g| multiplies it
+    assert after <= bound * (1 + 1e-12) + 4 * (len(g) + k) * np.nextafter(0.0, 1.0)
 
 
 _MAX = np.finfo(np.float64).max
@@ -177,3 +238,26 @@ def test_row_quantiles_equal_numpys_linear_method(rows):
     # equal as values: where a row's quantile is zero, its sign follows the
     # order in which a sort leaves 0.0 and -0.0, which may differ from numpy's
     assert np.array_equal(got, want, equal_nan=True)
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # under the repo's warning filters and conftest, a failing property ends
+    # in a failure report, not in INTERNALERROR from hypothesis's plugin
+    (tmp_path / "test_failing.py").write_text(_FAILING_PROPERTY)
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-p", "tests.conftest", "-c", str(root / "pyproject.toml"),
+                          str(tmp_path / "test_failing.py")],
+                         cwd=root, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "Falsifying example" in out.stdout and "INTERNALERROR" not in out.stdout + out.stderr

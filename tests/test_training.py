@@ -17,7 +17,7 @@ from relviews.explain import (ExplanationSet, fidelity, fidelity_sparsity_curve,
                               top_k_explanation)
 from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead, hed
-from relviews.proxies import ProxyAnchorConfig, SinkhornConfig
+from relviews.proxies import ProxyAnchorConfig, ProxyGraph, SinkhornConfig
 from relviews.training import AblationConfig, TrainConfig, TrainedModel, format_config
 from tests.helpers import (PerTensorAdam, assert_steps_agree, encoder_backward, one_step,
                            tape_distance_table, tape_forward)
@@ -248,15 +248,59 @@ def test_evaluate_refuses_an_empty_dataset():
         training.evaluate(model, empty)
 
 
-def test_one_inference_chunk_of_a_16_class_model_allocates_at_most_5_mb():
-    # the benchmark's eval_many_classes shapes: 16 classes of 16 views, 32
-    # features and hidden dims; the candidate distances are computed in
-    # blocks and the encoder pass without a backward runs in place, so no
-    # transient array grows with the class count
+@pytest.fixture(scope="module")
+def sixteen_classes():
+    """A model trained one epoch on the benchmark's eval_many_classes shapes:
+    16 classes of 16 views, 32 features and hidden dims; and its hold-out."""
     cfg = synth.SynthConfig(num_classes=16, instances_per_class=4, views_per_instance=16,
                             feature_dim=32, noise_rate=0.0, seed=5)
     train_ds, held = synth.split_dataset(synth.generate(cfg), 0.5)
-    _, model = training.train(train_ds, TrainConfig(epochs=1, seed=5))
+    return training.train(train_ds, TrainConfig(epochs=1, seed=5))[1], train_ds, held
+
+
+def _record_exact_tables(monkeypatch) -> list[np.ndarray]:
+    """The node sets of every exact `hed._forward` table from now on."""
+    hed_module, calls = importlib.import_module("relviews.hed"), []
+    forward = hed_module._forward
+    monkeypatch.setattr(hed_module, "_forward",
+                        lambda x, *args, **kw: calls.append(x) or forward(x, *args, **kw))
+    return calls
+
+
+def test_evaluate_of_a_16_class_model_computes_no_exact_table(monkeypatch, sixteen_classes):
+    # the Gram table's bound decides every row of a trained model, so a
+    # bound that grew loose enough to send rows to the exact table shows here
+    model, train_ds, held = sixteen_classes
+    calls = _record_exact_tables(monkeypatch)
+    training.evaluate(model, train_ds)
+    training.evaluate(model, held)
+    assert calls == []
+
+
+def test_classes_with_identical_proxies_take_the_exact_tables_argmin(monkeypatch):
+    # classes 0 and 1 share one proxy, so every row nearest to them ties
+    # exactly: those rows, and only those, go through the exact table, whose
+    # argmin takes class 0, and evaluate equals the exact table's accuracy
+    train_ds, test_ds = tiny_split(noise_rate=0.5)
+    _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
+    model.proxies[1] = ProxyGraph(1, model.proxies[0].node_centroids.copy())
+    ds = synth.SynthDataset(train_ds.config, train_ds.instances + test_ds.instances)
+    nodes = np.concatenate(list(training._encoded_chunks(
+        model, training._input_graphs(model.config, ds))))
+    table = model.distance_table(nodes)
+    tied = table[:, :2].min(axis=1) == table.min(axis=1)
+    assert 0 < tied.sum() < len(ds) and np.array_equal(table[:, 0], table[:, 1])
+    labels = np.asarray([inst.label for inst in ds.instances])
+    expect = float(np.mean(np.asarray(model.class_ids())[table.argmin(axis=1)] == labels))
+    calls = _record_exact_tables(monkeypatch)
+    assert training.evaluate(model, ds) == expect
+    assert np.array_equal(np.concatenate(calls), nodes[tied])
+
+
+def test_one_inference_chunk_of_a_16_class_model_allocates_at_most_5_mb(sixteen_classes):
+    # the encoder pass without a backward runs in place, and the prediction
+    # reads the Gram table, with no explicit distance table beside it
+    model, _, held = sixteen_classes
     chunk = synth.SynthDataset(held.config, held.instances[:training._INFERENCE_CHUNK])
     assert len(chunk) == 24 and len(model.class_ids()) == 16
     training.evaluate(model, chunk)          # fills the per-size caches
