@@ -1,6 +1,6 @@
 """The one text container of the repo's files: checkpoints and datasets.
 
-Layout: a format line (`relviews-checkpoint 3`, `relviews-synth 3`), one
+Layout: a format line (`relviews-checkpoint 3`, `relviews-synth 4`), one
 `config` line per key=value pair, then per tensor a `tensor <name>
 <dim0,dim1,...>` line and a line of its values at 17 significant digits, so
 float64 values read back bit for bit, in the writer's tensor order. Every

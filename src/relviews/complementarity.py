@@ -3,7 +3,7 @@
 `build_dataset` builds one complete graph per instance of a dataset before
 training, in stacked chunks of instances: each chunk is one pass of
 whole-array operations, and an instance's graph does not depend on the
-chunk it falls in. The global view, row 0 of `SynthInstance.embeddings()`,
+chunk it falls in. The global view, row 0 of `SynthInstance.embeddings`,
 becomes node 0. Views are scaled to unit norm. A local-local edge weighs
 1/|z_i . z_j|, capped at the fixed `WEIGHT_CAP` for views that are (nearly)
 orthogonal; edges incident to the global view weigh 1, so no
@@ -50,6 +50,6 @@ def build_dataset(ds: SynthDataset, chunk_size: int,
     graphs: list[ViewGraph] = []
     for start in range(0, len(ds.instances), chunk_size):
         chunk = ds.instances[start:start + chunk_size]
-        emb = np.stack([inst.embeddings() for inst in chunk], dtype=np.float64)
+        emb = np.stack([inst.embeddings for inst in chunk], dtype=np.float64)
         graphs += _build_stack(emb, [inst.label for inst in chunk], uniform)
     return graphs

@@ -131,7 +131,3 @@ class ExplanationSubgraph:
 
     def as_graph(self) -> ViewGraph:
         return induced_subgraph(self.parent, self.node_subset)
-
-    @property
-    def size(self) -> int:
-        return len(self.node_subset)

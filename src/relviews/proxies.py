@@ -43,8 +43,8 @@ class ProxyAnchorConfig:
 
 @dataclass(frozen=True)
 class ProxyGraph:
-    """A class's concept graph as the distance reads it: its node centroids."""
-    class_id: int
+    """A class's concept graph as the distance reads it: its node centroids.
+    The class is the key it is stored under (`training.TrainedModel.proxies`)."""
     node_centroids: np.ndarray   # (|V|, d); slot 0 = global concept
 
     def __post_init__(self):
@@ -151,7 +151,7 @@ def update_proxies(proxy: ProxyGraph, nodes: np.ndarray, cfg: SinkhornConfig,
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
     blended = momentum * proxy.node_centroids + (1.0 - momentum) * new_nodes
-    return ProxyGraph(proxy.class_id, blended), bool(transport.converged)
+    return ProxyGraph(blended), bool(transport.converged)
 
 
 def proxy_anchor_loss(distances: np.ndarray, labels, class_ids,

@@ -17,13 +17,18 @@ class and concept index just before its own noise. This order is part of
 the dataset's definition: moving any draw changes every generated dataset,
 and with it every result measured on one.
 
-File format 3 (`save`/`load`) is the text container of `checkpoint.py`
-under the format line `relviews-synth 3`: a `config` line per `SYNTH_KEYS`
-entry, floats in full `repr`, so the config reads back equal; then four
+An instance stores each fact once: its label, its (k + 1, d) view array
+with the global view in row 0, and each local view's source class. Which
+views are clean is derived from those: `clean_mask` is the views whose
+source is the label.
+
+File format 4 (`save`/`load`) is the text container of `checkpoint.py`
+under the format line `relviews-synth 4`: a `config` line per `SYNTH_KEYS`
+entry, floats in full `repr`, so the config reads back equal; then three
 tensors at 17 significant digits, so the instances read back bit for bit:
-`labels` (n,), `clean` (n, k) of 0 and 1, `sources` (n, k) and `embeddings`
-(n, k + 1, d), global view first. `load` refuses any other `relviews-synth N`
-by name.
+`labels` (n,), `sources` (n, k) and `embeddings` (n, k + 1, d), global view
+first. `load` refuses any other `relviews-synth N` by name, format 3 and its
+`clean` tensor included.
 """
 from __future__ import annotations
 
@@ -83,14 +88,13 @@ class SynthConfig:
 @dataclass(frozen=True)
 class SynthInstance:
     label: int
-    global_embedding: np.ndarray          # (n,)
-    local_embeddings: np.ndarray          # (k, n)
-    clean_mask: np.ndarray                # (k,) bool, True = clean/transitive
+    embeddings: np.ndarray                # (k + 1, n); row 0 = global view
     source_class_per_view: np.ndarray     # (k,) int; -1 = classless noise
 
-    def embeddings(self) -> np.ndarray:
-        """Global + locals stacked; global at row 0."""
-        return np.vstack([self.global_embedding[None, :], self.local_embeddings])
+    @property
+    def clean_mask(self) -> np.ndarray:
+        """(k,) bool, True = clean/transitive: the views drawn from the label's concepts."""
+        return self.source_class_per_view == self.label
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,9 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     """Deterministic per seed; instances ordered class 0..C-1, then index.
 
     One pass per class draws that class's random numbers in the stream
-    order the module docstring fixes; the arithmetic then runs on the whole
-    class at once, and each instance gets its own copies of its arrays."""
+    order the module docstring fixes; the arithmetic then fills one
+    (m, k + 1, n) view array for the whole class, and each instance gets its
+    own copy of its rows."""
     rng = np.random.default_rng(cfg.seed)
     n, k, m = cfg.feature_dim, cfg.views_per_instance, cfg.instances_per_class
     concepts = _unit_rows(rng.standard_normal((cfg.num_classes * cfg.concept_count_per_class, n)))
@@ -170,12 +175,12 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         # divides by 1, and its mean is replaced by its anchor
         means = (base * clean[:, :, None]).sum(axis=1) / np.maximum(counts, 1)[:, None]
         g_dir = _unit_rows(np.where(counts[:, None] > 0, means, anchors))
-        global_ = g_dir + cfg.noise_scale * noise[:, 0]
-        locals_ = base + cfg.noise_scale * noise[:, 1:]
+        emb = np.empty((m, k + 1, n))
+        emb[:, 0] = g_dir + cfg.noise_scale * noise[:, 0]
+        emb[:, 1:] = base + cfg.noise_scale * noise[:, 1:]
         classless = source == -1
-        locals_[classless] = _unit_rows(noise[:, 1:][classless])
-        instances += [SynthInstance(c, global_[i].copy(), locals_[i].copy(),
-                                    clean[i].copy(), source[i].copy()) for i in range(m)]
+        emb[:, 1:][classless] = _unit_rows(noise[:, 1:][classless])
+        instances += [SynthInstance(c, emb[i].copy(), source[i].copy()) for i in range(m)]
     return SynthDataset(cfg, instances)
 
 
@@ -209,7 +214,7 @@ def split_dataset(ds: SynthDataset, test_fraction: float
     return SynthDataset(train_cfg, train_insts), SynthDataset(test_cfg, test_insts)
 
 
-_FORMAT = "relviews-synth 3"
+_FORMAT = "relviews-synth 4"
 
 # The run config's `synth.*` keys without the prefix, and a data file's config lines:
 # key -> (SynthConfig field, parser), in the order `save` writes them.
@@ -230,9 +235,8 @@ def save(ds: SynthDataset, path) -> None:
     config = {key: format_value(getattr(cfg, attr)) for key, (attr, _) in SYNTH_KEYS.items()}
     write_container(path, _FORMAT, config, [
         ("labels", np.reshape([inst.label for inst in insts], n)),
-        ("clean", np.reshape([inst.clean_mask for inst in insts], (n, k))),
         ("sources", np.reshape([inst.source_class_per_view for inst in insts], (n, k))),
-        ("embeddings", np.reshape([inst.embeddings() for inst in insts], (n, k + 1, d)))])
+        ("embeddings", np.reshape([inst.embeddings for inst in insts], (n, k + 1, d)))])
 
 
 def load(path) -> SynthDataset:
@@ -249,9 +253,9 @@ def _dataset(config: dict[str, str], tensors: dict[str, np.ndarray]) -> SynthDat
     check_keys(config, SYNTH_KEYS, "config key")
     cfg = SynthConfig(**{attr: parse_named(key, parse, config[key])
                          for key, (attr, parse) in SYNTH_KEYS.items()})
-    check_keys(tensors, ("labels", "clean", "sources", "embeddings"), "tensor")
+    check_keys(tensors, ("labels", "sources", "embeddings"), "tensor")
     n, k, d = len(tensors["labels"]), cfg.views_per_instance, cfg.feature_dim
-    shapes = {"labels": (n,), "clean": (n, k), "sources": (n, k), "embeddings": (n, k + 1, d)}
+    shapes = {"labels": (n,), "sources": (n, k), "embeddings": (n, k + 1, d)}
     for name, shape in shapes.items():
         if tensors[name].shape != shape:
             raise ConfigError(f"tensor {name}: shape {tensors[name].shape}, but {n} instances "
@@ -259,14 +263,12 @@ def _dataset(config: dict[str, str], tensors: dict[str, np.ndarray]) -> SynthDat
     if n == 0:
         raise ConfigError("dataset file has no instances")
     top = cfg.num_classes - 1
-    for name, low, high in (("labels", 0, top), ("clean", 0, 1), ("sources", -1, top)):
+    for name, low, high in (("labels", 0, top), ("sources", -1, top)):
         arr = tensors[name]
         bad = arr[(arr != np.round(arr)) | (arr < low) | (arr > high)]
         if bad.size:
             raise ConfigError(f"tensor {name}: value {bad[0]:g} is not an integer "
                               f"in {low}..{high}")
-    labels, emb = tensors["labels"], tensors["embeddings"]
-    clean, sources = tensors["clean"].astype(bool), tensors["sources"].astype(int)
-    return SynthDataset(cfg, [SynthInstance(int(labels[i]), emb[i, 0].copy(), emb[i, 1:].copy(),
-                                            clean[i].copy(), sources[i].copy())
+    labels, emb, sources = tensors["labels"], tensors["embeddings"], tensors["sources"].astype(int)
+    return SynthDataset(cfg, [SynthInstance(int(labels[i]), emb[i].copy(), sources[i].copy())
                               for i in range(n)])

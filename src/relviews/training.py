@@ -264,7 +264,7 @@ class TrainedModel:
         for cid, arr in zip(ids.tolist(), stack):
             if pd:
                 try:
-                    model.proxies[int(cid)] = ProxyGraph(int(cid), arr)
+                    model.proxies[int(cid)] = ProxyGraph(arr)
                 except ValueError as err:
                     raise ConfigError(f"tensor proxies.nodes: {err}") from None
             else:
@@ -360,7 +360,7 @@ def _update_proxies(model: TrainedModel, nodes_by_class: dict[int, np.ndarray],
     converged = []
     for cid, nodes in nodes_by_class.items():
         if cfg.ablations.proxy_as_graph:
-            old = model.proxies[cid] if cid in model.proxies else ProxyGraph(cid, nodes[0])
+            old = model.proxies[cid] if cid in model.proxies else ProxyGraph(nodes[0])
             model.proxies[cid], ok = update_proxies(old, nodes, cfg.sinkhorn, momentum=momentum)
             converged.append(ok)
         else:

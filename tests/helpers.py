@@ -848,7 +848,10 @@ def loop_generate(cfg: SynthConfig) -> SynthDataset:
                 else:
                     locals_[v] = _random_unit(rng, n)
                     source[v] = -1
-            instances.append(SynthInstance(c, z_g, locals_, clean, source))
+            inst = SynthInstance(c, np.vstack([z_g, locals_]), source)
+            # the instance derives its clean views from its sources
+            assert np.array_equal(inst.clean_mask, clean)
+            instances.append(inst)
     return SynthDataset(cfg, instances)
 
 
@@ -861,9 +864,10 @@ def ground_truth_emergence(inst: SynthInstance, subset) -> float:
     idx = sorted(set(int(v) for v in subset))
     if not idx:
         raise ValueError("subset must be non-empty")
-    if idx[0] < 0 or idx[-1] >= inst.local_embeddings.shape[0]:
+    global_, locals_ = inst.embeddings[0], inst.embeddings[1:]
+    if idx[0] < 0 or idx[-1] >= locals_.shape[0]:
         raise IndexError("subset index out of range")
-    m = inst.local_embeddings[idx].mean(axis=0)
-    denom = np.linalg.norm(m) * np.linalg.norm(inst.global_embedding)
-    cos = 0.0 if denom == 0 else float(inst.global_embedding @ m / denom)
+    m = locals_[idx].mean(axis=0)
+    denom = np.linalg.norm(m) * np.linalg.norm(global_)
+    cos = 0.0 if denom == 0 else float(global_ @ m / denom)
     return 0.5 * (1.0 + cos)

@@ -293,21 +293,23 @@ noise_model=outside_global_fraction concepts_per_class=2 sigma=0.1 seed=0
 
 @pytest.mark.parametrize("first, message", [
     ("relviews-synth 1", "dataset format 'relviews-synth 1' is not read by this version, "
-                         "which reads 'relviews-synth 3'; generate the data again"),
+                         "which reads 'relviews-synth 4'; generate the data again"),
     ("relviews-synth 12", "dataset format 'relviews-synth 12' is not read by this version, "
-                          "which reads 'relviews-synth 3'; generate the data again"),
+                          "which reads 'relviews-synth 4'; generate the data again"),
     ("relviews-checkpoint 2", None),
     (None, "dataset format 'relviews-synth 2' is not read by this version, "
-           "which reads 'relviews-synth 3'; generate the data again"),
-], ids=["format_1", "format_12", "checkpoint", "format_2"])
+           "which reads 'relviews-synth 4'; generate the data again"),
+    ("relviews-synth 3", "dataset format 'relviews-synth 3' is not read by this version, "
+                         "which reads 'relviews-synth 4'; generate the data again"),
+], ids=["format_1", "format_12", "checkpoint", "format_2", "format_3"])
 def test_data_file_of_another_format_exits_two(trained, capsys, first, message):
-    # the config lines and tensors that follow the format line are format 3's
+    # the config lines and tensors that follow the format line are format 4's
     ckpt, data = trained
     bad = data.with_name("other.txt")
     if first is None:
         bad.write_text(FORMAT_2_DATA)
     else:
-        bad.write_text(data.read_text().replace("relviews-synth 3\n", f"{first}\n", 1))
+        bad.write_text(data.read_text().replace("relviews-synth 4\n", f"{first}\n", 1))
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)]) == 2
     expect = f"{bad}: {message}" if message else f"not a dataset file: {bad}"
     assert capsys.readouterr().err == f"error: {expect}\n"
@@ -327,8 +329,8 @@ def _config_line(key, value):
      "noise_model: unknown noise model 'nosuch' (one of: uniform_whole_image, "
      "outside_global_fraction, causal_intervention)"),
     (_splice("config sigma=", []), "missing config key 'sigma'"),
-    (_first_value("tensor clean ", "1x2?"),
-     "dataset tensor clean: could not convert string to float: '1x2?'"),
+    (_first_value("tensor sources ", "1x2?"),
+     "dataset tensor sources: could not convert string to float: '1x2?'"),
     (_config_line("sigma", "nan"), "sigma: expected a finite number, got 'nan'"),
     (_config_line("sigma", "-0.1"), "noise_scale must be finite and non-negative"),
     (_config_line("classes", "3.0"), "classes: expected an integer, got '3.0'"),
@@ -341,17 +343,22 @@ def _config_line(key, value):
      "tensor sources: value -7 is not an integer in -1..2"),
     (_first_value("tensor labels ", "1.5"),
      "tensor labels: value 1.5 is not an integer in 0..2"),
-    (_first_value("tensor clean ", "2"), "tensor clean: value 2 is not an integer in 0..1"),
+    (_first_value("tensor sources ", "0.5"),
+     "tensor sources: value 0.5 is not an integer in -1..2"),
     (_splice("tensor embeddings ", ["tensor embeddings 18,8,5"]),
      "tensor embeddings: shape (18, 8, 5), but 18 instances of views=4 and dim=8 take "
      "(18, 5, 8)"),
     (_splice("tensor sources ", [], count=2), "missing tensor 'sources'"),
     (_splice("tensor labels ", ["tensor weights 1", "0.5"], count=0),
      "unknown tensor 'weights'"),
+    # format 3's clean mask: which views are clean follows from the sources
+    (_splice("tensor sources ", ["tensor clean 18,4", " ".join("1" * 72)], count=0),
+     "unknown tensor 'clean'"),
 ], ids=["record_token", "embedding_nan", "embedding_inf", "header_token", "model",
-        "missing_key", "mask", "sigma_nan", "sigma_negative", "classes_token", "eta_token",
-        "unknown_key", "duplicate_key", "label", "source", "fractional_label", "clean_two",
-        "embeddings_shape", "missing_tensor", "unknown_tensor"])
+        "missing_key", "source_token", "sigma_nan", "sigma_negative", "classes_token",
+        "eta_token", "unknown_key", "duplicate_key", "label", "source", "fractional_label",
+        "fractional_source", "embeddings_shape", "missing_tensor", "unknown_tensor",
+        "clean_tensor"])
 def test_malformed_data_file_exits_two(tiny, capsys, edit, message):
     tmp_path, config, data = tiny
     bad = tmp_path / "bad.txt"

@@ -15,7 +15,7 @@ def build_one(embeddings, uniform: bool = False) -> ViewGraph:
     `embeddings`, the global view first."""
     emb = np.asarray(embeddings, dtype=np.float64)
     k = emb.shape[0] - 1
-    inst = SynthInstance(0, emb[0], emb[1:], np.ones(k, dtype=bool), np.zeros(k, dtype=int))
+    inst = SynthInstance(0, emb, np.zeros(k, dtype=int))
     [graph] = build_dataset(SynthDataset(SynthConfig(), [inst]), 1, uniform=uniform)
     return graph
 
@@ -134,7 +134,8 @@ def planted_dataset(count: int) -> SynthDataset:
                1e150 * np.stack([np.ones(5), eye[0], eye[0] + eye[1], eye[2]])]
     instances = list(ds.instances)
     for slot, locals_ in zip((1, 6, 7, 11), planted):
-        instances[slot] = replace(instances[slot], local_embeddings=locals_)
+        instances[slot] = replace(instances[slot],
+                                  embeddings=np.vstack([instances[slot].embeddings[:1], locals_]))
     return SynthDataset(ds.config, instances[:count])
 
 
@@ -145,7 +146,7 @@ def test_batched_build_equals_per_instance_build(uniform, count, chunk):
     graphs = build_dataset(ds, chunk, uniform=uniform)
     assert len(graphs) == count
     for g, inst in zip(graphs, ds.instances):
-        ref = instance_build(inst.embeddings(), label=inst.label, uniform=uniform)
+        ref = instance_build(inst.embeddings, label=inst.label, uniform=uniform)
         assert g.label == ref.label
         assert np.array_equal(g.node_features, ref.node_features)
         assert np.array_equal(g.edge_weights, ref.edge_weights)

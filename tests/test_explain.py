@@ -24,12 +24,12 @@ def random_labeled_graph(n, dim, rng, label=0) -> ViewGraph:
                      label=label)
 
 
-def dummy_proxy(label, dim=1, slots=2) -> ProxyGraph:
-    return ProxyGraph(label, np.zeros((slots, dim)))
+def dummy_proxy(dim=1, slots=2) -> ProxyGraph:
+    return ProxyGraph(np.zeros((slots, dim)))
 
 
 def proxy_from_graph(g: ViewGraph) -> ProxyGraph:
-    return ProxyGraph(g.label, g.node_features.copy())
+    return ProxyGraph(g.node_features.copy())
 
 
 def test_full_graph_explanations_give_zero_fidelity_and_sparsity(rng):
@@ -69,7 +69,7 @@ def test_fidelity_matches_per_instance_oracle(rng):
 def test_sparsity_six_of_sixtyfive(rng):
     g = random_labeled_graph(65, 2, rng, label=0)
     # the global view and 5 locals kept
-    [(_, sp, _)] = fidelity_sparsity_curve([g], {0: dummy_proxy(0, dim=2)},
+    [(_, sp, _)] = fidelity_sparsity_curve([g], {0: dummy_proxy(dim=2)},
                                                  ConstantCostHead(1.0), [5])
     assert sp == pytest.approx(1.0 - 6.0 / 65.0, abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_sparsity_six_of_sixtyfive(rng):
 def test_sparsity_mean_of_per_instance_values(rng):
     g1 = random_labeled_graph(10, 2, rng, label=0)
     g2 = random_labeled_graph(8, 2, rng, label=0)
-    [(_, sp, _)] = fidelity_sparsity_curve([g1, g2], {0: dummy_proxy(0, dim=2)},
+    [(_, sp, _)] = fidelity_sparsity_curve([g1, g2], {0: dummy_proxy(dim=2)},
                                                  ConstantCostHead(1.0), [3])
     expect = np.mean([1 - 4 / 10, 1 - 4 / 8])
     assert sp == pytest.approx(expect, abs=1e-12)
@@ -131,7 +131,7 @@ def make_set(global_degrees, label=0):
     for deg in global_degrees:
         g = degree_controlled_graph(deg, label=label)
         entries.append(ExplanationSubgraph(g, frozenset(range(7))))
-    return ExplanationSet(tuple(entries), {label: dummy_proxy(label)})
+    return ExplanationSet(tuple(entries), {label: dummy_proxy()})
 
 
 def test_macs_identical_sets_is_one(rng):
@@ -178,13 +178,13 @@ def test_random_explanation_contains_global(rng):
     g = random_labeled_graph(8, 2, rng, label=0)
     ex = random_explanation(g, 3, rng)
     assert 0 in ex.node_subset
-    assert ex.size == 4
+    assert len(ex.node_subset) == 4
 
 
 def mixed_explanations(rng, n_graphs=12, n=9, dim=4, labels=3):
     """Explanations over several classes and kept sizes, the full size included."""
     graphs = [random_labeled_graph(n, dim, rng, label=i % labels) for i in range(n_graphs)]
-    proxies = {c: ProxyGraph(c, rng.standard_normal((5, dim))) for c in range(labels)}
+    proxies = {c: ProxyGraph(rng.standard_normal((5, dim))) for c in range(labels)}
     entries = tuple(random_explanation(g, int(rng.integers(0, n)), rng) for g in graphs)
     return ExplanationSet(entries, proxies)
 
@@ -192,7 +192,7 @@ def mixed_explanations(rng, n_graphs=12, n=9, dim=4, labels=3):
 def test_batched_fidelity_matches_per_explanation_hed(rng):
     for head in (CostHead(4, hidden=6, seed=3), ConstantCostHead(0.8)):
         expls = mixed_explanations(rng)
-        assert len({(ex.parent.label, ex.size) for ex in expls.entries}) > 3
+        assert len({(ex.parent.label, len(ex.node_subset)) for ex in expls.entries}) > 3
         oracle = []
         for ex in expls.entries:
             p = expls.proxies[ex.parent.label].node_centroids
@@ -212,7 +212,7 @@ def test_curve_equals_fidelity_of_each_top_k_set(rng):
         for (k, sp, fid) in rows:
             expls = ExplanationSet(tuple(top_k_explanation(g, k) for g in graphs), proxies)
             assert fid == fidelity(expls, head)
-            assert sp == np.mean([1.0 - ex.size / n for ex in expls.entries])
+            assert sp == np.mean([1.0 - len(ex.node_subset) / n for ex in expls.entries])
         assert rows[-1][2] == 0.0   # k = all locals: the full graphs' own distances
 
 
@@ -231,7 +231,7 @@ def test_macs_equals_per_explanation_thresholds(rng):
     cfg = TransitivityConfig()
     for k in (2, 3, 4):
         graphs = [random_labeled_graph(9, 2, rng, label=i % 3) for i in range(9)]
-        proxies = {c: dummy_proxy(c, dim=2) for c in range(3)}
+        proxies = {c: dummy_proxy(dim=2) for c in range(3)}
         a = ExplanationSet(tuple(top_k_explanation(g, 5) for g in graphs), proxies)
         b = ExplanationSet(tuple(random_explanation(g, int(rng.integers(2, 8)), rng)
                                  for g in graphs), proxies)
@@ -254,7 +254,7 @@ def test_fidelity_over_node_and_slot_counts_matches_per_instance_hed(rng):
     head = CostHead(4, hidden=6, seed=7)
     graphs = [random_labeled_graph(n, 4, rng, label=c)
               for n in (6, 11) for c in (0, 1) for _ in range(3)]
-    proxies = {c: ProxyGraph(c, rng.standard_normal((slots, 4))) for c, slots in ((0, 3), (1, 9))}
+    proxies = {c: ProxyGraph(rng.standard_normal((slots, 4))) for c, slots in ((0, 3), (1, 9))}
     expls = ExplanationSet(tuple(random_explanation(g, int(rng.integers(0, g.num_views)), rng)
                                  for g in graphs), proxies)
     oracle = []
@@ -265,7 +265,7 @@ def test_fidelity_over_node_and_slot_counts_matches_per_instance_hed(rng):
 
 
 def test_empty_sets_are_refused(rng):
-    proxies = {0: dummy_proxy(0)}
+    proxies = {0: dummy_proxy()}
     with pytest.raises(ValueError, match="empty"):
         fidelity(ExplanationSet((), proxies), ConstantCostHead(1.0))
     with pytest.raises(ValueError, match="empty"):
@@ -279,5 +279,5 @@ def test_negative_explanation_sizes_are_refused(rng):
     with pytest.raises(ValueError, match="non-negative"):
         random_explanation(g, -2, rng)
     with pytest.raises(ValueError, match="non-negative"):
-        fidelity_sparsity_curve([g], {0: dummy_proxy(0, dim=2)}, ConstantCostHead(1.0), [2, -1])
+        fidelity_sparsity_curve([g], {0: dummy_proxy(dim=2)}, ConstantCostHead(1.0), [2, -1])
     assert top_k_explanation(g, 0).node_subset == {0}

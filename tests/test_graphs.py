@@ -134,7 +134,7 @@ def test_viewgraph_validation():
 def test_explanation_subgraph_contracts():
     g = make_graph(6)
     ex = ExplanationSubgraph(g, frozenset({0, 2, 4}))
-    assert ex.size == 3
+    assert len(ex.node_subset) == 3
     assert ex.as_graph().num_views == 3
     with pytest.raises(ValueError):
         ExplanationSubgraph(g, frozenset({1, 2}))   # missing global

@@ -75,7 +75,7 @@ def test_nonconvergence_is_flagged_without_a_warning():
         res = sinkhorn(np.random.default_rng(0).random((6, 6)),
                        np.full(6, 1 / 6), np.full(6, 1 / 6), cfg)
         rng = np.random.default_rng(1)
-        proxy = ProxyGraph(0, 0.1 * rng.standard_normal((4, 8)))
+        proxy = ProxyGraph(0.1 * rng.standard_normal((4, 8)))
         batch = 0.1 * rng.standard_normal((2, 4, 8))
         flags = [update_proxies(proxy, batch, c)[1] for c in (cfg, scfg())]
     assert not res.converged
@@ -99,7 +99,7 @@ def separated_proxy(slots=4, dim=8, scale=4.0):
     nodes = np.zeros((slots, dim))
     for s in range(slots):
         nodes[s, s] = scale
-    return ProxyGraph(0, nodes)
+    return ProxyGraph(nodes)
 
 
 def test_fixed_point_on_identical_batch():
@@ -168,7 +168,7 @@ def test_update_contract_errors():
                                    np.array([[0.0, np.nan]])])
 def test_proxy_refuses_bad_centroids(nodes):
     with pytest.raises(ValueError):
-        ProxyGraph(0, nodes)
+        ProxyGraph(nodes)
 
 
 def loop_update_proxies(proxy, batch, cfg, momentum):
@@ -190,14 +190,14 @@ def loop_update_proxies(proxy, batch, cfg, momentum):
     new_nodes = proxy.node_centroids.copy()
     occupied = mass > 0
     new_nodes[occupied] = (plan.T @ nodes)[occupied] / mass[occupied, None]
-    return ProxyGraph(proxy.class_id, momentum * proxy.node_centroids
+    return ProxyGraph(momentum * proxy.node_centroids
                       + (1.0 - momentum) * new_nodes), transport.converged
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_update_equals_per_graph_loop(rng, momentum):
     slots, dim = 5, 6
-    proxy = ProxyGraph(0, rng.standard_normal((slots, dim)))
+    proxy = ProxyGraph(rng.standard_normal((slots, dim)))
     for _ in range(6):
         batch = [proxy.node_centroids + rng.standard_normal((slots, dim)) for k in range(4)]
         out, ok = update_proxies(proxy, np.stack(batch), SinkhornConfig(), momentum=momentum)
@@ -325,7 +325,7 @@ def test_classify_exact_match_wins(rng):
     dim, slots = 6, 4
     protos = {}
     for cid in range(3):
-        protos[cid] = ProxyGraph(cid, rng.standard_normal((slots, dim)) * (cid + 1))
+        protos[cid] = ProxyGraph(rng.standard_normal((slots, dim)) * (cid + 1))
     exact = ViewGraph(protos[1].node_centroids, np.zeros(num_pairs(slots)))
     dist = proxy_model(protos, ConstantCostHead(10.0)).distances(exact)
     assert dist[1] == 0.0 and int(np.argmin(dist)) == 1
@@ -334,7 +334,7 @@ def test_classify_exact_match_wins(rng):
 def test_classify_ties_break_to_lowest_id():
     # instances have 4 local views + the global one; identical proxies for 2 and 5
     nodes = np.zeros((5, 4))
-    model = proxy_model({5: ProxyGraph(5, nodes), 2: ProxyGraph(2, nodes)},
+    model = proxy_model({5: ProxyGraph(nodes), 2: ProxyGraph(nodes)},
                         ConstantCostHead(1.0), hidden_dim=4)
     ds = synth.generate(synth.SynthConfig(num_classes=2, instances_per_class=3,
                                           views_per_instance=4, feature_dim=8,

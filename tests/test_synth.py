@@ -67,9 +67,8 @@ def test_determinism():
     a = generate(cfg(noise_rate=0.3, noise_model=NoiseModel.CAUSAL_INTERVENTION))
     b = generate(cfg(noise_rate=0.3, noise_model=NoiseModel.CAUSAL_INTERVENTION))
     for x, y in zip(a.instances, b.instances):
-        assert np.array_equal(x.global_embedding, y.global_embedding)
-        assert np.array_equal(x.local_embeddings, y.local_embeddings)
-        assert np.array_equal(x.clean_mask, y.clean_mask)
+        assert np.array_equal(x.embeddings, y.embeddings)
+        assert np.array_equal(x.source_class_per_view, y.source_class_per_view)
 
 
 def test_label_balance():
@@ -174,14 +173,13 @@ def test_save_load_returns_an_equal_config(tmp_path, model):
 def test_header_keys_are_the_run_config_synth_keys(tmp_path):
     save(generate(cfg(instances_per_class=1, noise_rate=0.5)), tmp_path / "data.txt")
     lines = (tmp_path / "data.txt").read_text().splitlines()
-    assert lines[:10] == ["relviews-synth 3", "config classes=4", "config instances_per_class=1",
+    assert lines[:10] == ["relviews-synth 4", "config classes=4", "config instances_per_class=1",
                           "config views=16", "config dim=32", "config eta=0.5",
                           "config noise_model=outside_global_fraction",
                           "config concepts_per_class=4", "config sigma=0.1", "config seed=7"]
     keys = [line[len("config "):].partition("=")[0] for line in lines[1:10]]
     assert keys == [key[len("synth."):] for key in CONFIG_KEYS if key.startswith("synth.")]
-    assert lines[10::2] == ["tensor labels 4", "tensor clean 4,16", "tensor sources 4,16",
-                            "tensor embeddings 4,17,32"]
+    assert lines[10::2] == ["tensor labels 4", "tensor sources 4,16", "tensor embeddings 4,17,32"]
     assert lines[11] == "0 1 2 3"
 
 
@@ -202,8 +200,7 @@ def assert_same_dataset(got, ref):
     assert got.config == ref.config and len(got) == len(ref)
     for a, b in zip(got.instances, ref.instances):
         assert type(a.label) is type(b.label) and a.label == b.label
-        for name in ("global_embedding", "local_embeddings", "clean_mask",
-                     "source_class_per_view"):
+        for name in ("embeddings", "source_class_per_view"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name    # -0.0 and 0.0 differ here

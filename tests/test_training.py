@@ -283,7 +283,7 @@ def test_classes_with_identical_proxies_take_the_exact_tables_argmin(monkeypatch
     # argmin takes class 0, and evaluate equals the exact table's accuracy
     train_ds, test_ds = tiny_split(noise_rate=0.5)
     _, model = training.train(train_ds, replace(TINY_TRAIN, epochs=1))
-    model.proxies[1] = ProxyGraph(1, model.proxies[0].node_centroids.copy())
+    model.proxies[1] = ProxyGraph(model.proxies[0].node_centroids.copy())
     ds = synth.SynthDataset(train_ds.config, train_ds.instances + test_ds.instances)
     nodes = np.concatenate(list(training._encoded_chunks(
         model, training._input_graphs(model.config, ds))))
