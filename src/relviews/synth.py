@@ -17,10 +17,9 @@ class and concept index just before its own noise. This order is part of
 the dataset's definition: moving any draw changes every generated dataset,
 and with it every result measured on one.
 
-An instance stores each fact once: its label, its (k + 1, d) view array
-with the global view in row 0, and each local view's source class. Which
-views are clean is derived from those: `clean_mask` is the views whose
-source is the label.
+An instance stores each fact once: its label, its (k + 1, d) views with the
+global view in row 0, and each local view's source class; `clean_mask`, the
+views whose source is the label, derives from them.
 
 File format 4 (`save`/`load`) is the text container of `checkpoint.py`
 under the format line `relviews-synth 4`: a `config` line per `SYNTH_KEYS`

@@ -560,6 +560,13 @@ def tape_forward(params, graphs, want_grad: bool = True):
     return tape_output(params, pvars, h, want_grad)
 
 
+def permute_graph(g: ViewGraph, perm: list[int]) -> ViewGraph:
+    """Node i of the result is node perm[i] of g (perm[0] must be 0)."""
+    w = g.weight_matrix()
+    weights = [w[perm[i], perm[j]] for i, j in itertools.combinations(range(g.num_views), 2)]
+    return ViewGraph(g.node_features[perm], weights)
+
+
 # ---------------------------------------------------------- one-step harness
 
 @contextmanager

@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,19 +12,13 @@ from relviews.hed import CostHead
 from tests.conftest import central_diff, rel_error
 from tests.helpers import (add, concat, constant, div, encoder_backward, exp,
                            gathered_pair_matrix, graphnorm, leaky_relu, matmul, mul, param_leaves,
-                           reshape, softplus, sub, tape_output, take, transpose, vsum)
+                           permute_graph, reshape, softplus, sub, tape_output, take, transpose,
+                           vsum)
 
 
 def random_graph(n_nodes=5, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     return ViewGraph(rng.standard_normal((n_nodes, dim)), rng.standard_normal(num_pairs(n_nodes)))
-
-
-def permute_graph(g: ViewGraph, perm: list[int]) -> ViewGraph:
-    """Node i of the result is node perm[i] of g (perm[0] must be 0)."""
-    w = g.weight_matrix()
-    weights = [w[perm[i], perm[j]] for i, j in combinations(range(g.num_views), 2)]
-    return ViewGraph(g.node_features[perm], weights)
 
 
 def test_config_validation():

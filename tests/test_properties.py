@@ -9,15 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from relviews import autodiff as ad
+from relviews import encoder as enc
 from relviews.checkpoint import read_container, write_container
+from relviews.complementarity import WEIGHT_CAP
+from relviews.encoder import EncoderConfig, init_params
+from relviews.graphs import ViewGraph, num_pairs
 from relviews.hed import CostHead
+from relviews.proxies import SinkhornConfig, sinkhorn
 from relviews.transitivity import TransitivityConfig
-from tests.helpers import ConstantCostHead, exact_ged, hed_module
+from tests.helpers import ConstantCostHead, exact_ged, hed_module, permute_graph
 
 # tie edits of a drawn table: a duplicated target row, a node on a target
 # row, a node one ulp to either side of a target row, a zero node or row, and
@@ -238,6 +243,67 @@ def test_row_quantiles_equal_numpys_linear_method(rows):
     # equal as values: where a row's quantile is zero, its sign follows the
     # order in which a sort leaves 0.0 and -0.0, which may differ from numpy's
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def transport_problems(draw):
+    """(cost (m, n), a, b, cfg): up to 8 rows and columns, positive marginals
+    over three orders of magnitude that carry one total mass from 1e-3 to
+    1e3, epsilon from 0.01 to 1, costs up to 30 epsilon, and an absolute
+    tolerance from 1e-4 to 1e-12 of the mass."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mass = 10.0 ** draw(st.integers(-3, 3))
+    a, b = 10.0 ** rng.uniform(-3, 0, m), 10.0 ** rng.uniform(-3, 0, n)
+    a, b = a * (mass / a.sum()), b * (mass / b.sum())
+    eps = 10.0 ** draw(st.floats(-2, 0))
+    cost = rng.uniform(0, draw(st.floats(0, 30)) * eps, (m, n))
+    tol = mass * 10.0 ** -draw(st.integers(4, 12))
+    return cost, a, b, SinkhornConfig(eps, 1000, tol)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(transport_problems())
+def test_a_converged_plan_meets_its_rows_within_tol_and_its_columns_within_rounding(problem):
+    # written against the absolute stopping rule max|u (K v) - a| <= tol; the
+    # plan's sums add the rounding of summing its products, under (terms + 2) eps
+    cost, a, b, cfg = problem
+    result = sinkhorn(cost, a, b, cfg)
+    assume(result.converged)
+    eps = np.finfo(np.float64).eps
+    rows, cols = result.plan.sum(axis=1), result.plan.sum(axis=0)
+    assert np.abs(rows - a).max() <= cfg.marginal_tol + (len(b) + 2) * eps * a.max()
+    # the last column update solved the columns; a plan accepted before any
+    # update met them within the tolerance only
+    slack = cfg.marginal_tol if result.iterations == 0 else 0.0
+    assert np.abs(cols - b).max() <= slack + (len(a) + 2) * eps * b.max()
+
+
+@st.composite
+def encoder_inputs(draw):
+    """(params, graph, perm): 1 to 3 layers of 1 or 2 heads, 2 to 12 nodes of
+    up to 8 features at scales from 1e-6 to 1e6, edge weights from 0.1 up to
+    the input graphs' cap, and a permutation of the local views."""
+    n, d, heads = draw(st.integers(2, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    cfg = EncoderConfig(num_layers=draw(st.integers(1, 3)), heads_per_layer=heads,
+                        hidden_dim=heads * draw(st.integers(1, 4)))
+    params = init_params(cfg, d, seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((n, d)) * 10.0 ** draw(st.integers(-6, 6))
+    weights = np.minimum(10.0 ** rng.uniform(-1, 4.5, num_pairs(n)), WEIGHT_CAP)
+    return params, ViewGraph(x, weights), [0, *draw(st.permutations(range(1, n)))]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(encoder_inputs())
+def test_permuting_the_local_views_permutes_the_encoder_output(inputs):
+    params, g, perm = inputs
+    out = enc.forward(params, [g], False)[0]
+    out_p = enc.forward(params, [permute_graph(g, perm)], False)[0]
+    # rounding relative to the largest value the layers see: the features,
+    # the edge weights, the output, or the order-1 values GraphNorm leaves
+    scale = max(1.0, np.abs(g.node_features).max(), g.edge_weights.max(), np.abs(out).max())
+    assert np.abs(out_p - out[perm]).max() <= 64 * np.finfo(np.float64).eps * scale
 
 
 _FAILING_PROPERTY = """

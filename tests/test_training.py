@@ -277,6 +277,23 @@ def test_evaluate_of_a_16_class_model_computes_no_exact_table(monkeypatch, sixte
     assert calls == []
 
 
+def test_evaluate_refuses_a_nan_view_in_the_encoder(monkeypatch, sixteen_classes):
+    # evaluate encodes each chunk before it picks a class, and the encoder
+    # refuses non-finite input: a NaN view never reaches `nearest`, so it
+    # cannot send its chunk to the exact table
+    model, _, held = sixteen_classes
+    instances = list(held.instances)
+    emb = instances[1].embeddings.copy()
+    emb[3, 0] = np.nan
+    instances[1] = replace(instances[1], embeddings=emb)
+
+    def no_nearest(*args, **kwargs):
+        raise AssertionError("nearest called")
+    monkeypatch.setattr(training, "nearest", no_nearest)
+    with pytest.raises(NumericError, match=r"^non-finite values in input graph \(layer 0\)$"):
+        training.evaluate(model, synth.SynthDataset(held.config, instances))
+
+
 def test_classes_with_identical_proxies_take_the_exact_tables_argmin(monkeypatch):
     # classes 0 and 1 share one proxy, so every row nearest to them ties
     # exactly: those rows, and only those, go through the exact table, whose
